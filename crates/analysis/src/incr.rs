@@ -170,58 +170,105 @@ impl FireSetCache {
     }
 }
 
-impl RouteSpace {
-    /// [`RouteSpace::fire_sets`] through a [`FireSetCache`], keyed by the
-    /// map's object identity and `hash` (its content hash — the caller
-    /// computes it once per edit via
-    /// [`Config::object_hashes`](clarify_netconfig::Config::object_hashes)).
-    pub fn fire_sets_cached(
-        &mut self,
-        cache: &mut FireSetCache,
+/// An ordered first-match policy object — a route-map, ACL or prefix
+/// list — and the symbolic space its rules are encoded in. Code written
+/// once for every kind of policy (the cached fire-sets below, the
+/// disambiguation engine in `clarify-core`) is generic over this trait.
+pub trait FirstMatchPolicy {
+    /// The space the policy's rule sets live in.
+    type Space;
+    /// The policy's identity; with a content hash, its cache key.
+    fn object_id(&self) -> RuleId;
+    /// The space's BDD manager.
+    fn manager(space: &mut Self::Space) -> &mut Manager;
+    /// Raw per-rule match sets, in order (`cfg` resolves list references).
+    fn match_sets(&self, space: &mut Self::Space, cfg: &Config) -> Result<Vec<Ref>, AnalysisError>;
+    /// First-match firing region per rule, plus the fall-through
+    /// remainder.
+    fn fire_sets(
+        &self,
+        space: &mut Self::Space,
         cfg: &Config,
-        map: &RouteMap,
-        hash: u64,
-    ) -> Result<FireSets, AnalysisError> {
-        let id = RuleId::object(ObjectKind::RouteMap, &map.name);
-        if let Some(sets) = cache.get(&id, hash) {
-            return Ok(sets.clone());
-        }
-        let (fires, remainder) = self.fire_sets(cfg, map)?;
-        let sets = FireSets { fires, remainder };
-        cache.insert(self.manager(), id, hash, sets.clone());
-        Ok(sets)
+    ) -> Result<(Vec<Ref>, Ref), AnalysisError>;
+}
+
+impl FirstMatchPolicy for RouteMap {
+    type Space = RouteSpace;
+    fn object_id(&self) -> RuleId {
+        RuleId::object(ObjectKind::RouteMap, &self.name)
+    }
+    fn manager(space: &mut RouteSpace) -> &mut Manager {
+        space.manager()
+    }
+    fn match_sets(&self, space: &mut RouteSpace, cfg: &Config) -> Result<Vec<Ref>, AnalysisError> {
+        space.match_sets(cfg, self)
+    }
+    fn fire_sets(
+        &self,
+        space: &mut RouteSpace,
+        cfg: &Config,
+    ) -> Result<(Vec<Ref>, Ref), AnalysisError> {
+        space.fire_sets(cfg, self)
     }
 }
 
-impl PacketSpace {
-    /// [`PacketSpace::fire_sets`] through a [`FireSetCache`].
-    pub fn fire_sets_cached(&mut self, cache: &mut FireSetCache, acl: &Acl, hash: u64) -> FireSets {
-        let id = RuleId::object(ObjectKind::Acl, &acl.name);
-        if let Some(sets) = cache.get(&id, hash) {
-            return sets.clone();
-        }
-        let (fires, remainder) = self.fire_sets(acl);
-        let sets = FireSets { fires, remainder };
-        cache.insert(self.manager(), id, hash, sets.clone());
-        sets
+impl FirstMatchPolicy for Acl {
+    type Space = PacketSpace;
+    fn object_id(&self) -> RuleId {
+        RuleId::object(ObjectKind::Acl, &self.name)
+    }
+    fn manager(space: &mut PacketSpace) -> &mut Manager {
+        space.manager()
+    }
+    fn match_sets(&self, space: &mut PacketSpace, _: &Config) -> Result<Vec<Ref>, AnalysisError> {
+        Ok(space.match_sets(self))
+    }
+    fn fire_sets(
+        &self,
+        space: &mut PacketSpace,
+        _: &Config,
+    ) -> Result<(Vec<Ref>, Ref), AnalysisError> {
+        Ok(space.fire_sets(self))
     }
 }
 
-impl PrefixSpace {
-    /// [`PrefixSpace::fire_sets`] through a [`FireSetCache`].
-    pub fn fire_sets_cached(
-        &mut self,
-        cache: &mut FireSetCache,
-        list: &PrefixList,
-        hash: u64,
-    ) -> FireSets {
-        let id = RuleId::object(ObjectKind::PrefixList, &list.name);
-        if let Some(sets) = cache.get(&id, hash) {
-            return sets.clone();
-        }
-        let (fires, remainder) = self.fire_sets(list);
-        let sets = FireSets { fires, remainder };
-        cache.insert(self.manager(), id, hash, sets.clone());
-        sets
+impl FirstMatchPolicy for PrefixList {
+    type Space = PrefixSpace;
+    fn object_id(&self) -> RuleId {
+        RuleId::object(ObjectKind::PrefixList, &self.name)
     }
+    fn manager(space: &mut PrefixSpace) -> &mut Manager {
+        space.manager()
+    }
+    fn match_sets(&self, space: &mut PrefixSpace, _: &Config) -> Result<Vec<Ref>, AnalysisError> {
+        Ok(space.match_sets(self))
+    }
+    fn fire_sets(
+        &self,
+        space: &mut PrefixSpace,
+        _: &Config,
+    ) -> Result<(Vec<Ref>, Ref), AnalysisError> {
+        Ok(space.fire_sets(self))
+    }
+}
+
+/// [`FirstMatchPolicy::fire_sets`] through a [`FireSetCache`], keyed by
+/// the policy's object identity and `hash` (its content hash — the
+/// caller computes it once per edit via
+/// [`Config::object_hashes`](clarify_netconfig::Config::object_hashes)).
+pub fn fire_sets_cached<P: FirstMatchPolicy>(
+    space: &mut P::Space,
+    cache: &mut FireSetCache,
+    cfg: &Config,
+    policy: &P,
+    hash: u64,
+) -> Result<FireSets, AnalysisError> {
+    let id = policy.object_id();
+    if let Some(sets) = cache.get(&id, hash) {
+        return Ok(sets.clone());
+    }
+    let (fires, remainder) = policy.fire_sets(space, cfg)?;
+    let sets = FireSets { fires, remainder };
+    cache.insert(P::manager(space), id, hash, sets.clone());
+    Ok(sets)
 }

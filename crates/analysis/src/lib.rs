@@ -40,7 +40,7 @@ pub use filter_compare::{
     compare_filters, compare_prefix_lists, filters_equivalent, prefix_lists_equivalent, FilterDiff,
     PrefixListDiff, PrefixSpace,
 };
-pub use incr::{atom_env_hash, FireSetCache, FireSets};
+pub use incr::{atom_env_hash, fire_sets_cached, FireSetCache, FireSets, FirstMatchPolicy};
 pub use network_space::NetworkSpace;
 pub use overlap::{
     acl_overlaps, acl_overlaps_symbolic, route_map_chain_overlaps, route_map_overlaps,

@@ -72,7 +72,7 @@ impl NetworkSpace {
         map: &RouteMap,
         hash: u64,
     ) -> Result<crate::incr::FireSets, AnalysisError> {
-        self.space.fire_sets_cached(&mut self.cache, cfg, map, hash)
+        crate::incr::fire_sets_cached(&mut self.space, &mut self.cache, cfg, map, hash)
     }
 
     /// The region a route-map permits (union of permit firing regions),

@@ -5,7 +5,7 @@
 //! every [`Ref`] to a node reachable from a [`Root`] stays valid across
 //! any number of collections (and across sifting passes, which rewrite
 //! slots in place without changing the function a slot denotes). That is
-//! the whole safety argument (DESIGN.md §13): roots pin reachability,
+//! the whole safety argument (DESIGN.md §8): roots pin reachability,
 //! survivors keep their indices, and the unique table and computed cache
 //! — the only structures that could name dead slots — are rebuilt and
 //! reset respectively at the end of each sweep.

@@ -5,7 +5,7 @@
 //! This crate is the symbolic-reasoning substrate for the Clarify analyses.
 //! Nodes live in a flat arena, every node is unique (hash-consed), and the
 //! operation kernel is the classic Brace–Rudell–Bryant construction with
-//! the CUDD refinements layered on (DESIGN.md §8/§13):
+//! the CUDD refinements layered on (DESIGN.md §8):
 //!
 //! - **Complement edges**: a [`Ref`] carries a complement bit, so negation
 //!   is O(1) and `f`/`!f` share all nodes (the then-edge of every stored

@@ -5,7 +5,7 @@
 //! function, so negation is a single xor and `f`/`!f` share every node.
 //! Canonicity demands the bit appear on at most one edge per node: here
 //! the **then/hi edge is always regular** (never complemented); only the
-//! else/lo edge and external handles may carry the bit (DESIGN.md §13).
+//! else/lo edge and external handles may carry the bit (DESIGN.md §8).
 //! One terminal node (arena index 0) represents `TRUE`; `FALSE` is its
 //! complement.
 
@@ -212,7 +212,7 @@ impl ObsHandles {
 /// so protected `Ref`s stay valid across both.
 ///
 /// The kernel data structures are hand-rolled for the hot path (see
-/// DESIGN.md §8/§13): the unique table is an open-addressing hash table
+/// DESIGN.md §8): the unique table is an open-addressing hash table
 /// of bare `u32` arena indices, and the operation memo is a fixed-size
 /// direct-mapped *lossy* computed cache in the CUDD tradition. Losing a
 /// computed-cache entry never loses correctness — results are re-derived

@@ -58,7 +58,7 @@ criterion_group!(benches, bench_binary, bench_linear, bench_top_bottom);
 
 mod acl_side {
     use super::*;
-    use clarify_core::{insert_acl_with_oracle, AclIntentOracle};
+    use clarify_core::{AclInsertion, AclIntentOracle};
     use clarify_netconfig::{insert_acl_entry, Config};
 
     /// An ACL with n overlapping entries and a new entry overlapping all.
@@ -93,14 +93,12 @@ mod acl_side {
                         intended: &intended,
                     };
                     black_box(
-                        insert_acl_with_oracle(
-                            &base,
-                            "A",
-                            &entry,
-                            PlacementStrategy::BinarySearch,
-                            &mut oracle,
-                        )
-                        .expect("insert"),
+                        Disambiguator::new(PlacementStrategy::BinarySearch)
+                            .disambiguate(
+                                AclInsertion::new(&base, "A", &entry).expect("ACL exists"),
+                                &mut oracle,
+                            )
+                            .expect("insert"),
                     )
                 });
             });

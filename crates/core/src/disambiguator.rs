@@ -1,275 +1,206 @@
-//! The disambiguator: find where a verified snippet belongs by asking the
-//! user behavioural questions backed by concrete differential examples.
+//! The disambiguator: find where a verified rule belongs in an ordered
+//! first-match policy by asking the user behavioural questions backed by
+//! concrete differential examples.
+//!
+//! The §4 placement search is one algorithm over any such policy; this
+//! module implements it once. A [`RuleKind`] — route-map stanzas, ACL
+//! entries, prefix-list entries — supplies only what differs: the
+//! symbolic space, the new rule's match set, the differential question
+//! and the insertion itself. The overlap scan, the lint prune, the pivot
+//! scan (serial or pooled), the plan replay and the insertion metrics
+//! exist once, here.
 
-use clarify_analysis::{compare_route_policies, RouteSpace};
+use clarify_analysis::FirstMatchPolicy;
 use clarify_bdd::Ref;
-use clarify_lint::prune_insertion_candidates;
-use clarify_netconfig::{insert_route_map_stanza, Config, InsertReport, RouteMapVerdict};
-use clarify_nettypes::BgpRoute;
+use clarify_lint::prune_candidates;
+use clarify_netconfig::Config;
 
 use crate::error::ClarifyError;
 use crate::oracle::{Choice, UserOracle};
+use crate::route_map::{DisambiguationQuestion, RouteMapInsertion};
 
 /// How insertion points are explored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PlacementStrategy {
-    /// The §4 algorithm: binary search over the overlapping stanzas,
-    /// asking `O(log n)` questions.
+    /// The §4 algorithm: binary search over the overlapping rules, asking
+    /// `O(log n)` questions.
     #[default]
     BinarySearch,
     /// The paper prototype's restriction: only the top and the bottom of
     /// the policy are considered (Figure 2 (a) and (b)); at most one
     /// question is asked.
     TopBottomOnly,
-    /// Ablation baseline: walk the overlapping stanzas top-down, asking
-    /// one question per overlap (`O(n)` questions).
+    /// Ablation baseline: walk the overlapping rules top-down, asking one
+    /// question per overlap (`O(n)` questions).
     LinearScan,
 }
 
-/// One question to the user: a concrete route and the two behaviours it
-/// would get, exactly the paper's OPTION 1 / OPTION 2 exchange.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DisambiguationQuestion {
-    /// The differential input route.
-    pub route: BgpRoute,
-    /// Behaviour if the new stanza is placed *above* the pivot stanza.
-    pub option_first: RouteMapVerdict,
-    /// Behaviour if the new stanza is placed *below* the pivot stanza.
-    pub option_second: RouteMapVerdict,
-    /// Sequence number of the pivot stanza in the original policy.
-    pub pivot_seq: u32,
-}
+/// One insertion problem — a base policy and the new rule — for one kind
+/// of ordered first-match policy. Implemented by [`RouteMapInsertion`],
+/// [`AclInsertion`](crate::AclInsertion) and
+/// [`PrefixListInsertion`](crate::PrefixListInsertion).
+pub trait RuleKind: Clone + std::fmt::Debug + Sync {
+    /// The symbolic space the kind's sets live in.
+    type Space;
+    /// The policy object the new rule goes into; it supplies the existing
+    /// rules' match and fire sets.
+    type Policy: FirstMatchPolicy<Space = Self::Space>;
+    /// One differential question, rendered to the user via `Display`.
+    type Question: Clone + std::fmt::Debug + std::fmt::Display + Send;
+    /// The mechanical edit report of an insertion.
+    type Report: Clone + std::fmt::Debug;
 
-impl std::fmt::Display for DisambiguationQuestion {
-    /// Renders in the paper's §2.2 format.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "{}", self.route)?;
-        writeln!(f)?;
-        writeln!(f, "OPTION 1:")?;
-        writeln!(f, "{}", render_verdict(&self.option_first))?;
-        writeln!(f, "OPTION 2:")?;
-        write!(f, "{}", render_verdict(&self.option_second))
-    }
-}
-
-fn render_verdict(v: &RouteMapVerdict) -> String {
-    match v {
-        RouteMapVerdict::Permit { route, .. } => format!("ACTION: permit\n{route}"),
-        RouteMapVerdict::DenyBy { .. } | RouteMapVerdict::ImplicitDeny => {
-            "ACTION: deny".to_string()
-        }
-    }
+    /// The base configuration.
+    fn base(&self) -> &Config;
+    /// The policy the new rule goes into, as it is in [`base`](Self::base).
+    fn target(&self) -> &Self::Policy;
+    /// A fresh space covering the base and the new rule (each pooled
+    /// pivot-scan worker builds its own).
+    fn new_space(&self) -> Result<Self::Space, ClarifyError>;
+    /// The new rule's match set, restricted to valid inputs (`s*`).
+    fn new_match(&self, space: &mut Self::Space) -> Result<Ref, ClarifyError>;
+    /// The differential question between two placements of the new rule
+    /// (`above` is OPTION 1), or `None` when they are equivalent. `pivot`
+    /// is the index of the existing rule the question is about.
+    fn question(
+        &self,
+        space: &mut Self::Space,
+        above: &Config,
+        below: &Config,
+        pivot: usize,
+    ) -> Result<Option<Self::Question>, ClarifyError>;
+    /// Inserts the new rule at `position` of the base policy.
+    fn insert(&self, position: usize) -> Result<(Config, Self::Report), ClarifyError>;
 }
 
 /// What the disambiguator did for one insertion.
 #[derive(Clone, Debug)]
-pub struct DisambiguationResult {
-    /// The final configuration with the snippet inserted.
+pub struct DisambiguationResult<K: RuleKind = RouteMapInsertion> {
+    /// The final configuration with the new rule inserted.
     pub config: Config,
-    /// Zero-based position of the new stanza.
+    /// Zero-based position of the new rule.
     pub position: usize,
-    /// The mechanical edit report (renames, renumbering).
-    pub report: InsertReport,
+    /// The mechanical edit report (for route-maps: renames, renumbering).
+    pub report: K::Report,
     /// Number of questions the user answered.
     pub questions: usize,
-    /// Number of existing stanzas whose match set overlaps the snippet's.
+    /// Number of existing rules whose match set overlaps the new rule's.
     pub overlap_candidates: usize,
-    /// Overlap candidates discarded by the lint prune (the snippet is
+    /// Overlap candidates discarded by the lint prune (the new rule is
     /// shadowed at those boundaries, so they are provably non-decisive).
     pub pruned_candidates: usize,
     /// Number of expensive above/below placement comparisons performed.
     pub comparisons: usize,
     /// The full question/answer transcript.
-    pub transcript: Vec<(DisambiguationQuestion, Choice)>,
+    pub transcript: Vec<(K::Question, Choice)>,
 }
 
 /// The disambiguator itself. Stateless apart from its strategy.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Disambiguator {
     /// Exploration strategy.
     pub strategy: PlacementStrategy,
-    /// Discard overlap candidates where the snippet's match set misses the
-    /// pivot's firing region (`s* ∧ fire_i = ⊥`) before running the
-    /// expensive placement comparison. Sound — see
-    /// [`clarify_lint::prune_insertion_candidates`] — and on by default;
-    /// disable only to measure its effect.
-    pub lint_prune: bool,
-}
-
-impl Default for Disambiguator {
-    fn default() -> Disambiguator {
-        Disambiguator {
-            strategy: PlacementStrategy::default(),
-            lint_prune: true,
-        }
-    }
 }
 
 impl Disambiguator {
-    /// Creates a disambiguator with the given strategy (lint pruning on).
+    /// Creates a disambiguator with the given strategy.
     pub fn new(strategy: PlacementStrategy) -> Disambiguator {
-        Disambiguator {
-            strategy,
-            lint_prune: true,
-        }
+        Disambiguator { strategy }
     }
 
-    /// Returns this disambiguator with lint pruning switched on or off.
-    pub fn with_lint_prune(mut self, on: bool) -> Disambiguator {
-        self.lint_prune = on;
-        self
-    }
-
-    /// Inserts the single stanza of `snippet`'s `snippet_map` into `base`'s
-    /// route-map `map`, interacting with `oracle` to pin down the intent.
-    pub fn insert(
+    /// Plans `kind`'s insertion in a fresh space and drives it to
+    /// completion against `oracle`.
+    pub fn disambiguate<K: RuleKind>(
         &self,
-        base: &Config,
-        map: &str,
-        snippet: &Config,
-        snippet_map: &str,
-        oracle: &mut dyn UserOracle,
-    ) -> Result<DisambiguationResult, ClarifyError> {
+        kind: K,
+        oracle: &mut dyn UserOracle<K::Question>,
+    ) -> Result<DisambiguationResult<K>, ClarifyError> {
         let _insert_span = clarify_obs::span!("disambiguator_insert");
-        let mut space = RouteSpace::new(&[base, snippet])?;
-        self.plan_in_space(&mut space, base, map, snippet, snippet_map)?
-            .drive(oracle)
+        let mut space = kind.new_space()?;
+        self.plan(&mut space, kind)?.drive(oracle)
     }
 
-    /// Builds an [`InsertionPlan`] in a caller-owned [`RouteSpace`]: the
-    /// expensive symbolic work (overlap set, lint prune, per-pivot
-    /// placement comparisons) runs here, once; the returned plan answers
-    /// every subsequent [`InsertionPlan::step`] with pure in-memory
-    /// replay. Long-lived services keep one warm space per session and
-    /// pass it in — ROBDD canonicity makes the reuse invisible: a fresh
-    /// space built from the same configurations yields byte-identical
-    /// questions (same witnesses, same order).
+    /// Builds an [`InsertionPlan`] in a caller-owned space: the expensive
+    /// symbolic work (overlap set, lint prune, per-pivot placement
+    /// comparisons) runs here, once; the returned plan answers every
+    /// subsequent [`InsertionPlan::step`] with pure in-memory replay.
+    /// Long-lived services keep one warm space per session and pass it in
+    /// — ROBDD canonicity makes the reuse invisible: a fresh space built
+    /// from the same configurations yields byte-identical questions (same
+    /// witnesses, same order).
     ///
-    /// The space must have been built over an atom environment covering
-    /// both `base` and `snippet` (e.g. `RouteSpace::new(&[base,
-    /// snippet])`, or any config set with an equal
+    /// The space must cover both the base and the new rule (for
+    /// route-maps: an atom environment with an equal
     /// [`atom_env_hash`](clarify_analysis::atom_env_hash)).
-    pub fn plan_in_space(
+    pub fn plan<K: RuleKind>(
         &self,
-        space: &mut RouteSpace,
-        base: &Config,
-        map: &str,
-        snippet: &Config,
-        snippet_map: &str,
-    ) -> Result<InsertionPlan, ClarifyError> {
-        let base_map = base
-            .route_map(map)
-            .ok_or(clarify_netconfig::ConfigError::NotFound {
-                kind: "route-map",
-                name: map.to_string(),
-            })?
-            .clone();
-        let src_map = snippet
-            .route_map(snippet_map)
-            .ok_or(clarify_netconfig::ConfigError::NotFound {
-                kind: "route-map",
-                name: snippet_map.to_string(),
-            })?
-            .clone();
-        if src_map.stanzas.len() != 1 {
-            return Err(clarify_netconfig::ConfigError::InvalidEdit(format!(
-                "snippet route-map '{snippet_map}' must have exactly one stanza"
-            ))
-            .into());
-        }
+        space: &mut K::Space,
+        kind: K,
+    ) -> Result<InsertionPlan<K>, ClarifyError> {
+        let s_star = kind.new_match(space)?;
 
-        let valid = space.valid();
-        let s_star_raw = space.encode_stanza_match(snippet, &src_map.stanzas[0])?;
-        let s_star = space.manager().and(s_star_raw, valid);
-
-        // The §4 candidate set: existing stanzas whose match set intersects
-        // the new stanza's, in original order.
-        let match_sets = space.match_sets(base, &base_map)?;
-        let mut overlaps: Vec<usize> = Vec::new();
-        for (i, &m) in match_sets.iter().enumerate() {
-            if space.manager().and(m, s_star) != Ref::FALSE {
-                overlaps.push(i);
-            }
-        }
-
+        // The §4 candidate set: existing rules whose match set intersects
+        // the new rule's, in original order.
+        let match_sets = kind.target().match_sets(space, kind.base())?;
+        let base_len = match_sets.len();
+        let mgr = K::Policy::manager(space);
+        let overlaps: Vec<usize> = (0..base_len)
+            .filter(|&i| mgr.and(match_sets[i], s_star) != Ref::FALSE)
+            .collect();
         let n = overlaps.len();
 
-        // Lint-based pre-filter: a pivot where the snippet never reaches
-        // the pivot stanza's firing region (`s* ∧ fire_i = ⊥`) cannot be
+        // Lint-based pre-filter: a pivot where the new rule never reaches
+        // the pivot rule's firing region (`s* ∧ fire_i = ⊥`) cannot be
         // decisive — above/below placements there are provably equivalent
-        // — so skip its placement comparison outright.
-        let candidates = if self.lint_prune {
-            prune_insertion_candidates(space, base, &base_map, s_star, &overlaps)?.kept
-        } else {
-            overlaps.clone()
-        };
+        // — so its placement comparison is skipped outright.
+        let (fires, _) = kind.target().fire_sets(space, kind.base())?;
+        let candidates =
+            prune_candidates(K::Policy::manager(space), &fires, s_star, &overlaps).kept;
         let pruned_candidates = n - candidates.len();
 
         // Keep only *decisive* pivots: candidates where inserting the new
-        // stanza immediately above vs immediately below actually changes
-        // behaviour. An equivalence at a pivot (e.g. a deny snippet
-        // crossing a deny stanza) means that boundary vanishes — the two
-        // adjacent slots merge — and treating it as an answer would
-        // discard half the search space that may hold the intent. Each
-        // decisive pivot carries its precomputed differential question.
+        // rule immediately above vs immediately below actually changes
+        // behaviour. An equivalence at a pivot (e.g. a deny rule crossing
+        // a deny rule) means that boundary vanishes — the two adjacent
+        // slots merge — and treating it as an answer would discard half
+        // the search space that may hold the intent. Each decisive pivot
+        // carries its precomputed differential question.
         //
-        // The scan is the hot loop — one full `compare_route_policies`
-        // per candidate — and each comparison is independent. With one
-        // thread it runs directly on the shared space built for the
-        // overlap round (cross-round reuse); with more it fans out over
-        // `clarify-par` with one worker-local `RouteSpace` per worker.
-        // ROBDD canonicity makes the choice invisible: a fresh space
-        // built from the same configs yields the same witnesses as the
-        // shared serial space, and results come back in input order.
-        let base_map_ref = &base_map;
-        let scan: Vec<Result<Option<DisambiguationQuestion>, ClarifyError>> = {
+        // The scan is the hot loop — one full policy comparison per
+        // candidate — and each comparison is independent. With one thread
+        // it runs directly on the shared space, whose unique table already
+        // holds every rule encoding the comparisons rebuild; with more it
+        // fans out over `clarify-par` with one worker-local space per
+        // worker. ROBDD canonicity makes the choice invisible: a fresh
+        // space built from the same configs yields the same witnesses as
+        // the shared serial space, and results come back in input order.
+        let differential = |space: &mut K::Space, above: usize, below: usize, pivot: usize| {
+            let (above, _) = kind.insert(above)?;
+            let (below, _) = kind.insert(below)?;
+            kind.question(space, &above, &below, pivot)
+        };
+        let scan: Vec<Result<Option<K::Question>, ClarifyError>> = {
             let _scan_span = clarify_obs::span!("pivot_scan");
             if clarify_par::current_threads() == 1 {
-                // Serial path: reuse the overlap round's shared space — its
-                // unique table already holds every stanza encoding the
-                // comparisons will rebuild, so this skips a second space
-                // construction per scan. Canonicity makes the reuse
-                // invisible in the output (same witnesses either way).
                 candidates
                     .iter()
-                    .map(|&pivot| {
-                        self.question_at_pivot(
-                            &mut *space,
-                            base,
-                            map,
-                            snippet,
-                            snippet_map,
-                            base_map_ref,
-                            pivot,
-                        )
-                    })
+                    .map(|&pivot| differential(&mut *space, pivot, pivot + 1, pivot))
                     .collect()
             } else {
                 clarify_par::par_map_init(
                     &candidates,
-                    || None::<RouteSpace>,
-                    |worker_space,
-                     _,
-                     &pivot|
-                     -> Result<Option<DisambiguationQuestion>, ClarifyError> {
+                    || None,
+                    |worker_space, _, &pivot| {
                         let space = match worker_space {
                             Some(s) => s,
-                            None => worker_space.insert(RouteSpace::new(&[base, snippet])?),
+                            None => worker_space.insert(kind.new_space()?),
                         };
-                        self.question_at_pivot(
-                            space,
-                            base,
-                            map,
-                            snippet,
-                            snippet_map,
-                            base_map_ref,
-                            pivot,
-                        )
+                        differential(space, pivot, pivot + 1, pivot)
                     },
                 )
             }
         };
-        let mut pivots: Vec<(usize, DisambiguationQuestion)> = Vec::new();
+        let mut pivots: Vec<(usize, K::Question)> = Vec::new();
         for (&pivot, q) in candidates.iter().zip(scan) {
             if let Some(q) = q? {
                 pivots.push((pivot, q));
@@ -278,37 +209,25 @@ impl Disambiguator {
         // The overlap/prune round is done with the shared space's ite
         // cache; drop it (unique table preserved) before the placement
         // round so long sessions don't accrete dead cache entries.
-        space.manager().clear_op_caches();
+        K::Policy::manager(space).clear_op_caches();
         let mut comparisons = candidates.len();
-        let m = pivots.len();
 
         // TopBottomOnly's single question is the differential between the
         // two extreme placements; precompute it here so the plan's replay
-        // needs no symbolic work. When every boundary is non-decisive
-        // (m == 0) the strategy never compares — same as the other
-        // strategies, everything is equivalent and the plan appends.
-        let top_bottom = if self.strategy == PlacementStrategy::TopBottomOnly && m > 0 {
-            let (top_cfg, _) = insert_route_map_stanza(base, map, snippet, snippet_map, 0)?;
-            let (bot_cfg, _) =
-                insert_route_map_stanza(base, map, snippet, snippet_map, base_map.stanzas.len())?;
-            let diffs = compare_route_policies(space, &top_cfg, map, &bot_cfg, map, 1)?;
+        // needs no symbolic work. When every boundary is non-decisive the
+        // strategy never compares — as with the other strategies,
+        // everything is equivalent and the plan appends.
+        let top_bottom = if self.strategy == PlacementStrategy::TopBottomOnly && !pivots.is_empty()
+        {
             comparisons += 1;
-            diffs.into_iter().next().map(|d| DisambiguationQuestion {
-                route: d.route,
-                option_first: d.a,
-                option_second: d.b,
-                pivot_seq: base_map.stanzas.first().map(|s| s.seq).unwrap_or(0),
-            })
+            differential(space, 0, base_len, 0)?
         } else {
             None
         };
 
         Ok(InsertionPlan {
-            base: base.clone(),
-            map: map.to_string(),
-            snippet: snippet.clone(),
-            snippet_map: snippet_map.to_string(),
-            base_len: base_map.stanzas.len(),
+            kind,
+            base_len,
             strategy: self.strategy,
             pivots,
             top_bottom,
@@ -317,62 +236,31 @@ impl Disambiguator {
             comparisons,
         })
     }
-
-    /// Builds the above/below comparison at one pivot stanza, returning
-    /// the differential question, or `None` when the two placements are
-    /// behaviourally equivalent (the pivot is not a decisive boundary).
-    #[allow(clippy::too_many_arguments)]
-    fn question_at_pivot(
-        &self,
-        space: &mut RouteSpace,
-        base: &Config,
-        map: &str,
-        snippet: &Config,
-        snippet_map: &str,
-        base_map: &clarify_netconfig::RouteMap,
-        pivot: usize,
-    ) -> Result<Option<DisambiguationQuestion>, ClarifyError> {
-        let (above, _) = insert_route_map_stanza(base, map, snippet, snippet_map, pivot)?;
-        let (below, _) = insert_route_map_stanza(base, map, snippet, snippet_map, pivot + 1)?;
-        let diffs = compare_route_policies(space, &above, map, &below, map, 1)?;
-        let Some(d) = diffs.into_iter().next() else {
-            return Ok(None);
-        };
-        Ok(Some(DisambiguationQuestion {
-            route: d.route,
-            option_first: d.a,
-            option_second: d.b,
-            pivot_seq: base_map.stanzas[pivot].seq,
-        }))
-    }
 }
 
 /// A fully-precomputed insertion search: the decisive pivots with their
 /// differential questions, plus everything needed to materialise the final
-/// configuration. Produced by [`Disambiguator::plan_in_space`]; consumed
-/// either by [`drive`](InsertionPlan::drive) against a [`UserOracle`] (the
-/// one-shot path) or turn-by-turn via [`step`](InsertionPlan::step) /
+/// configuration. Produced by [`Disambiguator::plan`]; consumed either by
+/// [`drive`](InsertionPlan::drive) against a [`UserOracle`] (the one-shot
+/// path) or turn-by-turn via [`step`](InsertionPlan::step) /
 /// [`finish`](InsertionPlan::finish) (the session-daemon path). Replay is
 /// pure in-memory work — no symbolic recompute per answer — and both paths
 /// walk the identical pivot table, so they produce byte-identical question
 /// sequences.
 #[derive(Clone, Debug)]
-pub struct InsertionPlan {
-    base: Config,
-    map: String,
-    snippet: Config,
-    snippet_map: String,
-    /// Stanza count of the base route-map: the append slot when no
-    /// boundary is decisive.
-    base_len: usize,
+pub struct InsertionPlan<K: RuleKind = RouteMapInsertion> {
+    kind: K,
+    /// Rule count of the base policy: the append slot when no boundary is
+    /// decisive.
+    pub(crate) base_len: usize,
     strategy: PlacementStrategy,
-    /// Decisive pivots in original stanza order, each with its
-    /// precomputed differential question.
-    pivots: Vec<(usize, DisambiguationQuestion)>,
+    /// Decisive pivots in original rule order, each with its precomputed
+    /// differential question.
+    pub(crate) pivots: Vec<(usize, K::Question)>,
     /// TopBottomOnly's single question (`None` unless that strategy is
     /// active, at least one pivot is decisive, and the two extreme
     /// placements actually differ).
-    top_bottom: Option<DisambiguationQuestion>,
+    top_bottom: Option<K::Question>,
     overlap_candidates: usize,
     pruned_candidates: usize,
     comparisons: usize,
@@ -380,18 +268,17 @@ pub struct InsertionPlan {
 
 /// What an [`InsertionPlan`] needs next, given an answer prefix.
 #[derive(Clone, Debug)]
-pub enum PlanStep<'a> {
-    /// The search needs one more answer, to this question (`number` is
-    /// 1-based, for display).
+pub enum PlanStep<'a, Q = DisambiguationQuestion> {
+    /// The search needs one more answer, to this question.
     Ask {
         /// 1-based ordinal of the question within the session.
         number: usize,
         /// The differential question to put to the user.
-        question: &'a DisambiguationQuestion,
+        question: &'a Q,
     },
     /// The answers fully determine the insertion point.
     Done {
-        /// Zero-based position of the new stanza.
+        /// Zero-based position of the new rule.
         position: usize,
     },
 }
@@ -399,24 +286,20 @@ pub enum PlanStep<'a> {
 /// Internal replay outcome: either the next unanswered question (with how
 /// many answers were consumed reaching it) or the final position plus the
 /// reconstructed transcript.
-enum Replay<'a> {
-    Need(&'a DisambiguationQuestion, usize),
+enum Replay<'a, Q> {
+    Need(&'a Q, usize),
     Done {
         position: usize,
-        transcript: Vec<(DisambiguationQuestion, Choice)>,
+        transcript: Vec<(Q, Choice)>,
     },
 }
 
-impl InsertionPlan {
-    /// Maps a slot index in the decisive-pivot order to a stanza position.
+impl<K: RuleKind> InsertionPlan<K> {
+    /// Maps a slot index in the decisive-pivot order to a rule position.
     fn slot_to_position(&self, slot: usize) -> usize {
-        let m = self.pivots.len();
-        if m == 0 {
-            self.base_len
-        } else if slot < m {
-            self.pivots[slot].0
-        } else {
-            self.pivots[m - 1].0 + 1
+        match self.pivots.get(slot) {
+            Some(&(pivot, _)) => pivot,
+            None => self.pivots.last().map_or(self.base_len, |&(p, _)| p + 1),
         }
     }
 
@@ -424,84 +307,75 @@ impl InsertionPlan {
     /// deterministic: the same prefix always reaches the same point, so a
     /// session can re-derive its current question from stored answers
     /// alone.
-    fn replay<'a>(&'a self, answers: &[Choice]) -> Replay<'a> {
-        fn take<'a>(
-            answers: &[Choice],
-            used: &mut usize,
-            asked: &mut Vec<&'a DisambiguationQuestion>,
-            q: &'a DisambiguationQuestion,
-        ) -> Option<Choice> {
-            let c = answers.get(*used).copied()?;
-            *used += 1;
+    fn replay<'a>(&'a self, answers: &[Choice]) -> Replay<'a, K::Question> {
+        let mut asked: Vec<&K::Question> = Vec::new();
+        let position = self.search(|q| {
+            let c = answers.get(asked.len()).copied().ok_or(q)?;
             asked.push(q);
-            Some(c)
+            Ok(c)
+        });
+        match position {
+            Err(q) => Replay::Need(q, asked.len()),
+            Ok(position) => Replay::Done {
+                position,
+                transcript: asked
+                    .into_iter()
+                    .cloned()
+                    .zip(answers.iter().copied())
+                    .collect(),
+            },
         }
+    }
 
+    /// The placement search itself, putting each question to `ask`; stops
+    /// at the first question `ask` cannot answer and returns it.
+    fn search<'a>(
+        &'a self,
+        mut ask: impl FnMut(&'a K::Question) -> Result<Choice, &'a K::Question>,
+    ) -> Result<usize, &'a K::Question> {
         let m = self.pivots.len();
-        let mut asked: Vec<&DisambiguationQuestion> = Vec::new();
-        let mut used = 0usize;
         // No decisive boundary anywhere: all positions are equivalent (or
         // there was no overlap at all); append — for every strategy.
-        let position = if m == 0 {
-            self.base_len
-        } else {
-            match self.strategy {
-                PlacementStrategy::BinarySearch => {
-                    let mut lo = 0usize;
-                    let mut hi = m;
-                    loop {
-                        if lo >= hi {
-                            break self.slot_to_position(lo);
-                        }
-                        let mid = (lo + hi) / 2;
-                        let q = &self.pivots[mid].1;
-                        match take(answers, &mut used, &mut asked, q) {
-                            Some(Choice::First) => hi = mid,
-                            Some(Choice::Second) => lo = mid + 1,
-                            None => return Replay::Need(q, used),
-                        }
-                    }
-                }
-                PlacementStrategy::LinearScan => {
-                    let mut slot = m;
-                    for (k, (_, q)) in self.pivots.iter().enumerate() {
-                        match take(answers, &mut used, &mut asked, q) {
-                            Some(Choice::First) => {
-                                slot = k;
-                                break;
-                            }
-                            Some(Choice::Second) => {}
-                            None => return Replay::Need(q, used),
-                        }
-                    }
-                    self.slot_to_position(slot)
-                }
-                PlacementStrategy::TopBottomOnly => match &self.top_bottom {
-                    // Extreme placements equivalent; bottom by convention.
-                    None => self.base_len,
-                    Some(q) => match take(answers, &mut used, &mut asked, q) {
-                        Some(Choice::First) => 0,
-                        Some(Choice::Second) => self.base_len,
-                        None => return Replay::Need(q, used),
-                    },
-                },
-            }
-        };
-        let transcript = asked
-            .into_iter()
-            .zip(answers.iter().copied())
-            .map(|(q, c)| (q.clone(), c))
-            .collect();
-        Replay::Done {
-            position,
-            transcript,
+        if m == 0 {
+            return Ok(self.base_len);
         }
+        Ok(match self.strategy {
+            PlacementStrategy::BinarySearch => {
+                let (mut lo, mut hi) = (0, m);
+                while lo < hi {
+                    let mid = (lo + hi) / 2;
+                    match ask(&self.pivots[mid].1)? {
+                        Choice::First => hi = mid,
+                        Choice::Second => lo = mid + 1,
+                    }
+                }
+                self.slot_to_position(lo)
+            }
+            PlacementStrategy::LinearScan => {
+                let mut slot = m;
+                for (k, (_, q)) in self.pivots.iter().enumerate() {
+                    if ask(q)? == Choice::First {
+                        slot = k;
+                        break;
+                    }
+                }
+                self.slot_to_position(slot)
+            }
+            PlacementStrategy::TopBottomOnly => match &self.top_bottom {
+                // Extreme placements equivalent; bottom by convention.
+                None => self.base_len,
+                Some(q) => match ask(q)? {
+                    Choice::First => 0,
+                    Choice::Second => self.base_len,
+                },
+            },
+        })
     }
 
     /// Given the answers so far, returns either the next question to ask
     /// or the determined insertion position. Surplus answers beyond what
     /// the search consumes are ignored.
-    pub fn step(&self, answers: &[Choice]) -> PlanStep<'_> {
+    pub fn step(&self, answers: &[Choice]) -> PlanStep<'_, K::Question> {
         match self.replay(answers) {
             Replay::Need(question, used) => PlanStep::Ask {
                 number: used + 1,
@@ -515,43 +389,45 @@ impl InsertionPlan {
     /// sequence, recording the insertion metrics exactly once. Returns
     /// [`ClarifyError::OracleExhausted`] if the answers don't reach a
     /// determined position (callers should [`step`](Self::step) first).
-    pub fn finish(&self, answers: &[Choice]) -> Result<DisambiguationResult, ClarifyError> {
-        match self.replay(answers) {
-            Replay::Need(..) => Err(ClarifyError::OracleExhausted),
-            Replay::Done {
-                position,
-                transcript,
-            } => {
-                let (config, report) = insert_route_map_stanza(
-                    &self.base,
-                    &self.map,
-                    &self.snippet,
-                    &self.snippet_map,
-                    position,
-                )?;
-                record_insert_metrics(
-                    self.overlap_candidates,
-                    self.pruned_candidates,
-                    transcript.len(),
-                    self.comparisons,
-                );
-                Ok(DisambiguationResult {
-                    config,
-                    position,
-                    report,
-                    questions: transcript.len(),
-                    overlap_candidates: self.overlap_candidates,
-                    pruned_candidates: self.pruned_candidates,
-                    comparisons: self.comparisons,
-                    transcript,
-                })
-            }
-        }
+    pub fn finish(&self, answers: &[Choice]) -> Result<DisambiguationResult<K>, ClarifyError> {
+        let Replay::Done {
+            position,
+            transcript,
+        } = self.replay(answers)
+        else {
+            return Err(ClarifyError::OracleExhausted);
+        };
+        let (config, report) = self.kind.insert(position)?;
+        // Every insertion — whatever the rule kind — lands in the same
+        // counters; zero-valued ones are still registered for traces.
+        let obs = clarify_obs::global();
+        obs.counter("disambiguator.insertions").incr();
+        obs.counter("disambiguator.overlap_candidates")
+            .add(self.overlap_candidates as u64);
+        obs.counter("disambiguator.candidates_pruned")
+            .add(self.pruned_candidates as u64);
+        obs.counter("disambiguator.questions_asked")
+            .add(transcript.len() as u64);
+        obs.counter("disambiguator.comparisons")
+            .add(self.comparisons as u64);
+        Ok(DisambiguationResult {
+            config,
+            position,
+            report,
+            questions: transcript.len(),
+            overlap_candidates: self.overlap_candidates,
+            pruned_candidates: self.pruned_candidates,
+            comparisons: self.comparisons,
+            transcript,
+        })
     }
 
     /// Runs the plan to completion against an oracle: the classic
-    /// synchronous loop, byte-identical to the pre-plan behaviour.
-    pub fn drive(self, oracle: &mut dyn UserOracle) -> Result<DisambiguationResult, ClarifyError> {
+    /// synchronous loop.
+    pub fn drive(
+        self,
+        oracle: &mut dyn UserOracle<K::Question>,
+    ) -> Result<DisambiguationResult<K>, ClarifyError> {
         let mut answers: Vec<Choice> = Vec::new();
         while let Replay::Need(q, _) = self.replay(&answers) {
             let _round_span = clarify_obs::span!("disambiguation_round");
@@ -560,48 +436,4 @@ impl InsertionPlan {
         }
         self.finish(&answers)
     }
-}
-
-/// Checks that the final configuration implements the intended policy
-/// everywhere; returns [`ClarifyError::NoValidInsertion`] with a witness
-/// route otherwise. The evaluation harness runs this after every insertion
-/// to confirm the disambiguator converged on the user's intent.
-pub fn verify_against_intent(
-    final_cfg: &Config,
-    map: &str,
-    intended: &Config,
-    intended_map: &str,
-) -> Result<(), ClarifyError> {
-    let mut space = RouteSpace::new(&[final_cfg, intended])?;
-    let diffs = compare_route_policies(&mut space, final_cfg, map, intended, intended_map, 1)?;
-    match diffs.into_iter().next() {
-        None => Ok(()),
-        Some(d) => Err(ClarifyError::NoValidInsertion {
-            witness: Box::new(d.route),
-        }),
-    }
-}
-
-/// Records one insertion's aggregate metrics into the global registry.
-///
-/// Shared by the route-map, ACL, and prefix-list disambiguators so every
-/// insertion — whatever the object type — lands in the same counters, and
-/// so zero-valued counters (e.g. no candidates pruned) are still
-/// registered and show up in trace output.
-pub(crate) fn record_insert_metrics(
-    overlap_candidates: usize,
-    pruned_candidates: usize,
-    questions: usize,
-    comparisons: usize,
-) {
-    let obs = clarify_obs::global();
-    obs.counter("disambiguator.insertions").incr();
-    obs.counter("disambiguator.overlap_candidates")
-        .add(overlap_candidates as u64);
-    obs.counter("disambiguator.candidates_pruned")
-        .add(pruned_candidates as u64);
-    obs.counter("disambiguator.questions_asked")
-        .add(questions as u64);
-    obs.counter("disambiguator.comparisons")
-        .add(comparisons as u64);
 }

@@ -2,10 +2,11 @@
 //! configuration synthesis.
 //!
 //! This crate is the paper's primary contribution. Given an existing
-//! route-map (or ACL) and a freshly synthesized, *verified* snippet, the
-//! **disambiguator** determines where the snippet belongs by asking the
-//! user a logarithmic number of behavioural questions, each grounded in a
-//! concrete differential example computed by `clarify-analysis`:
+//! ordered first-match policy — a route-map, an ACL or a prefix list — and
+//! a freshly synthesized, *verified* rule, the **disambiguator** determines
+//! where the rule belongs by asking the user a logarithmic number of
+//! behavioural questions, each grounded in a concrete differential example
+//! computed by `clarify-analysis`:
 //!
 //! ```text
 //!            user intent (English)
@@ -25,37 +26,44 @@
 //!
 //! The [`model`] module contains the paper's §4 formalization (the three
 //! conditions on the intended semantics `M'`), checkable on finite input
-//! universes; the [`Disambiguator`] implements the binary-search algorithm
-//! over the symbolic route space, plus the paper prototype's
-//! top-or-bottom-only mode for fidelity.
+//! universes. The [`Disambiguator`] implements the binary-search algorithm
+//! once, plus the paper prototype's top-or-bottom-only mode for fidelity:
+//! a [`RuleKind`] — [`RouteMapInsertion`], [`AclInsertion`] or
+//! [`PrefixListInsertion`] — supplies the symbolic space, the new rule's
+//! match set, the differential question and the insertion, and the engine
+//! does the rest (overlap scan, lint prune, pivot scan, plan replay via
+//! [`InsertionPlan`], metrics). Answers come from any [`UserOracle`] over
+//! the kind's question type.
 
 #![warn(missing_docs)]
 
-mod acl_disambiguator;
+mod acl;
 mod disambiguator;
 mod error;
 pub mod model;
 mod network_session;
 mod oracle;
-mod prefix_disambiguator;
+mod prefix_list;
+mod route_map;
 mod session;
 
-pub use acl_disambiguator::{
-    insert_acl_with_oracle, plan_acl_in_space, verify_acl_against_intent, AclDisambiguationResult,
-    AclInsertionPlan, AclIntentOracle, AclOracle, AclPlanStep, AclQuestion, FnAclOracle,
+pub use acl::{
+    plan_acl_in_space, verify_acl_against_intent, AclDisambiguationResult, AclInsertion,
+    AclInsertionPlan, AclIntentOracle, AclPlanStep, AclQuestion,
 };
 pub use disambiguator::{
-    verify_against_intent, DisambiguationQuestion, DisambiguationResult, Disambiguator,
-    InsertionPlan, PlacementStrategy, PlanStep,
+    DisambiguationResult, Disambiguator, InsertionPlan, PlacementStrategy, PlanStep, RuleKind,
 };
 pub use error::ClarifyError;
 pub use network_session::{Invariant, NetworkSession, NetworkUpdateOutcome};
-pub use oracle::{Choice, FnOracle, IntentOracle, ScriptedOracle, UserOracle};
-pub use prefix_disambiguator::{
-    insert_prefix_entry_with_oracle, PrefixDisambiguationResult, PrefixIntentOracle, PrefixOracle,
-    PrefixQuestion,
+pub use oracle::{Choice, FnOracle, FnOracle as FnAclOracle, ScriptedOracle, UserOracle};
+pub use prefix_list::{
+    PrefixDisambiguationResult, PrefixIntentOracle, PrefixListInsertion, PrefixQuestion,
 };
-pub use session::{AddAclOutcome, AddStanzaOutcome, ClarifySession, SessionStats};
+pub use route_map::{
+    verify_against_intent, DisambiguationQuestion, IntentOracle, RouteMapInsertion,
+};
+pub use session::{AddAclOutcome, AddOutcome, AddStanzaOutcome, ClarifySession, SessionStats};
 
 #[cfg(test)]
 mod tests;

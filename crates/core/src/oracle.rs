@@ -1,9 +1,7 @@
 //! User oracles: anything that can answer a disambiguation question.
 
-use clarify_netconfig::{Config, RouteMapVerdict};
-
-use crate::disambiguator::DisambiguationQuestion;
 use crate::error::ClarifyError;
+use crate::route_map::DisambiguationQuestion;
 
 /// Which of the two presented behaviours the user wants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -17,58 +15,11 @@ pub enum Choice {
 }
 
 /// Anything that can answer the disambiguator's questions: a human at a
-/// terminal, a script, or a ground-truth intent.
-pub trait UserOracle {
+/// terminal, a script, or a ground-truth intent. `Q` is the rule kind's
+/// question type; it defaults to route-map questions.
+pub trait UserOracle<Q = DisambiguationQuestion> {
     /// Answers one differential question.
-    fn choose(&mut self, question: &DisambiguationQuestion) -> Result<Choice, ClarifyError>;
-}
-
-/// Answers from a ground-truth configuration: the desired final policy.
-/// Used by the evaluation harness — it plays a user who knows exactly what
-/// they want and always answers consistently.
-pub struct IntentOracle<'a> {
-    /// The configuration holding the intended policy.
-    pub intended: &'a Config,
-    /// Name of the intended route-map.
-    pub map: &'a str,
-}
-
-impl<'a> IntentOracle<'a> {
-    /// Creates the oracle.
-    pub fn new(intended: &'a Config, map: &'a str) -> Self {
-        IntentOracle { intended, map }
-    }
-}
-
-impl UserOracle for IntentOracle<'_> {
-    fn choose(&mut self, q: &DisambiguationQuestion) -> Result<Choice, ClarifyError> {
-        let want = self
-            .intended
-            .eval_route_map(self.map, &q.route)
-            .map_err(ClarifyError::Config)?;
-        let eq = |a: &RouteMapVerdict, b: &RouteMapVerdict| -> bool {
-            match (a, b) {
-                (
-                    RouteMapVerdict::Permit { route: x, .. },
-                    RouteMapVerdict::Permit { route: y, .. },
-                ) => x == y,
-                (RouteMapVerdict::Permit { .. }, _) | (_, RouteMapVerdict::Permit { .. }) => false,
-                _ => true,
-            }
-        };
-        if eq(&want, &q.option_first) {
-            Ok(Choice::First)
-        } else if eq(&want, &q.option_second) {
-            Ok(Choice::Second)
-        } else {
-            // Neither option matches the intent: the update cannot be
-            // realized by inserting this snippet anywhere (condition
-            // violation); surface it with the example route.
-            Err(ClarifyError::NoValidInsertion {
-                witness: Box::new(q.route.clone()),
-            })
-        }
-    }
+    fn choose(&mut self, question: &Q) -> Result<Choice, ClarifyError>;
 }
 
 /// Replays a fixed list of answers; errs when exhausted.
@@ -86,8 +37,8 @@ impl ScriptedOracle {
     }
 }
 
-impl UserOracle for ScriptedOracle {
-    fn choose(&mut self, _q: &DisambiguationQuestion) -> Result<Choice, ClarifyError> {
+impl<Q> UserOracle<Q> for ScriptedOracle {
+    fn choose(&mut self, _q: &Q) -> Result<Choice, ClarifyError> {
         self.answers
             .pop_front()
             .ok_or(ClarifyError::OracleExhausted)
@@ -97,11 +48,11 @@ impl UserOracle for ScriptedOracle {
 /// Adapts a closure into an oracle (handy for interactive CLIs and tests).
 pub struct FnOracle<F>(pub F);
 
-impl<F> UserOracle for FnOracle<F>
+impl<Q, F> UserOracle<Q> for FnOracle<F>
 where
-    F: FnMut(&DisambiguationQuestion) -> Choice,
+    F: FnMut(&Q) -> Choice,
 {
-    fn choose(&mut self, q: &DisambiguationQuestion) -> Result<Choice, ClarifyError> {
+    fn choose(&mut self, q: &Q) -> Result<Choice, ClarifyError> {
         Ok((self.0)(q))
     }
 }

@@ -4,10 +4,11 @@
 use clarify_llm::{Backend, Pipeline, PipelineOutcome};
 use clarify_netconfig::{Acl, Config, RouteMap};
 
-use crate::acl_disambiguator::{insert_acl_with_oracle, AclDisambiguationResult, AclOracle};
-use crate::disambiguator::{DisambiguationResult, Disambiguator};
+use crate::acl::{AclInsertion, AclQuestion};
+use crate::disambiguator::{DisambiguationResult, Disambiguator, RuleKind};
 use crate::error::ClarifyError;
 use crate::oracle::UserOracle;
+use crate::route_map::RouteMapInsertion;
 
 /// Counters matching the paper's Figure 4 columns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -25,15 +26,15 @@ pub struct SessionStats {
     pub punts: usize,
 }
 
-/// Result of one `add_stanza` interaction.
+/// Result of one `add_stanza` or `add_acl_entry` interaction.
 #[derive(Clone, Debug)]
-pub enum AddStanzaOutcome {
-    /// The stanza was synthesized, verified, and inserted.
+pub enum AddOutcome<K: RuleKind = RouteMapInsertion> {
+    /// The rule was synthesized, verified, and inserted.
     Inserted {
         /// The updated configuration.
         config: Config,
         /// Disambiguator details (position, questions, transcript).
-        result: Box<DisambiguationResult>,
+        result: Box<DisambiguationResult<K>>,
         /// LLM calls this intent consumed.
         llm_calls: usize,
     },
@@ -45,6 +46,11 @@ pub enum AddStanzaOutcome {
         llm_calls: usize,
     },
 }
+
+/// The outcome of [`ClarifySession::add_stanza`].
+pub type AddStanzaOutcome = AddOutcome;
+/// The outcome of [`ClarifySession::add_acl_entry`].
+pub type AddAclOutcome = AddOutcome<AclInsertion>;
 
 /// A long-lived interactive session: one pipeline, one disambiguator, and
 /// running statistics.
@@ -158,27 +164,6 @@ impl<B: Backend> ClarifySession<B> {
     }
 }
 
-/// Result of one `add_acl_entry` interaction.
-#[derive(Clone, Debug)]
-pub enum AddAclOutcome {
-    /// The entry was synthesized, verified, and inserted.
-    Inserted {
-        /// The updated configuration.
-        config: Config,
-        /// Disambiguator details.
-        result: Box<AclDisambiguationResult>,
-        /// LLM calls this intent consumed.
-        llm_calls: usize,
-    },
-    /// The synthesis loop exhausted its retries.
-    Punted {
-        /// Why the last attempt failed verification.
-        reason: String,
-        /// LLM calls consumed before punting.
-        llm_calls: usize,
-    },
-}
-
 impl<B: Backend> ClarifySession<B> {
     /// Adds one ACL entry described by `prompt` to `acl_name` in `base`,
     /// creating the ACL when it does not exist yet.
@@ -187,7 +172,7 @@ impl<B: Backend> ClarifySession<B> {
         base: &Config,
         acl_name: &str,
         prompt: &str,
-        oracle: &mut dyn AclOracle,
+        oracle: &mut dyn UserOracle<AclQuestion>,
     ) -> Result<AddAclOutcome, ClarifyError> {
         match self.pipeline.synthesize(prompt)? {
             PipelineOutcome::Acl {
@@ -205,13 +190,9 @@ impl<B: Backend> ClarifySession<B> {
                         },
                     );
                 }
-                let result = insert_acl_with_oracle(
-                    &working,
-                    acl_name,
-                    &entry,
-                    self.disambiguator.strategy,
-                    oracle,
-                )?;
+                let result = self
+                    .disambiguator
+                    .disambiguate(AclInsertion::new(&working, acl_name, &entry)?, oracle)?;
                 self.stats.disambiguations += result.questions;
                 self.stats.stanzas_added += 1;
                 record_session_metric("disambiguations", result.questions);

@@ -7,7 +7,7 @@ use crate::model::{
 use crate::verify_against_intent;
 use crate::{
     AddStanzaOutcome, Choice, ClarifyError, ClarifySession, Disambiguator, FnOracle, IntentOracle,
-    PlacementStrategy, ScriptedOracle,
+    PlacementStrategy, RouteMapInsertion, RuleKind, ScriptedOracle, UserOracle,
 };
 
 const ISP_OUT: &str = "\
@@ -189,11 +189,6 @@ fn lint_prune_skips_shadowed_candidates_without_changing_result() {
     let pruned = Disambiguator::new(PlacementStrategy::BinarySearch)
         .insert(&base, "RM", &snip, "NEW", &mut oracle)
         .unwrap();
-    let mut oracle = IntentOracle::new(&intended, "RM");
-    let unpruned = Disambiguator::new(PlacementStrategy::BinarySearch)
-        .with_lint_prune(false)
-        .insert(&base, "RM", &snip, "NEW", &mut oracle)
-        .unwrap();
 
     // All four stanzas overlap the snippet's match set, but only stanza 10
     // can actually fire on it; the other three boundaries are pruned
@@ -201,16 +196,23 @@ fn lint_prune_skips_shadowed_candidates_without_changing_result() {
     assert_eq!(pruned.overlap_candidates, 4);
     assert_eq!(pruned.pruned_candidates, 3);
     assert_eq!(pruned.comparisons, 1, "one comparison after pruning");
-    assert_eq!(unpruned.pruned_candidates, 0);
-    assert_eq!(unpruned.comparisons, 4, "naive: one comparison per overlap");
-
-    // Pruning is sound: identical questions, placement, and final config.
     assert_eq!(pruned.questions, 1);
-    assert_eq!(unpruned.questions, 1);
     assert_eq!(pruned.position, 0);
-    assert_eq!(unpruned.position, 0);
-    assert_eq!(pruned.config, unpruned.config);
     verify_against_intent(&pruned.config, "RM", &intended, "RM").unwrap();
+
+    // Pruning is sound: at each pruned pivot (stanzas 20, 30 and 40) the
+    // above and below placements are equivalent. So the decisive-pivot
+    // set, and with it the plan and the result, is exactly what an
+    // unpruned scan would find.
+    for pivot in 1..=3 {
+        let place = |slot| {
+            clarify_netconfig::insert_route_map_stanza(&base, "RM", &snip, "NEW", slot)
+                .unwrap()
+                .0
+        };
+        verify_against_intent(&place(pivot), "RM", &place(pivot + 1), "RM")
+            .unwrap_or_else(|e| panic!("pruned pivot {pivot} is decisive: {e}"));
+    }
 
     // The headline claim: far fewer questions than overlap candidates —
     // shadowed positions are never surfaced to the user as distinct.
@@ -252,23 +254,225 @@ fn tagged_family(n: usize) -> (Config, Config) {
 fn binary_search_is_logarithmic_and_correct_for_every_slot() {
     let n = 8;
     let (base, snip) = tagged_family(n);
-    for slot in 0..=n {
-        let intended = clarify_netconfig::insert_route_map_stanza(&base, "RM", &snip, "NEW", slot)
-            .unwrap()
-            .0;
-        let mut oracle = IntentOracle::new(&intended, "RM");
-        let result = Disambiguator::default()
-            .insert(&base, "RM", &snip, "NEW", &mut oracle)
+    let kind = RouteMapInsertion::new(&base, "RM", &snip, "NEW").unwrap();
+    let (overlaps, questions) = check_every_slot(kind);
+    assert_eq!(overlaps, n);
+    // ceil(log2(n+1)) for n=8 slots+1 = 9 -> 4 questions max.
+    assert!(questions <= 4, "{questions} questions");
+}
+
+// ---------------------------------------------------------------------
+// The shared engine, checked per rule kind against exhaustive insertion
+// ---------------------------------------------------------------------
+
+/// What [`check_every_slot`] needs of a rule kind beyond [`RuleKind`].
+trait SlotCheck: RuleKind {
+    /// The intent oracle of a user who wants `intended`.
+    fn oracle<'a>(&'a self, intended: &'a Config) -> Box<dyn UserOracle<Self::Question> + 'a>;
+    /// Whether the target policy behaves identically in `a` and `b`.
+    fn equivalent(&self, a: &Config, b: &Config) -> bool;
+}
+
+impl SlotCheck for RouteMapInsertion {
+    fn oracle<'a>(&'a self, intended: &'a Config) -> Box<dyn UserOracle + 'a> {
+        Box::new(IntentOracle::new(intended, &self.target().name))
+    }
+    fn equivalent(&self, a: &Config, b: &Config) -> bool {
+        let map = &self.target().name;
+        verify_against_intent(a, map, b, map).is_ok()
+    }
+}
+
+impl SlotCheck for crate::AclInsertion {
+    fn oracle<'a>(&'a self, intended: &'a Config) -> Box<dyn UserOracle<crate::AclQuestion> + 'a> {
+        Box::new(crate::AclIntentOracle {
+            intended: intended.acl(&self.target().name).unwrap(),
+        })
+    }
+    fn equivalent(&self, a: &Config, b: &Config) -> bool {
+        let name = &self.target().name;
+        crate::verify_acl_against_intent(a, name, b.acl(name).unwrap()).is_ok()
+    }
+}
+
+impl SlotCheck for crate::PrefixListInsertion {
+    fn oracle<'a>(
+        &'a self,
+        intended: &'a Config,
+    ) -> Box<dyn UserOracle<crate::PrefixQuestion> + 'a> {
+        Box::new(crate::PrefixIntentOracle {
+            intended: &intended.prefix_lists[&self.target().name],
+        })
+    }
+    fn equivalent(&self, a: &Config, b: &Config) -> bool {
+        let name = &self.target().name;
+        let mut space = clarify_analysis::PrefixSpace::new();
+        clarify_analysis::prefix_lists_equivalent(
+            &mut space,
+            &a.prefix_lists[name],
+            &b.prefix_lists[name],
+        )
+        .unwrap()
+    }
+}
+
+/// Plans `kind` once, then drives the plan to every intended slot and
+/// checks it against the exhaustive-insertion oracle: the final policy is
+/// equivalent to the intended insertion, after at most ⌈log2(m+1)⌉
+/// questions, where m — the number of decisive pivots — is counted by
+/// comparing the insertions at every pair of adjacent slots. Returns the
+/// overlap count and the most questions any slot took.
+fn check_every_slot<K: SlotCheck>(kind: K) -> (usize, usize) {
+    let mut space = kind.new_space().unwrap();
+    let plan = Disambiguator::default()
+        .plan(&mut space, kind.clone())
+        .unwrap();
+    let slots: Vec<Config> = (0..=plan.base_len)
+        .map(|slot| kind.insert(slot).unwrap().0)
+        .collect();
+    let m = slots
+        .windows(2)
+        .filter(|pair| !kind.equivalent(&pair[0], &pair[1]))
+        .count();
+    assert_eq!(
+        plan.pivots.len(),
+        m,
+        "decisive pivots vs exhaustive insertion"
+    );
+    let bound = (usize::BITS - m.leading_zeros()) as usize; // ⌈log2(m+1)⌉
+    let (mut overlaps, mut most) = (0, 0);
+    for (slot, intended) in slots.iter().enumerate() {
+        let result = plan
+            .clone()
+            .drive(&mut *kind.oracle(intended))
             .unwrap_or_else(|e| panic!("slot {slot}: {e}"));
-        assert_eq!(result.overlap_candidates, n);
-        // ceil(log2(n+1)) for n=8 slots+1 = 9 -> 4 questions max.
+        assert!(kind.equivalent(&result.config, intended), "slot {slot}");
         assert!(
-            result.questions <= 4,
-            "slot {slot}: {} questions",
+            result.questions <= bound,
+            "slot {slot}: {} questions for {m} decisive pivots",
             result.questions
         );
-        verify_against_intent(&result.config, "RM", &intended, "RM")
-            .unwrap_or_else(|e| panic!("slot {slot}: {e}"));
+        overlaps = result.overlap_candidates;
+        most = most.max(result.questions);
+    }
+    (overlaps, most)
+}
+
+/// [`check_every_slot`] over random small bases of each kind.
+mod engine_properties {
+    use clarify_netconfig::{Config, PrefixListEntry};
+    use clarify_testkit::{property, Rng, Source};
+
+    use super::check_every_slot;
+    use crate::{AclInsertion, PrefixListInsertion, RouteMapInsertion};
+
+    const RANGES: [&str; 5] = [
+        "10.0.0.0/8 le 32",
+        "10.0.0.0/9 le 32",
+        "10.1.0.0/16 le 24",
+        "10.1.128.0/17 le 32",
+        "0.0.0.0/0 le 32",
+    ];
+
+    /// One route-map stanza of `map` matching a prefix list, a tag or a
+    /// local preference; permits may set a metric. Lists go to `lists`.
+    fn stanza(g: &mut Source, map: &str, seq: usize, lists: &mut String) -> String {
+        let action = g.pick(&["permit", "deny"]);
+        let clause = match g.gen_range(0..3u8) {
+            0 => {
+                let list = format!("{map}_{seq}");
+                let range = g.pick(&RANGES);
+                lists.push_str(&format!("ip prefix-list {list} seq 5 permit {range}\n"));
+                format!("match ip address prefix-list {list}")
+            }
+            1 => format!("match tag {}", g.gen_range(1..3u8)),
+            _ => format!("match local-preference {}", g.pick(&[100, 200])),
+        };
+        let set = if action == "permit" && g.pick(&[false, true]) {
+            format!(" set metric {seq}\n")
+        } else {
+            String::new()
+        };
+        format!("route-map {map} {action} {seq}\n {clause}\n{set}")
+    }
+
+    /// A base route-map `RM` of one to four stanzas and a one-stanza
+    /// snippet `NEW`, as configuration text.
+    fn route_map_case(g: &mut Source) -> (String, String) {
+        let mut lists = String::new();
+        let n = g.gen_range(1..=4usize);
+        let stanzas: String = (1..=n)
+            .map(|i| stanza(g, "RM", i * 10, &mut lists))
+            .collect();
+        let base = lists + &stanzas;
+        let mut lists = String::new();
+        let new = stanza(g, "NEW", 99, &mut lists);
+        (base, lists + &new)
+    }
+
+    fn acl_entry(g: &mut Source) -> String {
+        let action = g.pick(&["permit", "deny"]);
+        let proto = g.pick(&["tcp", "udp", "ip"]);
+        let src = g.pick(&["any", "10.0.0.0/8", "10.1.0.0/16", "host 10.1.1.1"]);
+        let dst = g.pick(&["any", "host 1.1.1.1"]);
+        let ports = match proto {
+            "ip" => "",
+            _ => g.pick(&["", " eq 22", " eq 80", " range 20 100"]),
+        };
+        format!(" {action} {proto} {src} {dst}{ports}\n")
+    }
+
+    /// An ACL `A` of one to five entries and a new entry, as text.
+    fn acl_case(g: &mut Source) -> (String, String) {
+        let entries: String = g.vec(1, 5, acl_entry).concat();
+        (
+            format!("ip access-list extended A\n{entries}"),
+            acl_entry(g),
+        )
+    }
+
+    fn prefix_entry(g: &mut Source) -> String {
+        format!("{} {}", g.pick(&["permit", "deny"]), g.pick(&RANGES))
+    }
+
+    /// A prefix list `PL` of one to four entries and a new entry.
+    fn prefix_case(g: &mut Source) -> (Vec<String>, String) {
+        (g.vec(1, 4, prefix_entry), prefix_entry(g))
+    }
+
+    property! {
+        fn every_slot_of_random_route_map_bases(case in route_map_case) cases 24 {
+            let base = Config::parse(&case.0).unwrap();
+            let snippet = Config::parse(&case.1).unwrap();
+            check_every_slot(RouteMapInsertion::new(&base, "RM", &snippet, "NEW").unwrap());
+        }
+
+        fn every_slot_of_random_acl_bases(case in acl_case) cases 32 {
+            let base = Config::parse(&case.0).unwrap();
+            let entry = Config::parse(&format!("ip access-list extended X\n{}", case.1))
+                .unwrap()
+                .acls["X"]
+                .entries[0]
+                .clone();
+            check_every_slot(AclInsertion::new(&base, "A", &entry).unwrap());
+        }
+
+        fn every_slot_of_random_prefix_list_bases(case in prefix_case) cases 48 {
+            let text: String = case
+                .0
+                .iter()
+                .enumerate()
+                .map(|(i, e)| format!("ip prefix-list PL seq {} {e}\n", (i + 1) * 5))
+                .collect();
+            let base = Config::parse(&text).unwrap();
+            let entry: PrefixListEntry =
+                Config::parse(&format!("ip prefix-list X seq 5 {}\n", case.1))
+                    .unwrap()
+                    .prefix_lists["X"]
+                    .entries[0]
+                    .clone();
+            check_every_slot(PrefixListInsertion::new(&base, "PL", &entry).unwrap());
+        }
     }
 }
 
@@ -512,10 +716,7 @@ mod model_tests {
 
 mod acl_tests {
     use super::*;
-    use crate::{
-        insert_acl_with_oracle, verify_acl_against_intent, AclIntentOracle, AddAclOutcome,
-        FnAclOracle,
-    };
+    use crate::{verify_acl_against_intent, AclIntentOracle, AddAclOutcome, FnAclOracle};
     use clarify_netconfig::insert_acl_entry;
 
     const EDGE: &str = "\
@@ -538,27 +739,11 @@ ip access-list extended EDGE
     #[test]
     fn acl_binary_search_hits_every_slot() {
         let base = Config::parse(EDGE).unwrap();
-        let entry = new_entry();
-        for pos in 0..=4usize {
-            let intended_cfg = insert_acl_entry(&base, "EDGE", entry.clone(), pos).unwrap();
-            let intended = intended_cfg.acl("EDGE").unwrap().clone();
-            let mut oracle = AclIntentOracle {
-                intended: &intended,
-            };
-            let result = insert_acl_with_oracle(
-                &base,
-                "EDGE",
-                &entry,
-                PlacementStrategy::BinarySearch,
-                &mut oracle,
-            )
-            .unwrap_or_else(|e| panic!("pos {pos}: {e}"));
-            verify_acl_against_intent(&result.config, "EDGE", &intended)
-                .unwrap_or_else(|e| panic!("pos {pos}: {e}"));
-            // Entry 2 (udp) does not overlap a tcp entry.
-            assert_eq!(result.overlap_candidates, 3, "pos {pos}");
-            assert!(result.questions <= 2, "pos {pos}: {}", result.questions);
-        }
+        let kind = crate::AclInsertion::new(&base, "EDGE", &new_entry()).unwrap();
+        let (overlaps, questions) = super::check_every_slot(kind);
+        // Entry 2 (udp) does not overlap a tcp entry.
+        assert_eq!(overlaps, 3);
+        assert!(questions <= 2, "{questions} questions");
     }
 
     #[test]
@@ -566,14 +751,12 @@ ip access-list extended EDGE
         let base = Config::parse("ip access-list extended A\n permit udp any any eq 53\n").unwrap();
         let entry = new_entry(); // tcp: disjoint from udp:53
         let mut oracle = FnAclOracle(|_: &crate::AclQuestion| panic!("no question expected"));
-        let result = insert_acl_with_oracle(
-            &base,
-            "A",
-            &entry,
-            PlacementStrategy::BinarySearch,
-            &mut oracle,
-        )
-        .unwrap();
+        let result = Disambiguator::new(PlacementStrategy::BinarySearch)
+            .disambiguate(
+                crate::AclInsertion::new(&base, "A", &entry).unwrap(),
+                &mut oracle,
+            )
+            .unwrap();
         assert_eq!(result.questions, 0);
         assert_eq!(result.position, 1);
     }
@@ -587,14 +770,12 @@ ip access-list extended EDGE
         let mut oracle = AclIntentOracle {
             intended: &intended,
         };
-        let result = insert_acl_with_oracle(
-            &base,
-            "EDGE",
-            &entry,
-            PlacementStrategy::TopBottomOnly,
-            &mut oracle,
-        )
-        .unwrap();
+        let result = Disambiguator::new(PlacementStrategy::TopBottomOnly)
+            .disambiguate(
+                crate::AclInsertion::new(&base, "EDGE", &entry).unwrap(),
+                &mut oracle,
+            )
+            .unwrap();
         assert_eq!(result.questions, 1);
         let s = result.transcript[0].0.to_string();
         assert!(s.contains("Packet:"), "{s}");
@@ -662,7 +843,7 @@ ip access-list extended EDGE
 
 mod prefix_list_tests {
     use super::*;
-    use crate::{insert_prefix_entry_with_oracle, PrefixIntentOracle};
+    use crate::PrefixIntentOracle;
     use clarify_netconfig::{insert_prefix_list_entry, PrefixListEntry};
 
     const LIST: &str = "\
@@ -682,36 +863,12 @@ ip prefix-list PL seq 15 deny 192.168.0.0/16 le 32
     #[test]
     fn prefix_binary_search_hits_every_slot() {
         let base = Config::parse(LIST).unwrap();
-        let entry = new_entry();
-        for pos in 0..=3usize {
-            let intended_cfg = insert_prefix_list_entry(&base, "PL", entry.clone(), pos).unwrap();
-            let intended = intended_cfg.prefix_lists["PL"].clone();
-            let mut oracle = PrefixIntentOracle {
-                intended: &intended,
-            };
-            let result = insert_prefix_entry_with_oracle(
-                &base,
-                "PL",
-                &entry,
-                PlacementStrategy::BinarySearch,
-                &mut oracle,
-            )
-            .unwrap_or_else(|e| panic!("pos {pos}: {e}"));
-            // The new entry overlaps the 10.1/16 deny and the 10/8 permit
-            // but not the 192.168 deny.
-            assert_eq!(result.overlap_candidates, 2, "pos {pos}");
-            // Behavioural equality with the intended list on all prefixes.
-            let mut space = clarify_analysis::PrefixSpace::new();
-            assert!(
-                clarify_analysis::prefix_lists_equivalent(
-                    &mut space,
-                    &result.config.prefix_lists["PL"],
-                    &intended,
-                )
-                .unwrap(),
-                "pos {pos}"
-            );
-        }
+        let kind = crate::PrefixListInsertion::new(&base, "PL", &new_entry()).unwrap();
+        // The new entry overlaps the 10.1/16 deny and the 10/8 permit but
+        // not the 192.168 deny; every slot's final list is behaviourally
+        // equal to the intended one on all prefixes.
+        let (overlaps, _) = super::check_every_slot(kind);
+        assert_eq!(overlaps, 2);
     }
 
     #[test]
@@ -723,14 +880,12 @@ ip prefix-list PL seq 15 deny 192.168.0.0/16 le 32
         let mut oracle = PrefixIntentOracle {
             intended: &intended,
         };
-        let result = insert_prefix_entry_with_oracle(
-            &base,
-            "PL",
-            &entry,
-            PlacementStrategy::BinarySearch,
-            &mut oracle,
-        )
-        .unwrap();
+        let result = Disambiguator::new(PlacementStrategy::BinarySearch)
+            .disambiguate(
+                crate::PrefixListInsertion::new(&base, "PL", &entry).unwrap(),
+                &mut oracle,
+            )
+            .unwrap();
         assert!(result.questions >= 1);
         let (q, _) = &result.transcript[0];
         // The differential prefix lies in the contested region.
@@ -752,7 +907,7 @@ ip prefix-list PL seq 15 deny 192.168.0.0/16 le 32
             range: "172.16.0.0/12 le 24".parse().unwrap(),
         };
         struct Panic;
-        impl crate::PrefixOracle for Panic {
+        impl crate::UserOracle<crate::PrefixQuestion> for Panic {
             fn choose(
                 &mut self,
                 _q: &crate::PrefixQuestion,
@@ -760,14 +915,12 @@ ip prefix-list PL seq 15 deny 192.168.0.0/16 le 32
                 panic!("no question expected")
             }
         }
-        let result = insert_prefix_entry_with_oracle(
-            &base,
-            "PL",
-            &entry,
-            PlacementStrategy::BinarySearch,
-            &mut Panic,
-        )
-        .unwrap();
+        let result = Disambiguator::new(PlacementStrategy::BinarySearch)
+            .disambiguate(
+                crate::PrefixListInsertion::new(&base, "PL", &entry).unwrap(),
+                &mut Panic,
+            )
+            .unwrap();
         assert_eq!(result.questions, 0);
         assert_eq!(result.position, 3);
     }
@@ -1253,7 +1406,7 @@ fn equivalent_pivot_does_not_truncate_search() {
 
 #[test]
 fn acl_equivalent_pivot_does_not_truncate_search() {
-    use crate::{insert_acl_with_oracle, verify_acl_against_intent, AclIntentOracle};
+    use crate::{verify_acl_against_intent, AclIntentOracle};
     use clarify_netconfig::insert_acl_entry;
     // permit / deny / permit over disjoint ports; a deny-everything entry
     // crossing the middle deny is an equivalent pivot.
@@ -1272,14 +1425,12 @@ fn acl_equivalent_pivot_does_not_truncate_search() {
         let mut oracle = AclIntentOracle {
             intended: &intended,
         };
-        let result = insert_acl_with_oracle(
-            &base,
-            "A",
-            &entry,
-            PlacementStrategy::BinarySearch,
-            &mut oracle,
-        )
-        .unwrap_or_else(|e| panic!("pos {pos}: {e}"));
+        let result = Disambiguator::new(PlacementStrategy::BinarySearch)
+            .disambiguate(
+                crate::AclInsertion::new(&base, "A", &entry).unwrap(),
+                &mut oracle,
+            )
+            .unwrap_or_else(|e| panic!("pos {pos}: {e}"));
         verify_acl_against_intent(&result.config, "A", &intended)
             .unwrap_or_else(|e| panic!("pos {pos}: {e}"));
     }

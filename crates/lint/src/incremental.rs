@@ -193,7 +193,7 @@ pub fn lint_config_incremental(
     };
     let fresh_acls = {
         let _pass = clarify_obs::span!("lint_acls");
-        lint_acls(cfg, Some(&dirty.acls))
+        lint_acls(cfg, Some(&dirty.acls))?
     };
     let fresh_lists = {
         let _pass = clarify_obs::span!("lint_prefix_lists");
@@ -373,7 +373,7 @@ impl IncrementalLinter {
                 acl,
                 Some((&mut self.packet_fires, hash)),
                 &mut diags,
-            );
+            )?;
             space.manager().clear_op_caches();
             fresh_acls.push((name.clone(), diags));
         }
@@ -387,6 +387,7 @@ impl IncrementalLinter {
             let mut diags = Vec::new();
             lint_one_prefix_list(
                 space,
+                &cfg,
                 name,
                 list,
                 Some((&mut self.prefix_fires, hash)),

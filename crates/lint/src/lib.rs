@@ -36,11 +36,11 @@
 //! so" — it names an input you can replay through the reference evaluator.
 //!
 //! The same firing-region analysis behind L001 powers
-//! [`prune_insertion_candidates`]: the disambiguator in `clarify-core`
-//! uses it to discard insertion positions where the new stanza would be
-//! shadowed, which provably cannot change the chosen configuration but
-//! cuts the number of expensive placement comparisons (and thus keeps the
-//! question count minimal).
+//! [`prune_candidates`]: the disambiguator in `clarify-core` uses it to
+//! discard insertion positions where the new rule would be shadowed,
+//! which provably cannot change the chosen configuration but cuts the
+//! number of expensive placement comparisons (and thus keeps the question
+//! count minimal).
 //!
 //! ```
 //! use clarify_lint::{lint_config, LintCode};
@@ -60,6 +60,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+pub mod cli;
 mod diagnostic;
 mod incremental;
 mod linter;
@@ -73,9 +74,7 @@ pub use diagnostic::{Diagnostic, LintCode, LintReport, Severity};
 pub use incremental::{lint_config_incremental, IncrStats, IncrementalLinter};
 pub use linter::lint_config;
 pub use network::{NetworkLintReport, NetworkLinter, RouterLint};
-pub use prune::{
-    prune_acl_candidates, prune_insertion_candidates, prune_prefix_candidates, PruneOutcome,
-};
+pub use prune::{prune_candidates, PruneOutcome};
 pub use sarif::{render_sarif, render_sarif_network};
 pub use suppress::{apply_suppressions, suppression_targets};
 

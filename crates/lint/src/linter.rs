@@ -4,8 +4,9 @@
 use std::collections::BTreeSet;
 
 use clarify_analysis::{
-    acl_overlaps, filters_equivalent, policies_equivalent, prefix_lists_equivalent,
-    route_map_overlaps, AnalysisError, FireSetCache, PacketSpace, PrefixSpace, RouteSpace,
+    acl_overlaps, filters_equivalent, fire_sets_cached, policies_equivalent,
+    prefix_lists_equivalent, route_map_overlaps, AnalysisError, FireSetCache, PacketSpace,
+    PrefixSpace, RouteSpace,
 };
 use clarify_bdd::Ref;
 use clarify_netconfig::{Action, Config, ObjectKind, RuleId, SourceMap};
@@ -44,7 +45,7 @@ pub fn lint_config(cfg: &Config, spans: Option<&SourceMap>) -> Result<LintReport
     }
     {
         let _pass = clarify_obs::span!("lint_acls");
-        for (_, diags) in lint_acls(cfg, None) {
+        for (_, diags) in lint_acls(cfg, None)? {
             report.diagnostics.extend(diags);
         }
     }
@@ -209,7 +210,7 @@ pub(crate) fn lint_one_route_map(
     {
         let match_sets = space.match_sets(cfg, map)?;
         let fires = match fire_cache {
-            Some((cache, hash)) => space.fire_sets_cached(cache, cfg, map, hash)?.fires,
+            Some((cache, hash)) => fire_sets_cached(space, cache, cfg, map, hash)?.fires,
             None => space.fire_sets(cfg, map)?.0,
         };
         // Empty and shadowed stanzas. A stanza with an empty match also has
@@ -312,25 +313,28 @@ pub(crate) fn lint_one_route_map(
 pub(crate) fn lint_acls(
     cfg: &Config,
     only: Option<&BTreeSet<String>>,
-) -> Vec<(String, Vec<Diagnostic>)> {
+) -> Result<Vec<(String, Vec<Diagnostic>)>, AnalysisError> {
     let acls: Vec<(&String, &clarify_netconfig::Acl)> = cfg
         .acls
         .iter()
         .filter(|(name, _)| only.is_none_or(|set| set.contains(*name)))
         .collect();
     if acls.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
-    let per_acl =
-        clarify_par::par_map_init(&acls, PacketSpace::new, |space, _, &(acl_name, acl)| {
+    let per_acl = clarify_par::par_map_init(
+        &acls,
+        PacketSpace::new,
+        |space, _, &(acl_name, acl)| -> Result<Vec<Diagnostic>, AnalysisError> {
             let mut diags = Vec::new();
-            lint_one_acl(space, cfg, acl_name, acl, None, &mut diags);
+            lint_one_acl(space, cfg, acl_name, acl, None, &mut diags)?;
             space.manager().clear_op_caches();
-            diags
-        });
+            Ok(diags)
+        },
+    );
     acls.iter()
         .zip(per_acl)
-        .map(|(&(name, _), diags)| (name.clone(), diags))
+        .map(|(&(name, _), diags)| Ok((name.clone(), diags?)))
         .collect()
 }
 
@@ -342,12 +346,12 @@ pub(crate) fn lint_one_acl(
     acl: &clarify_netconfig::Acl,
     fire_cache: Option<(&mut FireSetCache, u64)>,
     out: &mut Vec<Diagnostic>,
-) {
+) -> Result<(), AnalysisError> {
     let valid = space.valid();
     {
         let match_sets = space.match_sets(acl);
         let fires = match fire_cache {
-            Some((cache, hash)) => space.fire_sets_cached(cache, acl, hash).fires,
+            Some((cache, hash)) => fire_sets_cached(space, cache, cfg, acl, hash)?.fires,
             None => space.fire_sets(acl).0,
         };
         let mut dead: BTreeSet<usize> = BTreeSet::new();
@@ -425,6 +429,7 @@ pub(crate) fn lint_one_acl(
             out.push(d);
         }
     }
+    Ok(())
 }
 
 /// Prefix-list checks over the standalone prefix space. `only` restricts
@@ -446,7 +451,7 @@ pub(crate) fn lint_prefix_lists(
         PrefixSpace::new,
         |space, _, &(list_name, list)| -> Result<Vec<Diagnostic>, AnalysisError> {
             let mut diags = Vec::new();
-            lint_one_prefix_list(space, list_name, list, None, &mut diags)?;
+            lint_one_prefix_list(space, cfg, list_name, list, None, &mut diags)?;
             space.manager().clear_op_caches();
             Ok(diags)
         },
@@ -461,6 +466,7 @@ pub(crate) fn lint_prefix_lists(
 /// The per-object body of [`lint_prefix_lists`]: all checks for one list.
 pub(crate) fn lint_one_prefix_list(
     space: &mut PrefixSpace,
+    cfg: &Config,
     list_name: &str,
     list: &clarify_netconfig::PrefixList,
     fire_cache: Option<(&mut FireSetCache, u64)>,
@@ -470,7 +476,7 @@ pub(crate) fn lint_one_prefix_list(
     {
         let match_sets = space.match_sets(list);
         let fires = match fire_cache {
-            Some((cache, hash)) => space.fire_sets_cached(cache, list, hash).fires,
+            Some((cache, hash)) => fire_sets_cached(space, cache, cfg, list, hash)?.fires,
             None => space.fire_sets(list).0,
         };
         let mut dead: BTreeSet<usize> = BTreeSet::new();

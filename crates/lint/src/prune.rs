@@ -17,9 +17,7 @@
 //! comparison. Pruning therefore cannot change which configuration the
 //! disambiguator produces; it only removes provably-redundant work.
 
-use clarify_analysis::{AnalysisError, PacketSpace, PrefixSpace, RouteSpace};
-use clarify_bdd::Ref;
-use clarify_netconfig::{Acl, Config, PrefixList, RouteMap};
+use clarify_bdd::{Manager, Ref};
 
 /// Which candidates survived the prune.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -30,62 +28,20 @@ pub struct PruneOutcome {
     pub pruned: Vec<usize>,
 }
 
-impl PruneOutcome {
-    fn split(fires: &[Ref], mut intersects: impl FnMut(Ref) -> bool, candidates: &[usize]) -> Self {
-        let mut out = PruneOutcome::default();
-        for &i in candidates {
-            if intersects(fires[i]) {
-                out.kept.push(i);
-            } else {
-                out.pruned.push(i);
-            }
-        }
-        out
-    }
-}
-
-/// Prunes route-map insertion candidates (stanza indices into `map`)
-/// against the new stanza's valid match set `s_star`. Keeps candidate `i`
-/// iff `s_star ∧ fire_i ≠ ⊥`.
-pub fn prune_insertion_candidates(
-    space: &mut RouteSpace,
-    cfg: &Config,
-    map: &RouteMap,
-    s_star: Ref,
-    candidates: &[usize],
-) -> Result<PruneOutcome, AnalysisError> {
-    let (fires, _) = space.fire_sets(cfg, map)?;
-    let mut out = PruneOutcome::default();
-    for &i in candidates {
-        if space.manager().and(s_star, fires[i]) != Ref::FALSE {
-            out.kept.push(i);
-        } else {
-            out.pruned.push(i);
-        }
-    }
-    Ok(out)
-}
-
-/// The ACL analogue of [`prune_insertion_candidates`].
-pub fn prune_acl_candidates(
-    space: &mut PacketSpace,
-    acl: &Acl,
+/// Prunes insertion candidates (rule indices into a policy whose
+/// first-match firing regions are `fires`, built in `mgr`) against the
+/// new rule's valid match set `s_star`: keeps candidate `i` iff
+/// `s_star ∧ fire_i ≠ ⊥`. One function serves route-maps, ACLs and
+/// prefix lists alike.
+pub fn prune_candidates(
+    mgr: &mut Manager,
+    fires: &[Ref],
     s_star: Ref,
     candidates: &[usize],
 ) -> PruneOutcome {
-    let (fires, _) = space.fire_sets(acl);
-    let mgr = space.manager();
-    PruneOutcome::split(&fires, |f| mgr.and(s_star, f) != Ref::FALSE, candidates)
-}
-
-/// The prefix-list analogue of [`prune_insertion_candidates`].
-pub fn prune_prefix_candidates(
-    space: &mut PrefixSpace,
-    list: &PrefixList,
-    s_star: Ref,
-    candidates: &[usize],
-) -> PruneOutcome {
-    let (fires, _) = space.fire_sets(list);
-    let mgr = space.manager();
-    PruneOutcome::split(&fires, |f| mgr.and(s_star, f) != Ref::FALSE, candidates)
+    let (kept, pruned) = candidates
+        .iter()
+        .copied()
+        .partition(|&i| mgr.and(s_star, fires[i]) != Ref::FALSE);
+    PruneOutcome { kept, pruned }
 }

@@ -5,7 +5,7 @@
 
 use clarify_nettypes::{BgpRoute, Packet};
 
-use crate::ast::{Action, Config, RouteMapMatch, RouteMapSet, RouteMapStanza};
+use crate::ast::{Acl, Action, Config, RouteMapMatch, RouteMapSet, RouteMapStanza};
 use crate::error::ConfigError;
 
 /// Result of pushing a route through a route-map.
@@ -162,17 +162,18 @@ impl Config {
             kind: "access-list",
             name: name.to_string(),
         })?;
-        for (i, entry) in acl.entries.iter().enumerate() {
-            if entry.matches(pkt) {
-                return Ok(AclVerdict {
-                    action: entry.action,
-                    index: Some(i),
-                });
-            }
+        Ok(acl.eval(pkt))
+    }
+}
+
+impl Acl {
+    /// Evaluates the ACL on a packet: the first matching entry decides,
+    /// with an implicit trailing deny.
+    pub fn eval(&self, pkt: &Packet) -> AclVerdict {
+        let index = self.entries.iter().position(|e| e.matches(pkt));
+        AclVerdict {
+            action: index.map_or(Action::Deny, |i| self.entries[i].action),
+            index,
         }
-        Ok(AclVerdict {
-            action: Action::Deny,
-            index: None,
-        })
     }
 }

@@ -17,8 +17,8 @@
 
 use clarify_analysis::{atom_env_hash, PacketSpace, RouteSpace};
 use clarify_core::{
-    AclInsertionPlan, AclPlanStep, Choice, ClarifyError, DisambiguationQuestion, Disambiguator,
-    InsertionPlan, Invariant, NetworkSession, NetworkUpdateOutcome, PlanStep, UserOracle,
+    AclInsertionPlan, Choice, ClarifyError, DisambiguationQuestion, Disambiguator, InsertionPlan,
+    Invariant, NetworkSession, NetworkUpdateOutcome, PlanStep, RuleKind, UserOracle,
 };
 use clarify_lint::IncrementalLinter;
 use clarify_llm::{BackendStack, DynBackend, LlmError, Pipeline, PipelineOutcome};
@@ -129,17 +129,47 @@ impl SessionKind {
 }
 
 /// A pending (question asked, not yet fully answered) insertion turn.
-enum Pending {
-    RouteMap {
-        plan: Box<InsertionPlan>,
-        answers: Vec<Choice>,
-        llm_calls: usize,
-    },
-    Acl {
-        plan: Box<AclInsertionPlan>,
-        answers: Vec<Choice>,
-        llm_calls: usize,
-    },
+struct Pending {
+    plan: PendingPlan,
+    answers: Vec<Choice>,
+    llm_calls: usize,
+}
+
+/// The pending turn's plan, per rule kind.
+enum PendingPlan {
+    RouteMap(Box<InsertionPlan>),
+    Acl(Box<AclInsertionPlan>),
+}
+
+/// Replays `plan` against the pending turn's answers: the next question's
+/// frame (its pivot named by `pivot`), or the done frame together with the
+/// configuration to commit.
+fn progress<K: RuleKind>(
+    plan: &InsertionPlan<K>,
+    pending: &Pending,
+    session: u64,
+    pivot: fn(&K::Question) -> u64,
+) -> Result<(String, Option<Config>), ProtoError> {
+    let answers = &pending.answers;
+    Ok(match plan.step(answers) {
+        PlanStep::Ask { number, question } => {
+            let frame = question_frame(session, number, pivot(question), &question.to_string());
+            (frame, None)
+        }
+        PlanStep::Done { .. } => {
+            let result = plan.finish(answers).map_err(internal)?;
+            let frame = Frame::ok(true)
+                .bool("done", true)
+                .u64("session", session)
+                .str("result", "inserted")
+                .u64("position", result.position as u64)
+                .u64("questions", result.questions as u64)
+                .u64("llm_calls", pending.llm_calls as u64)
+                .str("config", &result.config.to_string())
+                .finish();
+            (frame, Some(result.config))
+        }
+    })
 }
 
 /// A single-config session.
@@ -189,7 +219,7 @@ impl ConfigSession {
             });
         }
         let outcome = self.pipeline.synthesize(intent).map_err(pipeline_error)?;
-        match outcome {
+        let (plan, llm_calls) = match outcome {
             PipelineOutcome::RouteMap {
                 snippet,
                 map_name,
@@ -220,12 +250,7 @@ impl ConfigSession {
                 // turn's garbage — warm sessions keep a flat arena.
                 space.manager().clear_op_caches();
                 self.route_space = Some((hash, space));
-                self.pending = Some(Pending::RouteMap {
-                    plan: Box::new(plan),
-                    answers: Vec::new(),
-                    llm_calls,
-                });
-                self.progress(session)
+                (PendingPlan::RouteMap(Box::new(plan)), llm_calls)
             }
             PipelineOutcome::Acl {
                 entry, llm_calls, ..
@@ -250,21 +275,24 @@ impl ConfigSession {
                 .map_err(internal)?;
                 // Same turn-boundary collection as the route-map path.
                 self.packet_space.manager().clear_op_caches();
-                self.pending = Some(Pending::Acl {
-                    plan: Box::new(plan),
-                    answers: Vec::new(),
-                    llm_calls,
-                });
-                self.progress(session)
+                (PendingPlan::Acl(Box::new(plan)), llm_calls)
             }
-            PipelineOutcome::Punt { llm_calls, reason } => Ok(Frame::ok(true)
-                .bool("done", true)
-                .u64("session", session)
-                .str("result", "punted")
-                .str("reason", &reason)
-                .u64("llm_calls", llm_calls as u64)
-                .finish()),
-        }
+            PipelineOutcome::Punt { llm_calls, reason } => {
+                return Ok(Frame::ok(true)
+                    .bool("done", true)
+                    .u64("session", session)
+                    .str("result", "punted")
+                    .str("reason", &reason)
+                    .u64("llm_calls", llm_calls as u64)
+                    .finish())
+            }
+        };
+        self.pending = Some(Pending {
+            plan,
+            answers: Vec::new(),
+            llm_calls,
+        });
+        self.progress(session)
     }
 
     fn answer(&mut self, session: u64, choice: Choice) -> TurnResult {
@@ -273,8 +301,8 @@ impl ConfigSession {
                 code: "no-turn",
                 message: "no question is pending on this session".to_string(),
             }),
-            Some(Pending::RouteMap { answers, .. }) | Some(Pending::Acl { answers, .. }) => {
-                answers.push(choice);
+            Some(pending) => {
+                pending.answers.push(choice);
                 self.progress(session)
             }
         }
@@ -287,76 +315,22 @@ impl ConfigSession {
             .pending
             .take()
             .expect("progress requires a pending turn");
-        match pending {
-            Pending::RouteMap {
-                plan,
-                answers,
-                llm_calls,
-            } => match plan.step(&answers) {
-                PlanStep::Ask { number, question } => {
-                    let frame = question_frame(
-                        session,
-                        number,
-                        question.pivot_seq as u64,
-                        &question.to_string(),
-                    );
-                    self.pending = Some(Pending::RouteMap {
-                        plan,
-                        answers,
-                        llm_calls,
-                    });
-                    Ok(frame)
-                }
-                PlanStep::Done { .. } => {
-                    let result = plan.finish(&answers).map_err(internal)?;
-                    self.config = result.config.clone();
-                    self.route_space = None; // config changed: atom env may have too
-                    Ok(Frame::ok(true)
-                        .bool("done", true)
-                        .u64("session", session)
-                        .str("result", "inserted")
-                        .u64("position", result.position as u64)
-                        .u64("questions", result.questions as u64)
-                        .u64("llm_calls", llm_calls as u64)
-                        .str("config", &result.config.to_string())
-                        .finish())
-                }
-            },
-            Pending::Acl {
-                plan,
-                answers,
-                llm_calls,
-            } => match plan.step(&answers) {
-                AclPlanStep::Ask { number, question } => {
-                    let frame = question_frame(
-                        session,
-                        number,
-                        question.pivot_index as u64,
-                        &question.to_string(),
-                    );
-                    self.pending = Some(Pending::Acl {
-                        plan,
-                        answers,
-                        llm_calls,
-                    });
-                    Ok(frame)
-                }
-                AclPlanStep::Done { .. } => {
-                    let result = plan.finish(&answers).map_err(internal)?;
-                    self.config = result.config.clone();
-                    self.route_space = None;
-                    Ok(Frame::ok(true)
-                        .bool("done", true)
-                        .u64("session", session)
-                        .str("result", "inserted")
-                        .u64("position", result.position as u64)
-                        .u64("questions", result.questions as u64)
-                        .u64("llm_calls", llm_calls as u64)
-                        .str("config", &result.config.to_string())
-                        .finish())
-                }
-            },
+        // Question frames name a route-map pivot by its stanza's sequence
+        // number, an ACL pivot by its entry index.
+        let (frame, done) = match &pending.plan {
+            PendingPlan::RouteMap(plan) => {
+                progress(plan, &pending, session, |q| u64::from(q.pivot_seq))?
+            }
+            PendingPlan::Acl(plan) => progress(plan, &pending, session, |q| q.pivot_index as u64)?,
+        };
+        match done {
+            Some(config) => {
+                self.config = config;
+                self.route_space = None; // config changed: atom env may have too
+            }
+            None => self.pending = Some(pending),
         }
+        Ok(frame)
     }
 
     fn lint(&mut self, session: u64) -> TurnResult {

@@ -6,8 +6,8 @@
 //! ```
 
 use clarify::core::{
-    insert_acl_with_oracle, insert_prefix_entry_with_oracle, AclIntentOracle, PlacementStrategy,
-    PrefixIntentOracle,
+    AclInsertion, AclIntentOracle, Disambiguator, PlacementStrategy, PrefixIntentOracle,
+    PrefixListInsertion,
 };
 use clarify::llm::{Pipeline, PipelineOutcome, SemanticBackend};
 use clarify::netconfig::{insert_acl_entry, insert_prefix_list_entry, Config, PrefixListEntry};
@@ -43,14 +43,12 @@ fn main() {
     let mut oracle = AclIntentOracle {
         intended: &intended,
     };
-    let result = insert_acl_with_oracle(
-        &base,
-        "EDGE",
-        &entry,
-        PlacementStrategy::BinarySearch,
-        &mut oracle,
-    )
-    .expect("disambiguation");
+    let result = Disambiguator::new(PlacementStrategy::BinarySearch)
+        .disambiguate(
+            AclInsertion::new(&base, "EDGE", &entry).expect("ACL exists"),
+            &mut oracle,
+        )
+        .expect("disambiguation");
     println!(
         "entry overlaps {} existing rules; {} question(s) asked:",
         result.overlap_candidates, result.questions
@@ -88,14 +86,12 @@ fn main() {
     let mut oracle = PrefixIntentOracle {
         intended: &intended,
     };
-    let result = insert_prefix_entry_with_oracle(
-        &base,
-        "CUSTOMERS",
-        &entry,
-        PlacementStrategy::BinarySearch,
-        &mut oracle,
-    )
-    .expect("disambiguation");
+    let result = Disambiguator::new(PlacementStrategy::BinarySearch)
+        .disambiguate(
+            PrefixListInsertion::new(&base, "CUSTOMERS", &entry).expect("list exists"),
+            &mut oracle,
+        )
+        .expect("disambiguation");
     for (q, answer) in &result.transcript {
         println!("{q}\n  -> user chose {answer:?}\n");
     }
