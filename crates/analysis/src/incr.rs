@@ -5,7 +5,7 @@
 //! the expensive artifacts — per-object fire-sets — by `(RuleId, content
 //! hash)` so an edit to one stanza invalidates only the object it touches,
 //! and a reverted edit (the A/B toggling a dialogue produces) hits the
-//! cache from an earlier generation outright.
+//! object's previous generation outright.
 //!
 //! Refs stored here point into one specific space's BDD manager, which
 //! garbage-collects unrooted nodes at the
@@ -14,7 +14,8 @@
 //! handles at insertion time, and they survive collection and reordering
 //! alike. A [`FireSetCache`] is sound exactly as long as its space lives;
 //! callers that rebuild a space (e.g. because the atom environment
-//! changed) must [`FireSetCache::clear`] the cache with it.
+//! changed) must drop the cache with it. Its roots go unreleased then,
+//! which is safe: they only pin nodes of the manager being dropped.
 
 use std::collections::HashMap;
 
@@ -75,27 +76,32 @@ pub struct FireSets {
     pub remainder: Ref,
 }
 
-/// One cached generation: the fire-sets plus the [`Root`] handles pinning
-/// every ref in them against garbage collection.
+/// One cached generation: an object's fire-sets under one content hash,
+/// plus the [`Root`] handles pinning every ref in them against garbage
+/// collection.
 #[derive(Debug)]
-struct CachedSets {
+struct Generation {
+    hash: u64,
     sets: FireSets,
     roots: Vec<Root>,
 }
 
+/// Generations kept per object: the current one and the previous one.
+const GENERATIONS: usize = 2;
+
 /// A fire-set cache keyed by `(object identity, content hash)`.
 ///
 /// Keying by hash — not just identity — means a dirty object simply
-/// misses (its hash changed) while older generations stay retrievable:
-/// reverting an edit restores the old hash and hits again. Entries are
-/// never evicted except by [`invalidate`](FireSetCache::invalidate) or
-/// [`clear`](FireSetCache::clear); each entry roots its refs in the
-/// owning space's manager, so the cost of a stale generation is its
-/// pinned BDD nodes — bounded, in practice, by the handful of hashes an
-/// edit dialogue toggles between.
+/// misses (its hash changed) while its previous generation stays
+/// retrievable: reverting an edit restores the old hash and hits again.
+/// Each object keeps at most two generations, the two most recently
+/// used; storing a third evicts the older of them and releases its roots
+/// in the owning space's manager, so a long edit session pins a bounded
+/// number of BDD nodes however many edits it makes.
 #[derive(Debug, Default)]
 pub struct FireSetCache {
-    entries: HashMap<(RuleId, u64), CachedSets>,
+    /// Per object, its generations, least recently used first.
+    entries: HashMap<RuleId, Vec<Generation>>,
 }
 
 impl FireSetCache {
@@ -106,7 +112,7 @@ impl FireSetCache {
 
     /// Number of cached generations (not distinct objects).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.values().map(Vec::len).sum()
     }
 
     /// Whether the cache is empty.
@@ -115,20 +121,28 @@ impl FireSetCache {
     }
 
     /// Looks up the fire-sets of `id` at content hash `hash`, recording
-    /// `incr.cache_hits` / `incr.cache_misses`.
-    pub fn get(&self, id: &RuleId, hash: u64) -> Option<&FireSets> {
-        let hit = self.entries.get(&(id.clone(), hash));
-        if hit.is_some() {
-            clarify_obs::global().counter("incr.cache_hits").incr();
-        } else {
-            clarify_obs::global().counter("incr.cache_misses").incr();
-        }
-        hit.map(|c| &c.sets)
+    /// `incr.cache_hits` / `incr.cache_misses`. A hit becomes the object's
+    /// most recently used generation.
+    pub fn get(&mut self, id: &RuleId, hash: u64) -> Option<&FireSets> {
+        let gens = self.entries.get_mut(id);
+        let hit = gens.and_then(|gens| {
+            let pos = gens.iter().position(|g| g.hash == hash)?;
+            gens[pos..].rotate_left(1);
+            gens.last()
+        });
+        let counter = match hit {
+            Some(_) => "incr.cache_hits",
+            None => "incr.cache_misses",
+        };
+        clarify_obs::global().counter(counter).incr();
+        hit.map(|g| &g.sets)
     }
 
     /// Stores the fire-sets of `id` at content hash `hash`, protecting
     /// every ref in `mgr` — which must be the manager of the space that
     /// built `sets` — so the entry survives collection and reordering.
+    /// Generations beyond the object's two most recent are evicted and
+    /// their roots released.
     pub fn insert(&mut self, mgr: &mut Manager, id: RuleId, hash: u64, sets: FireSets) {
         let roots = sets
             .fires
@@ -136,37 +150,16 @@ impl FireSetCache {
             .chain(std::iter::once(&sets.remainder))
             .map(|&r| mgr.protect(r))
             .collect();
-        if let Some(old) = self.entries.insert((id, hash), CachedSets { sets, roots }) {
+        let gens = self.entries.entry(id).or_default();
+        let stale = gens.iter().position(|g| g.hash == hash);
+        let evicted = stale.map(|pos| gens.remove(pos));
+        gens.push(Generation { hash, sets, roots });
+        let excess = gens.len().saturating_sub(GENERATIONS);
+        for old in evicted.into_iter().chain(gens.drain(..excess)) {
             for root in old.roots {
                 mgr.unprotect(root);
             }
         }
-    }
-
-    /// Drops every cached generation of one object, releasing its roots
-    /// in `mgr` (the same manager the entries were inserted with).
-    pub fn invalidate(&mut self, mgr: &mut Manager, id: &RuleId) {
-        let gone: Vec<(RuleId, u64)> = self
-            .entries
-            .keys()
-            .filter(|(k, _)| k == id)
-            .cloned()
-            .collect();
-        for key in gone {
-            let cached = self.entries.remove(&key).expect("key just enumerated");
-            for root in cached.roots {
-                mgr.unprotect(root);
-            }
-        }
-    }
-
-    /// Drops everything — required whenever the owning space is rebuilt,
-    /// because cached Refs point into the old manager. The roots are
-    /// dropped without unprotecting: the old manager is going away with
-    /// its space, and a leaked root slot merely pins nodes for the
-    /// remainder of that manager's life (the safe failure mode).
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 

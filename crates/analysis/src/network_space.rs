@@ -18,6 +18,8 @@
 //! them over topology edges yields sound over-approximations of what the
 //! BGP fixed point can carry (see DESIGN.md §10).
 
+use std::collections::HashMap;
+
 use clarify_bdd::Ref;
 use clarify_netconfig::{Action, Config, RouteMap, RouteMapSet};
 use clarify_nettypes::{BgpRoute, Prefix};
@@ -26,13 +28,17 @@ use crate::error::AnalysisError;
 use crate::incr::FireSetCache;
 use crate::route_space::RouteSpace;
 
-/// A [`RouteSpace`] plus a private [`FireSetCache`], extended with policy
+/// A [`RouteSpace`] plus private [`FireSetCache`]s, extended with policy
 /// transfer functions. One instance serves a whole topology; build it from
 /// **every** config in the network so all policies share one atom
 /// environment.
 pub struct NetworkSpace {
     space: RouteSpace,
-    cache: FireSetCache,
+    /// One cache per salted map hash. Same-named maps on different routers
+    /// share a [`RuleId`](clarify_netconfig::RuleId) but are different
+    /// objects; a cache each keeps the per-object generation bound from
+    /// evicting one router's map for another's.
+    caches: HashMap<u64, FireSetCache>,
 }
 
 impl NetworkSpace {
@@ -43,7 +49,7 @@ impl NetworkSpace {
             .incr();
         Ok(NetworkSpace {
             space: RouteSpace::new(configs)?,
-            cache: FireSetCache::new(),
+            caches: HashMap::new(),
         })
     }
 
@@ -72,7 +78,8 @@ impl NetworkSpace {
         map: &RouteMap,
         hash: u64,
     ) -> Result<crate::incr::FireSets, AnalysisError> {
-        crate::incr::fire_sets_cached(&mut self.space, &mut self.cache, cfg, map, hash)
+        let cache = self.caches.entry(hash).or_default();
+        crate::incr::fire_sets_cached(&mut self.space, cache, cfg, map, hash)
     }
 
     /// The region a route-map permits (union of permit firing regions),
@@ -225,7 +232,7 @@ impl NetworkSpace {
     /// Drops the manager's memoization tables between work items — and,
     /// since the route space arms auto-GC, lets the kernel collect
     /// unrooted nodes (or re-sift a degraded order) here. Cached fire-set
-    /// `Ref`s stay valid because the internal [`FireSetCache`] roots every
+    /// `Ref`s stay valid because the internal [`FireSetCache`]s root every
     /// entry; any other ref held across this call does not survive.
     pub fn clear_op_caches(&mut self) {
         self.space.manager().clear_op_caches();

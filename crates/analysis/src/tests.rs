@@ -580,8 +580,8 @@ mod properties {
             let fast = acl_overlaps(acl);
             let mut space = PacketSpace::new();
             let slow = acl_overlaps_symbolic(&mut space, acl);
-            let f: Vec<_> = fast.pairs.iter().map(|p| (p.i, p.j, p.conflicting)).collect();
-            let s: Vec<_> = slow.pairs.iter().map(|p| (p.i, p.j, p.conflicting)).collect();
+            let f: Vec<_> = fast.pairs.iter().map(|p| (p.i, p.j, p.conflicting, p.subset)).collect();
+            let s: Vec<_> = slow.pairs.iter().map(|p| (p.i, p.j, p.conflicting, p.subset)).collect();
             prop_assert_eq!(f, s, "ACL:\n{}", text);
         }
     }
@@ -1025,4 +1025,39 @@ fn origination_region_is_exact_points() {
         assert!(r.communities.is_empty());
         assert!(r.as_path.is_empty());
     }
+}
+
+/// A long edit session pins a bounded number of fire-set generations:
+/// distinct edits to one object leave only its two most recently used
+/// generations cached, and every evicted generation's roots are released.
+#[test]
+fn fire_set_cache_keeps_two_generations_per_object() {
+    use crate::{fire_sets_cached, FireSetCache, FirstMatchPolicy};
+
+    let edit = |port: u64| {
+        Config::parse(&format!(
+            "ip access-list extended A\n permit tcp any any eq {port}\n deny ip any any\n"
+        ))
+        .unwrap()
+    };
+    let mut space = PacketSpace::new();
+    let roots_before = space.manager().root_count();
+    let mut cache = FireSetCache::new();
+    for port in 0..12 {
+        let cfg = edit(port);
+        fire_sets_cached(&mut space, &mut cache, &cfg, cfg.acl("A").unwrap(), port).unwrap();
+    }
+    assert_eq!(cache.len(), 2);
+    // Two rules plus the remainder: three roots per generation.
+    assert_eq!(space.manager().root_count() - roots_before, 2 * 3);
+
+    // A hit makes its generation the most recent, so the next edit evicts
+    // the other one: reverting to either of the last two still hits.
+    let id = edit(0).acl("A").unwrap().object_id();
+    assert!(cache.get(&id, 10).is_some());
+    let cfg = edit(12);
+    fire_sets_cached(&mut space, &mut cache, &cfg, cfg.acl("A").unwrap(), 12).unwrap();
+    assert!(cache.get(&id, 10).is_some());
+    assert!(cache.get(&id, 11).is_none());
+    assert_eq!(cache.len(), 2);
 }

@@ -117,54 +117,22 @@ impl<B: Backend> ClarifySession<B> {
         prompt: &str,
         oracle: &mut dyn UserOracle,
     ) -> Result<AddStanzaOutcome, ClarifyError> {
-        let outcome = self.pipeline.synthesize(prompt)?;
-        match outcome {
-            PipelineOutcome::RouteMap {
-                snippet,
-                map_name,
-                llm_calls,
-                ..
-            } => {
-                self.stats.llm_calls += llm_calls;
-                record_session_metric("llm_calls", llm_calls);
-                let mut working = base.clone();
-                if working.route_map(map).is_none() {
-                    working
-                        .route_maps
-                        .insert(map.to_string(), RouteMap::empty(map));
-                }
-                let result = self
-                    .disambiguator
-                    .insert(&working, map, &snippet, &map_name, oracle)?;
-                self.stats.disambiguations += result.questions;
-                self.stats.stanzas_added += 1;
-                record_session_metric("disambiguations", result.questions);
-                record_session_metric("stanzas_added", 1);
-                Ok(AddStanzaOutcome::Inserted {
-                    config: result.config.clone(),
-                    result: Box::new(result),
-                    llm_calls,
-                })
-            }
-            PipelineOutcome::Acl { llm_calls, .. } => {
-                self.stats.llm_calls += llm_calls;
-                record_session_metric("llm_calls", llm_calls);
-                Err(ClarifyError::Llm(clarify_llm::LlmError::UnsupportedQuery(
-                    "expected a route-map intent, got an ACL intent".to_string(),
-                )))
-            }
-            PipelineOutcome::Punt { llm_calls, reason } => {
-                self.stats.llm_calls += llm_calls;
-                record_session_metric("llm_calls", llm_calls);
-                self.stats.punts += 1;
-                record_session_metric("punts", 1);
-                Ok(AddStanzaOutcome::Punted { reason, llm_calls })
-            }
-        }
+        self.add(prompt, oracle, "a route-map", |outcome| {
+            let PipelineOutcome::RouteMap {
+                snippet, map_name, ..
+            } = outcome
+            else {
+                return None;
+            };
+            let mut working = base.clone();
+            working
+                .route_maps
+                .entry(map.to_string())
+                .or_insert_with(|| RouteMap::empty(map));
+            Some(RouteMapInsertion::new(&working, map, snippet, map_name))
+        })
     }
-}
 
-impl<B: Backend> ClarifySession<B> {
     /// Adds one ACL entry described by `prompt` to `acl_name` in `base`,
     /// creating the ACL when it does not exist yet.
     pub fn add_acl_entry(
@@ -174,49 +142,63 @@ impl<B: Backend> ClarifySession<B> {
         prompt: &str,
         oracle: &mut dyn UserOracle<AclQuestion>,
     ) -> Result<AddAclOutcome, ClarifyError> {
-        match self.pipeline.synthesize(prompt)? {
-            PipelineOutcome::Acl {
-                entry, llm_calls, ..
-            } => {
-                self.stats.llm_calls += llm_calls;
-                record_session_metric("llm_calls", llm_calls);
-                let mut working = base.clone();
-                if working.acl(acl_name).is_none() {
-                    working.acls.insert(
-                        acl_name.to_string(),
-                        Acl {
-                            name: acl_name.to_string(),
-                            entries: Vec::new(),
-                        },
-                    );
-                }
-                let result = self
-                    .disambiguator
-                    .disambiguate(AclInsertion::new(&working, acl_name, &entry)?, oracle)?;
-                self.stats.disambiguations += result.questions;
-                self.stats.stanzas_added += 1;
-                record_session_metric("disambiguations", result.questions);
-                record_session_metric("stanzas_added", 1);
-                Ok(AddAclOutcome::Inserted {
-                    config: result.config.clone(),
-                    result: Box::new(result),
-                    llm_calls,
-                })
-            }
-            PipelineOutcome::RouteMap { llm_calls, .. } => {
-                self.stats.llm_calls += llm_calls;
-                record_session_metric("llm_calls", llm_calls);
-                Err(ClarifyError::Llm(clarify_llm::LlmError::UnsupportedQuery(
-                    "expected an ACL intent, got a route-map intent".to_string(),
-                )))
-            }
-            PipelineOutcome::Punt { llm_calls, reason } => {
-                self.stats.llm_calls += llm_calls;
-                record_session_metric("llm_calls", llm_calls);
+        self.add(prompt, oracle, "an ACL", |outcome| {
+            let PipelineOutcome::Acl { entry, .. } = outcome else {
+                return None;
+            };
+            let mut working = base.clone();
+            working
+                .acls
+                .entry(acl_name.to_string())
+                .or_insert_with(|| Acl {
+                    name: acl_name.to_string(),
+                    entries: Vec::new(),
+                });
+            Some(AclInsertion::new(&working, acl_name, entry))
+        })
+    }
+
+    /// The one insertion body: synthesizes `prompt`, accounts its LLM
+    /// calls, and either punts or disambiguates the insertion `insertion`
+    /// reads from the outcome — `None` when the intent is of another kind
+    /// than the `expected` one.
+    fn add<K: RuleKind>(
+        &mut self,
+        prompt: &str,
+        oracle: &mut dyn UserOracle<K::Question>,
+        expected: &str,
+        insertion: impl FnOnce(&PipelineOutcome) -> Option<Result<K, ClarifyError>>,
+    ) -> Result<AddOutcome<K>, ClarifyError> {
+        let outcome = self.pipeline.synthesize(prompt)?;
+        let llm_calls = outcome.llm_calls();
+        self.stats.llm_calls += llm_calls;
+        record_session_metric("llm_calls", llm_calls);
+        let kind = match (insertion(&outcome), outcome) {
+            (Some(kind), _) => kind?,
+            (None, PipelineOutcome::Punt { reason, .. }) => {
                 self.stats.punts += 1;
                 record_session_metric("punts", 1);
-                Ok(AddAclOutcome::Punted { reason, llm_calls })
+                return Ok(AddOutcome::Punted { reason, llm_calls });
             }
-        }
+            (None, other) => {
+                let got = match other {
+                    PipelineOutcome::Acl { .. } => "an ACL",
+                    _ => "a route-map",
+                };
+                return Err(ClarifyError::Llm(clarify_llm::LlmError::UnsupportedQuery(
+                    format!("expected {expected} intent, got {got} intent"),
+                )));
+            }
+        };
+        let result = self.disambiguator.disambiguate(kind, oracle)?;
+        self.stats.disambiguations += result.questions;
+        self.stats.stanzas_added += 1;
+        record_session_metric("disambiguations", result.questions);
+        record_session_metric("stanzas_added", 1);
+        Ok(AddOutcome::Inserted {
+            config: result.config.clone(),
+            result: Box::new(result),
+            llm_calls,
+        })
     }
 }

@@ -1,4 +1,4 @@
-//! Diff-driven incremental re-lint.
+//! Diff-driven incremental re-lint, and the one driver behind every lint.
 //!
 //! The correctness oracle is byte-identity: the incremental report must
 //! render byte-for-byte equal to a cold [`lint_config`] of the same
@@ -19,20 +19,23 @@
 //! shifts every line below it, so cached lines would be wrong even for
 //! untouched objects). The reference pass (L005/L006) is a cheap AST
 //! walk re-run in full every time.
+//!
+//! One driver, [`drive`], does all of this for the cold lint (where every
+//! object is dirty), the one-shot [`lint_config_incremental`] and the
+//! session's [`IncrementalLinter::relint`]. They differ only in how dirty
+//! objects are recomputed: the first two use the cold parallel fan-out,
+//! the session its retained spaces and keyed fire-set caches.
+//!
+//! [`lint_config`]: crate::lint_config
 
-use std::collections::BTreeSet;
-
-use clarify_analysis::{
-    atom_env_hash, AnalysisError, FireSetCache, PacketSpace, PrefixSpace, RouteSpace,
+use clarify_analysis::{atom_env_hash, AnalysisError, FireSetCache, FirstMatchPolicy};
+use clarify_netconfig::{
+    fnv1a64_combine, Acl, Config, ObjectHashes, PrefixList, RouteMap, SourceMap,
 };
-use clarify_netconfig::{fnv1a64_combine, Config, ObjectHashes, ObjectKind, RouteMap, SourceMap};
 
 use crate::cache::LintCache;
 use crate::diagnostic::{Diagnostic, LintReport};
-use crate::linter::{
-    lint_acls, lint_one_acl, lint_one_prefix_list, lint_one_route_map, lint_prefix_lists,
-    lint_references, lint_route_maps,
-};
+use crate::linter::{lint_object, lint_objects, lint_references, LintKind};
 
 /// What an incremental run did, for `--stats` and the O(edit) assertions
 /// of the differential suite.
@@ -47,122 +50,179 @@ pub struct IncrStats {
     pub reused_objects: usize,
 }
 
-/// The per-kind dirty sets of one edit.
-#[derive(Clone, Debug, Default)]
-struct DirtySets {
-    route_maps: BTreeSet<String>,
-    acls: BTreeSet<String>,
-    prefix_lists: BTreeSet<String>,
+/// One kind's retained session state: its space, built on first use, and
+/// the fire-sets cached in that space.
+pub(crate) struct KindState<K: FirstMatchPolicy> {
+    space: Option<K::Space>,
+    fires: FireSetCache,
 }
 
-/// Computes which objects of `cfg` need symbolic recomputation relative
-/// to `prev`. `atom_env` is the new configuration's atom-environment
-/// hash.
-fn dirty_sets(cfg: &Config, prev: &LintCache, atom_env: u64) -> DirtySets {
-    let hashes = cfg.object_hashes();
-    let atoms_changed = atom_env != prev.atom_env;
-    let changed = |kind: ObjectKind, name: &str| -> bool {
-        prev.object(kind, name).map(|o| o.hash) != hashes.get(kind, name)
+impl<K: FirstMatchPolicy> Default for KindState<K> {
+    fn default() -> Self {
+        KindState {
+            space: None,
+            fires: FireSetCache::new(),
+        }
+    }
+}
+
+/// A session's retained state, one [`KindState`] per kind.
+#[derive(Default)]
+pub(crate) struct SessionState {
+    pub(crate) route_maps: KindState<RouteMap>,
+    pub(crate) acls: KindState<Acl>,
+    pub(crate) prefix_lists: KindState<PrefixList>,
+}
+
+impl SessionState {
+    /// The diagnostics of each of `objects` (dirty, encodable, in name
+    /// order), computed serially on the kind's retained space, through its
+    /// keyed fire-set cache.
+    fn recompute<K: LintKind>(
+        &mut self,
+        cfg: &Config,
+        hashes: &ObjectHashes,
+        objects: &[(&String, &K)],
+    ) -> Result<Vec<Vec<Diagnostic>>, AnalysisError> {
+        let state = K::state(self);
+        objects
+            .iter()
+            .map(|&(name, obj)| {
+                let space = match &mut state.space {
+                    Some(s) => s,
+                    None => state.space.insert(K::new_space(cfg)?),
+                };
+                // Fold in the hash of every list the object references: a
+                // route-map dirtied by an edit to one keeps its own hash,
+                // and would otherwise hit fire-sets built against the old
+                // list.
+                let own = hashes.get(K::KIND, name).expect("object is in cfg");
+                let key = obj
+                    .references()
+                    .filter_map(|(kind, list)| hashes.get(kind, list))
+                    .fold(own, fnv1a64_combine);
+                let diags = lint_object(space, cfg, name, obj, Some((&mut state.fires, key)))?;
+                K::manager(space).clear_op_caches();
+                Ok(diags)
+            })
+            .collect()
+    }
+}
+
+/// Lints `cfg`: the reference pass, then each kind's symbolic pass over
+/// its dirty objects (all of them without a `prev` run to splice from),
+/// with the clean rest spliced from `prev`; then the report tail — source
+/// lines, the canonical sort, and the `lint.*` counters (plus `incr.*`
+/// when splicing). Dirty objects are recomputed on the retained state of
+/// `session`, which always comes with a `prev`, or else by the cold
+/// parallel fan-out.
+pub(crate) fn drive(
+    cfg: &Config,
+    spans: Option<&SourceMap>,
+    prev: Option<&LintCache>,
+    mut session: Option<&mut SessionState>,
+) -> Result<(LintReport, IncrStats), AnalysisError> {
+    // A cold lint needs no hashes: every object is dirty, nothing is keyed.
+    let hashes = prev.map(|_| cfg.object_hashes()).unwrap_or_default();
+    let prev = prev.map(|p| (p, atom_env_hash(&[cfg]) != p.atom_env));
+    let mut report = LintReport::default();
+    {
+        let _pass = clarify_obs::span!("lint_references");
+        lint_references(cfg, &mut report.diagnostics);
+    }
+    let out = &mut report.diagnostics;
+    let counts = [
+        drive_kind::<RouteMap>(cfg, &hashes, prev, session.as_deref_mut(), out)?,
+        drive_kind::<Acl>(cfg, &hashes, prev, session.as_deref_mut(), out)?,
+        drive_kind::<PrefixList>(cfg, &hashes, prev, session, out)?,
+    ];
+    let total_objects = counts.iter().map(|c| c.0).sum();
+    let dirty_objects = counts.iter().map(|c| c.1).sum();
+    let stats = IncrStats {
+        total_objects,
+        dirty_objects,
+        reused_objects: total_objects - dirty_objects,
     };
-    let mut dirty = DirtySets::default();
-    for (name, map) in &cfg.route_maps {
-        let mut is_dirty = atoms_changed || changed(ObjectKind::RouteMap, name);
-        if !is_dirty {
-            // A referenced list that changed, appeared, or vanished
-            // changes this map's behaviour without touching its text.
-            // (A *dangling* reference hashes to None on both sides and
-            // stays clean — the map is skipped by the symbolic pass
-            // either way.)
-            'stanzas: for stanza in &map.stanzas {
-                let refs = stanza.referenced_lists();
-                for n in refs.prefix {
-                    if changed(ObjectKind::PrefixList, n) {
-                        is_dirty = true;
-                        break 'stanzas;
-                    }
-                }
-                for n in refs.as_path {
-                    if changed(ObjectKind::AsPathList, n) {
-                        is_dirty = true;
-                        break 'stanzas;
-                    }
-                }
-                for n in refs.community {
-                    if changed(ObjectKind::CommunityList, n) {
-                        is_dirty = true;
-                        break 'stanzas;
-                    }
-                }
-            }
-        }
-        if is_dirty {
-            dirty.route_maps.insert(name.clone());
+
+    if let Some(spans) = spans {
+        for d in &mut report.diagnostics {
+            d.line = spans.line(&d.rule);
         }
     }
-    for name in cfg.acls.keys() {
-        if changed(ObjectKind::Acl, name) {
-            dirty.acls.insert(name.clone());
-        }
+    let report = report.finish();
+    let obs = clarify_obs::global();
+    obs.counter("lint.configs_linted").incr();
+    for d in &report.diagnostics {
+        obs.counter(&format!("lint.findings.{}", d.code.code()))
+            .incr();
     }
-    for name in cfg.prefix_lists.keys() {
-        if changed(ObjectKind::PrefixList, name) {
-            dirty.prefix_lists.insert(name.clone());
-        }
+    if prev.is_some() {
+        obs.counter("incr.objects_dirty")
+            .add(stats.dirty_objects as u64);
+        obs.counter("incr.objects_reused")
+            .add(stats.reused_objects as u64);
     }
-    dirty
+    Ok((report, stats))
 }
 
-/// Fire-set cache key for a route-map: its own content hash folded with
-/// the hash of every list its stanzas reference, in stanza order (a
-/// dangling reference folds a fixed sentinel). A map dirtied by an edit
-/// to a referenced list keeps its own content hash, so keying the
-/// [`FireSetCache`] by that alone would hit the stale fire-sets built
-/// against the old list.
-fn route_map_fire_key(map: &RouteMap, hashes: &ObjectHashes, own: u64) -> u64 {
-    const DANGLING: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut h = own;
-    for stanza in &map.stanzas {
-        let refs = stanza.referenced_lists();
-        for n in refs.prefix {
-            h = fnv1a64_combine(h, hashes.get(ObjectKind::PrefixList, n).unwrap_or(DANGLING));
-        }
-        for n in refs.as_path {
-            h = fnv1a64_combine(h, hashes.get(ObjectKind::AsPathList, n).unwrap_or(DANGLING));
-        }
-        for n in refs.community {
-            h = fnv1a64_combine(
-                h,
-                hashes.get(ObjectKind::CommunityList, n).unwrap_or(DANGLING),
-            );
-        }
-    }
-    h
-}
-
-/// Splices one kind's diagnostics: fresh blocks for dirty objects, cached
-/// blocks for clean ones, in the kind's canonical (name) order — the same
-/// insertion order the full lint produces, which [`LintReport`]'s stable
-/// sort relies on to break ties.
-fn splice<'a>(
-    names: impl Iterator<Item = &'a String>,
-    kind: ObjectKind,
-    dirty: &BTreeSet<String>,
-    fresh: Vec<(String, Vec<Diagnostic>)>,
-    prev: &LintCache,
+/// One kind's step of [`drive`]: its dirty set, the recomputation, and the
+/// splice in name order — the order the cold lint emits, which the
+/// report's stable sort relies on to break ties. `prev` carries whether
+/// the atom environment changed. Returns the kind's object and dirty
+/// counts.
+fn drive_kind<K: LintKind>(
+    cfg: &Config,
+    hashes: &ObjectHashes,
+    prev: Option<(&LintCache, bool)>,
+    session: Option<&mut SessionState>,
     out: &mut Vec<Diagnostic>,
-) {
-    let mut fresh = fresh.into_iter().peekable();
-    for name in names {
-        if dirty.contains(name) {
-            // Broken (dangling-reference) maps are dirty but skipped by
-            // the symbolic pass, so they may have no fresh block.
-            if fresh.peek().is_some_and(|(n, _)| n == name) {
-                out.extend(fresh.next().expect("peeked").1);
+) -> Result<(usize, usize), AnalysisError> {
+    let _pass = clarify_obs::span!(K::PASS);
+    let objects = K::objects(cfg);
+    let dirty: Vec<bool> = objects
+        .iter()
+        .map(|(name, obj)| {
+            let Some((cache, atoms_changed)) = prev else {
+                return true;
+            };
+            // A referenced list that changed, appeared, or vanished changes
+            // the object's behaviour without touching its text. (A
+            // dangling reference hashes to None on both sides and stays
+            // clean — the object is skipped by the symbolic pass either
+            // way.)
+            let changed = |kind, name: &str| {
+                cache.object(kind, name).map(|o| o.hash) != hashes.get(kind, name)
+            };
+            (K::USES_ATOMS && atoms_changed)
+                || changed(K::KIND, name)
+                || obj.references().any(|(kind, list)| changed(kind, list))
+        })
+        .collect();
+    // Objects with dangling references cannot be encoded: they are dirty
+    // but get no fresh block.
+    let fresh: Vec<(&String, &K)> = objects
+        .iter()
+        .zip(&dirty)
+        .filter(|&(_, &is_dirty)| is_dirty)
+        .map(|(object, _)| object)
+        .filter(|(_, obj)| obj.references().all(|(kind, list)| cfg.defines(kind, list)))
+        .collect();
+    let blocks = match session {
+        Some(session) => session.recompute(cfg, hashes, &fresh)?,
+        None => lint_objects(cfg, &fresh)?,
+    };
+    let mut blocks = fresh.iter().map(|&(name, _)| name).zip(blocks).peekable();
+    for (name, &is_dirty) in objects.keys().zip(&dirty) {
+        if !is_dirty {
+            if let Some(cached) = prev.and_then(|(cache, _)| cache.object(K::KIND, name)) {
+                out.extend(cached.diagnostics.iter().cloned());
             }
-        } else if let Some(obj) = prev.object(kind, name) {
-            out.extend(obj.diagnostics.iter().cloned());
+        } else if blocks.peek().is_some_and(|&(fresh, _)| fresh == name) {
+            out.extend(blocks.next().expect("peeked").1);
         }
     }
+    let dirty_count = dirty.iter().filter(|&&is_dirty| is_dirty).count();
+    Ok((objects.len(), dirty_count))
 }
 
 /// Lints `cfg` incrementally against the previous run `prev`: recomputes
@@ -177,101 +237,27 @@ pub fn lint_config_incremental(
     prev: &LintCache,
 ) -> Result<(LintReport, IncrStats), AnalysisError> {
     let _span = clarify_obs::span!("lint_incremental");
-    let atom_env = atom_env_hash(&[cfg]);
-    let dirty = dirty_sets(cfg, prev, atom_env);
-
-    let mut report = LintReport::default();
-    let broken_maps = {
-        let _pass = clarify_obs::span!("lint_references");
-        lint_references(cfg, &mut report.diagnostics)
-    };
-    // Recompute the dirty subset with the same parallel fan-out as the
-    // full pass (broken maps drop out inside, exactly as they do there).
-    let fresh_maps = {
-        let _pass = clarify_obs::span!("lint_route_maps");
-        lint_route_maps(cfg, &broken_maps, Some(&dirty.route_maps))?
-    };
-    let fresh_acls = {
-        let _pass = clarify_obs::span!("lint_acls");
-        lint_acls(cfg, Some(&dirty.acls))?
-    };
-    let fresh_lists = {
-        let _pass = clarify_obs::span!("lint_prefix_lists");
-        lint_prefix_lists(cfg, Some(&dirty.prefix_lists))?
-    };
-
-    splice(
-        cfg.route_maps.keys(),
-        ObjectKind::RouteMap,
-        &dirty.route_maps,
-        fresh_maps,
-        prev,
-        &mut report.diagnostics,
-    );
-    splice(
-        cfg.acls.keys(),
-        ObjectKind::Acl,
-        &dirty.acls,
-        fresh_acls,
-        prev,
-        &mut report.diagnostics,
-    );
-    splice(
-        cfg.prefix_lists.keys(),
-        ObjectKind::PrefixList,
-        &dirty.prefix_lists,
-        fresh_lists,
-        prev,
-        &mut report.diagnostics,
-    );
-
-    if let Some(spans) = spans {
-        for d in &mut report.diagnostics {
-            d.line = spans.line(&d.rule);
-        }
-    }
-    let report = report.finish();
-
-    let total = cfg.route_maps.len() + cfg.acls.len() + cfg.prefix_lists.len();
-    let dirty_count = dirty.route_maps.len() + dirty.acls.len() + dirty.prefix_lists.len();
-    let stats = IncrStats {
-        total_objects: total,
-        dirty_objects: dirty_count,
-        reused_objects: total - dirty_count,
-    };
-    let obs = clarify_obs::global();
-    obs.counter("lint.configs_linted").incr();
-    for d in &report.diagnostics {
-        obs.counter(&format!("lint.findings.{}", d.code.code()))
-            .incr();
-    }
-    obs.counter("incr.objects_dirty")
-        .add(stats.dirty_objects as u64);
-    obs.counter("incr.objects_reused")
-        .add(stats.reused_objects as u64);
-    Ok((report, stats))
+    drive(cfg, spans, Some(prev), None)
 }
 
 /// A stateful re-lint session: retains the BDD spaces and keyed fire-set
 /// caches across edits, so interactive loops pay neither the space
 /// rebuild nor (on reverted edits) the fire-set build.
 ///
-/// The [`RouteSpace`] survives as long as the atom environment does —
-/// its variable layout is a function of the config's regex pattern set —
-/// and the packet/prefix spaces are config-independent and survive
-/// forever. Cached fire-set `Ref`s stay valid because the managers never
-/// free nodes; between re-lints only the *operation* caches are dropped
-/// (the [`clear_op_caches`](clarify_bdd::Manager::clear_op_caches) seam),
-/// bounding memo growth without invalidating anything keyed here.
+/// The route space survives as long as the atom environment does — its
+/// variable layout is a function of the config's regex pattern set — and
+/// the packet/prefix spaces are config-independent and survive forever.
+/// Between re-lints the spaces' managers drop their operation caches and
+/// may garbage-collect (the
+/// [`clear_op_caches`](clarify_bdd::Manager::clear_op_caches) seam);
+/// cached fire-set `Ref`s survive because the [`FireSetCache`] roots
+/// them. Each object keeps its current and previous fire-set
+/// generations — enough for an edit and its revert to hit — so the nodes
+/// a session pins stay bounded however many edits it sees.
 pub struct IncrementalLinter {
     cfg: Config,
     cache: LintCache,
-    route_space: Option<RouteSpace>,
-    packet_space: Option<PacketSpace>,
-    prefix_space: Option<PrefixSpace>,
-    route_fires: FireSetCache,
-    packet_fires: FireSetCache,
-    prefix_fires: FireSetCache,
+    state: SessionState,
 }
 
 impl IncrementalLinter {
@@ -282,19 +268,8 @@ impl IncrementalLinter {
     ) -> Result<(IncrementalLinter, LintReport), AnalysisError> {
         let report = crate::linter::lint_config(&cfg, spans)?;
         let cache = LintCache::from_report(&cfg, &report);
-        Ok((
-            IncrementalLinter {
-                cfg,
-                cache,
-                route_space: None,
-                packet_space: None,
-                prefix_space: None,
-                route_fires: FireSetCache::new(),
-                packet_fires: FireSetCache::new(),
-                prefix_fires: FireSetCache::new(),
-            },
-            report,
-        ))
+        let state = SessionState::default();
+        Ok((IncrementalLinter { cfg, cache, state }, report))
     }
 
     /// The cache describing the session's current configuration (what
@@ -308,6 +283,13 @@ impl IncrementalLinter {
         &self.cfg
     }
 
+    /// Fire-set generations cached across every kind.
+    #[cfg(test)]
+    pub(crate) fn cached_generations(&self) -> usize {
+        let s = &self.state;
+        s.route_maps.fires.len() + s.acls.fires.len() + s.prefix_lists.fires.len()
+    }
+
     /// Re-lints after an edit: `cfg` replaces the session configuration,
     /// dirty objects are recomputed serially on the retained spaces
     /// (through the keyed fire-set caches), and clean objects splice
@@ -318,135 +300,12 @@ impl IncrementalLinter {
         spans: Option<&SourceMap>,
     ) -> Result<(LintReport, IncrStats), AnalysisError> {
         let _span = clarify_obs::span!("lint_incremental");
-        let atom_env = atom_env_hash(&[&cfg]);
-        if atom_env != self.cache.atom_env {
+        if atom_env_hash(&[&cfg]) != self.cache.atom_env {
             // New pattern set → new variable layout: cached route Refs
             // would point into the wrong manager.
-            self.route_space = None;
-            self.route_fires.clear();
+            self.state.route_maps = KindState::default();
         }
-        let dirty = dirty_sets(&cfg, &self.cache, atom_env);
-        let hashes = cfg.object_hashes();
-
-        let mut report = LintReport::default();
-        let broken_maps = {
-            let _pass = clarify_obs::span!("lint_references");
-            lint_references(&cfg, &mut report.diagnostics)
-        };
-
-        let mut fresh_maps: Vec<(String, Vec<Diagnostic>)> = Vec::new();
-        for name in &dirty.route_maps {
-            if broken_maps.contains(name) {
-                continue;
-            }
-            let space = match &mut self.route_space {
-                Some(s) => s,
-                None => self.route_space.insert(RouteSpace::new(&[&cfg])?),
-            };
-            let map = &cfg.route_maps[name];
-            let own = hashes
-                .get(ObjectKind::RouteMap, name)
-                .expect("map is in cfg");
-            let hash = route_map_fire_key(map, &hashes, own);
-            let mut diags = Vec::new();
-            lint_one_route_map(
-                space,
-                &cfg,
-                name,
-                map,
-                Some((&mut self.route_fires, hash)),
-                &mut diags,
-            )?;
-            space.manager().clear_op_caches();
-            fresh_maps.push((name.clone(), diags));
-        }
-        let mut fresh_acls: Vec<(String, Vec<Diagnostic>)> = Vec::new();
-        for name in &dirty.acls {
-            let space = self.packet_space.get_or_insert_with(PacketSpace::new);
-            let acl = &cfg.acls[name];
-            let hash = hashes.get(ObjectKind::Acl, name).expect("acl is in cfg");
-            let mut diags = Vec::new();
-            lint_one_acl(
-                space,
-                &cfg,
-                name,
-                acl,
-                Some((&mut self.packet_fires, hash)),
-                &mut diags,
-            )?;
-            space.manager().clear_op_caches();
-            fresh_acls.push((name.clone(), diags));
-        }
-        let mut fresh_lists: Vec<(String, Vec<Diagnostic>)> = Vec::new();
-        for name in &dirty.prefix_lists {
-            let space = self.prefix_space.get_or_insert_with(PrefixSpace::new);
-            let list = &cfg.prefix_lists[name];
-            let hash = hashes
-                .get(ObjectKind::PrefixList, name)
-                .expect("list is in cfg");
-            let mut diags = Vec::new();
-            lint_one_prefix_list(
-                space,
-                &cfg,
-                name,
-                list,
-                Some((&mut self.prefix_fires, hash)),
-                &mut diags,
-            )?;
-            space.manager().clear_op_caches();
-            fresh_lists.push((name.clone(), diags));
-        }
-
-        splice(
-            cfg.route_maps.keys(),
-            ObjectKind::RouteMap,
-            &dirty.route_maps,
-            fresh_maps,
-            &self.cache,
-            &mut report.diagnostics,
-        );
-        splice(
-            cfg.acls.keys(),
-            ObjectKind::Acl,
-            &dirty.acls,
-            fresh_acls,
-            &self.cache,
-            &mut report.diagnostics,
-        );
-        splice(
-            cfg.prefix_lists.keys(),
-            ObjectKind::PrefixList,
-            &dirty.prefix_lists,
-            fresh_lists,
-            &self.cache,
-            &mut report.diagnostics,
-        );
-
-        if let Some(spans) = spans {
-            for d in &mut report.diagnostics {
-                d.line = spans.line(&d.rule);
-            }
-        }
-        let report = report.finish();
-
-        let total = cfg.route_maps.len() + cfg.acls.len() + cfg.prefix_lists.len();
-        let dirty_count = dirty.route_maps.len() + dirty.acls.len() + dirty.prefix_lists.len();
-        let stats = IncrStats {
-            total_objects: total,
-            dirty_objects: dirty_count,
-            reused_objects: total - dirty_count,
-        };
-        let obs = clarify_obs::global();
-        obs.counter("lint.configs_linted").incr();
-        for d in &report.diagnostics {
-            obs.counter(&format!("lint.findings.{}", d.code.code()))
-                .incr();
-        }
-        obs.counter("incr.objects_dirty")
-            .add(stats.dirty_objects as u64);
-        obs.counter("incr.objects_reused")
-            .add(stats.reused_objects as u64);
-
+        let (report, stats) = drive(&cfg, spans, Some(&self.cache), Some(&mut self.state))?;
         self.cache = LintCache::from_report(&cfg, &report);
         self.cfg = cfg;
         Ok((report, stats))

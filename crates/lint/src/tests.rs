@@ -611,6 +611,29 @@ ip access-list extended FW
     }
 
     #[test]
+    fn session_keeps_two_fire_set_generations_per_object() {
+        let acl = |port: u32| {
+            Config::parse(&format!(
+                "ip access-list extended FW\n permit tcp any any eq {port}\n deny ip any any\n"
+            ))
+            .unwrap()
+        };
+        let (mut session, _) = IncrementalLinter::new(acl(0), None).unwrap();
+        for port in 1..=20 {
+            let cfg = acl(port);
+            let full = lint_config(&cfg, None).unwrap();
+            let (incr, stats) = session.relint(cfg, None).unwrap();
+            assert_eq!(incr.render_json("x"), full.render_json("x"));
+            assert_eq!(stats.dirty_objects, 1);
+            assert!(
+                session.cached_generations() <= 2,
+                "{} generations cached after {port} edits",
+                session.cached_generations()
+            );
+        }
+    }
+
+    #[test]
     fn tampered_cache_is_stale_not_corrupt() {
         let (cfg, spans) = Config::parse_with_spans(BASE).unwrap();
         let report = lint_config(&cfg, Some(&spans)).unwrap();
@@ -857,8 +880,7 @@ route-map RM permit 30
         let map = cfg.route_map("RM").unwrap().clone();
         let mut space = RouteSpace::new(&[&cfg]).unwrap();
 
-        let mut before = Vec::new();
-        crate::linter::lint_one_route_map(&mut space, &cfg, "RM", &map, None, &mut before).unwrap();
+        let before = crate::linter::lint_object(&mut space, &cfg, "RM", &map, None).unwrap();
         assert!(
             before.iter().any(|d| d.witness.is_some()),
             "expected witness-bearing diagnostics, got {before:?}"
@@ -870,8 +892,7 @@ route-map RM permit 30
         space.manager().reorder();
         assert!(space.manager().stats().reorder_runs >= 1);
 
-        let mut after = Vec::new();
-        crate::linter::lint_one_route_map(&mut space, &cfg, "RM", &map, None, &mut after).unwrap();
+        let after = crate::linter::lint_object(&mut space, &cfg, "RM", &map, None).unwrap();
         assert_eq!(before, after, "diagnostics changed across reorder");
     }
 }

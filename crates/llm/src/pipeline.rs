@@ -2,7 +2,7 @@
 //! extract spec → verify, with retries and a punt threshold.
 
 use clarify_analysis::{verify_stanza_against_spec, PacketSpace, SpecVerdict, StanzaSpec};
-use clarify_netconfig::{AclEntry, Config, ObjectKind, RouteMapSet};
+use clarify_netconfig::{AclEntry, Config, RouteMapSet};
 use clarify_nettypes::PrefixRange;
 
 use crate::backend::{Backend, LlmRequest, TaskKind};
@@ -355,17 +355,8 @@ fn check_references(
 ) -> Result<(), crate::resolve::ResolutionError> {
     let resolver = Resolver::new(snippet);
     if let Some(map) = snippet.route_maps.get(map_name) {
-        for stanza in &map.stanzas {
-            let refs = stanza.referenced_lists();
-            for (kind, names) in [
-                (ObjectKind::PrefixList, &refs.prefix),
-                (ObjectKind::AsPathList, &refs.as_path),
-                (ObjectKind::CommunityList, &refs.community),
-            ] {
-                for name in names {
-                    resolver.resolve(kind, name)?;
-                }
-            }
+        for (kind, name) in map.stanzas.iter().flat_map(|s| s.references()) {
+            resolver.resolve(kind, name)?;
         }
     }
     for name in references {

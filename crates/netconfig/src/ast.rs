@@ -7,6 +7,7 @@ use clarify_automata::Regex;
 use clarify_nettypes::{Community, PortRange, Prefix, PrefixRange, Protocol};
 
 use crate::error::ConfigError;
+use crate::span::ObjectKind;
 
 /// Permit or deny — the action of every kind of rule.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -192,32 +193,28 @@ impl RouteMapStanza {
         }
     }
 
-    /// Names of ancillary lists referenced by this stanza, by kind.
-    pub fn referenced_lists(&self) -> ReferencedLists<'_> {
-        let mut refs = ReferencedLists::default();
-        for m in &self.matches {
-            match m {
-                RouteMapMatch::AsPath(ns) => refs.as_path.extend(ns.iter().map(String::as_str)),
-                RouteMapMatch::Community(ns) => {
-                    refs.community.extend(ns.iter().map(String::as_str))
-                }
-                RouteMapMatch::PrefixList(ns) => refs.prefix.extend(ns.iter().map(String::as_str)),
-                _ => {}
-            }
-        }
-        refs
+    /// The ancillary lists this stanza references, as `(kind, name)`:
+    /// every prefix-list reference, then every as-path one, then every
+    /// community one, each group in match-clause order.
+    pub fn references(&self) -> impl Iterator<Item = (ObjectKind, &str)> {
+        [
+            ObjectKind::PrefixList,
+            ObjectKind::AsPathList,
+            ObjectKind::CommunityList,
+        ]
+        .into_iter()
+        .flat_map(move |kind| {
+            self.matches.iter().flat_map(move |m| {
+                let names: &[String] = match (kind, m) {
+                    (ObjectKind::PrefixList, RouteMapMatch::PrefixList(ns))
+                    | (ObjectKind::AsPathList, RouteMapMatch::AsPath(ns))
+                    | (ObjectKind::CommunityList, RouteMapMatch::Community(ns)) => ns,
+                    _ => &[],
+                };
+                names.iter().map(move |n| (kind, n.as_str()))
+            })
+        })
     }
-}
-
-/// Ancillary list names referenced by a stanza.
-#[derive(Clone, Debug, Default)]
-pub struct ReferencedLists<'a> {
-    /// `match as-path` names.
-    pub as_path: Vec<&'a str>,
-    /// `match community` names.
-    pub community: Vec<&'a str>,
-    /// `match ip address prefix-list` names.
-    pub prefix: Vec<&'a str>,
 }
 
 /// A named route-map: an ordered list of stanzas with an implicit trailing
@@ -388,20 +385,25 @@ impl Config {
             })
     }
 
+    /// Whether an object of `kind` named `name` exists.
+    pub fn defines(&self, kind: ObjectKind, name: &str) -> bool {
+        match kind {
+            ObjectKind::RouteMap => self.route_maps.contains_key(name),
+            ObjectKind::Acl => self.acls.contains_key(name),
+            ObjectKind::PrefixList => self.prefix_lists.contains_key(name),
+            ObjectKind::AsPathList => self.as_path_lists.contains_key(name),
+            ObjectKind::CommunityList => self.community_lists.contains_key(name),
+        }
+    }
+
     /// Checks that every list referenced from route-maps exists.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        for rm in self.route_maps.values() {
-            for stanza in &rm.stanzas {
-                let refs = stanza.referenced_lists();
-                for n in refs.prefix {
-                    self.prefix_list(n)?;
-                }
-                for n in refs.as_path {
-                    self.as_path_list(n)?;
-                }
-                for n in refs.community {
-                    self.community_list(n)?;
-                }
+        let stanzas = self.route_maps.values().flat_map(|rm| &rm.stanzas);
+        for (kind, name) in stanzas.flat_map(RouteMapStanza::references) {
+            if !self.defines(kind, name) {
+                let kind = kind.keyword();
+                let name = name.to_string();
+                return Err(ConfigError::UnknownList { kind, name });
             }
         }
         Ok(())

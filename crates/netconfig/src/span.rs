@@ -120,16 +120,27 @@ impl RuleId {
             rule: RuleKey::Index(index),
         }
     }
+
+    /// The rule's name within its object, as diagnostics spell it:
+    /// `stanza 10` for a route-map stanza, `seq 5` for another
+    /// sequence-numbered rule, `rule 3` for a positional one; empty for a
+    /// whole object.
+    pub fn rule_label(&self) -> String {
+        match (self.kind, self.rule) {
+            (_, RuleKey::Object) => String::new(),
+            (ObjectKind::RouteMap, RuleKey::Seq(n)) => format!("stanza {n}"),
+            (_, RuleKey::Seq(n)) => format!("seq {n}"),
+            (_, RuleKey::Index(i)) => format!("rule {i}"),
+        }
+    }
 }
 
 impl std::fmt::Display for RuleId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} {}", self.kind.keyword(), self.object)?;
-        match (self.kind, self.rule) {
-            (_, RuleKey::Object) => Ok(()),
-            (ObjectKind::RouteMap, RuleKey::Seq(n)) => write!(f, " stanza {n}"),
-            (_, RuleKey::Seq(n)) => write!(f, " seq {n}"),
-            (_, RuleKey::Index(i)) => write!(f, " rule {i}"),
+        match self.rule {
+            RuleKey::Object => Ok(()),
+            _ => write!(f, " {}", self.rule_label()),
         }
     }
 }

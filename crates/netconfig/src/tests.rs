@@ -245,6 +245,32 @@ fn validate_catches_dangling_reference() {
 }
 
 #[test]
+fn references_walk_prefix_then_as_path_then_community_lists() {
+    let cfg = Config::parse(
+        "route-map RM permit 10\n match community C\n match as-path A\n \
+         match ip address prefix-list P1 P2\n",
+    )
+    .unwrap();
+    let refs: Vec<_> = cfg.route_map("RM").unwrap().stanzas[0]
+        .references()
+        .collect();
+    assert_eq!(
+        refs,
+        [
+            (crate::ObjectKind::PrefixList, "P1"),
+            (crate::ObjectKind::PrefixList, "P2"),
+            (crate::ObjectKind::AsPathList, "A"),
+            (crate::ObjectKind::CommunityList, "C"),
+        ]
+    );
+    // `validate` reports the first dangling one in that order.
+    assert!(matches!(
+        cfg.validate(),
+        Err(ConfigError::UnknownList { kind: "prefix-list", name }) if name == "P1"
+    ));
+}
+
+#[test]
 fn eval_missing_route_map_errors() {
     let cfg = Config::new();
     let r = BgpRoute::with_defaults(pfx("10.0.0.0/8"));
