@@ -35,8 +35,8 @@ pub fn compare_filters(space: &mut PacketSpace, a: &Acl, b: &Acl, limit: usize) 
         let Some(packet) = space.witness(region) else {
             break;
         };
-        let va = eval_acl(a, &packet);
-        let vb = eval_acl(b, &packet);
+        let va = a.eval(&packet);
+        let vb = b.eval(&packet);
         debug_assert_ne!(va.action, vb.action, "witness must differ");
         diffs.push(FilterDiff {
             packet,
@@ -54,21 +54,6 @@ pub fn compare_filters(space: &mut PacketSpace, a: &Acl, b: &Acl, limit: usize) 
 /// Whether two ACLs permit exactly the same packets.
 pub fn filters_equivalent(space: &mut PacketSpace, a: &Acl, b: &Acl) -> bool {
     compare_filters(space, a, b, 1).is_empty()
-}
-
-fn eval_acl(acl: &Acl, pkt: &Packet) -> AclVerdict {
-    for (i, e) in acl.entries.iter().enumerate() {
-        if e.matches(pkt) {
-            return AclVerdict {
-                action: e.action,
-                index: Some(i),
-            };
-        }
-    }
-    AclVerdict {
-        action: Action::Deny,
-        index: None,
-    }
 }
 
 // ---------------------------------------------------------------------

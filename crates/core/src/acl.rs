@@ -118,6 +118,10 @@ impl RuleKind for AclInsertion {
         let cfg = insert_acl_entry(&self.base, &self.target.name, entry, position)?;
         Ok((cfg, ()))
     }
+
+    fn pivot(question: &AclQuestion) -> u64 {
+        question.pivot_index as u64
+    }
 }
 
 /// [`Disambiguator::plan`] for an ACL insertion, in a caller-owned

@@ -71,6 +71,10 @@ pub trait RuleKind: Clone + std::fmt::Debug + Sync {
     ) -> Result<Option<Self::Question>, ClarifyError>;
     /// Inserts the new rule at `position` of the base policy.
     fn insert(&self, position: usize) -> Result<(Config, Self::Report), ClarifyError>;
+    /// How a question names its pivot rule to the user: a route-map
+    /// stanza by its sequence number, an ACL or prefix-list entry by its
+    /// index.
+    fn pivot(question: &Self::Question) -> u64;
 }
 
 /// What the disambiguator did for one insertion.
@@ -115,7 +119,6 @@ impl Disambiguator {
         kind: K,
         oracle: &mut dyn UserOracle<K::Question>,
     ) -> Result<DisambiguationResult<K>, ClarifyError> {
-        let _insert_span = clarify_obs::span!("disambiguator_insert");
         let mut space = kind.new_space()?;
         self.plan(&mut space, kind)?.drive(oracle)
     }
@@ -124,10 +127,10 @@ impl Disambiguator {
     /// symbolic work (overlap set, lint prune, per-pivot placement
     /// comparisons) runs here, once; the returned plan answers every
     /// subsequent [`InsertionPlan::step`] with pure in-memory replay.
-    /// Long-lived services keep one warm space per session and pass it in
-    /// — ROBDD canonicity makes the reuse invisible: a fresh space built
-    /// from the same configurations yields byte-identical questions (same
-    /// witnesses, same order).
+    /// ROBDD canonicity makes the space's history invisible: a warm space
+    /// (a session's packet space) and a fresh one built from the same
+    /// configurations yield byte-identical questions (same witnesses, same
+    /// order).
     ///
     /// The space must cover both the base and the new rule (for
     /// route-maps: an atom environment with an equal
@@ -137,6 +140,7 @@ impl Disambiguator {
         space: &mut K::Space,
         kind: K,
     ) -> Result<InsertionPlan<K>, ClarifyError> {
+        let _insert_span = clarify_obs::span!("disambiguator_insert");
         let s_star = kind.new_match(space)?;
 
         // The §4 candidate set: existing rules whose match set intersects

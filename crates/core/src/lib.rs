@@ -63,7 +63,7 @@ pub use prefix_list::{
 pub use route_map::{
     verify_against_intent, DisambiguationQuestion, IntentOracle, RouteMapInsertion,
 };
-pub use session::{AddAclOutcome, AddOutcome, AddStanzaOutcome, ClarifySession, SessionStats};
+pub use session::{AddStanzaOutcome, ClarifySession, Placement, SessionStats, Turn};
 
 #[cfg(test)]
 mod tests;

@@ -11,6 +11,7 @@
 //! update back and reports exactly which policies would have broken.
 
 use clarify_llm::Backend;
+use clarify_netconfig::Config;
 use clarify_netsim::Network;
 use clarify_nettypes::Prefix;
 
@@ -170,6 +171,65 @@ impl<B: Backend> NetworkSession<B> {
         self.session.stats()
     }
 
+    /// The ask step of an update on `router`: the session that
+    /// synthesizes, plans and finishes the update's turn, and the router's
+    /// configuration the turn plans against.
+    pub fn turn_on(
+        &mut self,
+        router: &str,
+    ) -> Result<(&mut ClarifySession<B>, &Config), ClarifyError> {
+        let base = self.network.router(router).ok_or_else(|| {
+            ClarifyError::Simulation(format!("no router '{router}' in the network"))
+        })?;
+        Ok((&mut self.session, &base.config))
+    }
+
+    /// The what-if commit step of an update: applies `config`, the
+    /// insertion a finished turn on `router` produced, to a copy of the
+    /// network, reconverges, and commits only if every invariant still
+    /// holds; otherwise the update is rolled back and the turn's stanza
+    /// uncounted. `questions` and `llm_calls` are the turn's, for the
+    /// report.
+    pub fn commit(
+        &mut self,
+        router: &str,
+        config: Config,
+        questions: usize,
+        llm_calls: usize,
+    ) -> Result<NetworkUpdateOutcome, ClarifyError> {
+        // What-if: apply on a clone and reconverge.
+        let mut candidate = self.network.clone();
+        let slot = candidate.router_config_mut(router).ok_or_else(|| {
+            ClarifyError::Simulation(format!(
+                "router '{router}' disappeared while preparing the update"
+            ))
+        })?;
+        *slot = config;
+        let candidate = candidate
+            .converge()
+            .map_err(|e| ClarifyError::Simulation(e.to_string()))?;
+        let violated: Vec<String> = self
+            .invariants
+            .iter()
+            .filter(|inv| !inv.holds(&candidate))
+            .map(|inv| inv.to_string())
+            .collect();
+        if violated.is_empty() {
+            self.network = candidate;
+            Ok(NetworkUpdateOutcome::Committed {
+                questions,
+                llm_calls,
+            })
+        } else {
+            self.session.record_rollback();
+            Ok(NetworkUpdateOutcome::RolledBack {
+                violated,
+                questions,
+                llm_calls,
+            })
+        }
+    }
+
     /// Adds one stanza described by `prompt` to `map` on `router`,
     /// simulates the result, and commits only if every invariant holds.
     pub fn add_stanza_on(
@@ -179,15 +239,8 @@ impl<B: Backend> NetworkSession<B> {
         prompt: &str,
         oracle: &mut dyn UserOracle,
     ) -> Result<NetworkUpdateOutcome, ClarifyError> {
-        let base = self
-            .network
-            .router(router)
-            .ok_or_else(|| {
-                ClarifyError::Simulation(format!("no router '{router}' in the network"))
-            })?
-            .config
-            .clone();
-        match self.session.add_stanza(&base, map, prompt, oracle)? {
+        let (session, base) = self.turn_on(router)?;
+        match session.add_stanza(base, map, prompt, oracle)? {
             AddStanzaOutcome::Punted { reason, llm_calls } => {
                 Ok(NetworkUpdateOutcome::Punted { reason, llm_calls })
             }
@@ -195,43 +248,7 @@ impl<B: Backend> NetworkSession<B> {
                 config,
                 result,
                 llm_calls,
-            } => {
-                // What-if: apply on a clone and reconverge. Single
-                // fallible lookup — no second `expect` on a name that was
-                // only checked against a different accessor above.
-                let mut candidate = self.network.clone();
-                match candidate.router_config_mut(router) {
-                    Some(slot) => *slot = config,
-                    None => {
-                        return Err(ClarifyError::Simulation(format!(
-                            "router '{router}' disappeared while preparing the update"
-                        )))
-                    }
-                }
-                let candidate = candidate
-                    .converge()
-                    .map_err(|e| ClarifyError::Simulation(e.to_string()))?;
-                let violated: Vec<String> = self
-                    .invariants
-                    .iter()
-                    .filter(|inv| !inv.holds(&candidate))
-                    .map(|inv| inv.to_string())
-                    .collect();
-                if violated.is_empty() {
-                    self.network = candidate;
-                    Ok(NetworkUpdateOutcome::Committed {
-                        questions: result.questions,
-                        llm_calls,
-                    })
-                } else {
-                    self.session.record_rollback();
-                    Ok(NetworkUpdateOutcome::RolledBack {
-                        violated,
-                        questions: result.questions,
-                        llm_calls,
-                    })
-                }
-            }
+            } => self.commit(router, config, result.questions, llm_calls),
         }
     }
 }

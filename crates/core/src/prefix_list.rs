@@ -116,6 +116,10 @@ impl RuleKind for PrefixListInsertion {
         let cfg = insert_prefix_list_entry(&self.base, &self.target.name, entry, position)?;
         Ok((cfg, ()))
     }
+
+    fn pivot(question: &PrefixQuestion) -> u64 {
+        question.pivot_index as u64
+    }
 }
 
 /// Answers from the intended final list.

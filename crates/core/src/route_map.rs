@@ -142,6 +142,10 @@ impl RuleKind for RouteMapInsertion {
             position,
         )?)
     }
+
+    fn pivot(question: &DisambiguationQuestion) -> u64 {
+        u64::from(question.pivot_seq)
+    }
 }
 
 impl Disambiguator {

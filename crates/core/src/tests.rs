@@ -716,7 +716,9 @@ mod model_tests {
 
 mod acl_tests {
     use super::*;
-    use crate::{verify_acl_against_intent, AclIntentOracle, AddAclOutcome, FnAclOracle};
+    use crate::{
+        verify_acl_against_intent, AclIntentOracle, FnAclOracle, PlanStep, Turn, UserOracle,
+    };
     use clarify_netconfig::insert_acl_entry;
 
     const EDGE: &str = "\
@@ -800,40 +802,39 @@ ip access-list extended EDGE
         let mut oracle = AclIntentOracle {
             intended: &intended,
         };
-        let out = session
-            .add_acl_entry(&base, "EDGE", prompt, &mut oracle)
-            .unwrap();
-        let AddAclOutcome::Inserted {
-            config,
-            result,
-            llm_calls,
-        } = out
-        else {
-            panic!("expected insertion");
+        let outcome = session.synthesize(prompt).unwrap();
+        let llm_calls = outcome.llm_calls();
+        let turn = session.plan(&base, "EDGE", &outcome).unwrap();
+        // The daemon's way through a turn: one answer at a time, then
+        // finish.
+        let Turn::Acl(plan) = &turn else {
+            panic!("expected an ACL turn");
         };
+        let mut answers = Vec::new();
+        while let PlanStep::Ask { question, .. } = plan.step(&answers) {
+            answers.push(oracle.choose(question).unwrap());
+        }
+        let result = session.finish(&turn, &answers).unwrap();
         assert_eq!(llm_calls, 3);
         assert_eq!(result.position, 0, "above the ssh deny");
-        verify_acl_against_intent(&config, "EDGE", &intended).unwrap();
+        verify_acl_against_intent(&result.config, "EDGE", &intended).unwrap();
         assert_eq!(session.stats().stanzas_added, 1);
     }
 
     #[test]
     fn session_creates_missing_acl() {
         let mut session = ClarifySession::new(SemanticBackend::new(), 3, Disambiguator::default());
-        let mut oracle = FnAclOracle(|_: &crate::AclQuestion| panic!("no question expected"));
-        let out = session
-            .add_acl_entry(
-                &Config::new(),
-                "NEW_ACL",
+        let outcome = session
+            .synthesize(
                 "Write an access-list rule that denies udp packets from any to any with \
                  destination port 111.",
-                &mut oracle,
             )
             .unwrap();
-        let AddAclOutcome::Inserted { config, .. } = out else {
-            panic!("expected insertion");
-        };
-        assert_eq!(config.acl("NEW_ACL").unwrap().entries.len(), 1);
+        let turn = session.plan(&Config::new(), "NEW_ACL", &outcome).unwrap();
+        let result = session
+            .drive(turn, &mut |_, _| panic!("no question expected"))
+            .unwrap();
+        assert_eq!(result.config.acl("NEW_ACL").unwrap().entries.len(), 1);
     }
 }
 

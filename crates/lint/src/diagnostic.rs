@@ -1,6 +1,7 @@
 //! Structured lint diagnostics and the report they aggregate into.
 
 use clarify_netconfig::RuleId;
+use clarify_obs::json;
 
 /// How serious a diagnostic is.
 ///
@@ -300,7 +301,7 @@ impl LintReport {
     pub fn render_json(&self, origin: &str) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"config\": {},\n", json_str(origin)));
+        out.push_str(&format!("  \"config\": {},\n", json::escape(origin)));
         out.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
         out.push_str(&format!("  \"suppressed\": {},\n", self.suppressed));
         out.push_str("  \"diagnostics\": [");
@@ -309,28 +310,33 @@ impl LintReport {
                 out.push(',');
             }
             out.push_str("\n    {");
-            out.push_str(&format!("\"code\": {}, ", json_str(d.code.code())));
-            out.push_str(&format!("\"check\": {}, ", json_str(d.code.name())));
+            out.push_str(&format!("\"code\": {}, ", json::escape(d.code.code())));
+            out.push_str(&format!("\"check\": {}, ", json::escape(d.code.name())));
             out.push_str(&format!(
                 "\"severity\": {}, ",
-                json_str(&d.severity.to_string())
+                json::escape(&d.severity.to_string())
             ));
-            out.push_str(&format!("\"rule\": {}, ", json_str(&d.rule.to_string())));
+            out.push_str(&format!(
+                "\"rule\": {}, ",
+                json::escape(&d.rule.to_string())
+            ));
             match &d.related {
-                Some(r) => out.push_str(&format!("\"related\": {}, ", json_str(&r.to_string()))),
+                Some(r) => {
+                    out.push_str(&format!("\"related\": {}, ", json::escape(&r.to_string())))
+                }
                 None => out.push_str("\"related\": null, "),
             }
             match d.line {
                 Some(l) => out.push_str(&format!("\"line\": {l}, ")),
                 None => out.push_str("\"line\": null, "),
             }
-            out.push_str(&format!("\"message\": {}, ", json_str(&d.message)));
+            out.push_str(&format!("\"message\": {}, ", json::escape(&d.message)));
             match &d.witness {
-                Some(w) => out.push_str(&format!("\"witness\": {}, ", json_str(w))),
+                Some(w) => out.push_str(&format!("\"witness\": {}, ", json::escape(w))),
                 None => out.push_str("\"witness\": null, "),
             }
             match &d.suggested_fix {
-                Some(x) => out.push_str(&format!("\"suggested_fix\": {}", json_str(x))),
+                Some(x) => out.push_str(&format!("\"suggested_fix\": {}", json::escape(x))),
                 None => out.push_str("\"suggested_fix\": null"),
             }
             out.push('}');
@@ -341,23 +347,4 @@ impl LintReport {
         out.push_str("]\n}\n");
         out
     }
-}
-
-/// Escapes a string into a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -75,7 +75,7 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {}: {v}", json_str(k)));
+            out.push_str(&format!("\n    {}: {v}", json::escape(k)));
         }
         out.push_str(if self.counters.is_empty() {
             "},\n"
@@ -87,7 +87,7 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {}: {v}", json_str(k)));
+            out.push_str(&format!("\n    {}: {v}", json::escape(k)));
         }
         out.push_str(if self.gauges.is_empty() {
             "},\n"
@@ -101,7 +101,7 @@ impl Snapshot {
             }
             out.push_str(&format!(
                 "\n    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-                json_str(k),
+                json::escape(k),
                 h.count,
                 h.sum,
                 h.min,
@@ -233,9 +233,4 @@ fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{:.2}s", ns / 1_000_000_000.0)
     }
-}
-
-/// Escapes a string into a JSON string literal.
-fn json_str(s: &str) -> String {
-    json::escape(s)
 }

@@ -20,9 +20,10 @@
 //! `{"ok":false,"error":{"code":"...","message":"..."}}` otherwise. Error
 //! codes: `oversized-frame`, `bad-json`, `bad-request`, `unknown-op`,
 //! `unknown-session`, `turn-in-flight`, `no-turn`, `busy`, `intent-error`,
-//! `internal`. Malformed input never kills the daemon: every failure maps
-//! to an error frame, and only `oversized-frame` additionally closes the
-//! offending connection (the line cannot be re-synchronized).
+//! `backend-error`, `internal`. Malformed input never kills the daemon:
+//! every failure maps to an error frame, and only `oversized-frame`
+//! additionally closes the offending connection (the line cannot be
+//! re-synchronized).
 
 use clarify_core::{Choice, Invariant};
 use clarify_obs::json::{self, Value};
@@ -225,20 +226,27 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     }
 }
 
-/// Incremental JSON object writer for response frames. Purely syntactic —
-/// callers pass pre-escaped raw fragments only via [`Frame::raw`].
+/// Incremental JSON object writer for response frames and the objects
+/// nested in them. Purely syntactic — callers pass pre-escaped raw
+/// fragments only via [`Frame::raw`].
 pub struct Frame {
     out: String,
+    /// No field written yet: the next one takes no separating comma.
     first: bool,
 }
 
 impl Frame {
-    /// Starts an object with `"ok"` set.
-    pub fn ok(ok: bool) -> Frame {
+    /// Starts an empty object.
+    pub fn object() -> Frame {
         Frame {
-            out: format!("{{\"ok\":{ok}"),
-            first: false,
+            out: String::from("{"),
+            first: true,
         }
+    }
+
+    /// Starts a response frame: an object with `"ok"` set.
+    pub fn ok(ok: bool) -> Frame {
+        Frame::object().bool("ok", ok)
     }
 
     fn key(&mut self, k: &str) {

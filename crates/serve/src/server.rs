@@ -27,7 +27,7 @@ use clarify_netsim::TopologySpec;
 
 use crate::clock::{Clock, SystemClock};
 use crate::proto::{parse_request, Frame, ProtoError, Request};
-use crate::session::{ConfigSession, NetSession, SessionKind};
+use crate::session::Session;
 use crate::wheel::DeadlineWheel;
 
 /// Daemon tunables.
@@ -66,7 +66,7 @@ impl Default for ServerConfig {
 /// eviction scans never contend with a turn in progress.
 struct SessionEntry {
     last_activity: AtomicU64,
-    kind: Mutex<SessionKind>,
+    session: Mutex<Session>,
 }
 
 /// State shared by every worker: the session table, the eviction wheel,
@@ -151,7 +151,7 @@ impl Shared {
     }
 
     /// Inserts a freshly opened session and returns its id.
-    fn insert(&self, kind: SessionKind) -> Result<u64, ProtoError> {
+    fn insert(&self, session: Session) -> Result<u64, ProtoError> {
         self.evict_expired();
         let now = self.clock.now_ms();
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
@@ -169,7 +169,7 @@ impl Shared {
             id,
             Arc::new(SessionEntry {
                 last_activity: AtomicU64::new(now),
-                kind: Mutex::new(kind),
+                session: Mutex::new(session),
             }),
         );
         self.wheel
@@ -186,7 +186,7 @@ impl Shared {
     fn with_session<R>(
         &self,
         id: u64,
-        f: impl FnOnce(&mut SessionKind) -> Result<R, ProtoError>,
+        f: impl FnOnce(&mut Session) -> Result<R, ProtoError>,
     ) -> Result<R, ProtoError> {
         let entry = {
             let sessions = self.sessions.lock().unwrap();
@@ -203,17 +203,14 @@ impl Shared {
             .schedule(now.saturating_add(self.cfg.idle_timeout_ms), id);
         let _span = clarify_obs::span!("serve_turn");
         clarify_obs::global().counter("serve.turns").incr();
-        let mut kind = entry.kind.lock().unwrap();
-        f(&mut kind)
+        let mut session = entry.session.lock().unwrap();
+        f(&mut session)
     }
 
     fn open_config(&self, text: &str) -> Result<String, ProtoError> {
         let config = Config::parse(text)
             .map_err(|e| ProtoError::bad(format!("config did not parse: {e}")))?;
-        let id = self.insert(SessionKind::Config(Box::new(ConfigSession::new(
-            config,
-            &self.cfg.backend,
-        ))))?;
+        let id = self.insert(Session::new_config(config, &self.cfg.backend))?;
         Ok(Frame::ok(true).u64("session", id).finish())
     }
 
@@ -234,9 +231,9 @@ impl Shared {
                     .ok_or_else(|| format!("no config supplied for '{path}'"))
             })
             .map_err(|e| ProtoError::bad(format!("topology did not instantiate: {e}")))?;
-        let session = NetSession::new(loaded.network, invariants, &self.cfg.backend)
+        let session = Session::new_network(loaded.network, invariants, &self.cfg.backend)
             .map_err(|e| ProtoError::bad(format!("network session rejected: {e}")))?;
-        let id = self.insert(SessionKind::Network(Box::new(session)))?;
+        let id = self.insert(session)?;
         Ok(Frame::ok(true).u64("session", id).finish())
     }
 
@@ -278,13 +275,13 @@ impl Shared {
                 target,
                 router,
                 intent,
-            } => self.with_session(session, |kind| {
-                kind.ask(session, &target, router.as_deref(), &intent)
+            } => self.with_session(session, |s| {
+                s.ask(session, &target, router.as_deref(), &intent)
             }),
             Request::Answer { session, choice } => {
-                self.with_session(session, |kind| kind.answer(session, choice))
+                self.with_session(session, |s| s.answer(session, choice))
             }
-            Request::Lint { session } => self.with_session(session, |kind| kind.lint(session)),
+            Request::Lint { session } => self.with_session(session, |s| s.lint(session)),
             Request::Close { session } => self.close(session),
         };
         match result {

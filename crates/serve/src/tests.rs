@@ -310,3 +310,140 @@ fn turn_state_machine_rejects_out_of_order_ops() {
     ));
     assert!(frame.contains("bad-request"), "{frame}");
 }
+
+// ---------------------------------------------------------------------
+// Network sessions over the E1 topology
+// ---------------------------------------------------------------------
+
+const E1_TOPOLOGY: &str = include_str!("../../../testdata/e1_topology.txt");
+const E1_R1: &str = include_str!("../../../testdata/e1_r1.cfg");
+const E1_R2: &str = include_str!("../../../testdata/e1_r2.cfg");
+const E1_M: &str = include_str!("../../../testdata/e1_m.cfg");
+
+/// On R1's export to ISP1 this stanza overlaps the private-space deny:
+/// placed above it (OPTION 1) it leaks DC1's 10.1.0.0/16 to ISP1; placed
+/// below it (OPTION 2) it changes nothing.
+const LEAK_INTENT: &str = "Write a route-map stanza that permits routes containing the prefix \
+10.0.0.0/8 with mask length less than or equal to 24.";
+
+fn shared_over(backend: clarify_llm::BackendStack) -> Shared {
+    let cfg = ServerConfig {
+        backend,
+        ..ServerConfig::default()
+    };
+    Shared::new(cfg, Arc::new(ManualClock::new(0)))
+}
+
+fn session_id(frame: &str) -> u64 {
+    frame_u64(frame, "session").unwrap_or_else(|| panic!("no session id in {frame}"))
+}
+
+fn frame_u64(frame: &str, key: &str) -> Option<u64> {
+    let doc = clarify_obs::json::parse(frame).expect("frame parses");
+    let members = doc.as_object("frame").ok()?;
+    let (_, v) = members.iter().find(|(k, _)| k == key)?;
+    v.as_u64(key).ok()
+}
+
+/// Opens the E1 topology as a network session guarding ISP1's view of
+/// DC1's service prefix.
+fn open_e1_network(shared: &Shared) -> u64 {
+    use clarify_obs::json::escape;
+    let line = format!(
+        "{{\"op\":\"open\",\"topology\":{},\"configs\":{{\"e1_r1.cfg\":{},\"e1_r2.cfg\":{},\
+         \"e1_m.cfg\":{}}},\"invariants\":[{{\"kind\":\"unreachable\",\"router\":\"ISP1\",\
+         \"prefix\":\"10.1.0.0/16\"}}]}}",
+        escape(E1_TOPOLOGY),
+        escape(E1_R1),
+        escape(E1_R2),
+        escape(E1_M)
+    );
+    let (frame, _) = shared.handle_line(&line);
+    session_id(&frame)
+}
+
+fn open_e1_r1_config(shared: &Shared) -> u64 {
+    let line = format!(
+        "{{\"op\":\"open\",\"config\":{}}}",
+        clarify_obs::json::escape(E1_R1)
+    );
+    let (frame, _) = shared.handle_line(&line);
+    session_id(&frame)
+}
+
+fn ask_line(id: u64, router: Option<&str>) -> String {
+    let router = router.map_or(String::new(), |r| format!("\"router\":\"{r}\","));
+    format!(
+        "{{\"op\":\"ask\",\"session\":{id},{router}\"target\":\"ISP_OUT\",\"intent\":{}}}",
+        clarify_obs::json::escape(LEAK_INTENT)
+    )
+}
+
+/// Runs one turn: asks, then answers `choice` until the turn closes.
+/// Returns the ask's frame and the closing frame.
+fn run_turn(shared: &Shared, id: u64, router: Option<&str>, choice: u8) -> (String, String) {
+    let (first, _) = shared.handle_line(&ask_line(id, router));
+    let mut frame = first.clone();
+    for _ in 0..10 {
+        if !frame.contains("\"done\":false") {
+            return (first, frame);
+        }
+        let answer = format!("{{\"op\":\"answer\",\"session\":{id},\"choice\":{choice}}}");
+        frame = shared.handle_line(&answer).0;
+    }
+    panic!("turn did not close: {frame}");
+}
+
+/// A network turn synthesizes once, on `ask`, and asks the same question,
+/// byte for byte, as a config session over the router's configuration.
+/// Answers replay the planned turn: a leaky placement rolls back naming
+/// the invariant it breaks, and a safe one commits.
+#[test]
+fn network_turns_synthesize_once_and_commit_only_safe_updates() {
+    use clarify_llm::{BackendStack, Transcript};
+    use std::sync::Mutex;
+
+    let sink = Arc::new(Mutex::new(Transcript::default()));
+    let shared = shared_over(BackendStack::semantic().with_record(sink.clone()));
+    let id = open_e1_network(&shared);
+    let exchanges = || sink.lock().unwrap().entries.len();
+
+    let (question, done) = run_turn(&shared, id, Some("R1"), 1);
+    assert!(done.contains("\"result\":\"rolled-back\""), "{done}");
+    assert!(done.contains("ISP1 cannot reach 10.1.0.0/16"), "{done}");
+    assert_eq!(exchanges(), 3, "one synthesis: classify, spec, synthesize");
+
+    let config = shared_over(BackendStack::semantic());
+    let cfg_id = open_e1_r1_config(&config);
+    assert_eq!(id, cfg_id, "fresh daemons allocate the same first id");
+    let (cfg_question, _) = config.handle_line(&ask_line(cfg_id, None));
+    assert!(question.contains("\"question\""), "{question}");
+    assert_eq!(question, cfg_question);
+
+    let (_, done) = run_turn(&shared, id, Some("R1"), 2);
+    assert!(done.contains("\"result\":\"committed\""), "{done}");
+    assert_eq!(exchanges(), 6, "one more synthesis for the second turn");
+}
+
+/// Under fault injection the backend is stateful, so a turn that
+/// re-synthesized on `answer` would report another synthesis's LLM calls.
+/// A network turn's closing frame counts the same calls as a config
+/// session's over the same seed.
+#[test]
+fn network_done_frames_count_the_one_synthesis_under_faults() {
+    use clarify_llm::{BackendKind, BackendStack};
+    for seed in 0..8 {
+        let stack = BackendStack::semantic().with_kind(BackendKind::Faulty { rate: 0.5, seed });
+        let network = shared_over(stack.clone());
+        let id = open_e1_network(&network);
+        let (_, net_done) = run_turn(&network, id, Some("R1"), 1);
+        let config = shared_over(stack);
+        let id = open_e1_r1_config(&config);
+        let (_, cfg_done) = run_turn(&config, id, None, 1);
+        assert_eq!(
+            frame_u64(&net_done, "llm_calls"),
+            frame_u64(&cfg_done, "llm_calls"),
+            "seed {seed}: network {net_done} vs config {cfg_done}"
+        );
+    }
+}

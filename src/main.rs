@@ -40,11 +40,12 @@ use clarify::analysis::{
     acl_overlaps, compare_route_policies, route_map_chain_overlaps, route_map_overlaps,
     PacketSpace, RouteSpace,
 };
-use clarify::core::{AclInsertion, Choice, Disambiguator, FnOracle, RouteMapInsertion, RuleKind};
+use clarify::core::{Choice, ClarifySession, Disambiguator};
 use clarify::llm::{
-    BackendKind, BackendStack, Pipeline, PipelineOutcome, SessionMeta, Transcript, TranscriptError,
+    BackendKind, BackendStack, PipelineOutcome, SessionMeta, Transcript, TranscriptError,
 };
 use clarify::netconfig::Config;
+use clarify::serve::session::MAX_ATTEMPTS;
 
 /// Backend selection and transcript layers, drained from the global
 /// argument list like `--threads`. One value drives `ask`, `ask-acl`,
@@ -535,9 +536,8 @@ fn replay_session(path: &str, backend: &BackendOpts) -> ExitCode {
 }
 
 /// The synthesis-and-placement session shared by the interactive `ask`
-/// and the transcript replay mode: run the pipeline over the configured
-/// backend stack, then disambiguate placement, asking `choose` for every
-/// question.
+/// and the transcript replay mode: one Clarify turn over the configured
+/// backend stack, asking `choose` for every question.
 fn run_ask(
     base: &Config,
     target: &str,
@@ -556,14 +556,13 @@ fn run_ask(
     } else if base.route_map(target).is_none() {
         return Err(format!("no route-map '{target}' in {source}"));
     }
-    let mut pipeline = Pipeline::new(stack.build(), 3);
-    let outcome = pipeline.synthesize(prompt).map_err(|e| e.to_string())?;
-
-    match (outcome, acl_mode) {
+    let mut session = ClarifySession::new(stack.build(), MAX_ATTEMPTS, Disambiguator::default());
+    let outcome = session.synthesize(prompt).map_err(|e| e.to_string())?;
+    // The rule and its input, as the questions name them.
+    let (rule, input) = match (&outcome, acl_mode) {
         (
             PipelineOutcome::RouteMap {
                 snippet,
-                map_name,
                 spec,
                 llm_calls,
                 ..
@@ -572,13 +571,7 @@ fn run_ask(
         ) => {
             println!("synthesized and verified in {llm_calls} LLM calls:\n{snippet}");
             println!("specification: {}\n", spec.to_json());
-            let kind = RouteMapInsertion::new(base, target, &snippet, &map_name);
-            place(kind.map_err(|e| e.to_string())?, choose, |q| {
-                format!(
-                    "The new stanza interacts with existing stanza {}. For this route:",
-                    q.pivot_seq
-                )
-            })
+            ("stanza", "route")
         }
         (
             PipelineOutcome::Acl {
@@ -587,45 +580,38 @@ fn run_ask(
             true,
         ) => {
             println!("synthesized and verified in {llm_calls} LLM calls:\n{entry}\n");
-            let kind = AclInsertion::new(base, target, &entry);
-            place(kind.map_err(|e| e.to_string())?, choose, |q| {
-                format!(
-                    "The new entry interacts with existing entry {}. For this packet:",
-                    q.pivot_index
-                )
-            })
+            ("entry", "packet")
         }
-        (PipelineOutcome::Punt { reason, llm_calls }, _) => Err(format!(
-            "the synthesizer could not produce a verified result after {llm_calls} calls: {reason}"
-        )),
+        (PipelineOutcome::Punt { reason, llm_calls }, _) => {
+            return Err(format!(
+                "the synthesizer could not produce a verified result after {llm_calls} calls: \
+                 {reason}"
+            ))
+        }
         (PipelineOutcome::RouteMap { .. }, true) => {
-            Err("that intent describes a route-map; use `clarify ask`".to_string())
+            return Err("that intent describes a route-map; use `clarify ask`".to_string())
         }
         (PipelineOutcome::Acl { .. }, false) => {
-            Err("that intent describes an ACL; use `clarify ask-acl`".to_string())
+            return Err("that intent describes an ACL; use `clarify ask-acl`".to_string())
         }
-    }
-}
-
-/// Places a new rule by binary search, asking `choose` about each
-/// question (introduced by `intro`), and prints the updated configuration.
-fn place<K: RuleKind>(
-    kind: K,
-    choose: &mut dyn FnMut() -> Choice,
-    intro: impl Fn(&K::Question) -> String,
-) -> Result<(), String> {
-    let mut oracle = FnOracle(|q: &K::Question| {
-        println!("{}\n\n{q}\n", intro(q));
-        choose()
-    });
-    let result = Disambiguator::default()
-        .disambiguate(kind, &mut oracle)
+    };
+    let turn = session
+        .plan(base, target, &outcome)
+        .map_err(|e| e.to_string())?;
+    let placed = session
+        .drive(turn, &mut |pivot, question| {
+            println!(
+                "The new {rule} interacts with existing {rule} {pivot}. \
+                 For this {input}:\n\n{question}\n"
+            );
+            choose()
+        })
         .map_err(|e| e.to_string())?;
     println!(
         "\nplaced at position {} after {} question(s); updated configuration:\n",
-        result.position, result.questions
+        placed.position, placed.questions
     );
-    println!("{}", result.config);
+    println!("{}", placed.config);
     Ok(())
 }
 
