@@ -2,10 +2,11 @@
 //! [`crate::compare_route_policies`]) and of prefix lists.
 
 use clarify_bdd::{Manager, Ref};
-use clarify_netconfig::{Acl, AclVerdict, Action, PrefixList};
+use clarify_netconfig::{Acl, AclVerdict, Config, PrefixList};
 use clarify_nettypes::{Packet, Prefix, PrefixRange};
 
 use crate::error::AnalysisError;
+use crate::first_match::{encode_network, witnesses, FirstMatchPolicy};
 use crate::packet_space::PacketSpace;
 
 /// One concrete packet on which two ACLs disagree.
@@ -19,41 +20,51 @@ pub struct FilterDiff {
     pub b: AclVerdict,
 }
 
+/// Up to `limit` inputs on which two policies of one kind decide
+/// differently: witnesses of the symmetric difference of their permit
+/// sets. Lists and ACLs reference no other objects, so no configuration
+/// is needed to encode them.
+fn permit_diff<P: FirstMatchPolicy>(
+    space: &mut P::Space,
+    a: &P,
+    b: &P,
+    limit: usize,
+) -> Result<Vec<P::Input>, AnalysisError> {
+    let cfg = Config::new();
+    let pa = a.permit_set(space, &cfg)?;
+    let pb = b.permit_set(space, &cfg)?;
+    let region = P::manager(space).xor(pa, pb);
+    witnesses::<P>(space, region, limit)
+}
+
 /// Finds up to `limit` packets on which the two ACLs differ. ACL outcomes
 /// are pure permit/deny, so the difference region is exactly the symmetric
 /// difference of the permit sets; each witness is re-validated concretely.
-pub fn compare_filters(space: &mut PacketSpace, a: &Acl, b: &Acl, limit: usize) -> Vec<FilterDiff> {
-    let pa = space.permit_set(a);
-    let pb = space.permit_set(b);
-    let valid = space.valid();
-    let mut region = {
-        let x = space.manager().xor(pa, pb);
-        space.manager().and(x, valid)
-    };
-    let mut diffs = Vec::new();
-    while diffs.len() < limit {
-        let Some(packet) = space.witness(region) else {
-            break;
-        };
-        let va = a.eval(&packet);
-        let vb = b.eval(&packet);
-        debug_assert_ne!(va.action, vb.action, "witness must differ");
-        diffs.push(FilterDiff {
-            packet,
-            a: va,
-            b: vb,
-        });
-        // Exclude this exact packet and search for another.
-        let point = space.encode_packet(&packet);
-        let np = space.manager().not(point);
-        region = space.manager().and(region, np);
-    }
-    diffs
+pub fn compare_filters(
+    space: &mut PacketSpace,
+    a: &Acl,
+    b: &Acl,
+    limit: usize,
+) -> Result<Vec<FilterDiff>, AnalysisError> {
+    let packets = permit_diff(space, a, b, limit)?;
+    Ok(packets
+        .into_iter()
+        .map(|packet| {
+            let (va, vb) = (a.eval(&packet), b.eval(&packet));
+            debug_assert_ne!(va.action, vb.action, "witness must differ");
+            FilterDiff {
+                packet,
+                a: va,
+                b: vb,
+            }
+        })
+        .collect())
 }
 
-/// Whether two ACLs permit exactly the same packets.
+/// Whether two ACLs permit exactly the same packets. Packet encodings
+/// cannot fail, so the comparison always completes.
 pub fn filters_equivalent(space: &mut PacketSpace, a: &Acl, b: &Acl) -> bool {
-    compare_filters(space, a, b, 1).is_empty()
+    compare_filters(space, a, b, 1).is_ok_and(|d| d.is_empty())
 }
 
 // ---------------------------------------------------------------------
@@ -113,14 +124,7 @@ impl PrefixSpace {
 
     /// Encodes the set of prefixes a range matches.
     pub fn encode_range(&mut self, range: &PrefixRange) -> Ref {
-        let l = range.prefix.len() as usize;
-        let addr = range.prefix.addr_u32();
-        let mut covered = Ref::TRUE;
-        for (i, &v) in self.addr_vars.iter().enumerate().take(l) {
-            let bit = (addr >> (31 - i)) & 1 == 1;
-            let lit = self.mgr.literal(v, bit);
-            covered = self.mgr.and(covered, lit);
-        }
+        let covered = encode_network(&mut self.mgr, &self.addr_vars, &range.prefix);
         let len_ok = self.mgr.range_const(
             &self.len_vars.clone(),
             u64::from(range.min_len),
@@ -131,68 +135,14 @@ impl PrefixSpace {
 
     /// Encodes a single concrete prefix as a point.
     pub fn encode_prefix(&mut self, p: &Prefix) -> Ref {
-        let mut acc = Ref::TRUE;
-        let addr = p.addr_u32();
         // Constrain only the first `len` address bits: decoding normalizes
         // host bits away, so this encodes the full equivalence class of
         // assignments for `p`, which makes witness point-exclusion sound.
-        for (i, &v) in self
-            .addr_vars
-            .clone()
-            .iter()
-            .enumerate()
-            .take(p.len() as usize)
-        {
-            let bit = (addr >> (31 - i)) & 1 == 1;
-            let lit = self.mgr.literal(v, bit);
-            acc = self.mgr.and(acc, lit);
-        }
+        let acc = encode_network(&mut self.mgr, &self.addr_vars, p);
         let len = self
             .mgr
             .eq_const(&self.len_vars.clone(), u64::from(p.len()));
         self.mgr.and(acc, len)
-    }
-
-    /// The set of prefixes a list *permits* (first match, default deny).
-    pub fn permit_set(&mut self, list: &PrefixList) -> Ref {
-        let mut permitted = Ref::FALSE;
-        let mut unmatched = self.valid;
-        for e in &list.entries {
-            let m = self.encode_range(&e.range);
-            let fires = self.mgr.and(unmatched, m);
-            if e.action == Action::Permit {
-                permitted = self.mgr.or(permitted, fires);
-            }
-            let nm = self.mgr.not(m);
-            unmatched = self.mgr.and(unmatched, nm);
-        }
-        permitted
-    }
-
-    /// Raw per-entry match sets.
-    pub fn match_sets(&mut self, list: &PrefixList) -> Vec<Ref> {
-        list.entries
-            .iter()
-            .map(|e| self.encode_range(&e.range))
-            .collect()
-    }
-
-    /// First-match firing regions per entry, plus the default-deny
-    /// remainder (prefixes reaching the end without matching).
-    pub fn fire_sets(&mut self, list: &PrefixList) -> (Vec<Ref>, Ref) {
-        let _span = clarify_obs::span!("prefix_fire_sets");
-        clarify_obs::global()
-            .counter("analysis.fire_set_builds")
-            .incr();
-        let mut fires = Vec::with_capacity(list.entries.len());
-        let mut unmatched = self.valid;
-        for e in &list.entries {
-            let m = self.encode_range(&e.range);
-            fires.push(self.mgr.and(unmatched, m));
-            let nm = self.mgr.not(m);
-            unmatched = self.mgr.and(unmatched, nm);
-        }
-        (fires, unmatched)
     }
 
     /// A concrete prefix from a region, or `None` when empty. The decoded
@@ -224,27 +174,19 @@ pub fn compare_prefix_lists(
     b: &PrefixList,
     limit: usize,
 ) -> Result<Vec<PrefixListDiff>, AnalysisError> {
-    let pa = space.permit_set(a);
-    let pb = space.permit_set(b);
-    let mut region = space.manager().xor(pa, pb);
-    let mut diffs = Vec::new();
-    while diffs.len() < limit {
-        let Some(prefix) = space.witness(region) else {
-            break;
-        };
-        let a_permits = a.permits(&prefix);
-        let b_permits = b.permits(&prefix);
-        debug_assert_ne!(a_permits, b_permits, "witness must differ");
-        diffs.push(PrefixListDiff {
-            prefix,
-            a_permits,
-            b_permits,
-        });
-        let point = space.encode_prefix(&prefix);
-        let np = space.manager().not(point);
-        region = space.manager().and(region, np);
-    }
-    Ok(diffs)
+    let prefixes = permit_diff(space, a, b, limit)?;
+    Ok(prefixes
+        .into_iter()
+        .map(|prefix| {
+            let (a_permits, b_permits) = (a.permits(&prefix), b.permits(&prefix));
+            debug_assert_ne!(a_permits, b_permits, "witness must differ");
+            PrefixListDiff {
+                prefix,
+                a_permits,
+                b_permits,
+            }
+        })
+        .collect())
 }
 
 /// Whether two prefix lists permit exactly the same prefixes.

@@ -20,22 +20,21 @@
 use std::collections::HashMap;
 
 use clarify_bdd::{Manager, Ref, Root};
-use clarify_netconfig::{fnv1a64_combine, Acl, Config, ObjectKind, PrefixList, RouteMap, RuleId};
+use clarify_netconfig::{fnv1a64_combine, Config, RuleId};
 
 use crate::error::AnalysisError;
-use crate::filter_compare::PrefixSpace;
-use crate::packet_space::PacketSpace;
-use crate::route_space::RouteSpace;
+use crate::first_match::FirstMatchPolicy;
 
-/// Hash of the **atom environment** a [`RouteSpace`] would build for the
-/// given configurations: the deduplicated community and AS-path regex
-/// pattern lists, in the exact first-seen order [`RouteSpace::new`]
-/// collects them. Two configurations with equal atom-env hashes produce
-/// route spaces with identical variable layouts and atom witnesses, so
-/// route-map findings (including decoded witnesses) carry over verbatim;
-/// when the hash changes, every route-map analysis is dirty, because atom
-/// witnesses — and with them, rendered diagnostics — may shift even for
-/// untouched maps.
+/// Hash of the **atom environment** a [`RouteSpace`](crate::RouteSpace)
+/// would build for the given configurations: the deduplicated community
+/// and AS-path regex pattern lists, in the exact first-seen order
+/// [`RouteSpace::new`](crate::RouteSpace::new) collects them. Two
+/// configurations with equal atom-env hashes produce route spaces with
+/// identical variable layouts and atom witnesses, so route-map findings
+/// (including decoded witnesses) carry over verbatim; when the hash
+/// changes, every route-map analysis is dirty, because atom witnesses —
+/// and with them, rendered diagnostics — may shift even for untouched
+/// maps.
 pub fn atom_env_hash(configs: &[&Config]) -> u64 {
     let mut comm_seen: HashMap<&str, ()> = HashMap::new();
     let mut path_seen: HashMap<&str, ()> = HashMap::new();
@@ -160,88 +159,6 @@ impl FireSetCache {
                 mgr.unprotect(root);
             }
         }
-    }
-}
-
-/// An ordered first-match policy object — a route-map, ACL or prefix
-/// list — and the symbolic space its rules are encoded in. Code written
-/// once for every kind of policy (the cached fire-sets below, the
-/// disambiguation engine in `clarify-core`) is generic over this trait.
-pub trait FirstMatchPolicy {
-    /// The space the policy's rule sets live in.
-    type Space;
-    /// The policy's identity; with a content hash, its cache key.
-    fn object_id(&self) -> RuleId;
-    /// The space's BDD manager.
-    fn manager(space: &mut Self::Space) -> &mut Manager;
-    /// Raw per-rule match sets, in order (`cfg` resolves list references).
-    fn match_sets(&self, space: &mut Self::Space, cfg: &Config) -> Result<Vec<Ref>, AnalysisError>;
-    /// First-match firing region per rule, plus the fall-through
-    /// remainder.
-    fn fire_sets(
-        &self,
-        space: &mut Self::Space,
-        cfg: &Config,
-    ) -> Result<(Vec<Ref>, Ref), AnalysisError>;
-}
-
-impl FirstMatchPolicy for RouteMap {
-    type Space = RouteSpace;
-    fn object_id(&self) -> RuleId {
-        RuleId::object(ObjectKind::RouteMap, &self.name)
-    }
-    fn manager(space: &mut RouteSpace) -> &mut Manager {
-        space.manager()
-    }
-    fn match_sets(&self, space: &mut RouteSpace, cfg: &Config) -> Result<Vec<Ref>, AnalysisError> {
-        space.match_sets(cfg, self)
-    }
-    fn fire_sets(
-        &self,
-        space: &mut RouteSpace,
-        cfg: &Config,
-    ) -> Result<(Vec<Ref>, Ref), AnalysisError> {
-        space.fire_sets(cfg, self)
-    }
-}
-
-impl FirstMatchPolicy for Acl {
-    type Space = PacketSpace;
-    fn object_id(&self) -> RuleId {
-        RuleId::object(ObjectKind::Acl, &self.name)
-    }
-    fn manager(space: &mut PacketSpace) -> &mut Manager {
-        space.manager()
-    }
-    fn match_sets(&self, space: &mut PacketSpace, _: &Config) -> Result<Vec<Ref>, AnalysisError> {
-        Ok(space.match_sets(self))
-    }
-    fn fire_sets(
-        &self,
-        space: &mut PacketSpace,
-        _: &Config,
-    ) -> Result<(Vec<Ref>, Ref), AnalysisError> {
-        Ok(space.fire_sets(self))
-    }
-}
-
-impl FirstMatchPolicy for PrefixList {
-    type Space = PrefixSpace;
-    fn object_id(&self) -> RuleId {
-        RuleId::object(ObjectKind::PrefixList, &self.name)
-    }
-    fn manager(space: &mut PrefixSpace) -> &mut Manager {
-        space.manager()
-    }
-    fn match_sets(&self, space: &mut PrefixSpace, _: &Config) -> Result<Vec<Ref>, AnalysisError> {
-        Ok(space.match_sets(self))
-    }
-    fn fire_sets(
-        &self,
-        space: &mut PrefixSpace,
-        _: &Config,
-    ) -> Result<(Vec<Ref>, Ref), AnalysisError> {
-        Ok(space.fire_sets(self))
     }
 }
 

@@ -1,18 +1,22 @@
-//! Symbolic (BDD-based) analyses of route-maps and ACLs.
+//! Symbolic (BDD-based) analyses of route-maps, ACLs and prefix lists.
 //!
-//! This crate stands in for the Batfish analyses the paper relies on:
+//! This crate stands in for the Batfish analyses the paper relies on. Every
+//! first-match policy kind supplies its encoding through
+//! [`FirstMatchPolicy`]; the analyses over such policies are written once
+//! on top of it:
 //!
-//! * [`RouteSpace::search_route_policies`] — find a route a policy handles
-//!   with a given action, optionally constrained (Batfish
-//!   `searchRoutePolicies`);
+//! * [`search`] — find an input a policy handles with a given action,
+//!   optionally constrained (Batfish `searchRoutePolicies` and
+//!   `searchFilters`);
 //! * [`compare_route_policies`] — find concrete routes on which two
 //!   policies behave differently, with both outcomes (Batfish
 //!   `compareRoutePolicies`); this is what powers the disambiguator's
-//!   differential examples;
-//! * [`PacketSpace::search_filters`] — the packet/ACL analogue (Batfish
-//!   `searchFilters`);
-//! * [`acl_overlaps`] / [`route_map_overlaps`] — the overlap census of §3
-//!   (the paper's own Batfish extension).
+//!   differential examples. [`compare_filters`] and
+//!   [`compare_prefix_lists`] are the ACL and prefix-list analogues;
+//! * [`overlaps`] / [`acl_overlaps`] — the overlap census of §3 (the
+//!   paper's own Batfish extension), symbolic for every kind and by
+//!   interval arithmetic for ACLs;
+//! * [`witnesses`] — several distinct example inputs from one region.
 //!
 //! Routes are encoded over BDD variables: 32 prefix bits, 6 prefix-length
 //! bits, 16-bit local-preference / metric / tag fields, one variable per
@@ -27,6 +31,7 @@
 
 mod error;
 mod filter_compare;
+mod first_match;
 mod incr;
 mod network_space;
 mod overlap;
@@ -40,11 +45,11 @@ pub use filter_compare::{
     compare_filters, compare_prefix_lists, filters_equivalent, prefix_lists_equivalent, FilterDiff,
     PrefixListDiff, PrefixSpace,
 };
-pub use incr::{atom_env_hash, fire_sets_cached, FireSetCache, FireSets, FirstMatchPolicy};
+pub use first_match::{search, witnesses, FirstMatchPolicy};
+pub use incr::{atom_env_hash, fire_sets_cached, FireSetCache, FireSets};
 pub use network_space::NetworkSpace;
 pub use overlap::{
-    acl_overlaps, acl_overlaps_symbolic, route_map_chain_overlaps, route_map_overlaps,
-    ChainOverlapPair, OverlapPair, OverlapReport,
+    acl_overlaps, overlaps, route_map_chain_overlaps, ChainOverlapPair, OverlapPair, OverlapReport,
 };
 pub use packet_space::PacketSpace;
 pub use route_compare::{compare_route_policies, policies_equivalent, RouteDiff};

@@ -26,7 +26,7 @@ use clarify_nettypes::{BgpRoute, Prefix};
 
 use crate::error::AnalysisError;
 use crate::incr::FireSetCache;
-use crate::route_space::RouteSpace;
+use crate::route_space::{Field, RouteSpace};
 
 /// A [`RouteSpace`] plus private [`FireSetCache`]s, extended with policy
 /// transfer functions. One instance serves a whole topology; build it from
@@ -136,18 +136,11 @@ impl NetworkSpace {
         let mut r = region;
         for s in sets {
             r = match s {
-                RouteMapSet::Metric(v) => {
-                    let v = self.space.field_value("metric", *v)?;
-                    self.assign(r, Field::Metric, v)
-                }
+                RouteMapSet::Metric(v) => self.assign(r, Field::Metric, Field::Metric.value(*v)?),
                 RouteMapSet::LocalPref(v) => {
-                    let v = self.space.field_value("local-preference", *v)?;
-                    self.assign(r, Field::LocalPref, v)
+                    self.assign(r, Field::LocalPref, Field::LocalPref.value(*v)?)
                 }
-                RouteMapSet::Tag(v) => {
-                    let v = self.space.field_value("tag", *v)?;
-                    self.assign(r, Field::Tag, v)
-                }
+                RouteMapSet::Tag(v) => self.assign(r, Field::Tag, Field::Tag.value(*v)?),
                 // Weight and next hop are not encoded in the space, so the
                 // assignment is the identity on the symbolic region.
                 RouteMapSet::Weight(_) | RouteMapSet::NextHop(_) => r,
@@ -196,11 +189,7 @@ impl NetworkSpace {
     }
 
     fn assign(&mut self, region: Ref, field: Field, value: u64) -> Ref {
-        let vars = match field {
-            Field::LocalPref => self.space.lp_vars.clone(),
-            Field::Metric => self.space.metric_vars.clone(),
-            Field::Tag => self.space.tag_vars.clone(),
-        };
+        let vars = self.space.field_vars(field).to_vec();
         let forgotten = self.space.mgr.exists(region, &vars);
         let eq = self.space.mgr.eq_const(&vars, value);
         self.space.mgr.and(forgotten, eq)
@@ -237,11 +226,4 @@ impl NetworkSpace {
     pub fn clear_op_caches(&mut self) {
         self.space.manager().clear_op_caches();
     }
-}
-
-#[derive(Clone, Copy)]
-enum Field {
-    LocalPref,
-    Metric,
-    Tag,
 }

@@ -10,14 +10,16 @@
 //! numbers).
 //!
 //! ACL entries are hyperrectangles (prefix × prefix × protocol × port-range
-//! × port-range), so ACL overlap is decided with exact interval arithmetic;
-//! the symbolic (BDD) path is available for cross-validation and is used
-//! for route-maps, whose match conditions are not rectangular.
+//! × port-range), so ACL overlap is decided with exact interval arithmetic
+//! in [`acl_overlaps`]; the symbolic census [`overlaps`], written once for
+//! every first-match policy kind, cross-validates it and is used for
+//! route-maps, whose match conditions are not rectangular.
 
+use clarify_bdd::Ref;
 use clarify_netconfig::{Acl, Config, RouteMap};
 
 use crate::error::AnalysisError;
-use crate::packet_space::PacketSpace;
+use crate::first_match::FirstMatchPolicy;
 use crate::route_space::RouteSpace;
 
 /// One overlapping rule pair.
@@ -99,69 +101,29 @@ pub fn acl_overlaps(acl: &Acl) -> OverlapReport {
     }
 }
 
-/// Symbolic (BDD) overlap analysis of an ACL; semantically identical to
-/// [`acl_overlaps`] and used to cross-validate it.
-pub fn acl_overlaps_symbolic(space: &mut PacketSpace, acl: &Acl) -> OverlapReport {
-    let sets = space.match_sets(acl);
-    let valid = space.valid();
-    let mut pairs = Vec::new();
-    for i in 0..sets.len() {
-        for j in (i + 1)..sets.len() {
-            let both = space.manager().and(sets[i], sets[j]);
-            let both = space.manager().and(both, valid);
-            if both == clarify_bdd::Ref::FALSE {
-                continue;
-            }
-            let ij = {
-                let vi = space.manager().and(sets[i], valid);
-                let vj = space.manager().and(sets[j], valid);
-                let i_in_j = space.manager().implies_true(vi, vj);
-                let j_in_i = space.manager().implies_true(vj, vi);
-                i_in_j || j_in_i
-            };
-            pairs.push(OverlapPair {
-                i,
-                j,
-                conflicting: acl.entries[i].action != acl.entries[j].action,
-                subset: ij,
-            });
-        }
-    }
-    OverlapReport {
-        num_rules: sets.len(),
-        pairs,
-    }
-}
-
-/// Symbolic overlap analysis of a route-map: stanza pairs whose match sets
-/// intersect on at least one valid route.
-pub fn route_map_overlaps(
-    space: &mut RouteSpace,
+/// Symbolic (BDD) overlap census of one policy: rule pairs whose match
+/// sets intersect on at least one valid input. On ACLs it agrees with
+/// [`acl_overlaps`], which it cross-validates.
+pub fn overlaps<P: FirstMatchPolicy>(
+    space: &mut P::Space,
     cfg: &Config,
-    map: &RouteMap,
+    policy: &P,
 ) -> Result<OverlapReport, AnalysisError> {
-    let sets = space.match_sets(cfg, map)?;
-    let valid = space.valid();
+    let valid = P::valid(space);
+    let sets = policy.match_sets(space, cfg)?;
+    let mgr = P::manager(space);
+    let sets: Vec<Ref> = sets.into_iter().map(|m| mgr.and(m, valid)).collect();
     let mut pairs = Vec::new();
-    for i in 0..sets.len() {
-        for j in (i + 1)..sets.len() {
-            let both = space.manager().and(sets[i], sets[j]);
-            let both = space.manager().and(both, valid);
-            if both == clarify_bdd::Ref::FALSE {
+    for (i, &vi) in sets.iter().enumerate() {
+        for (j, &vj) in sets.iter().enumerate().skip(i + 1) {
+            if mgr.and(vi, vj) == Ref::FALSE {
                 continue;
             }
-            let subset = {
-                let vi = space.manager().and(sets[i], valid);
-                let vj = space.manager().and(sets[j], valid);
-                let i_in_j = space.manager().implies_true(vi, vj);
-                let j_in_i = space.manager().implies_true(vj, vi);
-                i_in_j || j_in_i
-            };
             pairs.push(OverlapPair {
                 i,
                 j,
-                conflicting: map.stanzas[i].action != map.stanzas[j].action,
-                subset,
+                conflicting: policy.action(i) != policy.action(j),
+                subset: mgr.implies_true(vi, vj) || mgr.implies_true(vj, vi),
             });
         }
     }
@@ -201,7 +163,7 @@ pub fn route_map_chain_overlaps(
     let valid = space.valid();
     let mut flat = Vec::new();
     for (mi, rm) in chain.iter().enumerate() {
-        let sets = space.match_sets(cfg, rm)?;
+        let sets = rm.match_sets(space, cfg)?;
         for (si, set) in sets.into_iter().enumerate() {
             let vset = space.manager().and(set, valid);
             flat.push((mi, si, vset, rm.stanzas[si].action));
@@ -212,7 +174,7 @@ pub fn route_map_chain_overlaps(
         for b in (a + 1)..flat.len() {
             let (mi, si, sa, aa) = flat[a];
             let (mj, sj, sb, ab) = flat[b];
-            if space.manager().and(sa, sb) != clarify_bdd::Ref::FALSE {
+            if space.manager().and(sa, sb) != Ref::FALSE {
                 pairs.push(ChainOverlapPair {
                     map_i: mi,
                     stanza_i: si,

@@ -1,10 +1,10 @@
 //! The symbolic packet space for ACL analysis (Batfish `searchFilters`).
 
 use clarify_bdd::{Cube, Manager, Ref};
-use clarify_netconfig::{Acl, AclEntry, Action, AddrMatch, Config};
+use clarify_netconfig::AclEntry;
 use clarify_nettypes::{Packet, PortRange, Protocol};
 
-use crate::error::AnalysisError;
+use crate::first_match::encode_network;
 
 /// The symbolic input space of ACL analysis: 32-bit source and destination
 /// addresses, a 2-bit protocol code, and 16-bit source/destination ports.
@@ -77,18 +77,6 @@ impl PacketSpace {
         self.valid
     }
 
-    fn encode_addr(&mut self, vars: &[u32], m: &AddrMatch) -> Ref {
-        let p = m.as_prefix();
-        let addr = p.addr_u32();
-        let mut acc = Ref::TRUE;
-        for (i, &v) in vars.iter().enumerate().take(p.len() as usize) {
-            let bit = (addr >> (31 - i)) & 1 == 1;
-            let lit = self.mgr.literal(v, bit);
-            acc = self.mgr.and(acc, lit);
-        }
-        acc
-    }
-
     fn encode_ports(&mut self, vars: &[u32], r: &PortRange) -> Ref {
         if r.is_any() {
             Ref::TRUE
@@ -105,87 +93,15 @@ impl PacketSpace {
                 .mgr
                 .eq_const(&self.proto_vars.clone(), u64::from(p.code())),
         };
-        let src = self.encode_addr(&self.src_vars.clone(), &e.src);
+        let src = encode_network(&mut self.mgr, &self.src_vars, &e.src.as_prefix());
         acc = self.mgr.and(acc, src);
-        let dst = self.encode_addr(&self.dst_vars.clone(), &e.dst);
+        let dst = encode_network(&mut self.mgr, &self.dst_vars, &e.dst.as_prefix());
         acc = self.mgr.and(acc, dst);
         let sp = self.encode_ports(&self.sport_vars.clone(), &e.src_ports);
         acc = self.mgr.and(acc, sp);
         let dp = self.encode_ports(&self.dport_vars.clone(), &e.dst_ports);
         acc = self.mgr.and(acc, dp);
         acc
-    }
-
-    /// Raw per-entry match sets.
-    pub fn match_sets(&mut self, acl: &Acl) -> Vec<Ref> {
-        acl.entries.iter().map(|e| self.encode_entry(e)).collect()
-    }
-
-    /// First-match firing regions per entry, plus the implicit-deny
-    /// remainder (packets reaching the end without matching).
-    pub fn fire_sets(&mut self, acl: &Acl) -> (Vec<Ref>, Ref) {
-        let _span = clarify_obs::span!("acl_fire_sets");
-        clarify_obs::global()
-            .counter("analysis.fire_set_builds")
-            .incr();
-        let mut fires = Vec::with_capacity(acl.entries.len());
-        let mut unmatched = self.valid;
-        for e in &acl.entries {
-            let m = self.encode_entry(e);
-            fires.push(self.mgr.and(unmatched, m));
-            let nm = self.mgr.not(m);
-            unmatched = self.mgr.and(unmatched, nm);
-        }
-        (fires, unmatched)
-    }
-
-    /// The set of (valid) packets the ACL permits (first match, implicit
-    /// trailing deny).
-    pub fn permit_set(&mut self, acl: &Acl) -> Ref {
-        let mut permitted = Ref::FALSE;
-        let mut unmatched = self.valid;
-        for e in &acl.entries {
-            let m = self.encode_entry(e);
-            let fires = self.mgr.and(unmatched, m);
-            if e.action == Action::Permit {
-                permitted = self.mgr.or(permitted, fires);
-            }
-            let nm = self.mgr.not(m);
-            unmatched = self.mgr.and(unmatched, nm);
-        }
-        permitted
-    }
-
-    /// Batfish-style `searchFilters`: a packet the named ACL handles with
-    /// `action`, optionally constrained further.
-    pub fn search_filters(
-        &mut self,
-        cfg: &Config,
-        acl_name: &str,
-        action: Action,
-        constraint: Option<Ref>,
-    ) -> Result<Option<Packet>, AnalysisError> {
-        let acl = cfg
-            .acl(acl_name)
-            .ok_or_else(|| {
-                AnalysisError::Config(clarify_netconfig::ConfigError::NotFound {
-                    kind: "access-list",
-                    name: acl_name.to_string(),
-                })
-            })?
-            .clone();
-        let permits = self.permit_set(&acl);
-        let mut region = match action {
-            Action::Permit => permits,
-            Action::Deny => {
-                let np = self.mgr.not(permits);
-                self.mgr.and(self.valid, np)
-            }
-        };
-        if let Some(c) = constraint {
-            region = self.mgr.and(region, c);
-        }
-        Ok(self.witness(region))
     }
 
     /// Encodes a concrete packet as a point.

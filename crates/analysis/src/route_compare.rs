@@ -9,7 +9,8 @@ use clarify_netconfig::{Action, Config, RouteMapSet, RouteMapStanza, RouteMapVer
 use clarify_nettypes::{BgpRoute, Community};
 
 use crate::error::AnalysisError;
-use crate::route_space::RouteSpace;
+use crate::first_match::FirstMatchPolicy;
+use crate::route_space::{Field, RouteSpace};
 
 /// One concrete behavioural difference between two policies.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,18 +79,6 @@ fn transform_of(stanza: &RouteMapStanza) -> Transform {
     t
 }
 
-/// Whether two verdicts describe the same externally visible behaviour.
-pub(crate) fn verdicts_equal(a: &RouteMapVerdict, b: &RouteMapVerdict) -> bool {
-    match (a, b) {
-        (RouteMapVerdict::Permit { route: ra, .. }, RouteMapVerdict::Permit { route: rb, .. }) => {
-            ra == rb
-        }
-        (RouteMapVerdict::Permit { .. }, _) | (_, RouteMapVerdict::Permit { .. }) => false,
-        // Any two denials are behaviourally identical.
-        _ => true,
-    }
-}
-
 /// Finds up to `limit` concrete routes on which `map_a` (in `cfg_a`) and
 /// `map_b` (in `cfg_b`) behave differently; both verdicts come from the
 /// concrete reference evaluator, so every reported difference is real.
@@ -115,8 +104,8 @@ pub fn compare_route_policies(
         .route_map(map_b)
         .ok_or_else(|| not_found(map_b))?
         .clone();
-    let (fires_a, implicit_a) = space.fire_sets(cfg_a, &rm_a)?;
-    let (fires_b, implicit_b) = space.fire_sets(cfg_b, &rm_b)?;
+    let (fires_a, implicit_a) = rm_a.fire_sets(space, cfg_a)?;
+    let (fires_b, implicit_b) = rm_b.fire_sets(space, cfg_b)?;
 
     // Regions with their outcome descriptors. Implicit deny behaves like a
     // deny stanza.
@@ -195,7 +184,7 @@ pub fn compare_route_policies(
             for route in candidates {
                 let va = cfg_a.eval_route_map(map_a, &route)?;
                 let vb = cfg_b.eval_route_map(map_b, &route)?;
-                if verdicts_equal(&va, &vb) {
+                if va.same_behaviour(&vb) {
                     // The symbolic region over-approximated on a field
                     // outside the space and this candidate coincided; try
                     // the next one, else skip the pair.
@@ -264,16 +253,16 @@ fn transform_diff_region(
     }
     let mut acc = Ref::FALSE;
     // Fields inside the symbolic space: exact difference regions.
-    acc = or_field_diff(space, acc, joint, "metric", ta.metric, tb.metric)?;
+    acc = or_field_diff(space, acc, joint, Field::Metric, ta.metric, tb.metric)?;
     acc = or_field_diff(
         space,
         acc,
         joint,
-        "local-preference",
+        Field::LocalPref,
         ta.local_pref,
         tb.local_pref,
     )?;
-    acc = or_field_diff(space, acc, joint, "tag", ta.tag, tb.tag)?;
+    acc = or_field_diff(space, acc, joint, Field::Tag, ta.tag, tb.tag)?;
     // Fields outside the space: any disagreement differs on (almost)
     // every input; the caller fixes the witness's free fields so the
     // concrete check passes.
@@ -295,7 +284,7 @@ fn or_field_diff(
     space: &mut RouteSpace,
     acc: Ref,
     joint: Ref,
-    field: &'static str,
+    field: Field,
     va: Option<u32>,
     vb: Option<u32>,
 ) -> Result<Ref, AnalysisError> {
@@ -310,29 +299,13 @@ fn or_field_diff(
                 joint
             } else {
                 // Differs unless the input already carries value v.
-                let eq = encode_field_eq(space, field, v)?;
+                let eq = space.field_eq(field, v)?;
                 let ne = space.manager().not(eq);
                 space.manager().and(joint, ne)
             }
         }
     };
     Ok(space.manager().or(acc, region))
-}
-
-fn encode_field_eq(
-    space: &mut RouteSpace,
-    field: &'static str,
-    v: u32,
-) -> Result<Ref, AnalysisError> {
-    use clarify_netconfig::RouteMapMatch;
-    let m = match field {
-        "metric" => RouteMapMatch::Metric(v),
-        "local-preference" => RouteMapMatch::LocalPref(v),
-        "tag" => RouteMapMatch::Tag(v),
-        _ => unreachable!("field {field}"),
-    };
-    // The match encoding for these fields needs no config context.
-    space.encode_match(&Config::new(), &m)
 }
 
 /// Ensures the witness's fields outside the symbolic space actually

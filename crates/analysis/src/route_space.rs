@@ -6,11 +6,12 @@ use std::collections::HashMap;
 use clarify_automata::{AtomSpace, Regex};
 use clarify_bdd::{Cube, Manager, Ref};
 use clarify_netconfig::{
-    Action, AsPathList, CommunityList, Config, PrefixList, RouteMap, RouteMapMatch, RouteMapStanza,
+    Action, AsPathList, CommunityList, Config, PrefixList, RouteMapMatch, RouteMapStanza,
 };
 use clarify_nettypes::{AsPath, BgpRoute, Community, Prefix, PrefixRange};
 
 use crate::error::AnalysisError;
+use crate::first_match::{encode_network, first_match_permits, FirstMatchPolicy};
 
 /// All syntactically valid community subject strings: `N:M` with one to
 /// five digits per half. Values above 65535 are rejected when a witness is
@@ -26,6 +27,37 @@ const AS_PATH_UNIVERSE: &str =
 /// Width of the numeric attribute fields (local-pref, metric, tag).
 const FIELD_BITS: u32 = 16;
 
+/// A numeric route attribute the space encodes in [`FIELD_BITS`] bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Field {
+    LocalPref,
+    Metric,
+    Tag,
+}
+
+impl Field {
+    /// The attribute's configuration keyword, as errors name it.
+    fn name(self) -> &'static str {
+        match self {
+            Field::LocalPref => "local-preference",
+            Field::Metric => "metric",
+            Field::Tag => "tag",
+        }
+    }
+
+    /// `value` as an encodable field value, or an error past 16 bits.
+    pub(crate) fn value(self, value: u32) -> Result<u64, AnalysisError> {
+        if value >= 1 << FIELD_BITS {
+            Err(AnalysisError::ValueTooLarge {
+                field: self.name(),
+                value,
+            })
+        } else {
+            Ok(u64::from(value))
+        }
+    }
+}
+
 /// The symbolic input space of route-map analysis.
 ///
 /// Built once per analysis session from every configuration that will be
@@ -40,9 +72,9 @@ pub struct RouteSpace {
     path_pattern_idx: HashMap<String, usize>,
     prefix_vars: Vec<u32>,
     plen_vars: Vec<u32>,
-    pub(crate) lp_vars: Vec<u32>,
-    pub(crate) metric_vars: Vec<u32>,
-    pub(crate) tag_vars: Vec<u32>,
+    lp_vars: Vec<u32>,
+    metric_vars: Vec<u32>,
+    tag_vars: Vec<u32>,
     pub(crate) comm_vars: Vec<u32>,
     pub(crate) path_vars: Vec<u32>,
     valid: Ref,
@@ -176,28 +208,25 @@ impl RouteSpace {
         self.path_atoms.len()
     }
 
-    pub(crate) fn field_value(
-        &self,
-        field: &'static str,
-        value: u32,
-    ) -> Result<u64, AnalysisError> {
-        if value >= 1 << FIELD_BITS {
-            Err(AnalysisError::ValueTooLarge { field, value })
-        } else {
-            Ok(u64::from(value))
+    /// The variables encoding `field`, MSB first.
+    pub(crate) fn field_vars(&self, field: Field) -> &[u32] {
+        match field {
+            Field::LocalPref => &self.lp_vars,
+            Field::Metric => &self.metric_vars,
+            Field::Tag => &self.tag_vars,
         }
+    }
+
+    /// Encodes "the route's `field` equals `value`".
+    pub(crate) fn field_eq(&mut self, field: Field, value: u32) -> Result<Ref, AnalysisError> {
+        let value = field.value(value)?;
+        let vars = self.field_vars(field).to_vec();
+        Ok(self.mgr.eq_const(&vars, value))
     }
 
     /// Encodes "the route's prefix matches this prefix range".
     pub fn encode_prefix_range(&mut self, range: &PrefixRange) -> Ref {
-        let l = range.prefix.len() as usize;
-        let addr = range.prefix.addr_u32();
-        let mut covered = Ref::TRUE;
-        for (i, &v) in self.prefix_vars.iter().enumerate().take(l) {
-            let bit = (addr >> (31 - i)) & 1 == 1;
-            let lit = self.mgr.literal(v, bit);
-            covered = self.mgr.and(covered, lit);
-        }
+        let covered = encode_network(&mut self.mgr, &self.prefix_vars, &range.prefix);
         let len_ok = self.mgr.range_const(
             &self.plen_vars,
             u64::from(range.min_len),
@@ -207,19 +236,14 @@ impl RouteSpace {
     }
 
     /// Encodes a prefix list's *permit* set (first match wins, default deny).
-    pub fn encode_prefix_list(&mut self, list: &PrefixList) -> Ref {
-        let mut permitted = Ref::FALSE;
-        let mut unmatched = Ref::TRUE;
-        for e in &list.entries {
-            let m = self.encode_prefix_range(&e.range);
-            let fires = self.mgr.and(unmatched, m);
-            if e.action == Action::Permit {
-                permitted = self.mgr.or(permitted, fires);
-            }
-            let nm = self.mgr.not(m);
-            unmatched = self.mgr.and(unmatched, nm);
-        }
-        permitted
+    pub fn encode_prefix_list(&mut self, list: &PrefixList) -> Result<Ref, AnalysisError> {
+        first_match_permits(
+            self,
+            RouteSpace::manager,
+            Ref::TRUE,
+            &list.entries,
+            |s, e| Ok((e.action, s.encode_prefix_range(&e.range))),
+        )
     }
 
     fn pattern_set(&mut self, kind: &'static str, pattern: &str) -> Result<Ref, AnalysisError> {
@@ -255,34 +279,24 @@ impl RouteSpace {
 
     /// Encodes a community list's permit set.
     pub fn encode_community_list(&mut self, list: &CommunityList) -> Result<Ref, AnalysisError> {
-        let mut permitted = Ref::FALSE;
-        let mut unmatched = Ref::TRUE;
-        for e in &list.entries {
-            let m = self.pattern_set("community", e.regex.pattern())?;
-            let fires = self.mgr.and(unmatched, m);
-            if e.action == Action::Permit {
-                permitted = self.mgr.or(permitted, fires);
-            }
-            let nm = self.mgr.not(m);
-            unmatched = self.mgr.and(unmatched, nm);
-        }
-        Ok(permitted)
+        first_match_permits(
+            self,
+            RouteSpace::manager,
+            Ref::TRUE,
+            &list.entries,
+            |s, e| Ok((e.action, s.pattern_set("community", e.regex.pattern())?)),
+        )
     }
 
     /// Encodes an AS-path list's permit set.
     pub fn encode_as_path_list(&mut self, list: &AsPathList) -> Result<Ref, AnalysisError> {
-        let mut permitted = Ref::FALSE;
-        let mut unmatched = Ref::TRUE;
-        for e in &list.entries {
-            let m = self.pattern_set("as-path", e.regex.pattern())?;
-            let fires = self.mgr.and(unmatched, m);
-            if e.action == Action::Permit {
-                permitted = self.mgr.or(permitted, fires);
-            }
-            let nm = self.mgr.not(m);
-            unmatched = self.mgr.and(unmatched, nm);
-        }
-        Ok(permitted)
+        first_match_permits(
+            self,
+            RouteSpace::manager,
+            Ref::TRUE,
+            &list.entries,
+            |s, e| Ok((e.action, s.pattern_set("as-path", e.regex.pattern())?)),
+        )
     }
 
     /// Encodes one match clause.
@@ -292,7 +306,7 @@ impl RouteSpace {
                 let mut acc = Ref::FALSE;
                 for n in names {
                     let pl = cfg.prefix_list(n)?.clone();
-                    let enc = self.encode_prefix_list(&pl);
+                    let enc = self.encode_prefix_list(&pl)?;
                     acc = self.mgr.or(acc, enc);
                 }
                 acc
@@ -315,18 +329,9 @@ impl RouteSpace {
                 }
                 acc
             }
-            RouteMapMatch::LocalPref(v) => {
-                let v = self.field_value("local-preference", *v)?;
-                self.mgr.eq_const(&self.lp_vars.clone(), v)
-            }
-            RouteMapMatch::Metric(v) => {
-                let v = self.field_value("metric", *v)?;
-                self.mgr.eq_const(&self.metric_vars.clone(), v)
-            }
-            RouteMapMatch::Tag(v) => {
-                let v = self.field_value("tag", *v)?;
-                self.mgr.eq_const(&self.tag_vars.clone(), v)
-            }
+            RouteMapMatch::LocalPref(v) => self.field_eq(Field::LocalPref, *v)?,
+            RouteMapMatch::Metric(v) => self.field_eq(Field::Metric, *v)?,
+            RouteMapMatch::Tag(v) => self.field_eq(Field::Tag, *v)?,
         })
     }
 
@@ -344,116 +349,28 @@ impl RouteSpace {
         Ok(acc)
     }
 
-    /// Raw per-stanza match sets (ignoring earlier stanzas).
-    pub fn match_sets(&mut self, cfg: &Config, map: &RouteMap) -> Result<Vec<Ref>, AnalysisError> {
-        map.stanzas
-            .iter()
-            .map(|s| self.encode_stanza_match(cfg, s))
-            .collect()
-    }
-
-    /// First-match firing regions per stanza, plus the implicit-deny
-    /// remainder (routes reaching the end without matching).
-    pub fn fire_sets(
-        &mut self,
-        cfg: &Config,
-        map: &RouteMap,
-    ) -> Result<(Vec<Ref>, Ref), AnalysisError> {
-        let _span = clarify_obs::span!("route_fire_sets");
-        clarify_obs::global()
-            .counter("analysis.fire_set_builds")
-            .incr();
-        let mut fires = Vec::with_capacity(map.stanzas.len());
-        let mut unmatched = self.valid;
-        for s in &map.stanzas {
-            let m = self.encode_stanza_match(cfg, s)?;
-            fires.push(self.mgr.and(unmatched, m));
-            let nm = self.mgr.not(m);
-            unmatched = self.mgr.and(unmatched, nm);
-        }
-        Ok((fires, unmatched))
-    }
-
-    /// The set of (valid) routes the named route-map permits.
-    pub fn permit_set(&mut self, cfg: &Config, name: &str) -> Result<Ref, AnalysisError> {
-        let map = cfg
-            .route_map(name)
-            .ok_or_else(|| {
-                AnalysisError::Config(clarify_netconfig::ConfigError::NotFound {
-                    kind: "route-map",
-                    name: name.to_string(),
-                })
-            })?
-            .clone();
-        let (fires, _) = self.fire_sets(cfg, &map)?;
-        let permits: Vec<Ref> = map
-            .stanzas
-            .iter()
-            .zip(&fires)
-            .filter(|(s, _)| s.action == Action::Permit)
-            .map(|(_, &f)| f)
-            .collect();
-        Ok(self.mgr.or_all(permits))
-    }
-
-    /// Batfish-style `searchRoutePolicies`: a concrete route the policy
-    /// handles with `action`, optionally further constrained.
-    pub fn search_route_policies(
-        &mut self,
-        cfg: &Config,
-        name: &str,
-        action: Action,
-        constraint: Option<Ref>,
-    ) -> Result<Option<BgpRoute>, AnalysisError> {
-        let permits = self.permit_set(cfg, name)?;
-        let mut region = match action {
-            Action::Permit => permits,
-            Action::Deny => {
-                let np = self.mgr.not(permits);
-                self.mgr.and(self.valid, np)
-            }
-        };
-        if let Some(c) = constraint {
-            region = self.mgr.and(region, c);
-        }
-        self.witness(region)
-    }
-
     /// Encodes a single concrete route as a point in the space.
     pub fn encode_route(&mut self, route: &BgpRoute) -> Result<Ref, AnalysisError> {
-        let mut acc = Ref::TRUE;
-        let addr = route.network.addr_u32();
         // Only the first `len` address bits identify the route: decode
         // normalizes host bits away, and no match clause ever constrains a
         // bit at or beyond the route's own prefix length. Encoding the
         // whole equivalence class keeps point membership faithful *and*
-        // makes point exclusion in [`RouteSpace::witnesses`] sound (a
-        // 32-bit point would leave same-route assignments behind,
+        // makes point exclusion in [`witnesses`](crate::witnesses) sound
+        // (a 32-bit point would leave same-route assignments behind,
         // yielding duplicate witnesses).
-        for (i, &v) in self
-            .prefix_vars
-            .clone()
-            .iter()
-            .enumerate()
-            .take(route.network.len() as usize)
-        {
-            let bit = (addr >> (31 - i)) & 1 == 1;
-            let lit = self.mgr.literal(v, bit);
-            acc = self.mgr.and(acc, lit);
-        }
+        let mut acc = encode_network(&mut self.mgr, &self.prefix_vars, &route.network);
         let plen = self
             .mgr
             .eq_const(&self.plen_vars.clone(), u64::from(route.network.len()));
         acc = self.mgr.and(acc, plen);
-        let lp = self.field_value("local-preference", route.local_pref)?;
-        let lp = self.mgr.eq_const(&self.lp_vars.clone(), lp);
-        acc = self.mgr.and(acc, lp);
-        let med = self.field_value("metric", route.metric)?;
-        let med = self.mgr.eq_const(&self.metric_vars.clone(), med);
-        acc = self.mgr.and(acc, med);
-        let tag = self.field_value("tag", route.tag)?;
-        let tag = self.mgr.eq_const(&self.tag_vars.clone(), tag);
-        acc = self.mgr.and(acc, tag);
+        for (field, value) in [
+            (Field::LocalPref, route.local_pref),
+            (Field::Metric, route.metric),
+            (Field::Tag, route.tag),
+        ] {
+            let eq = self.field_eq(field, value)?;
+            acc = self.mgr.and(acc, eq);
+        }
 
         // Community atoms: variable i is true iff the route carries a
         // community inside atom i.
@@ -597,7 +514,7 @@ impl RouteSpace {
                 })
             })?
             .clone();
-        let (fires, _) = self.fire_sets(cfg, &map)?;
+        let (fires, _) = map.fire_sets(self, cfg)?;
         let mut region = Ref::FALSE;
         for (stanza, &fire) in map.stanzas.iter().zip(&fires) {
             if stanza.action != Action::Permit {
@@ -617,9 +534,9 @@ impl RouteSpace {
             }
             let mut r = fire;
             for (want, assigned, field) in [
-                (out.metric, set_metric, "metric"),
-                (out.local_pref, set_lp, "local-preference"),
-                (out.tag, set_tag, "tag"),
+                (out.metric, set_metric, Field::Metric),
+                (out.local_pref, set_lp, Field::LocalPref),
+                (out.tag, set_tag, Field::Tag),
             ] {
                 let Some(w) = want else { continue };
                 match assigned {
@@ -629,13 +546,7 @@ impl RouteSpace {
                     }
                     None => {
                         // Output equals input: constrain the input field.
-                        let wv = self.field_value(field, w)?;
-                        let vars = match field {
-                            "metric" => self.metric_vars.clone(),
-                            "local-preference" => self.lp_vars.clone(),
-                            _ => self.tag_vars.clone(),
-                        };
-                        let eq = self.mgr.eq_const(&vars, wv);
+                        let eq = self.field_eq(field, w)?;
                         r = self.mgr.and(r, eq);
                     }
                 }
@@ -666,27 +577,5 @@ impl RouteSpace {
         debug_assert!(out.local_pref.is_none_or(|w| output.local_pref == w));
         debug_assert!(out.tag.is_none_or(|w| output.tag == w));
         Ok(Some((input, output)))
-    }
-}
-
-impl RouteSpace {
-    /// Up to `limit` pairwise-distinct concrete routes drawn from a
-    /// region, by repeated witness extraction with point exclusion.
-    /// Useful to show a user several example routes from a contested
-    /// region rather than just one.
-    pub fn witnesses(&mut self, region: Ref, limit: usize) -> Result<Vec<BgpRoute>, AnalysisError> {
-        let mut region = self.mgr.and(region, self.valid);
-        let mut out = Vec::new();
-        while out.len() < limit {
-            let Some(cube) = self.mgr.any_sat(region) else {
-                break;
-            };
-            let route = self.decode_route(&cube)?;
-            let point = self.encode_route(&route)?;
-            let np = self.mgr.not(point);
-            region = self.mgr.and(region, np);
-            out.push(route);
-        }
-        Ok(out)
     }
 }

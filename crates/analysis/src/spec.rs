@@ -11,7 +11,6 @@ use clarify_netconfig::{Action, Config, RouteMapSet, RouteMapStanza};
 use clarify_nettypes::{BgpRoute, PrefixRange};
 
 use crate::error::AnalysisError;
-use crate::route_compare::verdicts_equal;
 use crate::route_space::RouteSpace;
 
 /// A machine-readable specification of a single route-map stanza.
@@ -323,12 +322,7 @@ fn sets_equivalent(a: &[RouteMapSet], b: &[RouteMapSet]) -> bool {
     ];
     let sa = norm(a);
     let sb = norm(b);
-    probes.iter().all(|p| {
-        let ra = Config::apply_sets(&sa, p);
-        let rb = Config::apply_sets(&sb, p);
-        verdicts_equal(
-            &clarify_netconfig::RouteMapVerdict::Permit { route: ra, seq: 10 },
-            &clarify_netconfig::RouteMapVerdict::Permit { route: rb, seq: 10 },
-        )
-    })
+    probes
+        .iter()
+        .all(|p| Config::apply_sets(&sa, p) == Config::apply_sets(&sb, p))
 }

@@ -1,11 +1,12 @@
-use clarify_netconfig::{insert_route_map_stanza, Action, Config, RouteMapSet, RouteMapVerdict};
+use clarify_bdd::Ref;
+use clarify_netconfig::{insert_route_map_stanza, Action, Config, RouteMap, RouteMapSet};
 use clarify_nettypes::{BgpRoute, Community, Packet, Prefix, Protocol};
 use std::net::Ipv4Addr;
 
 use crate::{
-    acl_overlaps, acl_overlaps_symbolic, compare_route_policies, policies_equivalent,
-    route_map_overlaps, verify_stanza_against_spec, AnalysisError, PacketSpace, RouteSpace,
-    SpecVerdict, StanzaSpec,
+    acl_overlaps, compare_route_policies, overlaps, policies_equivalent, search,
+    verify_stanza_against_spec, witnesses, AnalysisError, FirstMatchPolicy, PacketSpace,
+    RouteSpace, SpecVerdict, StanzaSpec,
 };
 
 const ISP_OUT: &str = "\
@@ -38,6 +39,11 @@ fn com(s: &str) -> Community {
     s.parse().unwrap()
 }
 
+/// The permit set of route-map `name` in `cfg`.
+fn permit_set(space: &mut RouteSpace, cfg: &Config, name: &str) -> Result<Ref, AnalysisError> {
+    cfg.route_map(name).unwrap().permit_set(space, cfg)
+}
+
 #[test]
 fn route_space_builds_for_paper_configs() {
     let base = Config::parse(ISP_OUT).unwrap();
@@ -52,7 +58,7 @@ fn route_space_builds_for_paper_configs() {
 fn permit_set_agrees_with_concrete_eval_on_probes() {
     let base = Config::parse(ISP_OUT).unwrap();
     let mut space = RouteSpace::new(&[&base]).unwrap();
-    let permits = space.permit_set(&base, "ISP_OUT").unwrap();
+    let permits = permit_set(&mut space, &base, "ISP_OUT").unwrap();
     let probes = vec![
         BgpRoute::with_defaults(pfx("99.0.0.0/16")).path(&[10, 32]),
         BgpRoute::with_defaults(pfx("10.1.0.0/16")).path(&[7]),
@@ -79,8 +85,8 @@ fn permit_set_agrees_with_concrete_eval_on_probes() {
 fn search_route_policies_finds_witnesses() {
     let base = Config::parse(ISP_OUT).unwrap();
     let mut space = RouteSpace::new(&[&base]).unwrap();
-    let permitted = space
-        .search_route_policies(&base, "ISP_OUT", Action::Permit, None)
+    let map = base.route_map("ISP_OUT").unwrap();
+    let permitted = search(&mut space, &base, map, Action::Permit, None)
         .unwrap()
         .expect("some route is permitted");
     assert!(base
@@ -89,8 +95,7 @@ fn search_route_policies_finds_witnesses() {
         .is_permit());
     assert_eq!(permitted.local_pref, 300, "only lp-300 routes pass");
 
-    let denied = space
-        .search_route_policies(&base, "ISP_OUT", Action::Deny, None)
+    let denied = search(&mut space, &base, map, Action::Deny, None)
         .unwrap()
         .expect("some route is denied");
     assert!(!base.eval_route_map("ISP_OUT", &denied).unwrap().is_permit());
@@ -105,8 +110,8 @@ fn search_with_constraint() {
     // can still pass. 10.0.0.0/8 le 24 leaves /25../32 free.
     let range: clarify_nettypes::PrefixRange = "10.0.0.0/8 ge 25".parse().unwrap();
     let c = space.encode_prefix_range(&range);
-    let r = space
-        .search_route_policies(&base, "ISP_OUT", Action::Permit, Some(c))
+    let map = base.route_map("ISP_OUT").unwrap();
+    let r = search(&mut space, &base, map, Action::Permit, Some(c))
         .unwrap()
         .expect("permitted /25+ route under 10/8 exists");
     assert!(range.matches(&r.network));
@@ -118,7 +123,7 @@ fn witness_route_roundtrips_through_encoding() {
     let base = Config::parse(ISP_OUT).unwrap();
     let snip = Config::parse(SNIPPET).unwrap();
     let mut space = RouteSpace::new(&[&base, &snip]).unwrap();
-    let set = space.permit_set(&snip, "SET_METRIC").unwrap();
+    let set = permit_set(&mut space, &snip, "SET_METRIC").unwrap();
     let w = space.witness(set).unwrap().expect("nonempty");
     // The witness must concretely match the snippet stanza.
     let v = snip.eval_route_map("SET_METRIC", &w).unwrap();
@@ -146,16 +151,8 @@ fn compare_reproduces_paper_differential_example() {
     let mut saw_paper_shape = false;
     for d in &diffs {
         // Every reported diff is a real behavioural difference.
-        let same = match (&d.a, &d.b) {
-            (
-                RouteMapVerdict::Permit { route: x, .. },
-                RouteMapVerdict::Permit { route: y, .. },
-            ) => x == y,
-            (RouteMapVerdict::Permit { .. }, _) | (_, RouteMapVerdict::Permit { .. }) => false,
-            _ => true,
-        };
-        assert!(!same, "non-difference reported: {d:?}");
-        if let RouteMapVerdict::Permit { route, .. } = &d.a {
+        assert!(!d.a.same_behaviour(&d.b), "non-difference reported: {d:?}");
+        if let Some(route) = d.a.route() {
             if route.metric == 55 && !d.b.is_permit() {
                 saw_paper_shape = true;
                 // The differential input carries community 300:3 and sits
@@ -255,7 +252,7 @@ fn deny_by_different_stanzas_is_not_a_difference() {
 fn value_too_large_is_reported() {
     let cfg = Config::parse("route-map RM permit 10\n match local-preference 100000\n").unwrap();
     let mut space = RouteSpace::new(&[&cfg]).unwrap();
-    let err = space.permit_set(&cfg, "RM").unwrap_err();
+    let err = permit_set(&mut space, &cfg, "RM").unwrap_err();
     assert!(matches!(err, AnalysisError::ValueTooLarge { .. }));
 }
 
@@ -269,7 +266,7 @@ fn route_map_overlap_census_on_paper_example() {
     let (cfg, _) = insert_route_map_stanza(&base, "ISP_OUT", &snip, "SET_METRIC", 0).unwrap();
     let mut space = RouteSpace::new(&[&cfg]).unwrap();
     let rm = cfg.route_map("ISP_OUT").unwrap().clone();
-    let report = route_map_overlaps(&mut space, &cfg, &rm).unwrap();
+    let report = overlaps(&mut space, &cfg, &rm).unwrap();
     // New stanza (0) overlaps the as-path deny (1)? The snippet does not
     // constrain as-path, so yes. It is disjoint from the D1 deny (2).
     let pairs: Vec<(usize, usize)> = report.pairs.iter().map(|p| (p.i, p.j)).collect();
@@ -302,7 +299,7 @@ ip access-list extended EDGE
     let acl = cfg.acl("EDGE").unwrap();
     let fast = acl_overlaps(acl);
     let mut space = PacketSpace::new();
-    let slow = acl_overlaps_symbolic(&mut space, acl);
+    let slow = overlaps(&mut space, &cfg, acl).unwrap();
     assert_eq!(fast.num_rules, slow.num_rules);
     let f: Vec<_> = fast
         .pairs
@@ -353,9 +350,9 @@ ip access-list extended EDGE
  permit tcp 10.0.0.0/8 any
 ";
     let cfg = Config::parse(text).unwrap();
+    let acl = cfg.acl("EDGE").unwrap();
     let mut space = PacketSpace::new();
-    let p = space
-        .search_filters(&cfg, "EDGE", Action::Permit, None)
+    let p = search(&mut space, &cfg, acl, Action::Permit, None)
         .unwrap()
         .expect("permitted packet exists");
     assert_eq!(cfg.eval_acl("EDGE", &p).unwrap().action, Action::Permit);
@@ -375,8 +372,7 @@ ip access-list extended EDGE
         };
         space.encode_entry(&entry)
     };
-    let p = space
-        .search_filters(&cfg, "EDGE", Action::Deny, Some(c))
+    let p = search(&mut space, &cfg, acl, Action::Deny, Some(c))
         .unwrap()
         .expect("denied :22 packet exists");
     assert_eq!(p.dst_port, 22);
@@ -388,7 +384,7 @@ fn packet_space_point_membership() {
     let text = "ip access-list extended A\n permit tcp 10.0.0.0/8 any eq 80\n";
     let cfg = Config::parse(text).unwrap();
     let mut space = PacketSpace::new();
-    let permit = space.permit_set(cfg.acl("A").unwrap());
+    let permit = cfg.acl("A").unwrap().permit_set(&mut space, &cfg).unwrap();
     let inside = Packet::tcp(Ipv4Addr::new(10, 1, 1, 1), 9, Ipv4Addr::new(2, 2, 2, 2), 80);
     let outside = Packet::tcp(Ipv4Addr::new(11, 1, 1, 1), 9, Ipv4Addr::new(2, 2, 2, 2), 80);
     let pi = space.encode_packet(&inside);
@@ -515,7 +511,7 @@ mod properties {
             let snip = Config::parse(SNIPPET).unwrap();
             let mut space = RouteSpace::new(&[&base, &snip]).unwrap();
             for (cfg, map) in [(&base, "ISP_OUT"), (&snip, "SET_METRIC")] {
-                let permits = space.permit_set(cfg, map).unwrap();
+                let permits = permit_set(&mut space, cfg, map).unwrap();
                 let point = space.encode_route(&r).unwrap();
                 let sym = space.manager().implies_true(point, permits);
                 let conc = cfg.eval_route_map(map, &r).unwrap().is_permit();
@@ -536,12 +532,7 @@ mod properties {
                 let vb = cb.eval_route_map("ISP_OUT", &d.route).unwrap();
                 prop_assert_eq!(&va, &d.a);
                 prop_assert_eq!(&vb, &d.b);
-                let same = match (&va, &vb) {
-                    (RouteMapVerdict::Permit { route: x, .. }, RouteMapVerdict::Permit { route: y, .. }) => x == y,
-                    (RouteMapVerdict::Permit { .. }, _) | (_, RouteMapVerdict::Permit { .. }) => false,
-                    _ => true,
-                };
-                prop_assert!(!same, "reported diff is not a diff: {:?}", d);
+                prop_assert!(!va.same_behaviour(&vb), "reported diff is not a diff: {:?}", d);
             }
             if pos_a == pos_b {
                 prop_assert!(diffs.is_empty());
@@ -579,7 +570,7 @@ mod properties {
             let acl = cfg.acl("R").unwrap();
             let fast = acl_overlaps(acl);
             let mut space = PacketSpace::new();
-            let slow = acl_overlaps_symbolic(&mut space, acl);
+            let slow = overlaps(&mut space, &cfg, acl).unwrap();
             let f: Vec<_> = fast.pairs.iter().map(|p| (p.i, p.j, p.conflicting, p.subset)).collect();
             let s: Vec<_> = slow.pairs.iter().map(|p| (p.i, p.j, p.conflicting, p.subset)).collect();
             prop_assert_eq!(f, s, "ACL:\n{}", text);
@@ -610,7 +601,7 @@ mod filter_compare_tests {
         let a = acl("ip access-list extended A\n permit tcp any any eq 80\n");
         let b = acl("ip access-list extended B\n permit tcp any any range 80 81\n");
         let mut space = PacketSpace::new();
-        let diffs = compare_filters(&mut space, &a, &b, 4);
+        let diffs = compare_filters(&mut space, &a, &b, 4).unwrap();
         assert!(!diffs.is_empty());
         for d in &diffs {
             assert_eq!(d.packet.dst_port, 81, "only :81 differs");
@@ -632,11 +623,60 @@ mod filter_compare_tests {
         let a = acl("ip access-list extended A\n permit udp any any\n");
         let b = acl("ip access-list extended B\n deny ip any any\n");
         let mut space = PacketSpace::new();
-        let diffs = compare_filters(&mut space, &a, &b, 5);
+        let diffs = compare_filters(&mut space, &a, &b, 5).unwrap();
         assert_eq!(diffs.len(), 5);
         let mut seen: Vec<_> = diffs.iter().map(|d| d.packet).collect();
         seen.dedup();
         assert_eq!(seen.len(), 5, "witnesses are pairwise distinct");
+    }
+
+    /// A one-witness ACL compare builds only the two permit sets, their
+    /// XOR and the witness search: it never encodes and excludes the point
+    /// of its last witness.
+    #[test]
+    fn one_witness_filter_compare_builds_no_exclusion() {
+        let a =
+            acl("ip access-list extended A\n permit tcp 10.0.0.0/8 any eq 80\n deny ip any any\n");
+        let b = acl("ip access-list extended B\n permit tcp 10.0.0.0/8 any range 80 81\n");
+        let mut space = PacketSpace::new();
+        let diffs = compare_filters(&mut space, &a, &b, 1).unwrap();
+
+        let mut reference = PacketSpace::new();
+        let cfg = Config::new();
+        let pa = a.permit_set(&mut reference, &cfg).unwrap();
+        let pb = b.permit_set(&mut reference, &cfg).unwrap();
+        let region = reference.manager().xor(pa, pb);
+        let packet = reference.witness(region).expect("the ACLs differ");
+
+        assert_eq!(diffs.len(), 1);
+        assert_eq!(diffs[0].packet, packet);
+        assert_eq!(
+            space.manager().stats().nodes,
+            reference.manager().stats().nodes
+        );
+    }
+
+    /// The same for prefix lists.
+    #[test]
+    fn one_witness_prefix_list_compare_builds_no_exclusion() {
+        let a = plist("ip prefix-list A seq 5 permit 10.0.0.0/8 le 24\n");
+        let b = plist("ip prefix-list B seq 5 permit 10.0.0.0/8 le 23\n");
+        let mut space = PrefixSpace::new();
+        let diffs = compare_prefix_lists(&mut space, &a, &b, 1).unwrap();
+
+        let mut reference = PrefixSpace::new();
+        let cfg = Config::new();
+        let pa = a.permit_set(&mut reference, &cfg).unwrap();
+        let pb = b.permit_set(&mut reference, &cfg).unwrap();
+        let region = reference.manager().xor(pa, pb);
+        let prefix = reference.witness(region).expect("the lists differ");
+
+        assert_eq!(diffs.len(), 1);
+        assert_eq!(diffs[0].prefix, prefix);
+        assert_eq!(
+            space.manager().stats().nodes,
+            reference.manager().stats().nodes
+        );
     }
 
     fn plist(text: &str) -> PrefixList {
@@ -655,7 +695,7 @@ mod filter_compare_tests {
             "ip prefix-list P seq 5 deny 10.1.0.0/16 le 24\nip prefix-list P seq 10 permit 10.0.0.0/8 le 32\n",
         );
         let mut space = PrefixSpace::new();
-        let permit = space.permit_set(&pl);
+        let permit = pl.permit_set(&mut space, &Config::new()).unwrap();
         for p in [
             "10.1.0.0/16",
             "10.1.2.0/24",
@@ -842,7 +882,7 @@ mod chain_overlap_tests {
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].map_i, pairs[0].map_j);
         // And it agrees with the single-map census.
-        let single = route_map_overlaps(&mut space, &cfg, &rm).unwrap();
+        let single = overlaps(&mut space, &cfg, &rm).unwrap();
         assert_eq!(single.count(), pairs.len());
     }
 }
@@ -851,8 +891,8 @@ mod chain_overlap_tests {
 fn witness_enumeration_yields_distinct_routes() {
     let base = Config::parse(ISP_OUT).unwrap();
     let mut space = RouteSpace::new(&[&base]).unwrap();
-    let permits = space.permit_set(&base, "ISP_OUT").unwrap();
-    let routes = space.witnesses(permits, 5).unwrap();
+    let permits = permit_set(&mut space, &base, "ISP_OUT").unwrap();
+    let routes = witnesses::<RouteMap>(&mut space, permits, 5).unwrap();
     assert_eq!(routes.len(), 5);
     for (i, r) in routes.iter().enumerate() {
         assert!(
@@ -866,7 +906,7 @@ fn witness_enumeration_yields_distinct_routes() {
     // A region with exactly one point yields exactly one witness.
     let r = BgpRoute::with_defaults(pfx("99.0.0.0/16")).lp(300);
     let point = space.encode_route(&r).unwrap();
-    let one = space.witnesses(point, 10).unwrap();
+    let one = witnesses::<RouteMap>(&mut space, point, 10).unwrap();
     assert_eq!(one.len(), 1);
     assert_eq!(one[0], r);
 }
@@ -882,8 +922,8 @@ fn witness_exclusion_covers_decoded_class() {
     )
     .unwrap();
     let mut space = RouteSpace::new(&[&cfg]).unwrap();
-    let region = space.permit_set(&cfg, "RM").unwrap();
-    let routes = space.witnesses(region, 10).unwrap();
+    let region = permit_set(&mut space, &cfg, "RM").unwrap();
+    let routes = witnesses::<RouteMap>(&mut space, region, 10).unwrap();
     // The region fixes prefix, lp, metric, and tag; only the community
     // dimension remains (one atom, so with/without a community): exactly
     // two distinct routes, where the pre-fix exclusion produced ten
@@ -983,10 +1023,10 @@ fn transfer_applies_sets_and_respects_first_match() {
         .space_mut()
         .encode_prefix_range(&"10.1.128.0/17 ge 17".parse().unwrap());
     let leak = ns.space_mut().manager().and(out, hidden);
-    assert_eq!(leak, clarify_bdd::Ref::FALSE);
+    assert_eq!(leak, Ref::FALSE);
     // Transfer of an empty input is empty (monotone at the bottom).
-    let none = ns.transfer(&cfg, &map, 1, clarify_bdd::Ref::FALSE).unwrap();
-    assert_eq!(none, clarify_bdd::Ref::FALSE);
+    let none = ns.transfer(&cfg, &map, 1, Ref::FALSE).unwrap();
+    assert_eq!(none, Ref::FALSE);
 }
 
 #[test]
@@ -1018,7 +1058,7 @@ fn origination_region_is_exact_points() {
     let origin = ns
         .origination_region(&[pfx("10.1.0.0/16"), pfx("203.0.113.0/24")])
         .unwrap();
-    let all = ns.space_mut().witnesses(origin, 8).unwrap();
+    let all = witnesses::<RouteMap>(ns.space_mut(), origin, 8).unwrap();
     assert_eq!(all.len(), 2);
     for r in &all {
         assert_eq!(r.local_pref, 100);

@@ -7,7 +7,7 @@
 use clarify_testkit::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use clarify_analysis::{route_map_overlaps, RouteSpace};
+use clarify_analysis::{overlaps, RouteSpace};
 use clarify_bdd::Manager;
 use clarify_netconfig::Config;
 
@@ -73,7 +73,7 @@ fn bench_e1_overlap(c: &mut Criterion) {
         let map = cfg.route_map("ISP_OUT").expect("map exists").clone();
         b.iter(|| {
             let mut space = RouteSpace::new(&[&cfg]).expect("space");
-            black_box(route_map_overlaps(&mut space, &cfg, &map).expect("overlaps"))
+            black_box(overlaps(&mut space, &cfg, &map).expect("overlaps"))
         });
     });
 }

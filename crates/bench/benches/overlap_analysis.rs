@@ -5,9 +5,8 @@ use clarify_rng::StdRng;
 use clarify_testkit::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use clarify_analysis::{
-    acl_overlaps, acl_overlaps_symbolic, route_map_overlaps, PacketSpace, RouteSpace,
-};
+use clarify_analysis::{acl_overlaps, overlaps, PacketSpace, RouteSpace};
+use clarify_netconfig::Config;
 use clarify_workload::{cross_acl, nested_route_map_config};
 
 fn bench_acl_interval(c: &mut Criterion) {
@@ -35,7 +34,7 @@ fn bench_acl_symbolic(c: &mut Criterion) {
             |b, acl| {
                 b.iter(|| {
                     let mut space = PacketSpace::new();
-                    black_box(acl_overlaps_symbolic(&mut space, acl))
+                    black_box(overlaps(&mut space, &Config::new(), acl).expect("overlaps"))
                 });
             },
         );
@@ -51,7 +50,7 @@ fn bench_route_map(c: &mut Criterion) {
             let rm = cfg.route_map("RM").expect("map").clone();
             b.iter(|| {
                 let mut space = RouteSpace::new(&[cfg]).expect("space");
-                black_box(route_map_overlaps(&mut space, cfg, &rm).expect("overlaps"))
+                black_box(overlaps(&mut space, cfg, &rm).expect("overlaps"))
             });
         });
     }

@@ -5,7 +5,7 @@
 use clarify_testkit::bench::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use clarify_analysis::{compare_route_policies, RouteSpace};
+use clarify_analysis::{compare_route_policies, search, FirstMatchPolicy, RouteSpace};
 use clarify_netconfig::{insert_route_map_stanza, Action, Config};
 
 const ISP_OUT: &str = "\
@@ -40,24 +40,22 @@ fn bench_space_build(c: &mut Criterion) {
 
 fn bench_permit_set(c: &mut Criterion) {
     let base = Config::parse(ISP_OUT).expect("parses");
+    let map = base.route_map("ISP_OUT").expect("map exists");
     c.bench_function("analysis/permit_set", |b| {
         b.iter(|| {
             let mut space = RouteSpace::new(&[&base]).expect("space");
-            black_box(space.permit_set(&base, "ISP_OUT").expect("permit set"))
+            black_box(map.permit_set(&mut space, &base).expect("permit set"))
         });
     });
 }
 
 fn bench_search(c: &mut Criterion) {
     let base = Config::parse(ISP_OUT).expect("parses");
+    let map = base.route_map("ISP_OUT").expect("map exists");
     c.bench_function("analysis/search_route_policies", |b| {
         b.iter(|| {
             let mut space = RouteSpace::new(&[&base]).expect("space");
-            black_box(
-                space
-                    .search_route_policies(&base, "ISP_OUT", Action::Permit, None)
-                    .expect("search"),
-            )
+            black_box(search(&mut space, &base, map, Action::Permit, None).expect("search"))
         });
     });
 }

@@ -7,7 +7,7 @@
 //! embarrassingly parallel and the fan-out changes no output byte:
 //! results come back in population order.
 
-use clarify_analysis::{acl_overlaps, route_map_overlaps, OverlapReport};
+use clarify_analysis::{acl_overlaps, overlaps, OverlapReport};
 use clarify_analysis::{AnalysisError, RouteSpace};
 use clarify_netconfig::{Acl, Config};
 
@@ -25,7 +25,7 @@ pub fn route_map_sweep(
     let reports = clarify_par::par_map(route_maps, |(cfg, name)| {
         let rm = cfg.route_map(name).expect("generated map exists").clone();
         let mut space = RouteSpace::new(&[cfg])?;
-        route_map_overlaps(&mut space, cfg, &rm)
+        overlaps(&mut space, cfg, &rm)
     });
     reports.into_iter().collect()
 }

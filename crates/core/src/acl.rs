@@ -104,7 +104,7 @@ impl RuleKind for AclInsertion {
             cfg.acl(&self.target.name)
                 .expect("insert_acl_entry preserves the ACL it inserted into")
         });
-        let diffs = compare_filters(space, above, below, 1);
+        let diffs = compare_filters(space, above, below, 1)?;
         Ok(diffs.into_iter().next().map(|d| AclQuestion {
             packet: d.packet,
             option_first: d.a,
@@ -169,7 +169,7 @@ pub fn verify_acl_against_intent(
         name: acl_name.to_string(),
     })?;
     let mut space = PacketSpace::new();
-    let diffs = compare_filters(&mut space, acl, intended, 1);
+    let diffs = compare_filters(&mut space, acl, intended, 1)?;
     match diffs.into_iter().next() {
         None => Ok(()),
         Some(d) => Err(ClarifyError::NoValidAclInsertion { witness: d.packet }),

@@ -206,19 +206,9 @@ impl UserOracle for IntentOracle<'_> {
             .intended
             .eval_route_map(self.map, &q.route)
             .map_err(ClarifyError::Config)?;
-        let eq = |a: &RouteMapVerdict, b: &RouteMapVerdict| -> bool {
-            match (a, b) {
-                (
-                    RouteMapVerdict::Permit { route: x, .. },
-                    RouteMapVerdict::Permit { route: y, .. },
-                ) => x == y,
-                (RouteMapVerdict::Permit { .. }, _) | (_, RouteMapVerdict::Permit { .. }) => false,
-                _ => true,
-            }
-        };
-        if eq(&want, &q.option_first) {
+        if want.same_behaviour(&q.option_first) {
             Ok(Choice::First)
-        } else if eq(&want, &q.option_second) {
+        } else if want.same_behaviour(&q.option_second) {
             Ok(Choice::Second)
         } else {
             // Neither option matches the intent: the update cannot be

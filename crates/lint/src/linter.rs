@@ -38,11 +38,9 @@ pub(crate) struct Nouns {
 }
 
 /// A first-match policy kind the symbolic pass covers. The kind supplies
-/// only what differs between kinds; [`lint_object`] runs the checks once
-/// for all of them.
+/// only what differs between kinds beyond its [`FirstMatchPolicy`]
+/// encoding; [`lint_object`] runs the checks once for all of them.
 pub(crate) trait LintKind: FirstMatchPolicy + Sync + Sized {
-    /// A decoded witness: a route, packet or prefix.
-    type Input: std::fmt::Display;
     /// The object kind, for content hashes and the cache.
     const KIND: ObjectKind;
     /// The span timing this kind's pass.
@@ -57,16 +55,10 @@ pub(crate) trait LintKind: FirstMatchPolicy + Sync + Sized {
     fn objects(cfg: &Config) -> &BTreeMap<String, Self>;
     /// A fresh space that encodes every object of `cfg`.
     fn new_space(cfg: &Config) -> Result<Self::Space, AnalysisError>;
-    /// The space's validity constraint.
-    fn valid(space: &Self::Space) -> Ref;
     /// This kind's state in an incremental session.
     fn state(session: &mut SessionState) -> &mut KindState<Self>;
     /// The identity of rule `i` of the object named `name`.
     fn rule_id(&self, name: &str, i: usize) -> RuleId;
-    /// The action of rule `i`.
-    fn action(&self, i: usize) -> Action;
-    /// A concrete input in `region` (within `valid`), if there is one.
-    fn witness(space: &mut Self::Space, region: Ref) -> Result<Option<Self::Input>, AnalysisError>;
     /// The index of the rule that decides `input`, if any.
     fn deciding_rule(
         &self,
@@ -113,7 +105,6 @@ pub(crate) trait LintKind: FirstMatchPolicy + Sync + Sized {
 }
 
 impl LintKind for RouteMap {
-    type Input = BgpRoute;
     const KIND: ObjectKind = ObjectKind::RouteMap;
     const PASS: &'static str = "lint_route_maps";
     const NOUNS: Nouns = Nouns {
@@ -131,20 +122,11 @@ impl LintKind for RouteMap {
     fn new_space(cfg: &Config) -> Result<RouteSpace, AnalysisError> {
         RouteSpace::new(&[cfg])
     }
-    fn valid(space: &RouteSpace) -> Ref {
-        space.valid()
-    }
     fn state(session: &mut SessionState) -> &mut KindState<RouteMap> {
         &mut session.route_maps
     }
     fn rule_id(&self, name: &str, i: usize) -> RuleId {
         RuleId::route_map_stanza(name, self.stanzas[i].seq)
-    }
-    fn action(&self, i: usize) -> Action {
-        self.stanzas[i].action
-    }
-    fn witness(space: &mut RouteSpace, region: Ref) -> Result<Option<BgpRoute>, AnalysisError> {
-        space.witness(region)
     }
     fn deciding_rule(
         &self,
@@ -173,7 +155,6 @@ impl LintKind for RouteMap {
 }
 
 impl LintKind for Acl {
-    type Input = Packet;
     const KIND: ObjectKind = ObjectKind::Acl;
     const PASS: &'static str = "lint_acls";
     const NOUNS: Nouns = Nouns {
@@ -190,20 +171,11 @@ impl LintKind for Acl {
     fn new_space(_: &Config) -> Result<PacketSpace, AnalysisError> {
         Ok(PacketSpace::new())
     }
-    fn valid(space: &PacketSpace) -> Ref {
-        space.valid()
-    }
     fn state(session: &mut SessionState) -> &mut KindState<Acl> {
         &mut session.acls
     }
     fn rule_id(&self, name: &str, i: usize) -> RuleId {
         RuleId::acl_entry(name, i)
-    }
-    fn action(&self, i: usize) -> Action {
-        self.entries[i].action
-    }
-    fn witness(space: &mut PacketSpace, region: Ref) -> Result<Option<Packet>, AnalysisError> {
-        Ok(space.witness(region))
     }
     fn deciding_rule(
         &self,
@@ -237,7 +209,6 @@ impl LintKind for Acl {
 }
 
 impl LintKind for PrefixList {
-    type Input = Prefix;
     const KIND: ObjectKind = ObjectKind::PrefixList;
     const PASS: &'static str = "lint_prefix_lists";
     const NOUNS: Nouns = Nouns {
@@ -254,20 +225,11 @@ impl LintKind for PrefixList {
     fn new_space(_: &Config) -> Result<PrefixSpace, AnalysisError> {
         Ok(PrefixSpace::new())
     }
-    fn valid(space: &PrefixSpace) -> Ref {
-        space.valid()
-    }
     fn state(session: &mut SessionState) -> &mut KindState<PrefixList> {
         &mut session.prefix_lists
     }
     fn rule_id(&self, name: &str, i: usize) -> RuleId {
         RuleId::prefix_entry(name, self.entries[i].seq)
-    }
-    fn action(&self, i: usize) -> Action {
-        self.entries[i].action
-    }
-    fn witness(space: &mut PrefixSpace, region: Ref) -> Result<Option<Prefix>, AnalysisError> {
-        Ok(space.witness(region))
     }
     fn deciding_rule(
         &self,

@@ -211,8 +211,8 @@ route-map USE permit 10
 
 mod prune {
     use clarify_analysis::{
-        filters_equivalent, policies_equivalent, prefix_lists_equivalent, PacketSpace, PrefixSpace,
-        RouteSpace,
+        filters_equivalent, policies_equivalent, prefix_lists_equivalent, FirstMatchPolicy,
+        PacketSpace, PrefixSpace, RouteSpace,
     };
     use clarify_bdd::Ref;
     use clarify_netconfig::{
@@ -271,11 +271,11 @@ ip prefix-list PL seq 15 permit 0.0.0.0/0 le 32
             .unwrap();
         let s_star = space.manager().and(raw, valid);
         // All four stanzas' match sets intersect the snippet's.
-        let match_sets = space.match_sets(base, &map).unwrap();
+        let match_sets = map.match_sets(&mut space, base).unwrap();
         let candidates: Vec<usize> = (0..match_sets.len())
             .filter(|&i| space.manager().and(match_sets[i], s_star) != Ref::FALSE)
             .collect();
-        let (fires, _) = space.fire_sets(base, &map).unwrap();
+        let (fires, _) = map.fire_sets(&mut space, base).unwrap();
         let outcome = prune_candidates(space.manager(), &fires, s_star, &candidates);
         (space, candidates, outcome.pruned)
     }
@@ -319,7 +319,7 @@ ip prefix-list PL seq 15 permit 0.0.0.0/0 le 32
         let raw = space.encode_entry(&entry);
         let valid = space.valid();
         let s_star = space.manager().and(raw, valid);
-        let (fires, _) = space.fire_sets(acl);
+        let (fires, _) = acl.fire_sets(&mut space, &base).unwrap();
         let candidates: Vec<usize> = (0..acl.entries.len()).collect();
         let pruned = prune_candidates(space.manager(), &fires, s_star, &candidates).pruned;
         assert_eq!(pruned, vec![1, 2, 3]);
@@ -344,7 +344,7 @@ ip prefix-list PL seq 15 permit 0.0.0.0/0 le 32
         let raw = space.encode_range(&entry.range);
         let valid = space.valid();
         let s_star = space.manager().and(raw, valid);
-        let (fires, _) = space.fire_sets(list);
+        let (fires, _) = list.fire_sets(&mut space, &base).unwrap();
         let candidates: Vec<usize> = (0..list.entries.len()).collect();
         let pruned = prune_candidates(space.manager(), &fires, s_star, &candidates).pruned;
         assert_eq!(pruned, vec![1, 2]);

@@ -49,6 +49,13 @@ impl RouteMapVerdict {
             _ => None,
         }
     }
+
+    /// Whether two verdicts are the same externally visible behaviour:
+    /// two permits agree when their output routes do, whichever stanzas
+    /// decided them, and any two denials agree.
+    pub fn same_behaviour(&self, other: &RouteMapVerdict) -> bool {
+        self.route() == other.route()
+    }
 }
 
 /// Result of pushing a packet through an ACL.

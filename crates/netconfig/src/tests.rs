@@ -102,6 +102,23 @@ fn eval_first_match_wins_over_later() {
 }
 
 #[test]
+fn verdicts_compare_by_behaviour() {
+    let route = BgpRoute::with_defaults(pfx("99.0.0.0/16"));
+    let permit = |route: &BgpRoute, seq| RouteMapVerdict::Permit {
+        route: route.clone(),
+        seq,
+    };
+    // Permits by their output route, whichever stanza decided them.
+    assert!(permit(&route, 10).same_behaviour(&permit(&route, 20)));
+    assert!(!permit(&route, 10).same_behaviour(&permit(&route.clone().med(5), 10)));
+    // Any two denials agree; a denial never equals a permit.
+    let deny = RouteMapVerdict::DenyBy { seq: 10 };
+    assert!(deny.same_behaviour(&RouteMapVerdict::ImplicitDeny));
+    assert!(!deny.same_behaviour(&permit(&route, 10)));
+    assert!(!permit(&route, 10).same_behaviour(&RouteMapVerdict::ImplicitDeny));
+}
+
+#[test]
 fn snippet_sets_metric() {
     let cfg = Config::parse(SNIPPET).unwrap();
     let r = BgpRoute::with_defaults(pfx("100.0.0.0/16")).community(com("300:3"));

@@ -1,6 +1,6 @@
 use clarify_rng::StdRng;
 
-use clarify_analysis::{acl_overlaps, route_map_overlaps, RouteSpace};
+use clarify_analysis::{acl_overlaps, overlaps, RouteSpace};
 
 use crate::{
     campus, clean_acl, clean_route_map_config, cloud, cross_acl, disambiguation_family,
@@ -46,7 +46,7 @@ fn clean_route_map_has_no_overlaps() {
     let cfg = clean_route_map_config(&mut rng(), "RM", 6);
     let rm = cfg.route_map("RM").unwrap().clone();
     let mut space = RouteSpace::new(&[&cfg]).unwrap();
-    let r = route_map_overlaps(&mut space, &cfg, &rm).unwrap();
+    let r = overlaps(&mut space, &cfg, &rm).unwrap();
     assert_eq!(r.count(), 0);
 }
 
@@ -55,7 +55,7 @@ fn nested_route_map_counts_exact() {
     let cfg = nested_route_map_config("RM", 4, 2);
     let rm = cfg.route_map("RM").unwrap().clone();
     let mut space = RouteSpace::new(&[&cfg]).unwrap();
-    let r = route_map_overlaps(&mut space, &cfg, &rm).unwrap();
+    let r = overlaps(&mut space, &cfg, &rm).unwrap();
     assert_eq!(r.count(), 3, "wide stanza overlaps each narrow");
     let conflicting = r.pairs.iter().filter(|p| p.conflicting).count();
     assert_eq!(conflicting, 2, "the paper's campus route-map shape");
@@ -106,7 +106,7 @@ fn cloud_route_map_census_matches_paper() {
     for (cfg, name) in &w.route_maps {
         let rm = cfg.route_map(name).unwrap().clone();
         let mut space = RouteSpace::new(&[cfg]).unwrap();
-        let r = route_map_overlaps(&mut space, cfg, &rm).unwrap();
+        let r = overlaps(&mut space, cfg, &rm).unwrap();
         census.add(&r);
     }
     // §3.1: 800 policies, 140 with overlaps, 3 with more than 20 each.
@@ -150,7 +150,7 @@ fn campus_route_map_census_matches_paper() {
     for (cfg, name) in &w.route_maps {
         let rm = cfg.route_map(name).unwrap().clone();
         let mut space = RouteSpace::new(&[cfg]).unwrap();
-        let r = route_map_overlaps(&mut space, cfg, &rm).unwrap();
+        let r = overlaps(&mut space, cfg, &rm).unwrap();
         if r.count() > 0 {
             pair_counts.push((r.count(), r.pairs.iter().filter(|p| p.conflicting).count()));
         }

@@ -6,7 +6,7 @@
 //! cargo run --example campus_audit -- --seed 7 --top 5
 //! ```
 
-use clarify::analysis::{acl_overlaps, route_map_overlaps, RouteSpace};
+use clarify::analysis::{acl_overlaps, overlaps, RouteSpace};
 use clarify::workload::{campus, AclCensus, RouteMapCensus};
 
 fn arg(name: &str) -> Option<String> {
@@ -75,7 +75,7 @@ fn main() {
     for (cfg, name) in &w.route_maps {
         let rm = cfg.route_map(name).expect("map exists").clone();
         let mut space = RouteSpace::new(&[cfg]).expect("space");
-        let r = route_map_overlaps(&mut space, cfg, &rm).expect("analysis");
+        let r = overlaps(&mut space, cfg, &rm).expect("analysis");
         if r.count() > 0 {
             println!(
                 "  {name}: {} overlapping stanza pairs ({} conflicting)",

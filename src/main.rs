@@ -37,8 +37,8 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use clarify::analysis::{
-    acl_overlaps, compare_route_policies, route_map_chain_overlaps, route_map_overlaps,
-    PacketSpace, RouteSpace,
+    acl_overlaps, compare_route_policies, overlaps, route_map_chain_overlaps, PacketSpace,
+    RouteSpace,
 };
 use clarify::core::{Choice, ClarifySession, Disambiguator};
 use clarify::llm::{
@@ -377,7 +377,7 @@ fn audit(args: &[String]) -> Result<(), String> {
     // One space serves every map: it depends only on the config's regexes.
     let mut space = RouteSpace::new(&[&cfg]).map_err(|e| e.to_string())?;
     for rm in cfg.route_maps.values() {
-        let r = route_map_overlaps(&mut space, &cfg, rm).map_err(|e| e.to_string())?;
+        let r = overlaps(&mut space, &cfg, rm).map_err(|e| e.to_string())?;
         println!(
             "{}: {} stanzas, {} overlapping pairs ({} with differing actions)",
             rm.name,

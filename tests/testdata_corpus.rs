@@ -1,7 +1,7 @@
 //! The shipped sample configurations parse, validate, audit, and support
 //! end-to-end interactive updates.
 
-use clarify::analysis::{acl_overlaps, route_map_overlaps, RouteSpace};
+use clarify::analysis::{acl_overlaps, overlaps, RouteSpace};
 use clarify::core::{Disambiguator, IntentOracle, PlacementStrategy};
 use clarify::llm::{Pipeline, PipelineOutcome, SemanticBackend};
 use clarify::netconfig::{insert_route_map_stanza, Config};
@@ -39,7 +39,7 @@ fn border_router_audit_findings() {
     // ISP_IN's catch-all permit overlaps (and conflicts with) the bogon deny.
     let rm = cfg.route_map("ISP_IN").unwrap().clone();
     let mut space = RouteSpace::new(&[&cfg]).unwrap();
-    let r = route_map_overlaps(&mut space, &cfg, &rm).unwrap();
+    let r = overlaps(&mut space, &cfg, &rm).unwrap();
     assert_eq!(r.count(), 1);
     assert!(r.pairs[0].conflicting);
     // The management ACL has the classic bastion-exemption overlap.
