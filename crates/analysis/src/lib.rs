@@ -18,6 +18,13 @@
 //!   interval arithmetic for ACLs;
 //! * [`witnesses`] — several distinct example inputs from one region.
 //!
+//! What a route-map stanza's `set` clauses do to a route is folded once,
+//! into a net per-field effect (the last write wins on each field,
+//! community adds accumulate and a replace resets them). Comparing
+//! policies, verifying a stanza against its [`StanzaSpec`], searching on
+//! output constraints ([`RouteSpace::search_route_policies_out`]) and the
+//! [`NetworkSpace`] transfer all read that one effect.
+//!
 //! Routes are encoded over BDD variables: 32 prefix bits, 6 prefix-length
 //! bits, 16-bit local-preference / metric / tag fields, one variable per
 //! **community atomic predicate**, and a binary-encoded **AS-path atomic
@@ -29,6 +36,7 @@
 
 #![warn(missing_docs)]
 
+mod effect;
 mod error;
 mod filter_compare;
 mod first_match;

@@ -4,9 +4,9 @@
 //! network linter needs: given the set of routes arriving at a policy, what
 //! set can leave it? A route-map is a first-match cascade whose permit
 //! stanzas rewrite attributes, so the image is the union, over permit
-//! stanzas, of the stanza's `set` clauses applied to `fire ∩ input`. Each
-//! `set` is an existential quantification of the written field followed by
-//! re-constraining it — exact for the encoded fields (local-preference,
+//! stanzas, of the stanza's net `set` effect applied to `fire ∩ input`.
+//! Each written field is existentially quantified once and re-constrained
+//! to its final value — exact for the encoded fields (local-preference,
 //! metric, tag, community atoms) and the identity for unencoded ones
 //! (weight, next hop).
 //!
@@ -24,6 +24,7 @@ use clarify_bdd::Ref;
 use clarify_netconfig::{Action, Config, RouteMap, RouteMapSet};
 use clarify_nettypes::{BgpRoute, Prefix};
 
+use crate::effect::{CommunityEffect, SetEffect};
 use crate::error::AnalysisError;
 use crate::incr::FireSetCache;
 use crate::route_space::{Field, RouteSpace};
@@ -129,61 +130,56 @@ impl NetworkSpace {
         Ok(out)
     }
 
-    /// Applies a stanza's `set` clauses, in order, to a region. Later
-    /// writes to the same field win, exactly as the concrete evaluator's
-    /// [`Config::apply_sets`](clarify_netconfig::Config) does.
+    /// Applies a stanza's net `set` effect to a region: each written field
+    /// is forgotten and re-constrained once, and so are the community
+    /// atoms. BDDs are canonical, so this is the region that applying the
+    /// clauses in order, as the concrete evaluator's
+    /// [`Config::apply_sets`](clarify_netconfig::Config) does, would give.
     fn apply_sets(&mut self, region: Ref, sets: &[RouteMapSet]) -> Result<Ref, AnalysisError> {
+        let effect = SetEffect::of(sets);
         let mut r = region;
-        for s in sets {
-            r = match s {
-                RouteMapSet::Metric(v) => self.assign(r, Field::Metric, Field::Metric.value(*v)?),
-                RouteMapSet::LocalPref(v) => {
-                    self.assign(r, Field::LocalPref, Field::LocalPref.value(*v)?)
-                }
-                RouteMapSet::Tag(v) => self.assign(r, Field::Tag, Field::Tag.value(*v)?),
-                // Weight and next hop are not encoded in the space, so the
-                // assignment is the identity on the symbolic region.
-                RouteMapSet::Weight(_) | RouteMapSet::NextHop(_) => r,
-                RouteMapSet::CommunityAdd(cs) => {
-                    let mut acc = r;
-                    for c in cs {
-                        let atom =
-                            self.space
-                                .comm_atoms
-                                .classify(&c.subject())
-                                .ok_or_else(|| AnalysisError::OutsideUniverse {
-                                    kind: "community",
-                                    value: c.subject(),
-                                })?;
-                        let var = self.space.comm_vars[atom];
-                        acc = self.space.mgr.exists(acc, &[var]);
-                        let lit = self.space.mgr.var(var);
-                        acc = self.space.mgr.and(acc, lit);
-                    }
-                    acc
-                }
-                RouteMapSet::CommunityReplace(cs) => {
-                    let mut member = vec![false; self.space.comm_vars.len()];
-                    for c in cs {
-                        let atom =
-                            self.space
-                                .comm_atoms
-                                .classify(&c.subject())
-                                .ok_or_else(|| AnalysisError::OutsideUniverse {
-                                    kind: "community",
-                                    value: c.subject(),
-                                })?;
-                        member[atom] = true;
-                    }
-                    let vars = self.space.comm_vars.clone();
-                    let mut acc = self.space.mgr.exists(r, &vars);
-                    for (i, &v) in vars.iter().enumerate() {
-                        let lit = self.space.mgr.literal(v, member[i]);
-                        acc = self.space.mgr.and(acc, lit);
-                    }
-                    acc
-                }
-            };
+        for (field, value) in [
+            (Field::Metric, effect.metric),
+            (Field::LocalPref, effect.local_pref),
+            (Field::Tag, effect.tag),
+        ] {
+            if let Some(v) = value {
+                r = self.assign(r, field, field.value(v)?);
+            }
+        }
+        // Weight and next hop are not encoded in the space, so writing
+        // them is the identity on the symbolic region.
+        let (written, replace) = match &effect.communities {
+            CommunityEffect::Keep => return Ok(r),
+            CommunityEffect::Add(cs) => (cs, false),
+            CommunityEffect::Replace(cs) => (cs, true),
+        };
+        let mut member = vec![false; self.space.comm_vars.len()];
+        for c in written {
+            let atom = self
+                .space
+                .comm_atoms
+                .classify(&c.subject())
+                .ok_or_else(|| AnalysisError::OutsideUniverse {
+                    kind: "community",
+                    value: c.subject(),
+                })?;
+            member[atom] = true;
+        }
+        // A replace rewrites every atom; an add only the atoms it sets.
+        let rewritten: Vec<(u32, bool)> = self
+            .space
+            .comm_vars
+            .iter()
+            .copied()
+            .zip(member)
+            .filter(|&(_, m)| replace || m)
+            .collect();
+        let vars: Vec<u32> = rewritten.iter().map(|&(v, _)| v).collect();
+        r = self.space.mgr.exists(r, &vars);
+        for (v, m) in rewritten {
+            let lit = self.space.mgr.literal(v, m);
+            r = self.space.mgr.and(r, lit);
         }
         Ok(r)
     }

@@ -5,9 +5,10 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use clarify_bdd::Ref;
-use clarify_netconfig::{Action, Config, RouteMapSet, RouteMapStanza, RouteMapVerdict};
+use clarify_netconfig::{Action, Config, RouteMapVerdict};
 use clarify_nettypes::{BgpRoute, Community};
 
+use crate::effect::{CommunityEffect, SetEffect};
 use crate::error::AnalysisError;
 use crate::first_match::FirstMatchPolicy;
 use crate::route_space::{Field, RouteSpace};
@@ -21,62 +22,6 @@ pub struct RouteDiff {
     pub a: RouteMapVerdict,
     /// Outcome under the second policy.
     pub b: RouteMapVerdict,
-}
-
-/// The net effect of a stanza's community set clauses.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum CommEffect {
-    None,
-    Add(BTreeSet<Community>),
-    Replace(BTreeSet<Community>),
-}
-
-/// The net effect of all set clauses in a stanza, field by field.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Transform {
-    metric: Option<u32>,
-    local_pref: Option<u32>,
-    tag: Option<u32>,
-    weight: Option<u16>,
-    next_hop: Option<Ipv4Addr>,
-    communities: CommEffect,
-}
-
-fn transform_of(stanza: &RouteMapStanza) -> Transform {
-    let mut t = Transform {
-        metric: None,
-        local_pref: None,
-        tag: None,
-        weight: None,
-        next_hop: None,
-        communities: CommEffect::None,
-    };
-    for s in &stanza.sets {
-        match s {
-            RouteMapSet::Metric(v) => t.metric = Some(*v),
-            RouteMapSet::LocalPref(v) => t.local_pref = Some(*v),
-            RouteMapSet::Tag(v) => t.tag = Some(*v),
-            RouteMapSet::Weight(v) => t.weight = Some(*v),
-            RouteMapSet::NextHop(ip) => t.next_hop = Some(*ip),
-            RouteMapSet::CommunityAdd(cs) => {
-                t.communities = match t.communities {
-                    CommEffect::None => CommEffect::Add(cs.iter().copied().collect()),
-                    CommEffect::Add(mut old) => {
-                        old.extend(cs.iter().copied());
-                        CommEffect::Add(old)
-                    }
-                    CommEffect::Replace(mut old) => {
-                        old.extend(cs.iter().copied());
-                        CommEffect::Replace(old)
-                    }
-                };
-            }
-            RouteMapSet::CommunityReplace(cs) => {
-                t.communities = CommEffect::Replace(cs.iter().copied().collect());
-            }
-        }
-    }
-    t
 }
 
 /// Finds up to `limit` concrete routes on which `map_a` (in `cfg_a`) and
@@ -96,41 +41,8 @@ pub fn compare_route_policies(
     map_b: &str,
     limit: usize,
 ) -> Result<Vec<RouteDiff>, AnalysisError> {
-    let rm_a = cfg_a
-        .route_map(map_a)
-        .ok_or_else(|| not_found(map_a))?
-        .clone();
-    let rm_b = cfg_b
-        .route_map(map_b)
-        .ok_or_else(|| not_found(map_b))?
-        .clone();
-    let (fires_a, implicit_a) = rm_a.fire_sets(space, cfg_a)?;
-    let (fires_b, implicit_b) = rm_b.fire_sets(space, cfg_b)?;
-
-    // Regions with their outcome descriptors. Implicit deny behaves like a
-    // deny stanza.
-    let mut regions_a: Vec<(Ref, Outcome)> = Vec::new();
-    for (s, &f) in rm_a.stanzas.iter().zip(&fires_a) {
-        regions_a.push((
-            f,
-            match s.action {
-                Action::Permit => Outcome::Permit(s),
-                Action::Deny => Outcome::Deny,
-            },
-        ));
-    }
-    regions_a.push((implicit_a, Outcome::Deny));
-    let mut regions_b: Vec<(Ref, Outcome)> = Vec::new();
-    for (s, &f) in rm_b.stanzas.iter().zip(&fires_b) {
-        regions_b.push((
-            f,
-            match s.action {
-                Action::Permit => Outcome::Permit(s),
-                Action::Deny => Outcome::Deny,
-            },
-        ));
-    }
-    regions_b.push((implicit_b, Outcome::Deny));
+    let regions_a = regions(space, cfg_a, map_a)?;
+    let regions_b = regions(space, cfg_b, map_b)?;
 
     let mut diffs: Vec<RouteDiff> = Vec::new();
     let mut seen_routes: BTreeSet<String> = BTreeSet::new();
@@ -148,8 +60,8 @@ pub fn compare_route_policies(
             let diff_region = match (oa, ob) {
                 (Outcome::Deny, Outcome::Deny) => Ref::FALSE,
                 (Outcome::Permit(_), Outcome::Deny) | (Outcome::Deny, Outcome::Permit(_)) => joint,
-                (Outcome::Permit(sa), Outcome::Permit(sb)) => {
-                    transform_diff_region(space, joint, sa, sb)?
+                (Outcome::Permit(ea), Outcome::Permit(eb)) => {
+                    transform_diff_region(space, joint, ea, eb)?
                 }
             };
             if diff_region == Ref::FALSE {
@@ -157,7 +69,7 @@ pub fn compare_route_policies(
             }
             // Candidate witnesses: the low- and high-branch extractions,
             // each optionally augmented with a community that neither
-            // transform mentions. The augmentation matters when the two
+            // effect mentions. The augmentation matters when the two
             // stanzas differ only in their community *effect* (e.g.
             // `set community c additive` vs replace): a community-free
             // witness makes both outputs coincide, and with no community
@@ -205,74 +117,94 @@ pub fn compare_route_policies(
     Ok(diffs)
 }
 
-/// When the two outcomes are permit stanzas whose community effects
-/// differ, returns a community that neither effect mentions (so adding it
-/// to a witness exposes add-vs-replace differences). `None` when the
-/// community effects agree or either side denies.
+/// Each stanza's firing region in route-map `name` of `cfg` with its
+/// outcome, then the implicit deny's region, which behaves like a deny
+/// stanza.
+fn regions(
+    space: &mut RouteSpace,
+    cfg: &Config,
+    name: &str,
+) -> Result<Vec<(Ref, Outcome)>, AnalysisError> {
+    let map = cfg.route_map(name).ok_or_else(|| {
+        AnalysisError::Config(clarify_netconfig::ConfigError::NotFound {
+            kind: "route-map",
+            name: name.to_string(),
+        })
+    })?;
+    let (fires, implicit) = map.fire_sets(space, cfg)?;
+    let outcomes = map.stanzas.iter().map(|s| match s.action {
+        Action::Permit => Outcome::Permit(SetEffect::of(&s.sets)),
+        Action::Deny => Outcome::Deny,
+    });
+    Ok(fires
+        .into_iter()
+        .zip(outcomes)
+        .chain([(implicit, Outcome::Deny)])
+        .collect())
+}
+
+/// When the two outcomes are permits whose community effects differ,
+/// returns a community that neither effect mentions (so adding it to a
+/// witness exposes add-vs-replace differences). `None` when the community
+/// effects agree or either side denies.
 fn fresh_community(oa: &Outcome, ob: &Outcome) -> Option<Community> {
-    let (Outcome::Permit(sa), Outcome::Permit(sb)) = (oa, ob) else {
+    let (Outcome::Permit(ea), Outcome::Permit(eb)) = (oa, ob) else {
         return None;
     };
-    let ta = transform_of(sa);
-    let tb = transform_of(sb);
-    if ta.communities == tb.communities {
+    if ea.communities == eb.communities {
         return None;
     }
-    let mentioned = |t: &Transform| -> BTreeSet<Community> {
-        match &t.communities {
-            CommEffect::None => BTreeSet::new(),
-            CommEffect::Add(cs) | CommEffect::Replace(cs) => cs.clone(),
+    let mut taken: BTreeSet<Community> = BTreeSet::new();
+    for effect in [&ea.communities, &eb.communities] {
+        if let CommunityEffect::Add(cs) | CommunityEffect::Replace(cs) = effect {
+            taken.extend(cs);
         }
-    };
-    let mut taken = mentioned(&ta);
-    taken.extend(mentioned(&tb));
+    }
     (0..)
         .map(|v| Community::new(65123, v))
         .find(|c| !taken.contains(c))
 }
 
-/// Outcome descriptor for one firing region: either a permit stanza (whose
-/// set clauses matter) or a denial of any kind.
-enum Outcome<'s> {
-    Permit(&'s RouteMapStanza),
+/// Outcome descriptor for one firing region: either a permit with its
+/// stanza's `set` effect or a denial of any kind.
+enum Outcome {
+    Permit(SetEffect),
     Deny,
 }
 
-/// For two permit stanzas firing on `joint`, the sub-region where their
-/// outputs differ.
+/// For two permit effects on `joint`, the sub-region where their outputs
+/// differ.
 fn transform_diff_region(
     space: &mut RouteSpace,
     joint: Ref,
-    sa: &RouteMapStanza,
-    sb: &RouteMapStanza,
+    ea: &SetEffect,
+    eb: &SetEffect,
 ) -> Result<Ref, AnalysisError> {
-    let ta = transform_of(sa);
-    let tb = transform_of(sb);
-    if ta == tb {
+    if ea == eb {
         return Ok(Ref::FALSE);
     }
     let mut acc = Ref::FALSE;
     // Fields inside the symbolic space: exact difference regions.
-    acc = or_field_diff(space, acc, joint, Field::Metric, ta.metric, tb.metric)?;
+    acc = or_field_diff(space, acc, joint, Field::Metric, ea.metric, eb.metric)?;
     acc = or_field_diff(
         space,
         acc,
         joint,
         Field::LocalPref,
-        ta.local_pref,
-        tb.local_pref,
+        ea.local_pref,
+        eb.local_pref,
     )?;
-    acc = or_field_diff(space, acc, joint, Field::Tag, ta.tag, tb.tag)?;
+    acc = or_field_diff(space, acc, joint, Field::Tag, ea.tag, eb.tag)?;
     // Fields outside the space: any disagreement differs on (almost)
     // every input; the caller fixes the witness's free fields so the
     // concrete check passes.
-    if ta.weight != tb.weight || ta.next_hop != tb.next_hop {
+    if ea.weight != eb.weight || ea.next_hop != eb.next_hop {
         acc = space.manager().or(acc, joint);
     }
-    // Communities: a syntactic effect difference is treated as a
-    // whole-region difference; the concrete validation step discards
-    // the rare witness on which the effects coincide.
-    if ta.communities != tb.communities {
+    // Communities: an effect difference is treated as a whole-region
+    // difference; the concrete validation step discards the rare witness
+    // on which the effects coincide.
+    if ea.communities != eb.communities {
         acc = space.manager().or(acc, joint);
     }
     Ok(acc)
@@ -311,13 +243,12 @@ fn or_field_diff(
 /// Ensures the witness's fields outside the symbolic space actually
 /// expose a set-clause disagreement.
 fn adjust_free_fields(route: &mut BgpRoute, oa: &Outcome, ob: &Outcome) {
-    let (ta, tb) = match (oa, ob) {
-        (Outcome::Permit(sa), Outcome::Permit(sb)) => (transform_of(sa), transform_of(sb)),
-        _ => return,
+    let (Outcome::Permit(ea), Outcome::Permit(eb)) = (oa, ob) else {
+        return;
     };
-    if ta.next_hop != tb.next_hop {
+    if ea.next_hop != eb.next_hop {
         // Pick an input next hop unequal to whichever side sets one.
-        let avoid = ta.next_hop.or(tb.next_hop);
+        let avoid = ea.next_hop.or(eb.next_hop);
         if let Some(v) = avoid {
             if route.next_hop == v {
                 route.next_hop = if v == Ipv4Addr::new(0, 0, 0, 1) {
@@ -328,21 +259,14 @@ fn adjust_free_fields(route: &mut BgpRoute, oa: &Outcome, ob: &Outcome) {
             }
         }
     }
-    if ta.weight != tb.weight {
-        let avoid = ta.weight.or(tb.weight);
+    if ea.weight != eb.weight {
+        let avoid = ea.weight.or(eb.weight);
         if let Some(v) = avoid {
             if route.weight == v {
                 route.weight = if v == 0 { 1 } else { 0 };
             }
         }
     }
-}
-
-fn not_found(name: &str) -> AnalysisError {
-    AnalysisError::Config(clarify_netconfig::ConfigError::NotFound {
-        kind: "route-map",
-        name: name.to_string(),
-    })
 }
 
 /// Whether two policies are behaviourally equivalent on every valid route.

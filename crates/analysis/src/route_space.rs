@@ -10,6 +10,7 @@ use clarify_netconfig::{
 };
 use clarify_nettypes::{AsPath, BgpRoute, Community, Prefix, PrefixRange};
 
+use crate::effect::SetEffect;
 use crate::error::AnalysisError;
 use crate::first_match::{encode_network, first_match_permits, FirstMatchPolicy};
 
@@ -504,7 +505,6 @@ impl RouteSpace {
         input_constraint: Option<Ref>,
         out: &OutputConstraints,
     ) -> Result<Option<(BgpRoute, BgpRoute)>, AnalysisError> {
-        use clarify_netconfig::RouteMapSet;
         let map = cfg
             .route_map(name)
             .ok_or_else(|| {
@@ -520,23 +520,12 @@ impl RouteSpace {
             if stanza.action != Action::Permit {
                 continue;
             }
-            // Last assignment wins within a stanza.
-            let mut set_metric = None;
-            let mut set_lp = None;
-            let mut set_tag = None;
-            for s in &stanza.sets {
-                match s {
-                    RouteMapSet::Metric(v) => set_metric = Some(*v),
-                    RouteMapSet::LocalPref(v) => set_lp = Some(*v),
-                    RouteMapSet::Tag(v) => set_tag = Some(*v),
-                    _ => {}
-                }
-            }
+            let effect = SetEffect::of(&stanza.sets);
             let mut r = fire;
             for (want, assigned, field) in [
-                (out.metric, set_metric, Field::Metric),
-                (out.local_pref, set_lp, Field::LocalPref),
-                (out.tag, set_tag, Field::Tag),
+                (out.metric, effect.metric, Field::Metric),
+                (out.local_pref, effect.local_pref, Field::LocalPref),
+                (out.tag, effect.tag, Field::Tag),
             ] {
                 let Some(w) = want else { continue };
                 match assigned {

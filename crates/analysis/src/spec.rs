@@ -6,10 +6,10 @@
 //! symbolically. This module defines that spec and the verifier.
 
 use clarify_automata::Regex;
-use clarify_bdd::Ref;
 use clarify_netconfig::{Action, Config, RouteMapSet, RouteMapStanza};
 use clarify_nettypes::{BgpRoute, PrefixRange};
 
+use crate::effect::SetEffect;
 use crate::error::AnalysisError;
 use crate::route_space::RouteSpace;
 
@@ -107,38 +107,15 @@ impl StanzaSpec {
         format!("{{{}}}", parts.join(", "))
     }
 
-    /// The regexes this spec mentions, for building a covering
-    /// [`RouteSpace`]. Returns parse errors eagerly.
-    pub fn regexes(&self) -> Result<(Vec<Regex>, Vec<Regex>), AnalysisError> {
-        let comm = self
-            .communities
-            .iter()
-            .map(|p| Regex::parse(p).map_err(|_| AnalysisError::UnknownPattern(p.clone())))
-            .collect::<Result<Vec<_>, _>>()?;
-        let path = self
-            .as_paths
-            .iter()
-            .map(|p| Regex::parse(p).map_err(|_| AnalysisError::UnknownPattern(p.clone())))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((comm, path))
-    }
-
-    /// Encodes the spec's match region in a route space whose universe
-    /// includes the spec's regexes. In practice that space is built from
-    /// the snippet configuration, whose lists carry the same regexes.
-    pub fn encode_match(&self, space: &mut RouteSpace) -> Result<Ref, AnalysisError> {
-        // Express the spec through a synthetic config + stanza so encoding
-        // is shared with the normal path.
-        let (cfg, stanza) = self.as_stanza("SPEC");
-        space.encode_stanza_match(&cfg, &stanza)
-    }
-
-    /// Builds an equivalent synthetic config + stanza named `name`.
-    pub fn as_stanza(&self, name: &str) -> (Config, RouteMapStanza) {
+    /// Builds an equivalent synthetic config + stanza named `name`, or
+    /// [`AnalysisError::UnknownPattern`] for a regex that does not parse.
+    pub fn as_stanza(&self, name: &str) -> Result<(Config, RouteMapStanza), AnalysisError> {
         use clarify_netconfig::{
             AsPathList, AsPathListEntry, CommunityList, CommunityListEntry, PrefixList,
             PrefixListEntry, RouteMapMatch,
         };
+        let regex =
+            |p: &String| Regex::parse(p).map_err(|_| AnalysisError::UnknownPattern(p.clone()));
         let mut cfg = Config::new();
         let mut matches = Vec::new();
         if !self.prefixes.is_empty() {
@@ -163,7 +140,7 @@ impl StanzaSpec {
                 name: format!("{name}_COM{k}"),
                 entries: vec![CommunityListEntry {
                     action: Action::Permit,
-                    regex: Regex::parse(pattern).expect("validated by regexes()"),
+                    regex: regex(pattern)?,
                 }],
             };
             matches.push(RouteMapMatch::Community(vec![cl.name.clone()]));
@@ -174,7 +151,7 @@ impl StanzaSpec {
                 name: format!("{name}_ASP{k}"),
                 entries: vec![AsPathListEntry {
                     action: Action::Permit,
-                    regex: Regex::parse(pattern).expect("validated by regexes()"),
+                    regex: regex(pattern)?,
                 }],
             };
             matches.push(RouteMapMatch::AsPath(vec![al.name.clone()]));
@@ -199,7 +176,7 @@ impl StanzaSpec {
             matches,
             sets: self.sets.clone(),
         };
-        (cfg, stanza)
+        Ok((cfg, stanza))
     }
 }
 
@@ -218,7 +195,7 @@ pub enum SpecVerdict {
         /// True when the stanza matches the witness but the spec does not.
         stanza_matches: bool,
     },
-    /// Set clauses disagree (compared as normalized per-field effects).
+    /// Set clauses disagree (compared by their net effect).
     SetMismatch,
 }
 
@@ -256,7 +233,7 @@ pub fn verify_stanza_against_spec(
     }
 
     // Build a space covering the snippet's and the spec's regexes.
-    let (spec_cfg, spec_stanza) = spec.as_stanza("SPEC");
+    let (spec_cfg, spec_stanza) = spec.as_stanza("SPEC")?;
     let mut space = RouteSpace::new(&[snippet, &spec_cfg])?;
     let stanza_set = space.encode_stanza_match(snippet, stanza)?;
     let spec_set = space.encode_stanza_match(&spec_cfg, &spec_stanza)?;
@@ -269,60 +246,8 @@ pub fn verify_stanza_against_spec(
         });
     }
 
-    // Compare set-clause effects by evaluating both stanzas as one-stanza
-    // policies on a common matching route, plus a normalized syntactic
-    // comparison for full coverage.
-    if !sets_equivalent(&stanza.sets, &spec.sets) {
+    if SetEffect::of(&stanza.sets) != SetEffect::of(&spec.sets) {
         return Ok(SpecVerdict::SetMismatch);
     }
     Ok(SpecVerdict::Verified)
-}
-
-/// Compares two set-clause lists by their net per-field effect.
-fn sets_equivalent(a: &[RouteMapSet], b: &[RouteMapSet]) -> bool {
-    use clarify_netconfig::RouteMapStanza;
-    let norm = |sets: &[RouteMapSet]| -> RouteMapStanza {
-        RouteMapStanza {
-            seq: 10,
-            action: Action::Permit,
-            matches: Vec::new(),
-            sets: sets.to_vec(),
-        }
-    };
-    // Apply both to a probe route with distinctive values and compare, then
-    // to a second probe to catch value-coincidences. The second probe's
-    // pre-existing community must not appear in either clause list,
-    // otherwise `CommunityAdd([c])` and `CommunityReplace([c])` coincide on
-    // both probes even though they differ on any route carrying another
-    // community — so pick one that neither list mentions.
-    let mentioned: std::collections::BTreeSet<clarify_nettypes::Community> = a
-        .iter()
-        .chain(b)
-        .flat_map(|s| match s {
-            RouteMapSet::CommunityAdd(cs) | RouteMapSet::CommunityReplace(cs) => cs.clone(),
-            _ => Vec::new(),
-        })
-        .collect();
-    let fresh_comm = (0..)
-        .map(|v| clarify_nettypes::Community::new(65123, v))
-        .find(|c| !mentioned.contains(c))
-        .expect("fewer than 2^16 communities are mentioned");
-    let probes = [
-        BgpRoute::with_defaults("10.0.0.0/8".parse().expect("static prefix")),
-        {
-            let mut r = BgpRoute::with_defaults("10.0.0.0/8".parse().expect("static prefix"));
-            r.metric = 7777;
-            r.local_pref = 8888;
-            r.tag = 9999;
-            r.weight = 1234;
-            r.next_hop = std::net::Ipv4Addr::new(9, 9, 9, 9);
-            r.communities.insert(fresh_comm);
-            r
-        },
-    ];
-    let sa = norm(a);
-    let sb = norm(b);
-    probes
-        .iter()
-        .all(|p| Config::apply_sets(&sa, p) == Config::apply_sets(&sb, p))
 }

@@ -1101,3 +1101,172 @@ fn fire_set_cache_keeps_two_generations_per_object() {
     assert!(cache.get(&id, 11).is_none());
     assert_eq!(cache.len(), 2);
 }
+
+mod set_effect_tests {
+    use super::*;
+    use crate::effect::SetEffect;
+    use crate::NetworkSpace;
+    use clarify_netconfig::RouteMapStanza;
+    use clarify_testkit::{prop_assert, prop_assert_eq, property, Rng, Source};
+
+    /// A permit stanza that matches every route and applies `sets`.
+    fn stanza(sets: &[RouteMapSet]) -> RouteMapStanza {
+        RouteMapStanza {
+            seq: 10,
+            action: Action::Permit,
+            matches: Vec::new(),
+            sets: sets.to_vec(),
+        }
+    }
+
+    /// The reference the spec verifier used before `SetEffect`: apply both
+    /// lists with [`Config::apply_sets`] to a default route and to a route
+    /// with distinctive values and a community that neither list names.
+    fn two_probes_agree(a: &[RouteMapSet], b: &[RouteMapSet]) -> bool {
+        let mentioned: std::collections::BTreeSet<Community> = a
+            .iter()
+            .chain(b)
+            .flat_map(|s| match s {
+                RouteMapSet::CommunityAdd(cs) | RouteMapSet::CommunityReplace(cs) => cs.clone(),
+                _ => Vec::new(),
+            })
+            .collect();
+        let fresh = (0..)
+            .map(|v| Community::new(65123, v))
+            .find(|c| !mentioned.contains(c))
+            .unwrap();
+        let mut distinct = BgpRoute::with_defaults(pfx("10.0.0.0/8"));
+        distinct.metric = 7777;
+        distinct.local_pref = 8888;
+        distinct.tag = 9999;
+        distinct.weight = 1234;
+        distinct.next_hop = Ipv4Addr::new(9, 9, 9, 9);
+        distinct.communities.insert(fresh);
+        let probes = [BgpRoute::with_defaults(pfx("10.0.0.0/8")), distinct];
+        let (sa, sb) = (stanza(a), stanza(b));
+        probes
+            .iter()
+            .all(|p| Config::apply_sets(&sa, p) == Config::apply_sets(&sb, p))
+    }
+
+    /// Up to two communities, possibly none, from a pool that includes the
+    /// first fresh community the probes would pick.
+    fn arb_communities(g: &mut Source) -> Vec<Community> {
+        g.vec(0, 2, |g| {
+            g.pick(&[com("1:1"), com("2:2"), Community::new(65123, 0)])
+        })
+    }
+
+    /// One `set` clause of any kind, with values below 2^16 drawn from
+    /// small pools that include the probes' values.
+    fn arb_set(g: &mut Source) -> RouteMapSet {
+        match g.gen_range(0u8..7) {
+            0 => RouteMapSet::Metric(g.pick(&[0, 55, 7777])),
+            1 => RouteMapSet::LocalPref(g.pick(&[100, 200, 8888])),
+            2 => RouteMapSet::Tag(g.pick(&[0, 9, 9999])),
+            3 => RouteMapSet::Weight(g.pick(&[0, 5, 1234])),
+            4 => RouteMapSet::NextHop(g.pick(&[
+                Ipv4Addr::new(0, 0, 0, 1),
+                Ipv4Addr::new(192, 0, 2, 1),
+                Ipv4Addr::new(9, 9, 9, 9),
+            ])),
+            5 => RouteMapSet::CommunityAdd(arb_communities(g)),
+            _ => RouteMapSet::CommunityReplace(arb_communities(g)),
+        }
+    }
+
+    fn arb_sets(g: &mut Source) -> Vec<RouteMapSet> {
+        g.vec(0, 4, arb_set)
+    }
+
+    /// Two clause lists: either drawn independently, or the second is the
+    /// first with one more clause spliced in, which often leaves the
+    /// effect unchanged.
+    fn arb_set_pair(g: &mut Source) -> (Vec<RouteMapSet>, Vec<RouteMapSet>) {
+        let a = arb_sets(g);
+        let b = if g.gen_range(0u8..2) == 0 {
+            arb_sets(g)
+        } else {
+            let mut b = a.clone();
+            let at = g.gen_range(0..=b.len());
+            b.insert(at, arb_set(g));
+            b
+        };
+        (a, b)
+    }
+
+    /// A route with values below 2^16 and communities from the pool.
+    fn arb_route(g: &mut Source) -> BgpRoute {
+        let mut r = BgpRoute::with_defaults(Prefix::from_u32(
+            g.gen_range(0u32..=u32::MAX),
+            g.gen_range(0u8..=32),
+        ))
+        .path(&g.pick(&[vec![], vec![32u32], vec![100, 32]]))
+        .lp(g.pick(&[100, 200, 8888]))
+        .med(g.pick(&[0, 55, 7777]));
+        r.tag = g.pick(&[0, 9, 9999]);
+        r.weight = g.pick(&[0, 5, 1234]);
+        r.next_hop = g.pick(&[Ipv4Addr::new(0, 0, 0, 1), Ipv4Addr::new(9, 9, 9, 9)]);
+        r.communities = arb_communities(g).into_iter().collect();
+        r
+    }
+
+    /// An additive `set community` that names no community changes
+    /// nothing: the two probes agree, and so do the effects.
+    #[test]
+    fn empty_community_add_has_no_effect() {
+        let empty_add = [RouteMapSet::CommunityAdd(Vec::new())];
+        assert!(two_probes_agree(&empty_add, &[]));
+        assert_eq!(SetEffect::of(&empty_add), SetEffect::of(&[]));
+    }
+
+    property! {
+        /// Two lists have equal effects exactly when the two-probe
+        /// reference says they rewrite routes the same way.
+        fn set_effect_equality_matches_two_probe_reference(pair in arb_set_pair) cases 2048 {
+            let (a, b) = pair;
+            prop_assert_eq!(
+                SetEffect::of(&a) == SetEffect::of(&b),
+                two_probes_agree(&a, &b),
+                "a = {:?}, b = {:?}", a, b
+            );
+        }
+
+        /// Equal effects rewrite arbitrary routes identically under the
+        /// sequential reference evaluator.
+        fn equal_effects_apply_identically(pair in arb_set_pair, r in arb_route) cases 512 {
+            let (a, b) = pair;
+            if SetEffect::of(&a) == SetEffect::of(&b) {
+                prop_assert_eq!(
+                    Config::apply_sets(&stanza(&a), &r),
+                    Config::apply_sets(&stanza(&b), &r)
+                );
+            }
+        }
+
+        /// The symbolic transfer of a one-stanza permit map contains the
+        /// concrete output of every route.
+        fn transfer_contains_concrete_output(sets in arb_sets, r in arb_route) cases 128 {
+            let mut cfg = Config::parse(
+                "ip community-list expanded C1 permit _1:1_\n\
+                 ip community-list expanded C2 permit _2:2_\n\
+                 ip as-path access-list A1 permit _32$\n",
+            )
+            .unwrap();
+            let map = RouteMap {
+                name: "M".to_string(),
+                stanzas: vec![stanza(&sets)],
+            };
+            cfg.route_maps.insert("M".to_string(), map.clone());
+            let mut ns = NetworkSpace::new(&[&cfg]).unwrap();
+            let valid = ns.valid();
+            let image = ns.transfer(&cfg, &map, 0, valid).unwrap();
+            let out = Config::apply_sets(&map.stanzas[0], &r);
+            let point = ns.space_mut().encode_route(&out).unwrap();
+            prop_assert!(
+                ns.space_mut().manager().implies_true(point, image),
+                "sets {:?} route {:?} output {:?}", sets, r, out
+            );
+        }
+    }
+}

@@ -4,7 +4,7 @@
 use clarify_rng::{Rng, StdRng};
 
 use clarify_analysis::StanzaSpec;
-use clarify_netconfig::RouteMapSet;
+use clarify_netconfig::RouteMapMatch;
 
 use crate::envelope::IntentEnvelope;
 use crate::error::BackendError;
@@ -129,43 +129,18 @@ pub(crate) fn render_route_spec(spec: &StanzaSpec) -> String {
     for p in &spec.as_paths {
         out.push_str(&format!("as-path {p}\n"));
     }
-    if let Some(v) = spec.local_pref {
-        out.push_str(&format!("match local-preference {v}\n"));
-    }
-    if let Some(v) = spec.metric {
-        out.push_str(&format!("match metric {v}\n"));
-    }
-    if let Some(v) = spec.tag {
-        out.push_str(&format!("match tag {v}\n"));
+    let matches = [
+        spec.local_pref.map(RouteMapMatch::LocalPref),
+        spec.metric.map(RouteMapMatch::Metric),
+        spec.tag.map(RouteMapMatch::Tag),
+    ];
+    for m in matches.iter().flatten() {
+        out.push_str(&format!("{m}\n"));
     }
     for s in &spec.sets {
-        out.push_str(&format!("{}\n", render_set(s)));
+        out.push_str(&format!("{s}\n"));
     }
     out
-}
-
-fn render_set(s: &RouteMapSet) -> String {
-    match s {
-        RouteMapSet::Metric(v) => format!("set metric {v}"),
-        RouteMapSet::LocalPref(v) => format!("set local-preference {v}"),
-        RouteMapSet::Weight(v) => format!("set weight {v}"),
-        RouteMapSet::Tag(v) => format!("set tag {v}"),
-        RouteMapSet::NextHop(ip) => format!("set ip next-hop {ip}"),
-        RouteMapSet::CommunityAdd(cs) => format!(
-            "set community {} additive",
-            cs.iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        ),
-        RouteMapSet::CommunityReplace(cs) => format!(
-            "set community {}",
-            cs.iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        ),
-    }
 }
 
 /// Ancillary object names defined by a synthesized snippet, in

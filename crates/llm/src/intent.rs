@@ -603,15 +603,12 @@ impl RouteMapIntent {
             cfg.prefix_lists.insert(name.clone(), pl);
             matches.push(RouteMapMatch::PrefixList(vec![name]));
         }
-        // One list (and one match clause) per community: "tagged with A and
-        // B" means the route carries both, and distinct match clauses AND
-        // together while names within one clause OR.
+        // One list (and one match clause) per community and per AS-path
+        // pattern: "tagged with A and B" means the route carries both, and
+        // distinct match clauses AND together while names within one
+        // clause OR.
         for (k, c) in self.communities.iter().enumerate() {
-            let name = if k == 0 {
-                "COM_LIST".to_string()
-            } else {
-                format!("COM_LIST{}", k + 1)
-            };
+            let name = list_name("COM_LIST", k);
             let cl = CommunityList {
                 name: name.clone(),
                 entries: vec![CommunityListEntry {
@@ -623,24 +620,14 @@ impl RouteMapIntent {
             cfg.community_lists.insert(name.clone(), cl);
             matches.push(RouteMapMatch::Community(vec![name]));
         }
-        let mut path_patterns: Vec<String> = Vec::new();
-        if let Some(n) = self.origin_as {
-            path_patterns.push(format!("_{n}$"));
-        }
-        if let Some(n) = self.transit_as {
-            path_patterns.push(format!("_{n}_"));
-        }
-        if !path_patterns.is_empty() {
-            let name = "AS_LIST".to_string();
+        for (k, p) in self.as_path_patterns().iter().enumerate() {
+            let name = list_name("AS_LIST", k);
             let al = AsPathList {
                 name: name.clone(),
-                entries: path_patterns
-                    .iter()
-                    .map(|p| AsPathListEntry {
-                        action: Action::Permit,
-                        regex: clarify_automata::Regex::parse(p).expect("as-path pattern is valid"),
-                    })
-                    .collect(),
+                entries: vec![AsPathListEntry {
+                    action: Action::Permit,
+                    regex: clarify_automata::Regex::parse(p).expect("as-path pattern is valid"),
+                }],
             };
             cfg.as_path_lists.insert(name.clone(), al);
             matches.push(RouteMapMatch::AsPath(vec![name]));
@@ -655,22 +642,6 @@ impl RouteMapIntent {
             matches.push(RouteMapMatch::Tag(v));
         }
 
-        let mut sets: Vec<RouteMapSet> = Vec::new();
-        let mut added: Vec<Community> = Vec::new();
-        for s in &self.sets {
-            match s {
-                SetIntent::Metric(v) => sets.push(RouteMapSet::Metric(*v)),
-                SetIntent::LocalPref(v) => sets.push(RouteMapSet::LocalPref(*v)),
-                SetIntent::Weight(v) => sets.push(RouteMapSet::Weight(*v)),
-                SetIntent::Tag(v) => sets.push(RouteMapSet::Tag(*v)),
-                SetIntent::NextHop(ip) => sets.push(RouteMapSet::NextHop(*ip)),
-                SetIntent::AddCommunity(c) => added.push(*c),
-            }
-        }
-        if !added.is_empty() {
-            sets.push(RouteMapSet::CommunityAdd(added));
-        }
-
         let map_name = self.map_name();
         let stanza = RouteMapStanza {
             seq: 10,
@@ -680,7 +651,7 @@ impl RouteMapIntent {
                 Action::Deny
             },
             matches,
-            sets,
+            sets: self.route_map_sets(),
         };
         cfg.route_maps.insert(
             map_name.clone(),
@@ -713,6 +684,29 @@ impl RouteMapIntent {
 
     /// The machine-readable spec the extractor emits for this intent.
     pub fn to_spec(&self) -> Result<StanzaSpec, IntentError> {
+        Ok(StanzaSpec {
+            permit: self.permit,
+            prefixes: self.prefix_ranges()?,
+            communities: self.communities.iter().map(|c| format!("_{c}_")).collect(),
+            as_paths: self.as_path_patterns(),
+            local_pref: self.match_local_pref,
+            metric: self.match_metric,
+            tag: self.match_tag,
+            sets: self.route_map_sets(),
+        })
+    }
+
+    /// The AS-path patterns a route must match, each a constraint of its
+    /// own: the originating AS, then the transit AS.
+    fn as_path_patterns(&self) -> Vec<String> {
+        let origin = self.origin_as.map(|n| format!("_{n}$"));
+        let transit = self.transit_as.map(|n| format!("_{n}_"));
+        origin.into_iter().chain(transit).collect()
+    }
+
+    /// The stanza's `set` clauses in intent order, with every added
+    /// community in one trailing additive clause.
+    fn route_map_sets(&self) -> Vec<RouteMapSet> {
         let mut sets: Vec<RouteMapSet> = Vec::new();
         let mut added: Vec<Community> = Vec::new();
         for s in &self.sets {
@@ -728,23 +722,17 @@ impl RouteMapIntent {
         if !added.is_empty() {
             sets.push(RouteMapSet::CommunityAdd(added));
         }
-        let mut as_paths = Vec::new();
-        if let Some(n) = self.origin_as {
-            as_paths.push(format!("_{n}$"));
-        }
-        if let Some(n) = self.transit_as {
-            as_paths.push(format!("_{n}_"));
-        }
-        Ok(StanzaSpec {
-            permit: self.permit,
-            prefixes: self.prefix_ranges()?,
-            communities: self.communities.iter().map(|c| format!("_{c}_")).collect(),
-            as_paths,
-            local_pref: self.match_local_pref,
-            metric: self.match_metric,
-            tag: self.match_tag,
-            sets,
-        })
+        sets
+    }
+}
+
+/// The name of the `k`-th list the synthesizer defines from `base`:
+/// `COM_LIST`, `COM_LIST2`, `COM_LIST3`, …
+fn list_name(base: &str, k: usize) -> String {
+    if k == 0 {
+        base.to_string()
+    } else {
+        format!("{base}{}", k + 1)
     }
 }
 

@@ -2,7 +2,7 @@
 //! extract spec → verify, with retries and a punt threshold.
 
 use clarify_analysis::{verify_stanza_against_spec, PacketSpace, SpecVerdict, StanzaSpec};
-use clarify_netconfig::{AclEntry, Config, RouteMapSet};
+use clarify_netconfig::{AclEntry, Config, RouteMapMatch};
 use clarify_nettypes::PrefixRange;
 
 use crate::backend::{Backend, LlmRequest, TaskKind};
@@ -384,39 +384,13 @@ fn parse_route_spec(text: &str) -> Result<StanzaSpec, LlmError> {
             }
             ["community", pat] => spec.communities.push(pat.to_string()),
             ["as-path", pat] => spec.as_paths.push(pat.to_string()),
-            ["match", "local-preference", v] => {
-                spec.local_pref = Some(v.parse().map_err(|_| bad(line))?)
-            }
-            ["match", "metric", v] => spec.metric = Some(v.parse().map_err(|_| bad(line))?),
-            ["match", "tag", v] => spec.tag = Some(v.parse().map_err(|_| bad(line))?),
-            ["set", "metric", v] => spec
-                .sets
-                .push(RouteMapSet::Metric(v.parse().map_err(|_| bad(line))?)),
-            ["set", "local-preference", v] => spec
-                .sets
-                .push(RouteMapSet::LocalPref(v.parse().map_err(|_| bad(line))?)),
-            ["set", "weight", v] => spec
-                .sets
-                .push(RouteMapSet::Weight(v.parse().map_err(|_| bad(line))?)),
-            ["set", "tag", v] => spec
-                .sets
-                .push(RouteMapSet::Tag(v.parse().map_err(|_| bad(line))?)),
-            ["set", "ip", "next-hop", ip] => spec
-                .sets
-                .push(RouteMapSet::NextHop(ip.parse().map_err(|_| bad(line))?)),
-            ["set", "community", rest @ ..] => {
-                let (comms, additive) = match rest.split_last() {
-                    Some((&"additive", init)) => (init, true),
-                    _ => (rest, false),
-                };
-                let parsed: Result<Vec<_>, _> = comms.iter().map(|c| c.parse()).collect();
-                let parsed = parsed.map_err(|_| bad(line))?;
-                spec.sets.push(if additive {
-                    RouteMapSet::CommunityAdd(parsed)
-                } else {
-                    RouteMapSet::CommunityReplace(parsed)
-                });
-            }
+            ["match", ..] => match line.parse().map_err(|_| bad(line))? {
+                RouteMapMatch::LocalPref(v) => spec.local_pref = Some(v),
+                RouteMapMatch::Metric(v) => spec.metric = Some(v),
+                RouteMapMatch::Tag(v) => spec.tag = Some(v),
+                _ => return Err(bad(line)),
+            },
+            ["set", ..] => spec.sets.push(line.parse().map_err(|_| bad(line))?),
             _ => return Err(bad(line)),
         }
     }

@@ -86,6 +86,43 @@ fn parse_transit_as_and_local_pref() {
     assert_eq!(intent.sets, vec![SetIntent::LocalPref(200)]);
 }
 
+/// An origin AS and a transit AS are two constraints, so the snippet
+/// matches them through two as-path lists (two ANDed match clauses)
+/// rather than two ORed entries of one list, and verifies first-pass.
+#[test]
+fn origin_and_transit_as_verify_first_pass() {
+    let p = "Write a route-map stanza that permits routes originating from AS 32 and \
+             passing through AS 100.";
+    let mut pipeline = Pipeline::new(SemanticBackend::new(), 5);
+    let PipelineOutcome::RouteMap {
+        snippet,
+        map_name,
+        llm_calls,
+        attempts,
+        ..
+    } = pipeline.synthesize(p).unwrap()
+    else {
+        panic!("expected a verified route-map");
+    };
+    assert_eq!((llm_calls, attempts), (3, 1));
+    let text = snippet.to_string();
+    assert!(
+        text.contains("ip as-path access-list AS_LIST permit _32$")
+            && text.contains("ip as-path access-list AS_LIST2 permit _100_"),
+        "{text}"
+    );
+    let permits = |path: &[u32]| {
+        let route = clarify_nettypes::BgpRoute::with_defaults("10.0.0.0/8".parse().unwrap());
+        snippet
+            .eval_route_map(&map_name, &route.path(path))
+            .unwrap()
+            .is_permit()
+    };
+    assert!(permits(&[100, 32]));
+    assert!(!permits(&[32]));
+    assert!(!permits(&[100, 7]));
+}
+
 #[test]
 fn parse_match_all() {
     let p = "Write a route-map stanza that denies all routes.";
@@ -433,6 +470,35 @@ fn zero_acl_synthesis_punts_instead_of_panicking() {
     assert!(matches!(err, crate::LlmError::MalformedSpec(_)));
 }
 
+/// The spec format reads `set`/`match` lines with the configuration
+/// parser, so a community `set` that names no community, or a `match`
+/// the spec has no field for, is a malformed spec.
+#[test]
+fn spec_lines_the_config_parser_rejects_are_malformed() {
+    struct SpecBackend(String);
+    impl Backend for SpecBackend {
+        fn complete(&mut self, request: &LlmRequest) -> Result<IntentEnvelope, BackendError> {
+            Ok(match request.task {
+                TaskKind::Classify => IntentEnvelope::classification("route-map"),
+                _ => IntentEnvelope::spec(self.0.clone()),
+            })
+        }
+    }
+    for line in [
+        "set community",
+        "set community additive",
+        "match as-path AS_LIST",
+    ] {
+        let err = Pipeline::new(SpecBackend(format!("action permit\n{line}\n")), 1)
+            .synthesize("irrelevant")
+            .unwrap_err();
+        assert_eq!(
+            err,
+            crate::LlmError::MalformedSpec(format!("bad spec line '{line}'"))
+        );
+    }
+}
+
 #[test]
 fn pipeline_rejects_gibberish_with_intent_error() {
     let mut p = Pipeline::new(SemanticBackend::new(), 2);
@@ -468,10 +534,12 @@ mod properties {
             vec![SetIntent::LocalPref(250)],
             vec![SetIntent::Tag(9)],
         ]);
+        let transit = g.pick(&[None, Some(100u32)]);
         let mut i = RouteMapIntent {
             permit,
             prefixes,
             origin_as: origin,
+            transit_as: transit,
             match_local_pref: lp,
             sets,
             ..Default::default()
@@ -482,6 +550,7 @@ mod properties {
         if i.prefixes.is_empty()
             && i.communities.is_empty()
             && i.origin_as.is_none()
+            && i.transit_as.is_none()
             && i.match_local_pref.is_none()
         {
             i.match_all = true;

@@ -1,9 +1,10 @@
 //! Line-oriented parser for the supported IOS subset.
 
 use std::net::Ipv4Addr;
+use std::str::FromStr;
 
 use clarify_automata::Regex;
-use clarify_nettypes::{Community, PortRange, Prefix, PrefixRange, Protocol};
+use clarify_nettypes::{Community, ParseError, PortRange, Prefix, PrefixRange, Protocol};
 
 use crate::ast::{
     Acl, AclEntry, Action, AddrMatch, AsPathList, AsPathListEntry, CommunityList,
@@ -297,6 +298,34 @@ fn parse_prefix_list_entry(
         .parse()
         .map_err(|e: clarify_nettypes::ParseError| e.message)?;
     Ok(PrefixListEntry { seq, action, range })
+}
+
+/// Parses one `match` clause as its [`Display`](std::fmt::Display) prints
+/// it, e.g. `match metric 55`.
+impl FromStr for RouteMapMatch {
+    type Err = ParseError;
+
+    fn from_str(s: &str) -> Result<RouteMapMatch, ParseError> {
+        match s.split_whitespace().collect::<Vec<_>>().as_slice() {
+            ["match", rest @ ..] => parse_match(rest),
+            _ => Err(format!("expected a match clause, found '{s}'")),
+        }
+        .map_err(|message| ParseError { message })
+    }
+}
+
+/// Parses one `set` clause as its [`Display`](std::fmt::Display) prints
+/// it, e.g. `set community 300:3 additive`.
+impl FromStr for RouteMapSet {
+    type Err = ParseError;
+
+    fn from_str(s: &str) -> Result<RouteMapSet, ParseError> {
+        match s.split_whitespace().collect::<Vec<_>>().as_slice() {
+            ["set", rest @ ..] => parse_set(rest),
+            _ => Err(format!("expected a set clause, found '{s}'")),
+        }
+        .map_err(|message| ParseError { message })
+    }
 }
 
 fn parse_match(rest: &[&str]) -> Result<RouteMapMatch, String> {

@@ -809,3 +809,43 @@ ip access-list extended EDGE_IN
         "prefix-list D1 seq 10"
     );
 }
+
+/// One `match` or `set` clause parses back from its `Display` form, and
+/// a community `set` that names no community is rejected.
+#[test]
+fn clauses_parse_back_from_their_display() {
+    use crate::{RouteMapMatch, RouteMapSet};
+    let comms: Vec<Community> = vec!["300:3".parse().unwrap(), "1:1".parse().unwrap()];
+    let sets = [
+        RouteMapSet::Metric(55),
+        RouteMapSet::LocalPref(200),
+        RouteMapSet::Weight(7),
+        RouteMapSet::Tag(70000),
+        RouteMapSet::NextHop(Ipv4Addr::new(192, 0, 2, 1)),
+        RouteMapSet::CommunityAdd(comms.clone()),
+        RouteMapSet::CommunityReplace(comms),
+    ];
+    for s in sets {
+        assert_eq!(s.to_string().parse::<RouteMapSet>(), Ok(s));
+    }
+    let matches = [
+        RouteMapMatch::AsPath(vec!["A".into(), "B".into()]),
+        RouteMapMatch::Community(vec!["C".into()]),
+        RouteMapMatch::PrefixList(vec!["P".into()]),
+        RouteMapMatch::LocalPref(300),
+        RouteMapMatch::Metric(5),
+        RouteMapMatch::Tag(9),
+    ];
+    for m in matches {
+        assert_eq!(m.to_string().parse::<RouteMapMatch>(), Ok(m));
+    }
+    for bad in [
+        "set community",
+        "set community additive",
+        "match metric 5",
+        "set metric x",
+    ] {
+        assert!(bad.parse::<RouteMapSet>().is_err(), "{bad}");
+    }
+    assert!("set metric 5".parse::<RouteMapMatch>().is_err());
+}

@@ -292,6 +292,32 @@ fn replayed_sessions_reproduce_recorded_turns_and_exhaustion_aborts() {
     assert!(frame.contains("\"ok\":true"), "session died: {frame}");
 }
 
+/// A replayed spec whose community regex does not parse fails the `ask`
+/// with an `intent-error` frame; the worker survives and the session
+/// still answers `lint`.
+#[test]
+fn unparseable_spec_regex_is_an_intent_error() {
+    use clarify_llm::{BackendStack, Transcript};
+
+    let text = include_str!("../../../testdata/transcripts/e1.json")
+        .replace("community _300:3_\\n", "community (300\\n");
+    let transcript = Transcript::from_json_unchecked(&text).expect("still JSON");
+    let config = transcript.session.clone().expect("CLI transcript").config;
+    let shared = shared_over(BackendStack::semantic().with_replay(Arc::new(transcript)));
+    let (frame, _) = shared.handle_line(&format!(
+        "{{\"op\":\"open\",\"config\":{}}}",
+        clarify_obs::json::escape(&config)
+    ));
+    let id = session_id(&frame);
+    let (frame, _) = shared.handle_line(&format!(
+        "{{\"op\":\"ask\",\"session\":{id},\"target\":\"ISP_OUT\",\"intent\":{}}}",
+        clarify_obs::json::escape(E1_INTENT)
+    ));
+    assert!(frame.contains("\"intent-error\""), "{frame}");
+    let (frame, _) = shared.handle_line(&format!("{{\"op\":\"lint\",\"session\":{id}}}"));
+    assert!(frame.contains("\"ok\":true"), "session died: {frame}");
+}
+
 #[test]
 fn turn_state_machine_rejects_out_of_order_ops() {
     let (_clock, shared) = shared_with_manual_clock(10_000);

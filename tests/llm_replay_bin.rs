@@ -85,6 +85,24 @@ fn tampered_transcript_warns_and_falls_back_to_the_live_backend() {
     );
 }
 
+/// A spec whose community regex does not parse, under a valid checksum,
+/// is an analysis error: exit 1 with an `error:` line, not a panic.
+#[test]
+fn unparseable_spec_regex_is_an_error_not_a_panic() {
+    let text = golden("e1.json").replace("community _300:3_\\n", "community (300\\n");
+    let transcript = clarify::llm::Transcript::from_json_unchecked(&text).expect("still JSON");
+    let path = tmp_path("bad-spec-regex.json");
+    std::fs::write(&path, transcript.to_json()).expect("write transcript");
+    let out = clarify(&["--replay-transcript", path.to_str().expect("utf8 path")]);
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.lines().any(|l| l.starts_with("error:")) && !stderr.contains("stale"),
+        "expected an error line and no checksum warning, got: {stderr}"
+    );
+}
+
 #[test]
 fn corrupt_transcript_is_a_usage_error() {
     let path = tmp_path("corrupt.json");
