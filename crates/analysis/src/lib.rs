@@ -60,7 +60,7 @@ pub use overlap::{
     acl_overlaps, overlaps, route_map_chain_overlaps, ChainOverlapPair, OverlapPair, OverlapReport,
 };
 pub use packet_space::PacketSpace;
-pub use route_compare::{compare_route_policies, policies_equivalent, RouteDiff};
+pub use route_compare::{compare_route_policies, policies_equivalent, stanza_pair_diff, RouteDiff};
 pub use route_space::{OutputConstraints, RouteSpace};
 pub use spec::{verify_stanza_against_spec, SpecVerdict, StanzaSpec};
 

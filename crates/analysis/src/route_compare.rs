@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use clarify_bdd::Ref;
-use clarify_netconfig::{Action, Config, RouteMapVerdict};
+use clarify_netconfig::{Action, Config, RouteMapStanza, RouteMapVerdict};
 use clarify_nettypes::{BgpRoute, Community};
 
 use crate::effect::{CommunityEffect, SetEffect};
@@ -47,84 +47,106 @@ pub fn compare_route_policies(
     let mut diffs: Vec<RouteDiff> = Vec::new();
     let mut seen_routes: BTreeSet<String> = BTreeSet::new();
 
-    'pairs: for (ra, oa) in &regions_a {
-        for (rb, ob) in &regions_b {
+    'pairs: for &(ra, sa) in &regions_a {
+        for &(rb, sb) in &regions_b {
             if diffs.len() >= limit {
                 break 'pairs;
             }
-            let joint = space.manager().and(*ra, *rb);
-            if joint == Ref::FALSE {
-                continue;
-            }
-            // Narrow `joint` to inputs whose outcomes differ.
-            let diff_region = match (oa, ob) {
-                (Outcome::Deny, Outcome::Deny) => Ref::FALSE,
-                (Outcome::Permit(_), Outcome::Deny) | (Outcome::Deny, Outcome::Permit(_)) => joint,
-                (Outcome::Permit(ea), Outcome::Permit(eb)) => {
-                    transform_diff_region(space, joint, ea, eb)?
+            let joint = space.manager().and(ra, rb);
+            let diff = stanza_pair_diff(space, joint, sa, sb, |route| {
+                Ok((
+                    cfg_a.eval_route_map(map_a, route)?,
+                    cfg_b.eval_route_map(map_b, route)?,
+                ))
+            })?;
+            if let Some(diff) = diff {
+                if seen_routes.insert(format!("{:?}", diff.route)) {
+                    diffs.push(diff);
                 }
-            };
-            if diff_region == Ref::FALSE {
-                continue;
-            }
-            // Candidate witnesses: the low- and high-branch extractions,
-            // each optionally augmented with a community that neither
-            // effect mentions. The augmentation matters when the two
-            // stanzas differ only in their community *effect* (e.g.
-            // `set community c additive` vs replace): a community-free
-            // witness makes both outputs coincide, and with no community
-            // lists in either config the symbolic space cannot demand a
-            // community by itself.
-            let fresh = fresh_community(oa, ob);
-            let mut candidates: Vec<BgpRoute> = Vec::new();
-            for alt in [false, true] {
-                let witness = if alt {
-                    space.witness_alt(diff_region)?
-                } else {
-                    space.witness(diff_region)?
-                };
-                if let Some(mut route) = witness {
-                    adjust_free_fields(&mut route, oa, ob);
-                    if let Some(c) = fresh {
-                        let mut augmented = route.clone();
-                        augmented.communities.insert(c);
-                        candidates.push(augmented);
-                    }
-                    candidates.push(route);
-                }
-            }
-            for route in candidates {
-                let va = cfg_a.eval_route_map(map_a, &route)?;
-                let vb = cfg_b.eval_route_map(map_b, &route)?;
-                if va.same_behaviour(&vb) {
-                    // The symbolic region over-approximated on a field
-                    // outside the space and this candidate coincided; try
-                    // the next one, else skip the pair.
-                    continue;
-                }
-                let key = format!("{route:?}");
-                if seen_routes.insert(key) {
-                    diffs.push(RouteDiff {
-                        route,
-                        a: va,
-                        b: vb,
-                    });
-                }
-                break;
             }
         }
     }
     Ok(diffs)
 }
 
-/// Each stanza's firing region in route-map `name` of `cfg` with its
-/// outcome, then the implicit deny's region, which behaves like a deny
-/// stanza.
-fn regions(
+/// The first concrete difference on `joint` between two policies that
+/// decide all of it by one stanza each: `a` in the first policy and `b`
+/// in the second, `None` standing for the implicit deny. `eval` runs a
+/// candidate route through both policies' concrete evaluators, so a
+/// reported difference is real.
+///
+/// This is one region pair of [`compare_route_policies`]. It is also the
+/// whole comparison for a one-stanza change, which can only change
+/// behaviour on one such region: deleting a stanza (the lint's
+/// redundancy check) or placing a new stanza above rather than below an
+/// existing one (the disambiguator's questions).
+pub fn stanza_pair_diff(
     space: &mut RouteSpace,
-    cfg: &Config,
+    joint: Ref,
+    a: Option<&RouteMapStanza>,
+    b: Option<&RouteMapStanza>,
+    mut eval: impl FnMut(&BgpRoute) -> Result<(RouteMapVerdict, RouteMapVerdict), AnalysisError>,
+) -> Result<Option<RouteDiff>, AnalysisError> {
+    if joint == Ref::FALSE {
+        return Ok(None);
+    }
+    let (oa, ob) = (Outcome::of(a), Outcome::of(b));
+    // Narrow `joint` to inputs whose outcomes differ.
+    let diff_region = match (&oa, &ob) {
+        (Outcome::Deny, Outcome::Deny) => Ref::FALSE,
+        (Outcome::Permit(_), Outcome::Deny) | (Outcome::Deny, Outcome::Permit(_)) => joint,
+        (Outcome::Permit(ea), Outcome::Permit(eb)) => transform_diff_region(space, joint, ea, eb)?,
+    };
+    if diff_region == Ref::FALSE {
+        return Ok(None);
+    }
+    // Candidate witnesses: the low- and high-branch extractions, each
+    // optionally augmented with a community that neither effect mentions.
+    // The augmentation matters when the two stanzas differ only in their
+    // community *effect* (e.g. `set community c additive` vs replace): a
+    // community-free witness makes both outputs coincide, and with no
+    // community lists in either config the symbolic space cannot demand a
+    // community by itself.
+    let fresh = fresh_community(&oa, &ob);
+    let mut candidates: Vec<BgpRoute> = Vec::new();
+    for alt in [false, true] {
+        let witness = if alt {
+            space.witness_alt(diff_region)?
+        } else {
+            space.witness(diff_region)?
+        };
+        if let Some(mut route) = witness {
+            adjust_free_fields(&mut route, &oa, &ob);
+            if let Some(c) = fresh {
+                let mut augmented = route.clone();
+                augmented.communities.insert(c);
+                candidates.push(augmented);
+            }
+            candidates.push(route);
+        }
+    }
+    for route in candidates {
+        let (va, vb) = eval(&route)?;
+        // The symbolic region over-approximated on a field outside the
+        // space when a candidate's verdicts coincide; try the next one.
+        if !va.same_behaviour(&vb) {
+            return Ok(Some(RouteDiff {
+                route,
+                a: va,
+                b: vb,
+            }));
+        }
+    }
+    Ok(None)
+}
+
+/// Each stanza's firing region in route-map `name` of `cfg` with the
+/// stanza, then the implicit deny's region.
+fn regions<'c>(
+    space: &mut RouteSpace,
+    cfg: &'c Config,
     name: &str,
-) -> Result<Vec<(Ref, Outcome)>, AnalysisError> {
+) -> Result<Vec<(Ref, Option<&'c RouteMapStanza>)>, AnalysisError> {
     let map = cfg.route_map(name).ok_or_else(|| {
         AnalysisError::Config(clarify_netconfig::ConfigError::NotFound {
             kind: "route-map",
@@ -132,14 +154,10 @@ fn regions(
         })
     })?;
     let (fires, implicit) = map.fire_sets(space, cfg)?;
-    let outcomes = map.stanzas.iter().map(|s| match s.action {
-        Action::Permit => Outcome::Permit(SetEffect::of(&s.sets)),
-        Action::Deny => Outcome::Deny,
-    });
     Ok(fires
         .into_iter()
-        .zip(outcomes)
-        .chain([(implicit, Outcome::Deny)])
+        .zip(map.stanzas.iter().map(Some))
+        .chain([(implicit, None)])
         .collect())
 }
 
@@ -170,6 +188,16 @@ fn fresh_community(oa: &Outcome, ob: &Outcome) -> Option<Community> {
 enum Outcome {
     Permit(SetEffect),
     Deny,
+}
+
+impl Outcome {
+    /// The outcome of `stanza`, `None` being the implicit deny.
+    fn of(stanza: Option<&RouteMapStanza>) -> Outcome {
+        match stanza {
+            Some(s) if s.action == Action::Permit => Outcome::Permit(SetEffect::of(&s.sets)),
+            _ => Outcome::Deny,
+        }
+    }
 }
 
 /// For two permit effects on `joint`, the sub-region where their outputs

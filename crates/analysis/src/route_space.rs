@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use clarify_automata::{AtomSpace, Regex};
+use clarify_automata::{AtomSpace, Dfa, Regex};
 use clarify_bdd::{Cube, Manager, Ref};
 use clarify_netconfig::{
     Action, AsPathList, CommunityList, Config, PrefixList, RouteMapMatch, RouteMapStanza,
@@ -15,10 +15,14 @@ use crate::error::AnalysisError;
 use crate::first_match::{encode_network, first_match_permits, FirstMatchPolicy};
 
 /// All syntactically valid community subject strings: `N:M` with one to
-/// five digits per half. Values above 65535 are rejected when a witness is
-/// decoded; shortest-witness extraction never produces them for the
-/// patterns real configurations use.
+/// five digits per half. It admits halves past 65535, which no community
+/// has; [`RouteSpace::new`] deals with the atoms that hold only those.
 const COMMUNITY_UNIVERSE: &str = "^[0-9][0-9]?[0-9]?[0-9]?[0-9]?:[0-9][0-9]?[0-9]?[0-9]?[0-9]?$";
+
+/// One community half as [`Community`]'s `Display` writes it: 0 to 65535,
+/// without leading zeros.
+const COMMUNITY_HALF: &str =
+    "(0|[1-9][0-9]?[0-9]?[0-9]?|[1-5][0-9][0-9][0-9][0-9]|6[0-4][0-9][0-9][0-9]|65[0-4][0-9][0-9]|655[0-2][0-9]|6553[0-5])";
 
 /// All syntactically valid AS-path subject strings: possibly empty,
 /// space-separated AS numbers of one to five digits.
@@ -77,6 +81,9 @@ pub struct RouteSpace {
     metric_vars: Vec<u32>,
     tag_vars: Vec<u32>,
     pub(crate) comm_vars: Vec<u32>,
+    /// Per community atom, the community a decoded route carries for it;
+    /// `None` for an atom that holds no community (excluded from `valid`).
+    comm_witnesses: Vec<Option<Community>>,
     pub(crate) path_vars: Vec<u32>,
     valid: Ref,
     /// Pins `valid` across the manager's collections for the lifetime of
@@ -131,6 +138,24 @@ impl RouteSpace {
             .ok_or(AnalysisError::AtomLimitExceeded)?;
         let path_atoms = AtomSpace::build(&path_universe, &path_patterns)
             .ok_or(AnalysisError::AtomLimitExceeded)?;
+        // An atom's shortest witness can have a half past 65535. Such an
+        // atom takes its witness from the communities it holds instead,
+        // and one that holds none is excluded from `valid` below. Atoms
+        // whose witness parses need no automata work.
+        let mut communities: Option<Dfa> = None;
+        let comm_witnesses: Vec<Option<Community>> = (0..comm_atoms.len())
+            .map(|i| {
+                comm_atoms.witness(i).parse().ok().or_else(|| {
+                    let values = communities.get_or_insert_with(|| {
+                        Regex::parse(&format!("^{COMMUNITY_HALF}:{COMMUNITY_HALF}$"))
+                            .expect("community value regex is valid")
+                            .to_dfa()
+                    });
+                    let w = comm_atoms.atom(i).intersect(values).witness()?;
+                    Some(w.parse().expect("the community values parse"))
+                })
+            })
+            .collect();
 
         let path_bits = {
             let n = path_atoms.len().max(1);
@@ -163,6 +188,12 @@ impl RouteSpace {
             let in_range = mgr.le_const(&path_vars, (path_atoms.len().max(1) - 1) as u64);
             valid = mgr.and(valid, in_range);
         }
+        for (&v, w) in comm_vars.iter().zip(&comm_witnesses) {
+            if w.is_none() {
+                let absent = mgr.literal(v, false);
+                valid = mgr.and(valid, absent);
+            }
+        }
         // Pin the validity predicate and let the kernel collect everything
         // unrooted (and re-sift a degraded order) at the clear_op_caches
         // seams between work items. Witnesses are order-invariant, so
@@ -183,6 +214,7 @@ impl RouteSpace {
             metric_vars,
             tag_vars,
             comm_vars,
+            comm_witnesses,
             path_vars,
             valid,
             _valid_root: valid_root,
@@ -431,12 +463,11 @@ impl RouteSpace {
         route.metric = cube.decode(&self.metric_vars) as u32;
         route.tag = cube.decode(&self.tag_vars) as u32;
 
-        for (i, &v) in self.comm_vars.iter().enumerate() {
+        for (i, (&v, &w)) in self.comm_vars.iter().zip(&self.comm_witnesses).enumerate() {
             if cube.value_or_false(v) {
-                let w = self.comm_atoms.witness(i);
-                let c: Community = w.parse().map_err(|_| AnalysisError::OutsideUniverse {
+                let c = w.ok_or_else(|| AnalysisError::OutsideUniverse {
                     kind: "community witness",
-                    value: w.to_string(),
+                    value: self.comm_atoms.witness(i).to_string(),
                 })?;
                 route.communities.insert(c);
             }

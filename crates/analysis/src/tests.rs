@@ -471,6 +471,47 @@ fn spec_json_rendering_matches_paper_shape() {
     assert!(json.contains("\"set\": {\"metric\": 55}"), "{json}");
 }
 
+/// The community universe admits halves up to 99999. An atom that holds
+/// only values past 65535 holds no community: no valid route is in it.
+#[test]
+fn community_atom_past_65535_holds_no_route() {
+    let cfg = Config::parse(
+        "ip community-list expanded BIG permit _7[0-9][0-9][0-9][0-9]:1_\n\
+         route-map RM permit 10\n match community BIG\n",
+    )
+    .unwrap();
+    let mut empty = cfg.clone();
+    empty.route_maps.insert(
+        "RM".to_string(),
+        RouteMap {
+            name: "RM".to_string(),
+            stanzas: Vec::new(),
+        },
+    );
+    let mut space = RouteSpace::new(&[&cfg]).unwrap();
+    let equivalent = policies_equivalent(&mut space, &cfg, "RM", &empty, "RM");
+    assert!(matches!(equivalent, Ok(true)), "{equivalent:?}");
+}
+
+/// An atom whose shortest string is past 65535 but that holds a community
+/// decodes to one it holds.
+#[test]
+fn community_atom_witness_is_a_community_it_holds() {
+    let cfg = Config::parse(
+        "ip community-list expanded MIXED permit _(99999:1|65535:12)_\n\
+         route-map RM permit 10\n match community MIXED\n",
+    )
+    .unwrap();
+    let mut space = RouteSpace::new(&[&cfg]).unwrap();
+    let map = cfg.route_map("RM").unwrap();
+    let route = search(&mut space, &cfg, map, Action::Permit, None).unwrap();
+    let communities = route.expect("the stanza permits a route").communities;
+    assert_eq!(
+        communities.into_iter().collect::<Vec<_>>(),
+        [com("65535:12")]
+    );
+}
+
 mod properties {
     use super::*;
     use clarify_testkit::{gens, prop_assert, prop_assert_eq, property, Rng, Source};

@@ -66,6 +66,13 @@ impl AclInsertion {
             target: target.clone(),
         })
     }
+
+    /// The target ACL in a configuration [`insert`](RuleKind::insert)
+    /// produced, which keeps it.
+    fn placed<'c>(&self, cfg: &'c Config) -> &'c Acl {
+        cfg.acl(&self.target.name)
+            .expect("insert_acl_entry preserves the ACL it inserted into")
+    }
 }
 
 impl RuleKind for AclInsertion {
@@ -99,16 +106,36 @@ impl RuleKind for AclInsertion {
         below: &Config,
         pivot: usize,
     ) -> Result<Option<AclQuestion>, ClarifyError> {
-        // Invariant: both configs come from `insert`, which keeps the ACL.
-        let [above, below] = [above, below].map(|cfg| {
-            cfg.acl(&self.target.name)
-                .expect("insert_acl_entry preserves the ACL it inserted into")
-        });
-        let diffs = compare_filters(space, above, below, 1)?;
+        let diffs = compare_filters(space, self.placed(above), self.placed(below), 1)?;
         Ok(diffs.into_iter().next().map(|d| AclQuestion {
             packet: d.packet,
             option_first: d.a,
             option_second: d.b,
+            pivot_index: pivot,
+        }))
+    }
+
+    /// ACL outcomes are pure permit/deny, so the two placements decide all
+    /// of `region` differently when the actions differ, and none of it
+    /// otherwise.
+    fn pivot_question(
+        &self,
+        space: &mut PacketSpace,
+        region: Ref,
+        pivot: usize,
+    ) -> Result<Option<AclQuestion>, ClarifyError> {
+        if self.entry.action == self.target.entries[pivot].action {
+            return Ok(None);
+        }
+        let Some(packet) = space.witness(region) else {
+            return Ok(None);
+        };
+        let (above, _) = self.insert(pivot)?;
+        let (below, _) = self.insert(pivot + 1)?;
+        Ok(Some(AclQuestion {
+            option_first: self.placed(&above).eval(&packet),
+            option_second: self.placed(&below).eval(&packet),
+            packet,
             pivot_index: pivot,
         }))
     }

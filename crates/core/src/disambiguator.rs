@@ -7,8 +7,7 @@
 //! entries, prefix-list entries — supplies only what differs: the
 //! symbolic space, the new rule's match set, the differential question
 //! and the insertion itself. The overlap scan, the lint prune, the pivot
-//! scan (serial or pooled), the plan replay and the insertion metrics
-//! exist once, here.
+//! scan, the plan replay and the insertion metrics exist once, here.
 
 use clarify_analysis::FirstMatchPolicy;
 use clarify_bdd::Ref;
@@ -39,7 +38,7 @@ pub enum PlacementStrategy {
 /// of ordered first-match policy. Implemented by [`RouteMapInsertion`],
 /// [`AclInsertion`](crate::AclInsertion) and
 /// [`PrefixListInsertion`](crate::PrefixListInsertion).
-pub trait RuleKind: Clone + std::fmt::Debug + Sync {
+pub trait RuleKind: Clone + std::fmt::Debug {
     /// The symbolic space the kind's sets live in.
     type Space;
     /// The policy object the new rule goes into; it supplies the existing
@@ -54,19 +53,30 @@ pub trait RuleKind: Clone + std::fmt::Debug + Sync {
     fn base(&self) -> &Config;
     /// The policy the new rule goes into, as it is in [`base`](Self::base).
     fn target(&self) -> &Self::Policy;
-    /// A fresh space covering the base and the new rule (each pooled
-    /// pivot-scan worker builds its own).
+    /// A fresh space covering the base and the new rule.
     fn new_space(&self) -> Result<Self::Space, ClarifyError>;
     /// The new rule's match set, restricted to valid inputs (`s*`).
     fn new_match(&self, space: &mut Self::Space) -> Result<Ref, ClarifyError>;
     /// The differential question between two placements of the new rule
-    /// (`above` is OPTION 1), or `None` when they are equivalent. `pivot`
-    /// is the index of the existing rule the question is about.
+    /// (`above` is OPTION 1), or `None` when they are equivalent, by a
+    /// whole-policy comparison. `pivot` is the index of the existing rule
+    /// the question is about.
     fn question(
         &self,
         space: &mut Self::Space,
         above: &Config,
         below: &Config,
+        pivot: usize,
+    ) -> Result<Option<Self::Question>, ClarifyError>;
+    /// [`question`](Self::question) between the new rule inserted
+    /// immediately above and immediately below rule `pivot`, decided on
+    /// `region` = `s* ∧ fire_pivot`. The two placements decide every other
+    /// input alike: only there does the new rule (above) meet rule `pivot`
+    /// (below). `region` is non-empty, since the lint prune kept the pivot.
+    fn pivot_question(
+        &self,
+        space: &mut Self::Space,
+        region: Ref,
         pivot: usize,
     ) -> Result<Option<Self::Question>, ClarifyError>;
     /// Inserts the new rule at `position` of the base policy.
@@ -93,7 +103,9 @@ pub struct DisambiguationResult<K: RuleKind = RouteMapInsertion> {
     /// Overlap candidates discarded by the lint prune (the new rule is
     /// shadowed at those boundaries, so they are provably non-decisive).
     pub pruned_candidates: usize,
-    /// Number of expensive above/below placement comparisons performed.
+    /// Number of above/below placement comparisons performed: one per
+    /// pivot that survived the prune, each decided on that pivot's region
+    /// `s* ∧ fire_i`, plus TopBottomOnly's one whole-policy comparison.
     pub comparisons: usize,
     /// The full question/answer transcript.
     pub transcript: Vec<(K::Question, Choice)>,
@@ -123,9 +135,9 @@ impl Disambiguator {
         self.plan(&mut space, kind)?.drive(oracle)
     }
 
-    /// Builds an [`InsertionPlan`] in a caller-owned space: the expensive
-    /// symbolic work (overlap set, lint prune, per-pivot placement
-    /// comparisons) runs here, once; the returned plan answers every
+    /// Builds an [`InsertionPlan`] in a caller-owned space: the symbolic
+    /// work (overlap set, lint prune, per-pivot placement comparisons)
+    /// runs here, once; the returned plan answers every
     /// subsequent [`InsertionPlan::step`] with pure in-memory replay.
     /// ROBDD canonicity makes the space's history invisible: a warm space
     /// (a session's packet space) and a fresh one built from the same
@@ -168,51 +180,22 @@ impl Disambiguator {
         // a deny rule) means that boundary vanishes — the two adjacent
         // slots merge — and treating it as an answer would discard half
         // the search space that may hold the intent. Each decisive pivot
-        // carries its precomputed differential question.
-        //
-        // The scan is the hot loop — one full policy comparison per
-        // candidate — and each comparison is independent. With one thread
-        // it runs directly on the shared space, whose unique table already
-        // holds every rule encoding the comparisons rebuild; with more it
-        // fans out over `clarify-par` with one worker-local space per
-        // worker. ROBDD canonicity makes the choice invisible: a fresh
-        // space built from the same configs yields the same witnesses as
-        // the shared serial space, and results come back in input order.
-        let differential = |space: &mut K::Space, above: usize, below: usize, pivot: usize| {
-            let (above, _) = kind.insert(above)?;
-            let (below, _) = kind.insert(below)?;
-            kind.question(space, &above, &below, pivot)
-        };
-        let scan: Vec<Result<Option<K::Question>, ClarifyError>> = {
-            let _scan_span = clarify_obs::span!("pivot_scan");
-            if clarify_par::current_threads() == 1 {
-                candidates
-                    .iter()
-                    .map(|&pivot| differential(&mut *space, pivot, pivot + 1, pivot))
-                    .collect()
-            } else {
-                clarify_par::par_map_init(
-                    &candidates,
-                    || None,
-                    |worker_space, _, &pivot| {
-                        let space = match worker_space {
-                            Some(s) => s,
-                            None => worker_space.insert(kind.new_space()?),
-                        };
-                        differential(space, pivot, pivot + 1, pivot)
-                    },
-                )
-            }
-        };
+        // carries its precomputed differential question, decided on the
+        // region the prune just tested, `s* ∧ fire_i`: the only inputs the
+        // two placements decide differently.
         let mut pivots: Vec<(usize, K::Question)> = Vec::new();
-        for (&pivot, q) in candidates.iter().zip(scan) {
-            if let Some(q) = q? {
-                pivots.push((pivot, q));
+        {
+            let _scan_span = clarify_obs::span!("pivot_scan");
+            for &pivot in &candidates {
+                let region = K::Policy::manager(space).and(s_star, fires[pivot]);
+                if let Some(q) = kind.pivot_question(space, region, pivot)? {
+                    pivots.push((pivot, q));
+                }
             }
         }
-        // The overlap/prune round is done with the shared space's ite
-        // cache; drop it (unique table preserved) before the placement
-        // round so long sessions don't accrete dead cache entries.
+        // The overlap, prune and pivot rounds are done with the shared
+        // space's ite cache; drop it (unique table preserved) so long
+        // sessions don't accrete dead cache entries.
         K::Policy::manager(space).clear_op_caches();
         let mut comparisons = candidates.len();
 
@@ -224,7 +207,9 @@ impl Disambiguator {
         let top_bottom = if self.strategy == PlacementStrategy::TopBottomOnly && !pivots.is_empty()
         {
             comparisons += 1;
-            differential(space, 0, base_len, 0)?
+            let (top, _) = kind.insert(0)?;
+            let (bottom, _) = kind.insert(base_len)?;
+            kind.question(space, &top, &bottom, 0)?
         } else {
             None
         };

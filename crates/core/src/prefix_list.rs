@@ -67,6 +67,12 @@ impl PrefixListInsertion {
             target: target.clone(),
         })
     }
+
+    /// The target list in a configuration [`insert`](RuleKind::insert)
+    /// produced, which keeps it.
+    fn placed<'c>(&self, cfg: &'c Config) -> &'c PrefixList {
+        &cfg.prefix_lists[&self.target.name]
+    }
 }
 
 impl RuleKind for PrefixListInsertion {
@@ -100,13 +106,36 @@ impl RuleKind for PrefixListInsertion {
         below: &Config,
         pivot: usize,
     ) -> Result<Option<PrefixQuestion>, ClarifyError> {
-        // Invariant: both configs come from `insert`, which keeps the list.
-        let [above, below] = [above, below].map(|cfg| &cfg.prefix_lists[&self.target.name]);
-        let diffs = compare_prefix_lists(space, above, below, 1)?;
+        let diffs = compare_prefix_lists(space, self.placed(above), self.placed(below), 1)?;
         Ok(diffs.into_iter().next().map(|d| PrefixQuestion {
             prefix: d.prefix,
             first_permits: d.a_permits,
             second_permits: d.b_permits,
+            pivot_index: pivot,
+        }))
+    }
+
+    /// Prefix-list outcomes are pure permit/deny, so the two placements
+    /// decide all of `region` differently when the actions differ, and
+    /// none of it otherwise.
+    fn pivot_question(
+        &self,
+        space: &mut PrefixSpace,
+        region: Ref,
+        pivot: usize,
+    ) -> Result<Option<PrefixQuestion>, ClarifyError> {
+        if self.entry.action == self.target.entries[pivot].action {
+            return Ok(None);
+        }
+        let Some(prefix) = space.witness(region) else {
+            return Ok(None);
+        };
+        let (above, _) = self.insert(pivot)?;
+        let (below, _) = self.insert(pivot + 1)?;
+        Ok(Some(PrefixQuestion {
+            prefix,
+            first_permits: self.placed(&above).permits(&prefix),
+            second_permits: self.placed(&below).permits(&prefix),
             pivot_index: pivot,
         }))
     }

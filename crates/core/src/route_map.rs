@@ -1,7 +1,7 @@
 //! Route-map stanza insertion: the paper's primary case, over the symbolic
 //! route space.
 
-use clarify_analysis::{compare_route_policies, RouteSpace};
+use clarify_analysis::{compare_route_policies, stanza_pair_diff, RouteDiff, RouteSpace};
 use clarify_bdd::Ref;
 use clarify_netconfig::{
     insert_route_map_stanza, Config, ConfigError, InsertReport, RouteMap, RouteMapStanza,
@@ -90,6 +90,24 @@ impl RouteMapInsertion {
             stanza: stanza.clone(),
         })
     }
+
+    /// The target route-map in a configuration
+    /// [`insert`](RuleKind::insert) produced, which keeps it.
+    fn placed<'c>(&self, cfg: &'c Config) -> &'c RouteMap {
+        cfg.route_map(&self.target.name)
+            .expect("insert_route_map_stanza preserves the route-map it inserted into")
+    }
+
+    /// The question a difference between the two placements around
+    /// `pivot` puts to the user.
+    fn ask(&self, d: RouteDiff, pivot: usize) -> DisambiguationQuestion {
+        DisambiguationQuestion {
+            route: d.route,
+            option_first: d.a,
+            option_second: d.b,
+            pivot_seq: self.target.stanzas[pivot].seq,
+        }
+    }
 }
 
 impl RuleKind for RouteMapInsertion {
@@ -125,12 +143,29 @@ impl RuleKind for RouteMapInsertion {
     ) -> Result<Option<DisambiguationQuestion>, ClarifyError> {
         let map = &self.target.name;
         let diffs = compare_route_policies(space, above, map, below, map, 1)?;
-        Ok(diffs.into_iter().next().map(|d| DisambiguationQuestion {
-            route: d.route,
-            option_first: d.a,
-            option_second: d.b,
-            pivot_seq: self.target.stanzas[pivot].seq,
-        }))
+        Ok(diffs.into_iter().next().map(|d| self.ask(d, pivot)))
+    }
+
+    /// The new stanza at `pivot` in `above` against stanza `pivot` at
+    /// `pivot` in `below`, on `region`.
+    fn pivot_question(
+        &self,
+        space: &mut RouteSpace,
+        region: Ref,
+        pivot: usize,
+    ) -> Result<Option<DisambiguationQuestion>, ClarifyError> {
+        let (above, _) = self.insert(pivot)?;
+        let (below, _) = self.insert(pivot + 1)?;
+        let map = &self.target.name;
+        let new = &self.placed(&above).stanzas[pivot];
+        let old = &self.placed(&below).stanzas[pivot];
+        let diff = stanza_pair_diff(space, region, Some(new), Some(old), |route| {
+            Ok((
+                above.eval_route_map(map, route)?,
+                below.eval_route_map(map, route)?,
+            ))
+        })?;
+        Ok(diff.map(|d| self.ask(d, pivot)))
     }
 
     fn insert(&self, position: usize) -> Result<(Config, InsertReport), ClarifyError> {

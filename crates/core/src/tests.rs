@@ -476,6 +476,90 @@ mod engine_properties {
     }
 }
 
+/// The engine decides each pivot's question on the one region where the
+/// two placements around the pivot can differ. These properties hold it
+/// to the oracle, the whole-policy comparison of the two inserted
+/// configurations, on random policies of each kind: route-maps with every
+/// kind of `match` and `set` clause, ACLs and prefix lists.
+mod pivot_question_oracle {
+    use clarify_analysis::FirstMatchPolicy;
+    use clarify_bdd::Ref;
+    use clarify_netconfig::Config;
+    use clarify_testkit::{policies, property, Source};
+
+    use crate::{AclInsertion, PrefixListInsertion, RouteMapInsertion, RuleKind};
+
+    /// Every pivot the prune keeps (`s* ∧ fire_i ≠ ⊥`) gets the same
+    /// question, `None` included, from [`RuleKind::pivot_question`] as from
+    /// [`RuleKind::question`] on the two insertions around it, the latter
+    /// in a space of its own.
+    fn check_pivot_questions<K: RuleKind>(kind: K) {
+        let mut space = kind.new_space().unwrap();
+        let mut oracle_space = kind.new_space().unwrap();
+        let s_star = kind.new_match(&mut space).unwrap();
+        let (fires, _) = kind.target().fire_sets(&mut space, kind.base()).unwrap();
+        for (pivot, &fire) in fires.iter().enumerate() {
+            let region = K::Policy::manager(&mut space).and(s_star, fire);
+            if region == Ref::FALSE {
+                continue;
+            }
+            let local = kind.pivot_question(&mut space, region, pivot).unwrap();
+            let (above, _) = kind.insert(pivot).unwrap();
+            let (below, _) = kind.insert(pivot + 1).unwrap();
+            let whole = kind
+                .question(&mut oracle_space, &above, &below, pivot)
+                .unwrap();
+            assert_eq!(format!("{local:?}"), format!("{whole:?}"), "pivot {pivot}");
+        }
+    }
+
+    /// A base route-map `RM` and a one-stanza snippet `NEW`, each with the
+    /// lists they may reference.
+    fn route_map_case(g: &mut Source) -> (String, String) {
+        let base = policies::route_map(g, "RM", 5);
+        let new = policies::route_map_stanza(g, "NEW", 10);
+        (
+            policies::LISTS.to_string() + &base,
+            policies::LISTS.to_string() + &new,
+        )
+    }
+
+    /// A base ACL `A` and one new entry line.
+    fn acl_case(g: &mut Source) -> (String, String) {
+        (policies::acl(g, "A", 6), policies::acl_entry(g))
+    }
+
+    /// A base prefix list `PL` and a one-entry list `X`.
+    fn prefix_case(g: &mut Source) -> (String, String) {
+        let base = policies::prefix_list(g, "PL", 5);
+        (base, policies::prefix_list_entry(g, "X", 5))
+    }
+
+    property! {
+        fn route_map_pivot_questions_match_whole_policy(case in route_map_case) cases 64 {
+            let base = Config::parse(&case.0).unwrap();
+            let snippet = Config::parse(&case.1).unwrap();
+            check_pivot_questions(RouteMapInsertion::new(&base, "RM", &snippet, "NEW").unwrap());
+        }
+
+        fn acl_pivot_questions_match_whole_policy(case in acl_case) cases 128 {
+            let base = Config::parse(&case.0).unwrap();
+            let entry = Config::parse(&format!("ip access-list extended X\n{}", case.1))
+                .unwrap()
+                .acls["X"]
+                .entries[0]
+                .clone();
+            check_pivot_questions(AclInsertion::new(&base, "A", &entry).unwrap());
+        }
+
+        fn prefix_list_pivot_questions_match_whole_policy(case in prefix_case) cases 128 {
+            let base = Config::parse(&case.0).unwrap();
+            let entry = Config::parse(&case.1).unwrap().prefix_lists["X"].entries[0].clone();
+            check_pivot_questions(PrefixListInsertion::new(&base, "PL", &entry).unwrap());
+        }
+    }
+}
+
 #[test]
 fn linear_scan_asks_more_questions_than_binary_search() {
     let n = 8;

@@ -4,9 +4,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use clarify_analysis::{
-    acl_overlaps, filters_equivalent, fire_sets_cached, policies_equivalent,
-    prefix_lists_equivalent, AnalysisError, FireSetCache, FirstMatchPolicy, PacketSpace,
-    PrefixSpace, RouteSpace,
+    acl_overlaps, fire_sets_cached, stanza_pair_diff, AnalysisError, FireSetCache,
+    FirstMatchPolicy, PacketSpace, PrefixSpace, RouteSpace,
 };
 use clarify_bdd::Ref;
 use clarify_netconfig::{Acl, Action, Config, ObjectKind, PrefixList, RouteMap, RuleId, SourceMap};
@@ -66,15 +65,22 @@ pub(crate) trait LintKind: FirstMatchPolicy + Sync + Sized {
         cfg: &Config,
         input: &Self::Input,
     ) -> Result<Option<usize>, AnalysisError>;
-    /// Whether deleting rule `i` leaves the object behaviourally
-    /// equivalent.
-    fn equivalent_without(
+    /// Whether some input of `joint` is decided differently by rule `i`
+    /// and, once rule `i` is deleted, by rule `k` (`None`: the implicit
+    /// deny). `joint` is non-empty and within `valid`, so for a kind that
+    /// only permits or denies, differing actions are enough: that is the
+    /// default.
+    fn decides_differently(
         &self,
-        name: &str,
-        space: &mut Self::Space,
-        cfg: &Config,
+        _name: &str,
+        _space: &mut Self::Space,
+        _cfg: &Config,
+        _joint: Ref,
         i: usize,
-    ) -> Result<bool, AnalysisError>;
+        k: Option<usize>,
+    ) -> Result<bool, AnalysisError> {
+        Ok(self.action(i) != k.map_or(Action::Deny, |k| self.action(k)))
+    }
 
     /// The lists the object's rules reference (route-maps only).
     fn references(&self) -> impl Iterator<Item = (ObjectKind, &str)> {
@@ -137,17 +143,25 @@ impl LintKind for RouteMap {
         let seq = cfg.eval_route_map(name, route)?.seq();
         Ok(seq.and_then(|seq| self.stanzas.iter().position(|s| s.seq == seq)))
     }
-    fn equivalent_without(
+    /// The stanzas' one-region comparison, with the deleted policy's
+    /// verdicts from the concrete evaluator skipping stanza `i`.
+    fn decides_differently(
         &self,
         name: &str,
         space: &mut RouteSpace,
         cfg: &Config,
+        joint: Ref,
         i: usize,
+        k: Option<usize>,
     ) -> Result<bool, AnalysisError> {
-        let mut modified = cfg.clone();
-        let map = modified.route_maps.get_mut(name).expect("map exists");
-        map.stanzas.remove(i);
-        policies_equivalent(space, cfg, name, &modified, name)
+        let (stanza, after) = (&self.stanzas[i], k.map(|k| &self.stanzas[k]));
+        let diff = stanza_pair_diff(space, joint, Some(stanza), after, |route| {
+            Ok((
+                cfg.eval_route_map(name, route)?,
+                cfg.eval_route_map_without(name, i, route)?,
+            ))
+        })?;
+        Ok(diff.is_some())
     }
     fn references(&self) -> impl Iterator<Item = (ObjectKind, &str)> {
         self.stanzas.iter().flat_map(|s| s.references())
@@ -184,17 +198,6 @@ impl LintKind for Acl {
         pkt: &Packet,
     ) -> Result<Option<usize>, AnalysisError> {
         Ok(self.eval(pkt).index)
-    }
-    fn equivalent_without(
-        &self,
-        _: &str,
-        space: &mut PacketSpace,
-        _: &Config,
-        i: usize,
-    ) -> Result<bool, AnalysisError> {
-        let mut modified = self.clone();
-        modified.entries.remove(i);
-        Ok(filters_equivalent(space, self, &modified))
     }
     /// ACLs keep the exact interval census: it needs no BDD work, and its
     /// `subset` flag is the syntactic containment of
@@ -238,17 +241,6 @@ impl LintKind for PrefixList {
         p: &Prefix,
     ) -> Result<Option<usize>, AnalysisError> {
         Ok(self.entries.iter().position(|e| e.range.matches(p)))
-    }
-    fn equivalent_without(
-        &self,
-        _: &str,
-        space: &mut PrefixSpace,
-        _: &Config,
-        i: usize,
-    ) -> Result<bool, AnalysisError> {
-        let mut modified = self.clone();
-        modified.entries.remove(i);
-        prefix_lists_equivalent(space, self, &modified)
     }
 }
 
@@ -382,7 +374,7 @@ pub(crate) fn lint_object<K: LintKind>(
     // nothing observable (e.g. a deny rule falling through to the implicit
     // deny). Dead rules are trivially redundant — skip them.
     for i in (0..match_sets.len()).filter(|&i| !dead[i]) {
-        if obj.equivalent_without(name, space, cfg, i)? {
+        if redundant(space, cfg, name, obj, &match_sets, fires[i], i)? {
             let rule = obj.rule_id(name, i);
             let fix = format!("delete {}", rule.rule_label());
             let message = format!(
@@ -412,6 +404,37 @@ pub(crate) fn lint_object<K: LintKind>(
         out.push(d);
     }
     Ok(out)
+}
+
+/// L002: whether deleting live rule `i`, whose firing region is `fire`,
+/// leaves the object behaviourally equivalent. Only inputs in `fire` change
+/// hands: those still unmatched before a later rule `k` that `k` matches go
+/// to `k`, and the rest to the implicit deny. So the sweep walks the later
+/// rules once, handing each its share `joint` of what is left, and stops
+/// at the first share decided differently or once nothing is left.
+fn redundant<K: LintKind>(
+    space: &mut K::Space,
+    cfg: &Config,
+    name: &str,
+    obj: &K,
+    match_sets: &[Ref],
+    fire: Ref,
+    i: usize,
+) -> Result<bool, AnalysisError> {
+    let mut rest = fire;
+    for (k, &m) in match_sets.iter().enumerate().skip(i + 1) {
+        let joint = K::manager(space).and(rest, m);
+        if joint != Ref::FALSE && obj.decides_differently(name, space, cfg, joint, i, Some(k))? {
+            return Ok(false);
+        }
+        let mgr = K::manager(space);
+        let nm = mgr.not(m);
+        rest = mgr.and(rest, nm);
+        if rest == Ref::FALSE {
+            return Ok(true);
+        }
+    }
+    Ok(!obj.decides_differently(name, space, cfg, rest, i, None)?)
 }
 
 /// The symbolic checks on `objects` (some of one kind's objects, in name

@@ -2,10 +2,9 @@
 //!
 //! The §4 disambiguator enumerates every existing rule whose match set
 //! intersects the new rule's (`s*`) as a candidate pivot, then decides for
-//! each whether inserting above vs below it changes behaviour — an
-//! expensive full policy comparison per candidate. This module supplies a
-//! cheap sound pre-filter built on the same firing-region analysis the
-//! shadowed-rule lint uses:
+//! each whether inserting above vs below it changes behaviour. This module
+//! supplies a sound pre-filter built on the same firing-region analysis
+//! the shadowed-rule lint uses:
 //!
 //! Inserting the new rule immediately above rule *i* differs from
 //! inserting it immediately below only on inputs that both reach rule *i*
@@ -15,7 +14,8 @@
 //! provably equivalent — the new rule would be shadowed at that boundary —
 //! so the pivot can never be decisive and is pruned without running the
 //! comparison. Pruning therefore cannot change which configuration the
-//! disambiguator produces; it only removes provably-redundant work.
+//! disambiguator produces; it only removes provably-redundant work. A
+//! surviving pivot's question is then decided on that same region.
 
 use clarify_bdd::{Manager, Ref};
 

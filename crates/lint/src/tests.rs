@@ -72,6 +72,25 @@ route-map R3 permit 20
     assert_eq!(report.with_code(LintCode::RedundantRule).count(), 0);
 }
 
+/// A community pattern that only matches halves past 65535 matches no
+/// community: the stanza is an empty match, not a lint failure.
+#[test]
+fn community_pattern_past_65535_is_an_empty_match() {
+    let report = lint_text(
+        "ip community-list expanded BIG permit _7[0-9][0-9][0-9][0-9]:1_
+route-map RM permit 10
+ match community BIG
+",
+    );
+    let found: Vec<_> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.code, &d.rule))
+        .collect();
+    let stanza = RuleId::route_map_stanza("RM", 10);
+    assert_eq!(found, [(LintCode::EmptyMatch, &stanza)], "{report:?}");
+}
+
 #[test]
 fn dangling_reference_is_an_error_and_skips_symbolic_checks() {
     let report = lint_text(
@@ -493,6 +512,76 @@ mod properties {
                 let verdict = cfg.eval_route_map("GEN", &route).unwrap();
                 prop_assert!(verdict.seq().is_some());
                 prop_assert!(verdict.seq() != Some(seeded_seq));
+            }
+        }
+    }
+}
+
+/// L002 against its definition: a live rule is redundant exactly when
+/// deleting it leaves an equivalent object, by the whole-policy
+/// comparisons of `clarify-analysis` on a copy with the rule deleted.
+mod redundancy_oracle {
+    use std::collections::BTreeSet;
+
+    use clarify_analysis::{
+        filters_equivalent, policies_equivalent, prefix_lists_equivalent, PacketSpace, PrefixSpace,
+        RouteSpace,
+    };
+    use clarify_netconfig::{Config, RuleId};
+    use clarify_testkit::{policies, prop_assert_eq, property, Source};
+
+    use crate::{lint_config, LintCode, LintReport};
+
+    /// A route-map, an ACL and a prefix list, with the lists the route-map
+    /// may reference, as one configuration's text.
+    fn arb_objects(g: &mut Source) -> String {
+        let map = policies::route_map(g, "RM", 5);
+        let acl = policies::acl(g, "ACL", 6);
+        let list = policies::prefix_list(g, "PL", 5);
+        format!("{}{map}{acl}{list}", policies::LISTS)
+    }
+
+    fn rules(report: &LintReport, codes: &[LintCode]) -> BTreeSet<RuleId> {
+        let of = |&code| report.with_code(code).map(|d| d.rule.clone());
+        codes.iter().flat_map(of).collect()
+    }
+
+    property! {
+        fn redundant_exactly_when_deleting_changes_nothing(text in arb_objects) cases 128 {
+            let cfg = Config::parse(&text).unwrap();
+            let report = lint_config(&cfg, None).unwrap();
+            let dead = rules(&report, &[LintCode::EmptyMatch, LintCode::ShadowedRule]);
+            let redundant = rules(&report, &[LintCode::RedundantRule]);
+            // Every live rule with the oracle's verdict on deleting it.
+            let mut live: Vec<(RuleId, bool)> = Vec::new();
+            let mut space = RouteSpace::new(&[&cfg]).unwrap();
+            for (name, map) in &cfg.route_maps {
+                for (i, stanza) in map.stanzas.iter().enumerate() {
+                    let mut without = cfg.clone();
+                    without.route_maps.get_mut(name).unwrap().stanzas.remove(i);
+                    let same = policies_equivalent(&mut space, &cfg, name, &without, name);
+                    live.push((RuleId::route_map_stanza(name, stanza.seq), same.unwrap()));
+                }
+            }
+            for (name, acl) in &cfg.acls {
+                for i in 0..acl.entries.len() {
+                    let mut without = acl.clone();
+                    without.entries.remove(i);
+                    let same = filters_equivalent(&mut PacketSpace::new(), acl, &without);
+                    live.push((RuleId::acl_entry(name, i), same));
+                }
+            }
+            for (name, list) in &cfg.prefix_lists {
+                for (i, entry) in list.entries.iter().enumerate() {
+                    let mut without = list.clone();
+                    without.entries.remove(i);
+                    let same = prefix_lists_equivalent(&mut PrefixSpace::new(), list, &without);
+                    live.push((RuleId::prefix_entry(name, entry.seq), same.unwrap()));
+                }
+            }
+            live.retain(|(rule, _)| !dead.contains(rule));
+            for (rule, same) in live {
+                prop_assert_eq!(redundant.contains(&rule), same, "{:?}", rule);
             }
         }
     }

@@ -145,11 +145,38 @@ impl Config {
         name: &str,
         route: &BgpRoute,
     ) -> Result<RouteMapVerdict, ConfigError> {
+        self.eval_first_match(self.route_map_stanzas(name)?, route)
+    }
+
+    /// Evaluates the named route-map on a route as if its stanza at index
+    /// `skip` were deleted.
+    pub fn eval_route_map_without(
+        &self,
+        name: &str,
+        skip: usize,
+        route: &BgpRoute,
+    ) -> Result<RouteMapVerdict, ConfigError> {
+        let stanzas = self.route_map_stanzas(name)?.iter().enumerate();
+        let kept = stanzas.filter_map(|(i, s)| (i != skip).then_some(s));
+        self.eval_first_match(kept, route)
+    }
+
+    fn route_map_stanzas(&self, name: &str) -> Result<&[RouteMapStanza], ConfigError> {
         let rm = self.route_map(name).ok_or_else(|| ConfigError::NotFound {
             kind: "route-map",
             name: name.to_string(),
         })?;
-        for stanza in &rm.stanzas {
+        Ok(&rm.stanzas)
+    }
+
+    /// The first stanza of `stanzas` that matches `route` decides it, with
+    /// an implicit trailing deny.
+    fn eval_first_match<'s>(
+        &self,
+        stanzas: impl IntoIterator<Item = &'s RouteMapStanza>,
+        route: &BgpRoute,
+    ) -> Result<RouteMapVerdict, ConfigError> {
+        for stanza in stanzas {
             if self.stanza_matches(stanza, route)? {
                 return Ok(match stanza.action {
                     Action::Permit => RouteMapVerdict::Permit {

@@ -52,6 +52,7 @@ pub use clarify_rng::{Rng, RngCore, SplitMix64, StdRng};
 pub mod bench;
 pub mod edits;
 pub mod gens;
+pub mod policies;
 
 /// Default number of cases per property (override per-property with
 /// `cases N`, or globally with the `CLARIFY_PROP_CASES` env var).

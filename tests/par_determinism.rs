@@ -27,12 +27,13 @@ const E1_CFG: &str = include_str!("../testdata/isp_out.cfg");
 const E1_REPORT: &str = include_str!("../testdata/e1_worked_example.txt");
 const E1_LINT_REPORT: &str = include_str!("../testdata/e1_lint_report.txt");
 const EDGE_ACL_CFG: &str = include_str!("../testdata/edge_acl.cfg");
+const BORDER_CFG: &str = include_str!("../testdata/border_router.cfg");
 
-fn lint_report_text() -> String {
-    let (cfg, spans) = Config::parse_with_spans(E1_CFG).expect("E1 parses");
+fn lint_report_text(text: &str, origin: &str) -> String {
+    let (cfg, spans) = Config::parse_with_spans(text).expect("config parses");
     lint_config(&cfg, Some(&spans))
         .expect("lint")
-        .render_human("testdata/isp_out.cfg")
+        .render_human(origin)
 }
 
 /// Appends one intended slot's rendered question/answer transcript.
@@ -110,7 +111,8 @@ fn one_thread_and_eight_threads_are_byte_identical() {
     // `par_map_init_with_threads` — no pool is spawned at all).
     clarify::par::set_threads(1);
     let worked_serial = worked_example_report();
-    let lint_serial = lint_report_text();
+    let lint_serial = lint_report_text(E1_CFG, "testdata/isp_out.cfg");
+    let border_serial = lint_report_text(BORDER_CFG, "testdata/border_router.cfg");
     let acl_serial = acl_transcripts();
     let prefix_serial = prefix_transcripts();
 
@@ -118,7 +120,11 @@ fn one_thread_and_eight_threads_are_byte_identical() {
     // the interleaving genuinely differs from the serial order.
     clarify::par::set_threads(8);
     let worked_parallel = worked_example_report();
-    let lint_parallel = lint_report_text();
+    let lint_parallel = lint_report_text(E1_CFG, "testdata/isp_out.cfg");
+    // Three route-maps: the lint pass fans them out over the pool, each
+    // worker in a space of its own. (E1 has one object per kind, and a
+    // single object runs inline.)
+    let border_parallel = lint_report_text(BORDER_CFG, "testdata/border_router.cfg");
     let acl_parallel = acl_transcripts();
     let prefix_parallel = prefix_transcripts();
 
@@ -128,8 +134,9 @@ fn one_thread_and_eight_threads_are_byte_identical() {
     let snapshot = clarify::obs::global().snapshot();
     clarify::obs::install(clarify::obs::Registry::disabled());
 
-    // The registry actually saw both runs (2 inline, at least 1 pooled
-    // map), so the assertions below exercise recording, not a no-op.
+    // The registry actually saw both runs (inline maps, and the border
+    // router's pooled route-map lint), so the assertions below exercise
+    // recording, not a no-op.
     assert!(snapshot.counter("par.inline_runs") > 0);
     assert!(snapshot.counter("par.pool_runs") > 0);
     assert!(snapshot.counter("bdd.ite_calls") > 0);
@@ -142,8 +149,13 @@ fn one_thread_and_eight_threads_are_byte_identical() {
         lint_serial, lint_parallel,
         "lint report must not depend on the worker count"
     );
-    // The ACL and prefix-list pivot scans share the engine's pooled path:
-    // their questions must not depend on the worker count either.
+    assert!(border_serial.contains("ISP_IN_SECOND"), "{border_serial}");
+    assert_eq!(
+        border_serial, border_parallel,
+        "a pooled lint must not depend on the worker count"
+    );
+    // The ACL and prefix-list plans run the engine the route-map plan
+    // runs: their questions must not depend on the worker count either.
     assert!(acl_serial.contains("Packet:"), "{acl_serial}");
     assert!(prefix_serial.contains("Prefix:"), "{prefix_serial}");
     assert_eq!(

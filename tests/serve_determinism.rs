@@ -156,9 +156,8 @@ fn daemon_and_cli_replay_identical_transcripts_at_1_and_8_threads() {
     assert_eq!(reference.1, 0, "E1: all-OPTION-1 answers place on top");
     assert_eq!(reference.0.len(), 2, "E1: binary search asks 2 questions");
 
-    // Parallel daemon pass: the pivot scan fans out over 8 workers, but
-    // results are joined in candidate order, so the transcript must not
-    // move by a byte.
+    // Parallel daemon pass: with 8 workers the transcript must not move
+    // by a byte.
     clarify::par::set_threads(8);
     let parallel = daemon_transcript(&config_text);
     clarify::par::set_threads(0);
