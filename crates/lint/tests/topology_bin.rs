@@ -48,6 +48,35 @@ fn e1_topology_matches_the_pinned_golden_report() {
     );
 }
 
+/// Every cross-device code (L007–L011) plus the local L002 and L005 on one
+/// small topology: configless routers, cross-AS and same-AS sessions, a
+/// session bound to a map with a dangling reference, and two routers
+/// sharing one config. Warnings and errors, so the exit status is 1.
+#[test]
+fn every_network_code_matches_the_pinned_golden_at_1_and_8_threads() {
+    let golden = std::fs::read_to_string(repo_root().join("testdata/netlint_codes_report.txt"))
+        .expect("pinned golden exists");
+    for threads in ["1", "8"] {
+        let out = lint(&[
+            "--threads",
+            threads,
+            "--topology",
+            "testdata/netlint_codes.txt",
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "--threads {threads}; stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            golden,
+            "--threads {threads}: report drifted from testdata/netlint_codes_report.txt"
+        );
+    }
+}
+
 #[test]
 fn serial_and_parallel_topology_lints_are_byte_identical() {
     let one = lint(&["--threads", "1", "--topology", "testdata/e1_topology.txt"]);
