@@ -8,7 +8,8 @@
 //! Each written field is existentially quantified once and re-constrained
 //! to its final value — exact for the encoded fields (local-preference,
 //! metric, tag, community atoms) and the identity for unencoded ones
-//! (weight, next hop).
+//! (weight, next hop). A value past a field's 16 bits only forgets the
+//! field, an over-approximation.
 //!
 //! Crossing an AS boundary additionally resets LOCAL_PREF to 100 and
 //! prepends the sender's ASN; [`NetworkSpace::cross_as_normalize`] models
@@ -35,10 +36,11 @@ use crate::route_space::{Field, RouteSpace};
 /// environment.
 pub struct NetworkSpace {
     space: RouteSpace,
-    /// One cache per salted map hash. Same-named maps on different routers
-    /// share a [`RuleId`](clarify_netconfig::RuleId) but are different
-    /// objects; a cache each keeps the per-object generation bound from
-    /// evicting one router's map for another's.
+    /// One cache per key, the key identifying the config a map belongs
+    /// to. Same-named maps in different configs share a
+    /// [`RuleId`](clarify_netconfig::RuleId) but are different objects; a
+    /// cache each keeps the per-object generation bound from evicting one
+    /// config's map for another's.
     caches: HashMap<u64, FireSetCache>,
 }
 
@@ -66,13 +68,13 @@ impl NetworkSpace {
 
     /// First-match firing regions of `map`, through the internal cache.
     ///
-    /// `hash` keys the cache together with the map's name. Because one
-    /// space serves **many configs**, same-named maps on different routers
-    /// collide on name — and an object hash from
+    /// `hash` keys the cache together with the map's name, and must
+    /// identify the config `map` belongs to (e.g. a hash of the whole
+    /// config source). One space serves **many configs**, so same-named
+    /// maps in different configs collide on name, and an object hash from
     /// [`Config::object_hashes`](clarify_netconfig::Config::object_hashes)
-    /// covers only the map's own text, not the lists it references. The
-    /// caller must therefore mix a per-config discriminator (e.g. a hash
-    /// of the whole config source) into `hash` before passing it here.
+    /// alone would not do: it covers only the map's own text, not the
+    /// lists it references.
     pub fn fire_sets(
         &mut self,
         cfg: &Config,
@@ -144,7 +146,7 @@ impl NetworkSpace {
             (Field::Tag, effect.tag),
         ] {
             if let Some(v) = value {
-                r = self.assign(r, field, field.value(v)?);
+                r = self.assign(r, field, v);
             }
         }
         // Weight and next hop are not encoded in the space, so writing
@@ -184,9 +186,16 @@ impl NetworkSpace {
         Ok(r)
     }
 
-    fn assign(&mut self, region: Ref, field: Field, value: u64) -> Ref {
+    /// `region` with `field` rewritten to `value`. A value past the
+    /// field's width is carried by no encoded route, so the field is only
+    /// forgotten: the image over-approximates, which keeps the emptiness
+    /// verdicts sound (DESIGN.md §10).
+    fn assign(&mut self, region: Ref, field: Field, value: u32) -> Ref {
         let vars = self.space.field_vars(field).to_vec();
         let forgotten = self.space.mgr.exists(region, &vars);
+        let Ok(value) = field.value(value) else {
+            return forgotten;
+        };
         let eq = self.space.mgr.eq_const(&vars, value);
         self.space.mgr.and(forgotten, eq)
     }

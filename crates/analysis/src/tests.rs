@@ -1092,6 +1092,17 @@ fn transfer_last_write_wins_and_cross_as_normalizes() {
     assert!(!w.communities.is_empty(), "{w}");
 }
 
+/// A `set` value past a field's 16 bits is carried by no encoded route:
+/// the transfer forgets the field instead of failing the whole analysis.
+#[test]
+fn transfer_forgets_a_set_value_past_16_bits() {
+    let cfg = Config::parse("route-map WIDE permit 10\n set metric 70000\n").unwrap();
+    let mut ns = crate::NetworkSpace::new(&[&cfg]).unwrap();
+    let map = cfg.route_map("WIDE").unwrap();
+    let valid = ns.valid();
+    assert_eq!(ns.transfer(&cfg, map, 0, valid).unwrap(), valid);
+}
+
 #[test]
 fn origination_region_is_exact_points() {
     let cfg = Config::parse(TRANSFER_CFG).unwrap();
@@ -1220,6 +1231,20 @@ mod set_effect_tests {
         g.vec(0, 4, arb_set)
     }
 
+    /// Like [`arb_sets`], but a metric, local-preference or tag clause
+    /// may also write a value past 2^16, which no encoded route carries.
+    fn arb_wide_sets(g: &mut Source) -> Vec<RouteMapSet> {
+        g.vec(0, 4, |g| {
+            let wide = g.pick(&[1 << 16, 70000, u32::MAX]);
+            match g.gen_range(0u8..6) {
+                0 => RouteMapSet::Metric(wide),
+                1 => RouteMapSet::LocalPref(wide),
+                2 => RouteMapSet::Tag(wide),
+                _ => arb_set(g),
+            }
+        })
+    }
+
     /// Two clause lists: either drawn independently, or the second is the
     /// first with one more clause spliced in, which often leaves the
     /// effect unchanged.
@@ -1286,8 +1311,9 @@ mod set_effect_tests {
         }
 
         /// The symbolic transfer of a one-stanza permit map contains the
-        /// concrete output of every route.
-        fn transfer_contains_concrete_output(sets in arb_sets, r in arb_route) cases 128 {
+        /// concrete output of every route. A field set past 2^16 is
+        /// forgotten, so the output with that field at 0 lies in the image.
+        fn transfer_contains_concrete_output(sets in arb_wide_sets, r in arb_route) cases 128 {
             let mut cfg = Config::parse(
                 "ip community-list expanded C1 permit _1:1_\n\
                  ip community-list expanded C2 permit _2:2_\n\
@@ -1302,7 +1328,12 @@ mod set_effect_tests {
             let mut ns = NetworkSpace::new(&[&cfg]).unwrap();
             let valid = ns.valid();
             let image = ns.transfer(&cfg, &map, 0, valid).unwrap();
-            let out = Config::apply_sets(&map.stanzas[0], &r);
+            let mut out = Config::apply_sets(&map.stanzas[0], &r);
+            for v in [&mut out.metric, &mut out.local_pref, &mut out.tag] {
+                if *v >= 1 << 16 {
+                    *v = 0;
+                }
+            }
             let point = ns.space_mut().encode_route(&out).unwrap();
             prop_assert!(
                 ns.space_mut().manager().implies_true(point, image),

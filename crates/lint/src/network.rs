@@ -9,24 +9,25 @@
 //! `clarify-analysis` policy transfer functions along sessions.
 //!
 //! The composition is a *one-hop product*: what a neighbor `w` can send
-//! router `r` is `norm(export_w(reach_w))`, where `reach_w` is `w`'s exact
-//! originations plus, for each of `w`'s other neighbors `u`,
-//! `import_w(norm(export_u(⊤)))` — the far input cut off at the full
-//! valid space. Because every transfer is monotone and every route in the
-//! BGP fixed point crossed `export_u` and `import_w` on its last two
-//! hops, the cut-off yields an **over**-approximation of anything `r` can
-//! ever hear, so the emptiness verdicts behind L007 and L011 are sound
-//! over the fixed point (DESIGN.md §10 gives the argument). Routers with
-//! no config file stand for the outside world and may send anything.
+//! router `r` is `send(w, r, reach_w) = norm(export_w(reach_w))`, where
+//! `reach_w` is `w`'s exact originations plus, for each of `w`'s other
+//! neighbors `u`, `hop(u, w, ⊤) = import_w(norm(export_u(⊤)))` — the far
+//! input cut off at the full valid space. Because every transfer is
+//! monotone and every route in the BGP fixed point crossed `export_u` and
+//! `import_w` on its last two hops, the cut-off yields an
+//! **over**-approximation of anything `r` can ever hear, so the emptiness
+//! verdicts behind L007 and L011 are sound over the fixed point (DESIGN.md
+//! §10 gives the argument). Routers with no config file stand for the
+//! outside world and may send anything.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use clarify_analysis::{AnalysisError, NetworkSpace};
 use clarify_bdd::Ref;
 use clarify_netconfig::{
-    fnv1a64, fnv1a64_combine, Config, ObjectKind, RouteMapMatch, RouteMapSet, RuleId,
+    fnv1a64, Config, ObjectKind, RouteMap, RouteMapMatch, RouteMapSet, RuleId,
 };
-use clarify_netsim::{LoadedTopology, Network, Router, SessionRole};
+use clarify_netsim::{LoadedTopology, Network, Router, Session, SessionRole};
 
 use crate::diagnostic::{Diagnostic, LintCode, LintReport};
 use crate::linter::{lint_config, lint_references};
@@ -184,40 +185,28 @@ impl<'a> NetworkLinter<'a> {
             }
         }
 
-        // Phase 2: per-receiver edge checks (L007, L009, L011), parallel
-        // over routers with a worker-local space per worker.
-        let routers: Vec<&Router> = net.routers().collect();
-        let results = {
+        // Phase 2: per-receiver edge checks (L007, L009, L011), serial in
+        // router-name order over one space for the whole topology: a
+        // receiver needs only a few transfers, less work than building a
+        // space per worker.
+        let mut ns = {
             let _p = clarify_obs::span!("lint_network_edges");
-            clarify_par::par_map_init(
-                &routers,
-                || None::<NetworkSpace>,
-                |worker, _, r| -> Result<Vec<Diagnostic>, AnalysisError> {
-                    if !self.loaded.config_paths.contains_key(&r.name) {
-                        return Ok(Vec::new());
-                    }
-                    if worker.is_none() {
-                        *worker = Some(ctx.build_space()?);
-                    }
-                    let ns = worker.as_mut().expect("space just built");
-                    let diags = ctx.lint_receiver(ns, r)?;
-                    ns.clear_op_caches();
-                    Ok(diags)
-                },
-            )
-        };
-        for (r, res) in routers.iter().zip(results) {
-            let diags = res?;
-            if !diags.is_empty() {
-                per_router.entry(r.name.clone()).or_default().extend(diags);
+            let configs: Vec<&Config> = net.routers().map(|r| &r.config).collect();
+            let mut ns = NetworkSpace::new(&configs)?;
+            for r in net.routers().filter(|r| !ctx.is_world(&r.name)) {
+                let diags = ctx.lint_receiver(&mut ns, r)?;
+                ns.clear_op_caches();
+                if !diags.is_empty() {
+                    per_router.entry(r.name.clone()).or_default().extend(diags);
+                }
             }
-        }
+            ns
+        };
 
-        // Phase 3: valley-free taint propagation (L008) — a global fixed
-        // point, serial in one space.
+        // Phase 3: valley-free taint propagation (L008), a global fixed
+        // point, in the same space.
         {
             let _p = clarify_obs::span!("lint_network_taint");
-            let mut ns = ctx.build_space()?;
             for (router, diag) in ctx.lint_route_leaks(&mut ns)? {
                 per_router.entry(router).or_default().push(diag);
             }
@@ -271,46 +260,36 @@ impl<'a> NetworkLinter<'a> {
     }
 }
 
-/// Immutable per-topology context shared by all phases and workers.
+/// Immutable per-topology context shared by the network checks.
 struct TopoCtx<'a> {
     loaded: &'a LoadedTopology,
-    /// Per-router salted object hashes for the transfer cache: the salt
-    /// folds in the config source, so same-named maps on different
-    /// routers never collide in one space's cache.
-    map_hashes: BTreeMap<String, BTreeMap<String, u64>>,
+    /// Per-router fire-set cache key: a hash of the router's config
+    /// source. Routers sharing one config file share fire-sets, and
+    /// same-named maps in different configs never collide in the space.
+    keys: BTreeMap<&'a str, u64>,
     /// Per-router names of route-maps with dangling references, which
     /// cannot be encoded; sessions bound to them are skipped.
-    broken: BTreeMap<String, BTreeSet<String>>,
+    broken: BTreeMap<&'a str, BTreeSet<String>>,
 }
 
 impl<'a> TopoCtx<'a> {
     fn new(loaded: &'a LoadedTopology) -> TopoCtx<'a> {
-        let mut map_hashes = BTreeMap::new();
-        let mut broken = BTreeMap::new();
-        for r in loaded.network.routers() {
-            let salt = match loaded.sources.get(&r.name) {
-                Some(src) => fnv1a64(src.as_bytes()),
-                None => fnv1a64(r.name.as_bytes()),
-            };
-            let mut hashes = BTreeMap::new();
-            let object_hashes = r.config.object_hashes();
-            for name in r.config.route_maps.keys() {
-                if let Some(h) = object_hashes.get(ObjectKind::RouteMap, name) {
-                    hashes.insert(name.clone(), fnv1a64_combine(salt, h));
-                }
-            }
-            map_hashes.insert(r.name.clone(), hashes);
-            let mut scratch = Vec::new();
-            broken.insert(r.name.clone(), lint_references(&r.config, &mut scratch));
-        }
+        let routers = || loaded.network.routers();
         TopoCtx {
             loaded,
-            map_hashes,
-            broken,
+            keys: routers()
+                .map(|r| {
+                    let source = loaded.sources.get(&r.name).unwrap_or(&r.name);
+                    (r.name.as_str(), fnv1a64(source.as_bytes()))
+                })
+                .collect(),
+            broken: routers()
+                .map(|r| (r.name.as_str(), lint_references(&r.config, &mut Vec::new())))
+                .collect(),
         }
     }
 
-    fn net(&self) -> &Network {
+    fn net(&self) -> &'a Network {
         &self.loaded.network
     }
 
@@ -320,62 +299,83 @@ impl<'a> TopoCtx<'a> {
         !self.loaded.config_paths.contains_key(name)
     }
 
-    fn build_space(&self) -> Result<NetworkSpace, AnalysisError> {
-        let configs: Vec<&Config> = self.net().routers().map(|r| &r.config).collect();
-        NetworkSpace::new(&configs)
+    /// `r`'s sessions whose neighbor declares a session back (an up
+    /// adjacency), each with that neighbor.
+    fn peers(&self, r: &'a Router) -> impl Iterator<Item = (&'a Session, &'a Router)> + 'a {
+        let net = self.net();
+        r.sessions.iter().filter_map(move |s| {
+            let w = net.router(&s.neighbor)?;
+            w.session(&r.name)?;
+            Some((s, w))
+        })
     }
 
-    /// Applies a router's named route-map as a transfer, identity when
-    /// unbound. Returns `None` when the map cannot be encoded (dangling
-    /// references — already an L005 error locally).
+    /// `router`'s route-map `name` with its fire-set cache key; `None`
+    /// when the map is undefined or has dangling references (already an
+    /// L005 error locally), so it cannot be encoded.
+    fn policy(&self, router: &'a Router, name: &str) -> Option<(&'a RouteMap, u64)> {
+        if self.broken[router.name.as_str()].contains(name) {
+            return None;
+        }
+        Some((
+            router.config.route_map(name)?,
+            self.keys[router.name.as_str()],
+        ))
+    }
+
+    /// `router`'s bound policy `map` applied to `input`: the identity when
+    /// no map is bound, `None` when the bound map cannot be encoded.
     fn transfer(
         &self,
         ns: &mut NetworkSpace,
-        router: &Router,
+        router: &'a Router,
         map: Option<&str>,
         input: Ref,
     ) -> Result<Option<Ref>, AnalysisError> {
         let Some(name) = map else {
             return Ok(Some(input));
         };
-        if self.broken[&router.name].contains(name) {
+        let Some((map, key)) = self.policy(router, name) else {
             return Ok(None);
-        }
-        let Some(m) = router.config.route_map(name) else {
-            // The builder validated bindings; an absent map here means an
-            // unconfigured router, which filters nothing.
-            return Ok(Some(input));
         };
-        let m = m.clone();
-        let hash = self.map_hashes[&router.name][name];
-        Ok(Some(ns.transfer(&router.config, &m, hash, input)?))
+        ns.transfer(&router.config, map, key, input).map(Some)
     }
 
-    /// The permit region of a bound map, `None` when unencodable.
-    fn permits(
+    /// What `a` puts on the wire towards `b` out of `input`: `a`'s export
+    /// policy, then cross-AS normalisation when the ASNs differ. `None`
+    /// when the export map cannot be encoded.
+    fn send(
         &self,
         ns: &mut NetworkSpace,
-        router: &Router,
-        name: &str,
+        a: &'a Router,
+        b: &'a Router,
+        input: Ref,
     ) -> Result<Option<Ref>, AnalysisError> {
-        if self.broken[&router.name].contains(name) {
-            return Ok(None);
-        }
-        let Some(m) = router.config.route_map(name) else {
+        let export = a.session(&b.name).and_then(|s| s.export_policy.as_deref());
+        let Some(sent) = self.transfer(ns, a, export, input)? else {
             return Ok(None);
         };
-        let m = m.clone();
-        let hash = self.map_hashes[&router.name][name];
-        Ok(Some(ns.permit_region(&router.config, &m, hash)?))
+        Ok(Some(if a.asn == b.asn {
+            sent
+        } else {
+            ns.cross_as_normalize(sent)
+        }))
     }
 
-    /// Cross-AS normalization when the two routers are in different ASes.
-    fn norm(&self, ns: &mut NetworkSpace, region: Ref, a: &Router, b: &Router) -> Ref {
-        if a.asn == b.asn {
-            region
-        } else {
-            ns.cross_as_normalize(region)
-        }
+    /// What `b` accepts from `a` out of `input`: [`send`](Self::send),
+    /// then `b`'s import policy. `None` when either map cannot be encoded.
+    fn hop(
+        &self,
+        ns: &mut NetworkSpace,
+        a: &'a Router,
+        b: &'a Router,
+        input: Ref,
+    ) -> Result<Option<Ref>, AnalysisError> {
+        let Some(sent) = self.send(ns, a, b, input)? else {
+            return Ok(None);
+        };
+        let import = b.session(&a.name).and_then(|s| s.import_policy.as_deref());
+        self.transfer(ns, b, import, sent)
     }
 
     /// Over-approximation of every route `w` can ever hold: its exact
@@ -385,88 +385,56 @@ impl<'a> TopoCtx<'a> {
     fn reach(
         &self,
         ns: &mut NetworkSpace,
-        w: &Router,
+        w: &'a Router,
         exclude: Option<&str>,
     ) -> Result<Ref, AnalysisError> {
         if self.is_world(&w.name) {
             return Ok(ns.valid());
         }
         let mut acc = ns.origination_region(&w.originated)?;
-        for s in &w.sessions {
-            if exclude == Some(s.neighbor.as_str()) {
-                continue;
-            }
-            let Some(u) = self.net().router(&s.neighbor) else {
-                continue;
-            };
-            let Some(us) = u.session(&w.name) else {
-                continue;
-            };
+        for (_, u) in self
+            .peers(w)
+            .filter(|(s, _)| exclude != Some(s.neighbor.as_str()))
+        {
             let valid = ns.valid();
-            let Some(sent) = self.transfer(ns, u, us.export_policy.as_deref(), valid)? else {
-                continue;
-            };
-            let sent = self.norm(ns, sent, u, w);
-            let Some(arrived) = self.transfer(ns, w, s.import_policy.as_deref(), sent)? else {
-                continue;
-            };
-            acc = ns.space_mut().manager().or(acc, arrived);
+            if let Some(arrived) = self.hop(ns, u, w, valid)? {
+                acc = ns.space_mut().manager().or(acc, arrived);
+            }
         }
         Ok(acc)
-    }
-
-    /// What `w` can put on the wire towards `r`: its reach (minus what it
-    /// learned from `r`) through its export policy, normalized.
-    fn offer(
-        &self,
-        ns: &mut NetworkSpace,
-        w: &Router,
-        r: &Router,
-    ) -> Result<Option<Ref>, AnalysisError> {
-        let reach = self.reach(ns, w, Some(r.name.as_str()))?;
-        let export = w.session(&r.name).and_then(|s| s.export_policy.as_deref());
-        let Some(sent) = self.transfer(ns, w, export, reach)? else {
-            return Ok(None);
-        };
-        Ok(Some(self.norm(ns, sent, w, r)))
     }
 
     /// L007 + L009 + L011 for one receiving router.
     fn lint_receiver(
         &self,
         ns: &mut NetworkSpace,
-        r: &Router,
+        r: &'a Router,
     ) -> Result<Vec<Diagnostic>, AnalysisError> {
         let mut out = Vec::new();
-        // Offers per neighbor with an up adjacency, in session order.
-        let mut offers: Vec<(&str, Ref)> = Vec::new();
-        for s in &r.sessions {
-            let Some(w) = self.net().router(&s.neighbor) else {
-                continue;
-            };
-            if w.session(&r.name).is_none() {
-                continue;
-            }
+        // What each neighbor with an up adjacency can put on the wire
+        // towards `r` (its reach minus what it learned from `r`), in
+        // session order.
+        let mut offers: Vec<(&Session, &Router, Ref)> = Vec::new();
+        for (s, w) in self.peers(r) {
             clarify_obs::global().counter("lint.net.edges").incr();
-            if let Some(x) = self.offer(ns, w, r)? {
-                offers.push((s.neighbor.as_str(), x));
+            let reach = self.reach(ns, w, Some(&r.name))?;
+            if let Some(x) = self.send(ns, w, r, reach)? {
+                offers.push((s, w, x));
             }
         }
 
         // L009 / L011: per import binding against the peer's offer.
-        for s in &r.sessions {
+        for &(s, w, x) in &offers {
             let Some(import) = s.import_policy.as_deref() else {
                 continue;
             };
-            let Some(&(_, x)) = offers.iter().find(|(n, _)| *n == s.neighbor) else {
+            let Some((map, key)) = self.policy(r, import) else {
                 continue;
             };
-            let Some(permits) = self.permits(ns, r, import)? else {
-                continue;
-            };
+            let permits = ns.permit_region(&r.config, map, key)?;
             let taken = ns.space_mut().manager().and(x, permits);
             if x != Ref::FALSE && taken == Ref::FALSE {
-                let mut d = Diagnostic::new(
+                let d = Diagnostic::new(
                     LintCode::BlackHoleFilter,
                     RuleId::object(ObjectKind::RouteMap, import),
                     format!(
@@ -474,77 +442,60 @@ impl<'a> TopoCtx<'a> {
                         r.name, s.neighbor
                     ),
                 );
-                if let Some(w) = ns.space_mut().witness(x)? {
-                    d = d.with_witness(w.to_string());
-                }
-                out.push(d);
+                out.push(witnessed(ns, d, x)?);
                 continue;
             }
             // L009 only when the far end actually shapes the offer.
-            let peer_exports = self
-                .net()
-                .router(&s.neighbor)
-                .and_then(|w| w.session(&r.name))
-                .and_then(|ws| ws.export_policy.clone());
-            if let Some(export) = peer_exports {
-                let np = ns.space_mut().manager().not(permits);
-                let rejected = ns.space_mut().manager().and(x, np);
-                if rejected != Ref::FALSE && taken != Ref::FALSE {
-                    let mut d = Diagnostic::new(
-                        LintCode::AsymmetricSession,
-                        RuleId::object(ObjectKind::RouteMap, import),
-                        format!(
-                            "{} exports routes over '{}' that this import policy on {} rejects",
-                            s.neighbor, export, r.name
-                        ),
-                    )
-                    .with_related(RuleId::object(ObjectKind::RouteMap, &export));
-                    if let Some(w) = ns.space_mut().witness(rejected)? {
-                        d = d.with_witness(w.to_string());
-                    }
-                    out.push(d);
-                }
+            let Some(export) = w
+                .session(&r.name)
+                .and_then(|ws| ws.export_policy.as_deref())
+            else {
+                continue;
+            };
+            let np = ns.space_mut().manager().not(permits);
+            let rejected = ns.space_mut().manager().and(x, np);
+            if rejected != Ref::FALSE && taken != Ref::FALSE {
+                let d = Diagnostic::new(
+                    LintCode::AsymmetricSession,
+                    RuleId::object(ObjectKind::RouteMap, import),
+                    format!(
+                        "{} exports routes over '{}' that this import policy on {} rejects",
+                        s.neighbor, export, r.name
+                    ),
+                )
+                .with_related(RuleId::object(ObjectKind::RouteMap, export));
+                out.push(witnessed(ns, d, rejected)?);
             }
         }
 
-        // L007: per bound map, the union of everything that can reach it.
-        let mut contexts: BTreeMap<&str, Ref> = BTreeMap::new();
-        let mut reach_full: Option<Ref> = None;
-        for s in &r.sessions {
-            if let Some(import) = s.import_policy.as_deref() {
-                if let Some(&(_, x)) = offers.iter().find(|(n, _)| *n == s.neighbor) {
-                    let e = contexts.entry(import).or_insert(Ref::FALSE);
-                    *e = ns.space_mut().manager().or(*e, x);
-                }
-            }
-            if let Some(export) = s.export_policy.as_deref() {
-                if reach_full.is_none() {
-                    reach_full = Some(self.reach(ns, r, None)?);
-                }
-                let reach = reach_full.expect("just computed");
-                let e = contexts.entry(export).or_insert(Ref::FALSE);
-                *e = ns.space_mut().manager().or(*e, reach);
-            }
+        // L007: per bound map, the union of everything that can reach it:
+        // the offers into its import bindings, `r`'s reach into its export
+        // bindings.
+        let mut bindings: Vec<(&str, Ref)> = offers
+            .iter()
+            .filter_map(|&(s, _, x)| Some((s.import_policy.as_deref()?, x)))
+            .collect();
+        if r.sessions.iter().any(|s| s.export_policy.is_some()) {
+            let reach = self.reach(ns, r, None)?;
+            let exports = r.sessions.iter().filter_map(|s| s.export_policy.as_deref());
+            bindings.extend(exports.map(|e| (e, reach)));
         }
-        for (name, &context) in &contexts {
-            if self.broken[&r.name].contains(*name) {
-                continue;
-            }
-            let Some(map) = r.config.route_map(name) else {
+        let mut contexts: BTreeMap<&str, Ref> = BTreeMap::new();
+        for (name, x) in bindings {
+            let e = contexts.entry(name).or_insert(Ref::FALSE);
+            *e = ns.space_mut().manager().or(*e, x);
+        }
+        for (name, context) in contexts {
+            let Some((map, key)) = self.policy(r, name) else {
                 continue;
             };
-            let map = map.clone();
-            let hash = self.map_hashes[&r.name][*name];
-            let sets = ns.fire_sets(&r.config, &map, hash)?;
+            let sets = ns.fire_sets(&r.config, map, key)?;
             for (stanza, &fire) in map.stanzas.iter().zip(&sets.fires) {
-                if fire == Ref::FALSE {
-                    continue; // locally dead: L001/L004 territory
-                }
-                let live = ns.space_mut().manager().and(fire, context);
-                if live != Ref::FALSE {
+                // A locally dead rule is L001/L004 territory.
+                if fire == Ref::FALSE || ns.space_mut().manager().and(fire, context) != Ref::FALSE {
                     continue;
                 }
-                let mut d = Diagnostic::new(
+                let d = Diagnostic::new(
                     LintCode::DeadByUpstream,
                     RuleId::route_map_stanza(&map.name, stanza.seq),
                     format!(
@@ -553,10 +504,7 @@ impl<'a> TopoCtx<'a> {
                         r.name
                     ),
                 );
-                if let Some(w) = ns.space_mut().witness(fire)? {
-                    d = d.with_witness(w.to_string());
-                }
-                out.push(d);
+                out.push(witnessed(ns, d, fire)?);
             }
         }
         Ok(out)
@@ -572,30 +520,20 @@ impl<'a> TopoCtx<'a> {
     ) -> Result<Vec<(String, Diagnostic)>, AnalysisError> {
         let mut out = Vec::new();
         let net = self.net();
-        // Entry points in deterministic order.
-        // Only configured routers are ours to lint: a configless router
-        // stands for the outside world, and flagging "the world" for not
-        // filtering would drown every report in noise.
-        let entries: Vec<(&Router, &clarify_netsim::Session)> = net
-            .sessions()
-            .filter(|(r, s)| {
-                !self.is_world(&r.name) && s.role.taints() && net.adjacency_up(&r.name, &s.neighbor)
-            })
-            .collect();
-        for (r0, s0) in entries {
-            let w0 = net.router(&s0.neighbor).expect("validated neighbor");
+        // Entry points in deterministic order. Only configured routers
+        // are ours to lint: a configless router stands for the outside
+        // world, and flagging "the world" for not filtering would drown
+        // every report in noise.
+        let entries = net
+            .routers()
+            .filter(|r| !self.is_world(&r.name))
+            .flat_map(|r0| self.peers(r0).map(move |(s0, w0)| (r0, s0, w0)))
+            .filter(|(_, s0, _)| s0.role.taints());
+        for (r0, s0, w0) in entries {
             // What the provider/peer can put on our doorstep: anything it
-            // likes (⊤) through its own export policy, normalized, then
-            // through our import.
+            // likes (⊤) through its export policy, then through our import.
             let valid = ns.valid();
-            let export0 = w0
-                .session(&r0.name)
-                .and_then(|s| s.export_policy.as_deref());
-            let Some(sent) = self.transfer(ns, w0, export0, valid)? else {
-                continue;
-            };
-            let sent = self.norm(ns, sent, w0, r0);
-            let Some(taint0) = self.transfer(ns, r0, s0.import_policy.as_deref(), sent)? else {
+            let Some(taint0) = self.hop(ns, w0, r0, valid)? else {
                 continue;
             };
             if taint0 == Ref::FALSE {
@@ -603,90 +541,54 @@ impl<'a> TopoCtx<'a> {
             }
             // Propagate over internal sessions to a fixed point, keeping
             // the first path that tainted each router.
-            let mut taint: BTreeMap<String, (Ref, Vec<String>)> = BTreeMap::new();
-            taint.insert(r0.name.clone(), (taint0, vec![r0.name.clone()]));
-            let mut queue: VecDeque<String> = VecDeque::new();
-            queue.push_back(r0.name.clone());
-            while let Some(name) = queue.pop_front() {
-                let (region, path) = taint[&name].clone();
-                let a = net.router(&name).expect("tainted router exists");
-                for s in &a.sessions {
-                    if s.role != SessionRole::Internal {
-                        continue;
-                    }
-                    let Some(b) = net.router(&s.neighbor) else {
-                        continue;
-                    };
-                    let Some(bs) = b.session(&a.name) else {
-                        continue;
-                    };
-                    let export = a.session(&b.name).and_then(|x| x.export_policy.as_deref());
-                    let Some(sent) = self.transfer(ns, a, export, region)? else {
-                        continue;
-                    };
-                    let sent = self.norm(ns, sent, a, b);
-                    let Some(arrived) = self.transfer(ns, b, bs.import_policy.as_deref(), sent)?
-                    else {
+            let mut taint: BTreeMap<&str, (Ref, Vec<&str>)> = BTreeMap::new();
+            taint.insert(&r0.name, (taint0, vec![&r0.name]));
+            let mut queue = VecDeque::from([r0]);
+            while let Some(a) = queue.pop_front() {
+                let (region, path) = taint[a.name.as_str()].clone();
+                let internal = self
+                    .peers(a)
+                    .filter(|(s, _)| s.role == SessionRole::Internal);
+                for (_, b) in internal {
+                    let Some(arrived) = self.hop(ns, a, b, region)? else {
                         continue;
                     };
                     if arrived == Ref::FALSE {
                         continue;
                     }
-                    let entry = taint.entry(b.name.clone()).or_insert_with(|| {
-                        let mut p = path.clone();
-                        p.push(b.name.clone());
-                        (Ref::FALSE, p)
-                    });
+                    let entry = taint
+                        .entry(&b.name)
+                        .or_insert_with(|| (Ref::FALSE, [&path[..], &[&b.name]].concat()));
                     let grown = ns.space_mut().manager().or(entry.0, arrived);
                     if grown != entry.0 {
                         entry.0 = grown;
-                        queue.push_back(b.name.clone());
+                        queue.push_back(b);
                     }
                 }
             }
             // Any other provider/peer session reachable by the taint?
-            for (name, (region, path)) in &taint {
-                if self.is_world(name) {
+            for a in net.routers().filter(|a| !self.is_world(&a.name)) {
+                let Some((region, path)) = taint.get(a.name.as_str()) else {
                     continue;
-                }
-                let a = net.router(name).expect("tainted router exists");
-                for s in &a.sessions {
-                    if !s.role.taints() {
-                        continue;
-                    }
-                    if name == &r0.name && s.neighbor == s0.neighbor {
+                };
+                for (s, b) in self.peers(a).filter(|(s, _)| s.role.taints()) {
+                    if a.name == r0.name && s.neighbor == s0.neighbor {
                         continue; // the entry session itself
                     }
-                    let Some(b) = net.router(&s.neighbor) else {
+                    let Some(leaked) = self.send(ns, a, b, *region)? else {
                         continue;
                     };
-                    if b.session(&a.name).is_none() {
-                        continue;
-                    }
-                    let export = s.export_policy.as_deref();
-                    let Some(sent) = self.transfer(ns, a, export, *region)? else {
-                        continue;
-                    };
-                    let leaked = self.norm(ns, sent, a, b);
                     if leaked == Ref::FALSE {
                         continue;
                     }
-                    let (anchor_router, rule) = match export {
-                        Some(e) => (name.clone(), RuleId::object(ObjectKind::RouteMap, e)),
-                        None => match s0.import_policy.as_deref() {
-                            Some(i) => (r0.name.clone(), RuleId::object(ObjectKind::RouteMap, i)),
-                            None => (
-                                name.clone(),
-                                RuleId::object(
-                                    ObjectKind::RouteMap,
-                                    format!("<{name}→{}>", s.neighbor),
-                                ),
-                            ),
-                        },
+                    let (anchor, map) = match (&s.export_policy, &s0.import_policy) {
+                        (Some(e), _) => (a, e.clone()),
+                        (None, Some(i)) => (r0, i.clone()),
+                        (None, None) => (a, format!("<{}→{}>", a.name, s.neighbor)),
                     };
-                    let mut d = Diagnostic::new(
+                    let d = Diagnostic::new(
                         LintCode::RouteLeak,
-                        rule,
+                        RuleId::object(ObjectKind::RouteMap, map),
                         format!(
                             "routes learned from {} {} at {} can re-export to {} {} \
                              (valley-free violation via {})",
@@ -698,10 +600,7 @@ impl<'a> TopoCtx<'a> {
                             path.join(" → "),
                         ),
                     );
-                    if let Some(w) = ns.space_mut().witness(leaked)? {
-                        d = d.with_witness(w.to_string());
-                    }
-                    out.push((anchor_router, d));
+                    out.push((anchor.name.clone(), witnessed(ns, d, leaked)?));
                 }
             }
         }
@@ -711,30 +610,32 @@ impl<'a> TopoCtx<'a> {
     /// L010: communities set by bound policies that no policy anywhere in
     /// the topology ever matches. Pure AST walk — no BDDs.
     fn lint_orphan_communities(&self) -> Vec<(String, Diagnostic)> {
-        let net = self.net();
-        // Names of route-maps actually bound to some session, per router.
-        let mut bound: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for (r, s) in net.sessions() {
-            let e = bound.entry(r.name.as_str()).or_default();
-            e.extend(s.import_policy.as_deref());
-            e.extend(s.export_policy.as_deref());
+        // Every route-map bound to some session, in router-name then
+        // map-name order.
+        let mut bound: Vec<(&Router, &RouteMap)> = Vec::new();
+        for r in self.net().routers() {
+            let names: BTreeSet<&String> = r
+                .sessions
+                .iter()
+                .flat_map(|s| s.import_policy.iter().chain(&s.export_policy))
+                .collect();
+            bound.extend(
+                names
+                    .into_iter()
+                    .filter_map(|n| Some((r, r.config.route_map(n)?))),
+            );
         }
         // Every community-list pattern referenced by any bound map.
         let mut matchers = Vec::new();
-        for r in net.routers() {
-            for name in bound.get(r.name.as_str()).into_iter().flatten() {
-                let Some(map) = r.config.route_map(name) else {
-                    continue;
-                };
-                for stanza in &map.stanzas {
-                    for m in &stanza.matches {
-                        let RouteMapMatch::Community(lists) = m else {
-                            continue;
-                        };
-                        for l in lists {
-                            if let Ok(cl) = r.config.community_list(l) {
-                                matchers.extend(cl.entries.iter().map(|e| &e.regex));
-                            }
+        for &(r, map) in &bound {
+            for stanza in &map.stanzas {
+                for m in &stanza.matches {
+                    let RouteMapMatch::Community(lists) = m else {
+                        continue;
+                    };
+                    for l in lists {
+                        if let Ok(cl) = r.config.community_list(l) {
+                            matchers.extend(cl.entries.iter().map(|e| &e.regex));
                         }
                     }
                 }
@@ -742,43 +643,49 @@ impl<'a> TopoCtx<'a> {
         }
         // Every community set by a bound map, anchored at its stanza.
         let mut out = Vec::new();
-        for r in net.routers() {
-            for name in bound.get(r.name.as_str()).into_iter().flatten() {
-                let Some(map) = r.config.route_map(name) else {
-                    continue;
-                };
-                for stanza in &map.stanzas {
-                    let mut seen: BTreeSet<String> = BTreeSet::new();
-                    for set in &stanza.sets {
-                        let (RouteMapSet::CommunityAdd(cs) | RouteMapSet::CommunityReplace(cs)) =
-                            set
-                        else {
+        for &(r, map) in &bound {
+            for stanza in &map.stanzas {
+                let mut seen: BTreeSet<String> = BTreeSet::new();
+                for set in &stanza.sets {
+                    let (RouteMapSet::CommunityAdd(cs) | RouteMapSet::CommunityReplace(cs)) = set
+                    else {
+                        continue;
+                    };
+                    for c in cs {
+                        let subject = c.subject();
+                        if !seen.insert(subject.clone()) {
                             continue;
-                        };
-                        for c in cs {
-                            let subject = c.subject();
-                            if !seen.insert(subject.clone()) {
-                                continue;
-                            }
-                            if matchers.iter().any(|m| m.matches(&subject)) {
-                                continue;
-                            }
-                            out.push((
-                                r.name.clone(),
-                                Diagnostic::new(
-                                    LintCode::OrphanCommunity,
-                                    RuleId::route_map_stanza(&map.name, stanza.seq),
-                                    format!(
-                                        "community {subject} is set here, but no policy \
-                                         in the topology ever matches it"
-                                    ),
-                                ),
-                            ));
                         }
+                        if matchers.iter().any(|m| m.matches(&subject)) {
+                            continue;
+                        }
+                        out.push((
+                            r.name.clone(),
+                            Diagnostic::new(
+                                LintCode::OrphanCommunity,
+                                RuleId::route_map_stanza(&map.name, stanza.seq),
+                                format!(
+                                    "community {subject} is set here, but no policy \
+                                     in the topology ever matches it"
+                                ),
+                            ),
+                        ));
                     }
                 }
             }
         }
         out
     }
+}
+
+/// `d` with a witness drawn from `region` attached, when there is one.
+fn witnessed(
+    ns: &mut NetworkSpace,
+    d: Diagnostic,
+    region: Ref,
+) -> Result<Diagnostic, AnalysisError> {
+    Ok(match ns.space_mut().witness(region)? {
+        Some(w) => d.with_witness(w.to_string()),
+        None => d,
+    })
 }

@@ -1,11 +1,13 @@
-//! CLI coverage for `lint --topology`: the pinned E1 golden report,
-//! serial-vs-parallel byte determinism, SARIF output validation, and
-//! the flag-combination usage errors.
+//! CLI coverage for `lint --topology`: the pinned E1 and
+//! every-network-code golden reports, serial-vs-parallel byte
+//! determinism, the edge work counts, SARIF output validation, and the
+//! flag-combination usage errors.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use clarify_obs::json::{parse, Value};
+use clarify_obs::Snapshot;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -75,6 +77,80 @@ fn every_network_code_matches_the_pinned_golden_at_1_and_8_threads() {
             "--threads {threads}: report drifted from testdata/netlint_codes_report.txt"
         );
     }
+}
+
+/// The edge checks and the leak fixed point share one `NetworkSpace` per
+/// run at any worker count, and compose the same edges: 9 receiver edges
+/// and 33 policy transfers on E1.
+#[test]
+fn e1_topology_lint_builds_one_space_at_1_and_8_threads() {
+    for threads in ["1", "8"] {
+        let trace = std::env::temp_dir().join(format!(
+            "topology_bin_trace_{}_{threads}.json",
+            std::process::id()
+        ));
+        let out = lint(&[
+            "--threads",
+            threads,
+            "--topology",
+            "testdata/e1_topology.txt",
+            "--trace-json",
+            trace.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(0), "--threads {threads}");
+        let json = std::fs::read_to_string(&trace).expect("trace written");
+        std::fs::remove_file(&trace).ok();
+        let snap = Snapshot::from_json(&json).expect("valid JSON");
+        for (counter, want) in [
+            ("analysis.network_space_builds", 1),
+            ("analysis.transfers", 33),
+            ("lint.net.edges", 9),
+        ] {
+            assert_eq!(
+                snap.counter(counter),
+                want,
+                "{counter} at --threads {threads}"
+            );
+        }
+    }
+}
+
+/// A bound map that sets a metric, local-preference or tag past the
+/// 16-bit symbolic range lints like any other: the transfer forgets the
+/// field instead of failing the whole run. On this two-router topology
+/// B only holds what A sent it, so A's import can never fire (L007).
+#[test]
+fn set_value_past_16_bits_does_not_fail_the_topology_lint() {
+    let dir = std::env::temp_dir().join(format!("topology_bin_wide_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("t.txt"),
+        "router A asn 1 config b.cfg\n  originate 10.0.0.0/8\n  \
+         neighbor B import IN export OUT role peer\n\
+         router B asn 2 config b.cfg\n  neighbor A import IN export OUT role peer\n",
+    )
+    .unwrap();
+    for field in ["metric", "local-preference", "tag"] {
+        std::fs::write(
+            dir.join("b.cfg"),
+            format!("route-map OUT permit 10\n set {field} 70000\nroute-map IN permit 10\n"),
+        )
+        .unwrap();
+        let out = lint(&["--topology", dir.join("t.txt").to_str().unwrap()]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "set {field} 70000; stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains("warning[L007]: route-map IN stanza 10")
+                && stdout.ends_with("topology: 0 error(s), 1 warning(s), 0 note(s)\n"),
+            "set {field} 70000: {stdout}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,13 +1,12 @@
 //! `clarify-par` — a zero-dependency, `std::thread`-based scoped worker
 //! pool for deterministic data parallelism.
 //!
-//! The disambiguator's per-candidate `compareRoutePolicies`-style symbolic
-//! comparisons, the linter's per-object rule checks, and the E3/E4
-//! population sweeps are all embarrassingly parallel: each unit of work
-//! builds (or reuses) its own `Manager`-backed BDD space, so there is no
-//! shared mutable state to contend over. This crate provides the one
-//! primitive they all need — a parallel map over a slice that is
-//! *byte-identical* to the serial map:
+//! The linter's per-object rule checks and the E3/E4 population sweeps
+//! are embarrassingly parallel: each unit of work builds (or reuses) its
+//! own `Manager`-backed BDD space, so there is no shared mutable state to
+//! contend over. This crate provides the one primitive they both need —
+//! a parallel map over a slice that is *byte-identical* to the serial
+//! map:
 //!
 //! - [`par_map`] / [`par_map_indexed`]: stateless parallel map.
 //! - [`par_map_init`]: parallel map with worker-local state (one

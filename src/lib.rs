@@ -25,7 +25,7 @@
 //! * [`workload`] — seeded synthetic populations calibrated to the paper's
 //!   §3 measurements;
 //! * [`par`] — the zero-dependency scoped worker pool behind the parallel
-//!   disambiguator scans, lint passes, and census sweeps;
+//!   lint passes and census sweeps;
 //! * [`obs`] — the zero-dependency metrics registry (counters, gauges,
 //!   log-scale histograms, spans) behind the CLIs' `--trace-json` and
 //!   `--stats` flags.
