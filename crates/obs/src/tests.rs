@@ -100,6 +100,50 @@ fn empty_snapshot_round_trips() {
 }
 
 #[test]
+fn snapshot_json_layout_is_pinned() {
+    assert_eq!(
+        Snapshot::default().to_json(),
+        "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}\n}\n"
+    );
+    let mut snap = Snapshot::default();
+    snap.counters.insert("a.count".to_string(), 3);
+    snap.counters.insert("b.count".to_string(), 0);
+    snap.gauges.insert("level".to_string(), -4);
+    snap.histograms.insert(
+        "span.x.ns".to_string(),
+        HistogramSnapshot {
+            count: 3,
+            sum: 1500,
+            min: 0,
+            max: 1000,
+            buckets: vec![
+                HistogramBucket { le: 0, count: 1 },
+                HistogramBucket { le: 1023, count: 2 },
+            ],
+        },
+    );
+    snap.histograms
+        .insert("empty.ns".to_string(), HistogramSnapshot::default());
+    assert_eq!(
+        snap.to_json(),
+        r#"{
+  "counters": {
+    "a.count": 3,
+    "b.count": 0
+  },
+  "gauges": {
+    "level": -4
+  },
+  "histograms": {
+    "empty.ns": {"count": 0, "sum": 0, "min": 0, "max": 0, "buckets": []},
+    "span.x.ns": {"count": 3, "sum": 1500, "min": 0, "max": 1000, "buckets": [{"le": 0, "count": 1}, {"le": 1023, "count": 2}]}
+  }
+}
+"#
+    );
+}
+
+#[test]
 fn from_json_rejects_garbage() {
     assert!(Snapshot::from_json("").is_err());
     assert!(Snapshot::from_json("{").is_err());

@@ -56,6 +56,16 @@ fn committed_transcripts_replay_byte_identically_at_1_and_8_threads() {
     }
 }
 
+#[test]
+fn committed_transcripts_load_as_trusted_and_rerender_byte_identically() {
+    for name in ["e1.json", "e3.json"] {
+        let text = golden(name);
+        let transcript = clarify::llm::Transcript::from_json(&text)
+            .unwrap_or_else(|e| panic!("{name} is not trusted: {e}"));
+        assert_eq!(transcript.to_json(), text, "{name} re-renders differently");
+    }
+}
+
 fn tmp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("clarify-replay-{}-{name}", std::process::id()))
 }
