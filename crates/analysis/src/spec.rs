@@ -7,7 +7,8 @@
 
 use clarify_automata::Regex;
 use clarify_netconfig::{Action, Config, RouteMapSet, RouteMapStanza};
-use clarify_nettypes::{BgpRoute, PrefixRange};
+use clarify_nettypes::{BgpRoute, Community, PrefixRange};
+use clarify_obs::json::Value;
 
 use crate::effect::SetEffect;
 use crate::error::AnalysisError;
@@ -39,72 +40,43 @@ pub struct StanzaSpec {
 }
 
 impl StanzaSpec {
-    /// Renders the paper's JSON format, e.g.
+    /// Renders the paper's JSON format on one line, e.g.
     /// `{"permit": true, "prefix": ["100.0.0.0/16:16-23"], "community":
-    /// "/_300:3_/", "set": {"metric": 55}}`.
+    /// "/_300:3_/", "set": {"metric": 55}}`. Each community and AS-path
+    /// regex is its own (repeated) `community` / `as-path` member.
     pub fn to_json(&self) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        parts.push(format!("\"permit\": {}", self.permit));
+        let mut fields = vec![("permit", Value::from(self.permit))];
         if !self.prefixes.is_empty() {
-            let items: Vec<String> = self
-                .prefixes
-                .iter()
-                .map(|r| {
-                    format!(
-                        "\"{}/{}:{}-{}\"",
-                        r.prefix.addr(),
-                        r.prefix.len(),
-                        r.min_len,
-                        r.max_len
-                    )
-                })
-                .collect();
-            parts.push(format!("\"prefix\": [{}]", items.join(", ")));
+            let range = |r: &PrefixRange| {
+                let (p, min, max) = (r.prefix, r.min_len, r.max_len);
+                Value::from(format!("{}/{}:{min}-{max}", p.addr(), p.len()))
+            };
+            fields.push(("prefix", Value::array(self.prefixes.iter().map(range))));
         }
-        for c in &self.communities {
-            parts.push(format!("\"community\": \"/{c}/\""));
-        }
-        for p in &self.as_paths {
-            parts.push(format!("\"as-path\": \"/{p}/\""));
-        }
-        if let Some(v) = self.local_pref {
-            parts.push(format!("\"local-preference\": {v}"));
-        }
-        if let Some(v) = self.metric {
-            parts.push(format!("\"metric\": {v}"));
-        }
-        if let Some(v) = self.tag {
-            parts.push(format!("\"tag\": {v}"));
-        }
+        let regex = |p: &String| Value::from(format!("/{p}/"));
+        fields.extend(self.communities.iter().map(|c| ("community", regex(c))));
+        fields.extend(self.as_paths.iter().map(|p| ("as-path", regex(p))));
+        let exact = [
+            ("local-preference", self.local_pref),
+            ("metric", self.metric),
+            ("tag", self.tag),
+        ];
+        fields.extend(exact.into_iter().filter_map(|(k, v)| Some((k, v?.into()))));
         if !self.sets.is_empty() {
-            let items: Vec<String> = self
-                .sets
-                .iter()
-                .map(|s| match s {
-                    RouteMapSet::Metric(v) => format!("\"metric\": {v}"),
-                    RouteMapSet::LocalPref(v) => format!("\"local-preference\": {v}"),
-                    RouteMapSet::Weight(v) => format!("\"weight\": {v}"),
-                    RouteMapSet::Tag(v) => format!("\"tag\": {v}"),
-                    RouteMapSet::NextHop(ip) => format!("\"next-hop\": \"{ip}\""),
-                    RouteMapSet::CommunityAdd(cs) => format!(
-                        "\"community-add\": [{}]",
-                        cs.iter()
-                            .map(|c| format!("\"{c}\""))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
-                    RouteMapSet::CommunityReplace(cs) => format!(
-                        "\"community\": [{}]",
-                        cs.iter()
-                            .map(|c| format!("\"{c}\""))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
-                })
-                .collect();
-            parts.push(format!("\"set\": {{{}}}", items.join(", ")));
+            let communities =
+                |cs: &[Community]| Value::array(cs.iter().map(|c| c.to_string().into()));
+            let set = |s: &RouteMapSet| match s {
+                RouteMapSet::Metric(v) => ("metric", (*v).into()),
+                RouteMapSet::LocalPref(v) => ("local-preference", (*v).into()),
+                RouteMapSet::Weight(v) => ("weight", (*v).into()),
+                RouteMapSet::Tag(v) => ("tag", (*v).into()),
+                RouteMapSet::NextHop(ip) => ("next-hop", ip.to_string().into()),
+                RouteMapSet::CommunityAdd(cs) => ("community-add", communities(cs)),
+                RouteMapSet::CommunityReplace(cs) => ("community", communities(cs)),
+            };
+            fields.push(("set", Value::object(self.sets.iter().map(set))));
         }
-        format!("{{{}}}", parts.join(", "))
+        Value::object(fields).to_string()
     }
 
     /// Builds an equivalent synthetic config + stanza named `name`, or

@@ -469,6 +469,15 @@ fn spec_json_rendering_matches_paper_shape() {
     );
     assert!(json.contains("\"community\": \"/_300:3_/\""), "{json}");
     assert!(json.contains("\"set\": {\"metric\": 55}"), "{json}");
+
+    // A regex escape (`\:` is valid Cisco syntax) is escaped in the JSON.
+    let spec = StanzaSpec {
+        communities: vec![r"_300\:3_".to_string()],
+        ..Default::default()
+    };
+    let json = spec.to_json();
+    clarify_obs::json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    assert!(json.contains(r#""community": "/_300\\:3_/""#), "{json}");
 }
 
 /// The community universe admits halves up to 99999. An atom that holds

@@ -11,18 +11,18 @@
 //!
 //! The format is versioned and carries a checksum over everything
 //! semantic. Any mismatch — a tampered hash, a truncated object list —
-//! makes the whole cache [`CacheError::Stale`], and the driver falls
-//! back to a full recompute rather than risk splicing findings that no
-//! longer correspond to any configuration.
+//! makes the whole cache [`DocError::Stale`], and `lint --incremental`
+//! falls back to a full recompute rather than risk splicing findings that
+//! no longer correspond to any configuration.
 //!
 //! [`SourceMap`]: clarify_netconfig::SourceMap
 
 use std::collections::BTreeMap;
 
 use clarify_netconfig::{fnv1a64, fnv1a64_combine, Config, ObjectKind, RuleId, RuleKey};
-use clarify_obs::json;
+use clarify_obs::json::{self, DocError, Fields, Value};
 
-use crate::diagnostic::{Diagnostic, LintCode, LintReport, Severity};
+use crate::diagnostic::{Diagnostic, LintCode, LintReport};
 
 /// The format tag written to and expected from cache files.
 pub const CACHE_FORMAT: &str = "clarify-lint-cache/v2";
@@ -49,28 +49,6 @@ pub struct LintCache {
     pub atom_env: u64,
     /// Per-object entries, keyed by object identity.
     pub objects: BTreeMap<RuleId, CachedObject>,
-}
-
-/// Why a cache could not be used.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CacheError {
-    /// The file is not a well-formed cache document at all (bad JSON,
-    /// missing or mistyped fields). The CLI treats this as a usage error
-    /// (exit 2): the user pointed `--incremental` at the wrong file.
-    Corrupt(String),
-    /// The document parses but cannot be trusted: unknown format version
-    /// or checksum mismatch. The driver warns and falls back to a full
-    /// recompute.
-    Stale(String),
-}
-
-impl std::fmt::Display for CacheError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CacheError::Corrupt(m) => write!(f, "corrupt lint cache: {m}"),
-            CacheError::Stale(m) => write!(f, "stale lint cache: {m}"),
-        }
-    }
 }
 
 impl LintCache {
@@ -130,9 +108,9 @@ impl LintCache {
             h = fnv1a64_combine(h, fnv1a64(id.to_string().as_bytes()));
             h = fnv1a64_combine(h, obj.hash);
             for d in &obj.diagnostics {
-                // `diag_json` covers every persisted field (Display omits
+                // `diag_value` covers every persisted field (Display omits
                 // `related`), so digesting it makes any tampering visible.
-                h = fnv1a64_combine(h, fnv1a64(diag_json(d).as_bytes()));
+                h = fnv1a64_combine(h, fnv1a64(diag_value(d).to_string().as_bytes()));
             }
         }
         h
@@ -140,89 +118,45 @@ impl LintCache {
 
     /// Renders the cache as a deterministic JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"format\": {},\n", json::escape(CACHE_FORMAT)));
-        out.push_str(&format!(
-            "  \"config_hash\": \"{:016x}\",\n",
-            self.config_hash
-        ));
-        out.push_str(&format!("  \"atom_env\": \"{:016x}\",\n", self.atom_env));
-        out.push_str(&format!("  \"checksum\": \"{:016x}\",\n", self.digest()));
-        out.push_str("  \"objects\": [");
-        for (i, (id, obj)) in self.objects.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"kind\": {}, ", json::escape(id.kind.keyword())));
-            out.push_str(&format!("\"name\": {}, ", json::escape(&id.object)));
-            out.push_str(&format!("\"hash\": \"{:016x}\", ", obj.hash));
-            out.push_str("\"diagnostics\": [");
-            for (j, d) in obj.diagnostics.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&diag_json(d));
-            }
-            out.push_str("]}");
-        }
-        out.push_str(if self.objects.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+        let object = |(id, obj): (&RuleId, &CachedObject)| {
+            Value::object([
+                ("kind", id.kind.keyword().into()),
+                ("name", id.object.as_str().into()),
+                ("hash", Value::hex(obj.hash)),
+                (
+                    "diagnostics",
+                    Value::array(obj.diagnostics.iter().map(diag_value)),
+                ),
+            ])
+        };
+        Value::object([
+            ("format", CACHE_FORMAT.into()),
+            ("config_hash", Value::hex(self.config_hash)),
+            ("atom_env", Value::hex(self.atom_env)),
+            ("checksum", Value::hex(self.digest())),
+            ("objects", Value::array(self.objects.iter().map(object))),
+        ])
+        .to_document()
     }
 
-    /// Parses a cache document and verifies its checksum.
-    pub fn from_json(text: &str) -> Result<LintCache, CacheError> {
-        let value = json::parse(text).map_err(CacheError::Corrupt)?;
-        let top = value.as_object("top level").map_err(CacheError::Corrupt)?;
-        let mut format = None;
-        let mut config_hash = None;
-        let mut atom_env = None;
-        let mut checksum = None;
-        let mut objects = BTreeMap::new();
-        for (key, v) in top {
-            match key.as_str() {
-                "format" => format = Some(v.as_str(key).map_err(CacheError::Corrupt)?.to_string()),
-                "config_hash" => config_hash = Some(parse_hex(v, key)?),
-                "atom_env" => atom_env = Some(parse_hex(v, key)?),
-                "checksum" => checksum = Some(parse_hex(v, key)?),
-                "objects" => {
-                    for o in v.as_array(key).map_err(CacheError::Corrupt)? {
-                        let (id, obj) = parse_object(o)?;
-                        objects.insert(id, obj);
-                    }
-                }
-                other => {
-                    return Err(CacheError::Corrupt(format!(
-                        "unknown top-level key '{other}'"
-                    )))
-                }
-            }
-        }
-        let format = format.ok_or_else(|| CacheError::Corrupt("missing 'format'".into()))?;
-        if format != CACHE_FORMAT {
-            return Err(CacheError::Stale(format!(
-                "cache format '{format}' is not '{CACHE_FORMAT}'"
-            )));
-        }
+    /// Parses a cache document and verifies its format tag and checksum.
+    pub fn from_json(text: &str) -> Result<LintCache, DocError> {
+        let value = json::parse(text)?;
+        let mut top = Fields::new(&value, "top level")?;
+        let format = top.str("format")?;
+        let stored = top.req("checksum")?.as_hex("checksum")?;
         let cache = LintCache {
-            config_hash: config_hash
-                .ok_or_else(|| CacheError::Corrupt("missing 'config_hash'".into()))?,
-            atom_env: atom_env.ok_or_else(|| CacheError::Corrupt("missing 'atom_env'".into()))?,
-            objects,
+            config_hash: top.req("config_hash")?.as_hex("config_hash")?,
+            atom_env: top.req("atom_env")?.as_hex("atom_env")?,
+            objects: top
+                .req("objects")?
+                .as_array("objects")?
+                .iter()
+                .map(parse_object)
+                .collect::<Result<_, _>>()?,
         };
-        let stored = checksum.ok_or_else(|| CacheError::Corrupt("missing 'checksum'".into()))?;
-        let actual = cache.digest();
-        if stored != actual {
-            return Err(CacheError::Stale(format!(
-                "checksum mismatch (stored {stored:016x}, computed {actual:016x})"
-            )));
-        }
+        top.done()?;
+        json::check_seal(format, CACHE_FORMAT, stored, cache.digest())?;
         Ok(cache)
     }
 }
@@ -230,199 +164,91 @@ impl LintCache {
 /// One diagnostic as a JSON object (no line — lines are re-applied from
 /// the new source map at splice time; no severity — it derives from the
 /// code).
-fn diag_json(d: &Diagnostic) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!("\"code\": {}, ", json::escape(d.code.code())));
-    out.push_str(&format!("\"rule\": {}, ", rule_json(&d.rule)));
-    match &d.related {
-        Some(r) => out.push_str(&format!("\"related\": {}, ", rule_json(r))),
-        None => out.push_str("\"related\": null, "),
-    }
-    out.push_str(&format!("\"message\": {}, ", json::escape(&d.message)));
-    match &d.witness {
-        Some(w) => out.push_str(&format!("\"witness\": {}, ", json::escape(w))),
-        None => out.push_str("\"witness\": null, "),
-    }
-    match &d.suggested_fix {
-        Some(x) => out.push_str(&format!("\"suggested_fix\": {}", json::escape(x))),
-        None => out.push_str("\"suggested_fix\": null"),
-    }
-    out.push('}');
-    out
+fn diag_value(d: &Diagnostic) -> Value {
+    Value::object([
+        ("code", d.code.code().into()),
+        ("rule", rule_value(&d.rule)),
+        ("related", d.related.as_ref().map(rule_value).into()),
+        ("message", d.message.as_str().into()),
+        ("witness", d.witness.as_deref().into()),
+        ("suggested_fix", d.suggested_fix.as_deref().into()),
+    ])
 }
 
-fn rule_json(id: &RuleId) -> String {
-    format!(
-        "{{\"kind\": {}, \"object\": {}, \"key\": {}}}",
-        json::escape(id.kind.keyword()),
-        json::escape(&id.object),
-        json::escape(&rule_key_str(id.rule)),
-    )
-}
-
-fn rule_key_str(key: RuleKey) -> String {
-    match key {
+fn rule_value(id: &RuleId) -> Value {
+    let key = match id.rule {
         RuleKey::Object => "object".to_string(),
         RuleKey::Seq(n) => format!("seq:{n}"),
         RuleKey::Index(i) => format!("index:{i}"),
-    }
+    };
+    Value::object([
+        ("kind", id.kind.keyword().into()),
+        ("object", id.object.as_str().into()),
+        ("key", key.into()),
+    ])
 }
 
-fn parse_rule_key(s: &str) -> Result<RuleKey, CacheError> {
-    if s == "object" {
-        return Ok(RuleKey::Object);
+fn parse_rule(v: &Value) -> Result<RuleId, String> {
+    let mut f = Fields::new(v, "rule")?;
+    let kind = kind_from_keyword(f.str("kind")?)?;
+    let object = f.str("object")?.to_string();
+    let key = f.str("key")?;
+    let rule = match key.split_once(':') {
+        None if key == "object" => Some(RuleKey::Object),
+        Some(("seq", n)) => n.parse().ok().map(RuleKey::Seq),
+        Some(("index", i)) => i.parse().ok().map(RuleKey::Index),
+        _ => None,
     }
-    if let Some(n) = s.strip_prefix("seq:") {
-        return n
-            .parse()
-            .map(RuleKey::Seq)
-            .map_err(|_| CacheError::Corrupt(format!("bad rule key '{s}'")));
-    }
-    if let Some(i) = s.strip_prefix("index:") {
-        return i
-            .parse()
-            .map(RuleKey::Index)
-            .map_err(|_| CacheError::Corrupt(format!("bad rule key '{s}'")));
-    }
-    Err(CacheError::Corrupt(format!("bad rule key '{s}'")))
+    .ok_or_else(|| format!("bad rule key '{key}'"))?;
+    f.done()?;
+    Ok(RuleId { kind, object, rule })
 }
 
-fn kind_from_keyword(s: &str) -> Result<ObjectKind, CacheError> {
-    for kind in [
+fn kind_from_keyword(s: &str) -> Result<ObjectKind, String> {
+    [
         ObjectKind::RouteMap,
         ObjectKind::Acl,
         ObjectKind::PrefixList,
         ObjectKind::AsPathList,
         ObjectKind::CommunityList,
-    ] {
-        if kind.keyword() == s {
-            return Ok(kind);
-        }
-    }
-    Err(CacheError::Corrupt(format!("unknown object kind '{s}'")))
+    ]
+    .into_iter()
+    .find(|kind| kind.keyword() == s)
+    .ok_or_else(|| format!("unknown object kind '{s}'"))
 }
 
-fn parse_hex(v: &json::Value, what: &str) -> Result<u64, CacheError> {
-    let s = v.as_str(what).map_err(CacheError::Corrupt)?;
-    u64::from_str_radix(s, 16)
-        .map_err(|_| CacheError::Corrupt(format!("{what}: bad hex value '{s}'")))
-}
-
-fn parse_rule(v: &json::Value) -> Result<RuleId, CacheError> {
-    let fields = v.as_object("rule").map_err(CacheError::Corrupt)?;
-    let mut kind = None;
-    let mut object = None;
-    let mut key = None;
-    for (k, fv) in fields {
-        match k.as_str() {
-            "kind" => {
-                kind = Some(kind_from_keyword(
-                    fv.as_str(k).map_err(CacheError::Corrupt)?,
-                )?)
-            }
-            "object" => object = Some(fv.as_str(k).map_err(CacheError::Corrupt)?.to_string()),
-            "key" => key = Some(parse_rule_key(fv.as_str(k).map_err(CacheError::Corrupt)?)?),
-            other => return Err(CacheError::Corrupt(format!("unknown rule key '{other}'"))),
-        }
-    }
-    Ok(RuleId {
-        kind: kind.ok_or_else(|| CacheError::Corrupt("rule missing 'kind'".into()))?,
-        object: object.ok_or_else(|| CacheError::Corrupt("rule missing 'object'".into()))?,
-        rule: key.ok_or_else(|| CacheError::Corrupt("rule missing 'key'".into()))?,
-    })
-}
-
-fn opt_str(v: &json::Value, what: &str) -> Result<Option<String>, CacheError> {
-    match v {
-        json::Value::Null => Ok(None),
-        _ => Ok(Some(
-            v.as_str(what).map_err(CacheError::Corrupt)?.to_string(),
-        )),
-    }
-}
-
-fn parse_diag(v: &json::Value) -> Result<Diagnostic, CacheError> {
-    let fields = v.as_object("diagnostic").map_err(CacheError::Corrupt)?;
-    let mut code = None;
-    let mut rule = None;
-    let mut related = None;
-    let mut message = None;
-    let mut witness = None;
-    let mut fix = None;
-    for (k, fv) in fields {
-        match k.as_str() {
-            "code" => {
-                let s = fv.as_str(k).map_err(CacheError::Corrupt)?;
-                code = Some(LintCode::from_code(s).ok_or_else(|| {
-                    CacheError::Corrupt(format!("unknown diagnostic code '{s}'"))
-                })?);
-            }
-            "rule" => rule = Some(parse_rule(fv)?),
-            "related" => {
-                related = match fv {
-                    json::Value::Null => None,
-                    _ => Some(parse_rule(fv)?),
-                }
-            }
-            "message" => message = Some(fv.as_str(k).map_err(CacheError::Corrupt)?.to_string()),
-            "witness" => witness = opt_str(fv, k)?,
-            "suggested_fix" => fix = opt_str(fv, k)?,
-            other => {
-                return Err(CacheError::Corrupt(format!(
-                    "unknown diagnostic key '{other}'"
-                )))
-            }
-        }
-    }
-    let code = code.ok_or_else(|| CacheError::Corrupt("diagnostic missing 'code'".into()))?;
-    let severity: Severity = code.severity();
-    Ok(Diagnostic {
+fn parse_diag(v: &Value) -> Result<Diagnostic, String> {
+    let mut f = Fields::new(v, "diagnostic")?;
+    let code = f.str("code")?;
+    let code =
+        LintCode::from_code(code).ok_or_else(|| format!("unknown diagnostic code '{code}'"))?;
+    let d = Diagnostic {
         code,
-        severity,
-        rule: rule.ok_or_else(|| CacheError::Corrupt("diagnostic missing 'rule'".into()))?,
-        related,
+        severity: code.severity(),
+        rule: parse_rule(f.req("rule")?)?,
+        related: f.opt("related").map(parse_rule).transpose()?,
         line: None,
-        message: message
-            .ok_or_else(|| CacheError::Corrupt("diagnostic missing 'message'".into()))?,
-        witness,
-        suggested_fix: fix,
-    })
+        message: f.str("message")?.to_string(),
+        witness: f.opt_str("witness")?.map(str::to_string),
+        suggested_fix: f.opt_str("suggested_fix")?.map(str::to_string),
+    };
+    f.done()?;
+    Ok(d)
 }
 
-fn parse_object(v: &json::Value) -> Result<(RuleId, CachedObject), CacheError> {
-    let fields = v.as_object("object entry").map_err(CacheError::Corrupt)?;
-    let mut kind = None;
-    let mut name = None;
-    let mut hash = None;
-    let mut diagnostics = Vec::new();
-    for (k, fv) in fields {
-        match k.as_str() {
-            "kind" => {
-                kind = Some(kind_from_keyword(
-                    fv.as_str(k).map_err(CacheError::Corrupt)?,
-                )?)
-            }
-            "name" => name = Some(fv.as_str(k).map_err(CacheError::Corrupt)?.to_string()),
-            "hash" => hash = Some(parse_hex(fv, k)?),
-            "diagnostics" => {
-                for d in fv.as_array(k).map_err(CacheError::Corrupt)? {
-                    diagnostics.push(parse_diag(d)?);
-                }
-            }
-            other => {
-                return Err(CacheError::Corrupt(format!(
-                    "unknown object entry key '{other}'"
-                )))
-            }
-        }
-    }
-    let kind = kind.ok_or_else(|| CacheError::Corrupt("object entry missing 'kind'".into()))?;
-    let name = name.ok_or_else(|| CacheError::Corrupt("object entry missing 'name'".into()))?;
-    Ok((
-        RuleId::object(kind, name),
-        CachedObject {
-            hash: hash.ok_or_else(|| CacheError::Corrupt("object entry missing 'hash'".into()))?,
-            diagnostics,
-        },
-    ))
+fn parse_object(v: &Value) -> Result<(RuleId, CachedObject), String> {
+    let mut f = Fields::new(v, "object entry")?;
+    let kind = kind_from_keyword(f.str("kind")?)?;
+    let id = RuleId::object(kind, f.str("name")?);
+    let obj = CachedObject {
+        hash: f.req("hash")?.as_hex("hash")?,
+        diagnostics: f
+            .req("diagnostics")?
+            .as_array("diagnostics")?
+            .iter()
+            .map(parse_diag)
+            .collect::<Result<_, _>>()?,
+    };
+    f.done()?;
+    Ok((id, obj))
 }

@@ -11,10 +11,11 @@ use std::process::ExitCode;
 
 use clarify_netconfig::Config;
 use clarify_netsim::TopologySpec;
+use clarify_obs::json::DocError;
 
 use crate::{
     apply_suppressions, lint_config, lint_config_incremental, render_sarif, render_sarif_network,
-    CacheError, LintCache, NetworkLinter,
+    LintCache, NetworkLinter,
 };
 
 /// The front end's usage text.
@@ -176,11 +177,11 @@ fn read(path: &str) -> Result<String, String> {
 fn load_cache(path: &str) -> Result<Option<LintCache>, String> {
     match LintCache::from_json(&read(path)?) {
         Ok(cache) => Ok(Some(cache)),
-        Err(CacheError::Stale(m)) => {
+        Err(DocError::Stale(m)) => {
             eprintln!("warning: {path}: stale lint cache ({m}); falling back to full lint");
             Ok(None)
         }
-        Err(CacheError::Corrupt(m)) => Err(format!("{path}: corrupt lint cache: {m}")),
+        Err(DocError::Corrupt(m)) => Err(format!("{path}: corrupt lint cache: {m}")),
     }
 }
 

@@ -1,7 +1,7 @@
 //! Structured lint diagnostics and the report they aggregate into.
 
 use clarify_netconfig::RuleId;
-use clarify_obs::json;
+use clarify_obs::json::Value;
 
 /// How serious a diagnostic is.
 ///
@@ -296,55 +296,30 @@ impl LintReport {
         out
     }
 
-    /// Renders the report as a JSON object (hand-rolled; the workspace is
-    /// dependency-free by design).
+    /// Renders the report as a JSON document.
     pub fn render_json(&self, origin: &str) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"config\": {},\n", json::escape(origin)));
-        out.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
-        out.push_str(&format!("  \"suppressed\": {},\n", self.suppressed));
-        out.push_str("  \"diagnostics\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"code\": {}, ", json::escape(d.code.code())));
-            out.push_str(&format!("\"check\": {}, ", json::escape(d.code.name())));
-            out.push_str(&format!(
-                "\"severity\": {}, ",
-                json::escape(&d.severity.to_string())
-            ));
-            out.push_str(&format!(
-                "\"rule\": {}, ",
-                json::escape(&d.rule.to_string())
-            ));
-            match &d.related {
-                Some(r) => {
-                    out.push_str(&format!("\"related\": {}, ", json::escape(&r.to_string())))
-                }
-                None => out.push_str("\"related\": null, "),
-            }
-            match d.line {
-                Some(l) => out.push_str(&format!("\"line\": {l}, ")),
-                None => out.push_str("\"line\": null, "),
-            }
-            out.push_str(&format!("\"message\": {}, ", json::escape(&d.message)));
-            match &d.witness {
-                Some(w) => out.push_str(&format!("\"witness\": {}, ", json::escape(w))),
-                None => out.push_str("\"witness\": null, "),
-            }
-            match &d.suggested_fix {
-                Some(x) => out.push_str(&format!("\"suggested_fix\": {}", json::escape(x))),
-                None => out.push_str("\"suggested_fix\": null"),
-            }
-            out.push('}');
-        }
-        if !self.diagnostics.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        let diagnostic = |d: &Diagnostic| {
+            Value::object([
+                ("code", d.code.code().into()),
+                ("check", d.code.name().into()),
+                ("severity", d.severity.to_string().into()),
+                ("rule", d.rule.to_string().into()),
+                ("related", d.related.as_ref().map(RuleId::to_string).into()),
+                ("line", d.line.into()),
+                ("message", d.message.as_str().into()),
+                ("witness", d.witness.as_deref().into()),
+                ("suggested_fix", d.suggested_fix.as_deref().into()),
+            ])
+        };
+        Value::object([
+            ("config", origin.into()),
+            ("clean", self.is_clean().into()),
+            ("suppressed", self.suppressed.into()),
+            (
+                "diagnostics",
+                Value::array(self.diagnostics.iter().map(diagnostic)),
+            ),
+        ])
+        .to_document()
     }
 }

@@ -69,7 +69,7 @@ mod prune;
 mod sarif;
 mod suppress;
 
-pub use cache::{CacheError, CachedObject, LintCache, CACHE_FORMAT};
+pub use cache::{CachedObject, LintCache, CACHE_FORMAT};
 pub use diagnostic::{Diagnostic, LintCode, LintReport, Severity};
 pub use incremental::{lint_config_incremental, IncrStats, IncrementalLinter};
 pub use linter::lint_config;

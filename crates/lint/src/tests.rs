@@ -589,8 +589,9 @@ mod redundancy_oracle {
 
 mod incremental {
     use clarify_netconfig::Config;
+    use clarify_obs::json::DocError;
 
-    use crate::cache::{CacheError, LintCache};
+    use crate::cache::LintCache;
     use crate::{lint_config, lint_config_incremental, IncrementalLinter};
 
     const BASE: &str = "ip prefix-list COVER seq 10 permit 10.0.0.0/8 le 32
@@ -741,7 +742,7 @@ ip access-list extended FW
             .collect();
         let tampered = json.replace(old, &flipped);
         match LintCache::from_json(&tampered) {
-            Err(CacheError::Stale(_)) => {}
+            Err(DocError::Stale(_)) => {}
             other => panic!("expected Stale, got {other:?}"),
         }
     }
@@ -749,12 +750,24 @@ ip access-list extended FW
     #[test]
     fn unparseable_cache_is_corrupt() {
         match LintCache::from_json("{ not json") {
-            Err(CacheError::Corrupt(_)) => {}
+            Err(DocError::Corrupt(_)) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
         match LintCache::from_json("{\"format\": \"clarify-lint-cache/v2\"}") {
-            Err(CacheError::Corrupt(_)) => {}
+            Err(DocError::Corrupt(_)) => {}
             other => panic!("expected Corrupt (missing fields), got {other:?}"),
+        }
+        // A repeated key: the second `objects` would otherwise win.
+        let (cfg, spans) = Config::parse_with_spans(BASE).unwrap();
+        let cache = LintCache::from_report(&cfg, &lint_config(&cfg, Some(&spans)).unwrap());
+        let json = cache.to_json().replacen(
+            "  \"objects\": [",
+            "  \"objects\": [],\n  \"objects\": [",
+            1,
+        );
+        match LintCache::from_json(&json) {
+            Err(DocError::Corrupt(m)) => assert!(m.contains("repeated key 'objects'"), "{m}"),
+            other => panic!("expected Corrupt (repeated key), got {other:?}"),
         }
     }
 
@@ -763,7 +776,7 @@ ip access-list extended FW
         let json = "{\"format\": \"clarify-lint-cache/v999\", \
 \"config_hash\": \"0\", \"atom_env\": \"0\", \"checksum\": \"0\", \"objects\": []}";
         match LintCache::from_json(json) {
-            Err(CacheError::Stale(_)) => {}
+            Err(DocError::Stale(_)) => {}
             other => panic!("expected Stale, got {other:?}"),
         }
     }

@@ -9,13 +9,13 @@
 //! out-of-schema output is rejected at the boundary instead of surfacing
 //! as a parse error three layers deeper.
 //!
-//! The JSON form ([`IntentEnvelope::to_json`] / [`from_json`]) doubles as
+//! The JSON form ([`IntentEnvelope::to_value`] / [`from_value`]) doubles as
 //! the transcript wire format: a recorded envelope deserializes to a
 //! byte-identical document, which is what makes offline replay exact.
 //!
-//! [`from_json`]: IntentEnvelope::from_json
+//! [`from_value`]: IntentEnvelope::from_value
 
-use clarify_obs::json;
+use clarify_obs::json::{self, Fields, Value};
 
 use crate::backend::TaskKind;
 
@@ -217,39 +217,29 @@ impl IntentEnvelope {
         Ok(())
     }
 
-    /// Renders the envelope as one deterministic JSON object (no
-    /// trailing newline; field order is fixed).
+    /// The envelope as one JSON object (field order is fixed).
+    pub fn to_value(&self) -> Value {
+        let (field, text) = match &self.payload {
+            EnvelopePayload::Classification { kind } => ("kind", kind),
+            EnvelopePayload::Config { text } | EnvelopePayload::Spec { text } => ("text", text),
+            EnvelopePayload::Refusal { reason } => ("reason", reason),
+        };
+        Value::object([
+            ("version", self.version.into()),
+            ("task", self.task.keyword().into()),
+            ("payload", self.payload.keyword().into()),
+            (field, text.as_str().into()),
+            (
+                "references",
+                Value::array(self.references.iter().map(|r| r.as_str().into())),
+            ),
+        ])
+    }
+
+    /// Renders [`IntentEnvelope::to_value`] on one line (no trailing
+    /// newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"version\": {}, ", self.version));
-        out.push_str(&format!(
-            "\"task\": {}, ",
-            json::escape(self.task.keyword())
-        ));
-        out.push_str(&format!(
-            "\"payload\": {}, ",
-            json::escape(self.payload.keyword())
-        ));
-        match &self.payload {
-            EnvelopePayload::Classification { kind } => {
-                out.push_str(&format!("\"kind\": {}, ", json::escape(kind)));
-            }
-            EnvelopePayload::Config { text } | EnvelopePayload::Spec { text } => {
-                out.push_str(&format!("\"text\": {}, ", json::escape(text)));
-            }
-            EnvelopePayload::Refusal { reason } => {
-                out.push_str(&format!("\"reason\": {}, ", json::escape(reason)));
-            }
-        }
-        out.push_str("\"references\": [");
-        for (i, r) in self.references.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json::escape(r));
-        }
-        out.push_str("]}");
-        out
+        self.to_value().to_string()
     }
 
     /// Parses and validates an envelope document.
@@ -260,62 +250,49 @@ impl IntentEnvelope {
 
     /// Parses and validates an envelope from an already-parsed JSON value
     /// (transcripts embed envelopes inside a larger document).
-    pub fn from_value(value: &json::Value) -> Result<IntentEnvelope, SchemaError> {
-        let fields = value.as_object("envelope").map_err(schema)?;
-        let mut version = None;
-        let mut task = None;
-        let mut payload_kind = None;
-        let mut kind = None;
-        let mut text = None;
-        let mut reason = None;
-        let mut references = Vec::new();
-        for (k, v) in fields {
-            match k.as_str() {
-                "version" => version = Some(v.as_u64(k).map_err(schema)?),
-                "task" => {
-                    let s = v.as_str(k).map_err(schema)?;
-                    task = Some(
-                        TaskKind::from_keyword(s)
-                            .ok_or_else(|| schema(format!("unknown task keyword '{s}'")))?,
-                    );
-                }
-                "payload" => payload_kind = Some(v.as_str(k).map_err(schema)?.to_string()),
-                "kind" => kind = Some(v.as_str(k).map_err(schema)?.to_string()),
-                "text" => text = Some(v.as_str(k).map_err(schema)?.to_string()),
-                "reason" => reason = Some(v.as_str(k).map_err(schema)?.to_string()),
-                "references" => {
-                    for r in v.as_array(k).map_err(schema)? {
-                        references.push(r.as_str("reference").map_err(schema)?.to_string());
-                    }
-                }
-                other => return Err(schema(format!("unknown envelope key '{other}'"))),
-            }
-        }
-        let version = version.ok_or_else(|| schema("missing 'version'"))? as u32;
-        let task = task.ok_or_else(|| schema("missing 'task'"))?;
-        let payload_kind = payload_kind.ok_or_else(|| schema("missing 'payload'"))?;
-        let payload = match payload_kind.as_str() {
+    pub fn from_value(value: &Value) -> Result<IntentEnvelope, SchemaError> {
+        let envelope = IntentEnvelope::read(value).map_err(schema)?;
+        envelope.validate()?;
+        Ok(envelope)
+    }
+
+    fn read(value: &Value) -> Result<IntentEnvelope, String> {
+        let mut f = Fields::new(value, "envelope")?;
+        let version = f.req("version")?.as_u64("version")?;
+        let version = u32::try_from(version).map_err(|_| {
+            format!("version {version} is not the supported version {ENVELOPE_VERSION}")
+        })?;
+        let task = f.str("task")?;
+        let task =
+            TaskKind::from_keyword(task).ok_or_else(|| format!("unknown task keyword '{task}'"))?;
+        let mut string = |key| f.str(key).map(str::to_string);
+        let payload = match string("payload")?.as_str() {
             "classification" => EnvelopePayload::Classification {
-                kind: kind.ok_or_else(|| schema("classification missing 'kind'"))?,
+                kind: string("kind")?,
             },
             "config" => EnvelopePayload::Config {
-                text: text.ok_or_else(|| schema("config payload missing 'text'"))?,
+                text: string("text")?,
             },
             "spec" => EnvelopePayload::Spec {
-                text: text.ok_or_else(|| schema("spec payload missing 'text'"))?,
+                text: string("text")?,
             },
             "refusal" => EnvelopePayload::Refusal {
-                reason: reason.ok_or_else(|| schema("refusal missing 'reason'"))?,
+                reason: string("reason")?,
             },
-            other => return Err(schema(format!("unknown payload kind '{other}'"))),
+            other => return Err(format!("unknown payload kind '{other}'")),
         };
-        let envelope = IntentEnvelope {
+        let references = f
+            .req("references")?
+            .as_array("references")?
+            .iter()
+            .map(|r| r.as_str("reference").map(str::to_string))
+            .collect::<Result<_, _>>()?;
+        f.done()?;
+        Ok(IntentEnvelope {
             version,
             task,
             payload,
             references,
-        };
-        envelope.validate()?;
-        Ok(envelope)
+        })
     }
 }

@@ -67,9 +67,7 @@ pub use pipeline::{Pipeline, PipelineOutcome, QueryKind};
 pub use promptdb::{PromptDb, PromptEntry};
 pub use resolve::{Resolution, ResolutionError, Resolver};
 pub use stack::{BackendKind, BackendStack};
-pub use transcript::{
-    request_digest, SessionMeta, Transcript, TranscriptEntry, TranscriptError, TRANSCRIPT_FORMAT,
-};
+pub use transcript::{request_digest, SessionMeta, Transcript, TranscriptEntry, TRANSCRIPT_FORMAT};
 
 #[cfg(test)]
 mod tests;

@@ -868,6 +868,20 @@ mod envelope {
             err.message.contains("unknown envelope key 'extra'"),
             "{err}"
         );
+
+        let json = r#"{"version": 1, "task": "classify", "payload": "classification",
+                       "kind": "firewall", "kind": "acl", "references": []}"#;
+        let err = IntentEnvelope::from_json(json).unwrap_err();
+        assert!(err.message.contains("repeated key 'kind'"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_a_version_past_u32() {
+        // 2^32 + 1 must not wrap to version 1.
+        let json = r#"{"version": 4294967297, "task": "classify", "payload": "classification",
+                       "kind": "route-map", "references": []}"#;
+        let err = IntentEnvelope::from_json(json).unwrap_err();
+        assert!(err.message.contains("4294967297"), "{err}");
     }
 
     #[test]
@@ -1125,7 +1139,8 @@ mod middleware {
 
 mod transcript {
     use super::*;
-    use crate::{Recording, SessionMeta, Transcript, TranscriptError};
+    use crate::{Recording, SessionMeta, Transcript};
+    use clarify_obs::json::DocError;
     use std::sync::{Arc, Mutex};
 
     fn recorded_paper_transcript() -> Transcript {
@@ -1158,7 +1173,7 @@ mod transcript {
         let json = t.to_json().replace("set metric 55", "set metric 56");
         assert_ne!(json, t.to_json(), "tampering actually changed the text");
         match Transcript::from_json(&json) {
-            Err(TranscriptError::Stale(msg)) => {
+            Err(DocError::Stale(msg)) => {
                 assert!(msg.contains("checksum mismatch"), "{msg}");
             }
             other => panic!("expected Stale, got {other:?}"),
@@ -1173,16 +1188,26 @@ mod transcript {
             .replace("clarify-llm-transcript/v1", "clarify-llm-transcript/v999");
         assert!(matches!(
             Transcript::from_json(&json),
-            Err(TranscriptError::Stale(_))
+            Err(DocError::Stale(_))
         ));
 
         assert!(matches!(
             Transcript::from_json("this is not json"),
-            Err(TranscriptError::Corrupt(_))
+            Err(DocError::Corrupt(_))
         ));
         assert!(matches!(
             Transcript::from_json(r#"{"format": "clarify-llm-transcript/v1", "bogus": 1}"#),
-            Err(TranscriptError::Corrupt(_))
+            Err(DocError::Corrupt(_))
+        ));
+        // A repeated `format`: neither of the two tags is trusted.
+        let json = t.to_json().replacen(
+            "  \"format\"",
+            "  \"format\": \"clarify-llm-transcript/v999\",\n  \"format\"",
+            1,
+        );
+        assert!(matches!(
+            Transcript::from_json(&json),
+            Err(DocError::Corrupt(_))
         ));
     }
 

@@ -7,16 +7,17 @@
 //! `clarify --replay-transcript FILE` can re-run the whole session with
 //! zero network and zero user input.
 //!
-//! The trust model mirrors `clarify lint --incremental`'s cache: the file
-//! carries a format tag and a checksum over everything semantic. A
-//! document that is not transcript-shaped at all is
-//! [`TranscriptError::Corrupt`] (a usage error — exit 2 in the CLI); one
-//! that parses but has an unknown format version or a tampered checksum is
-//! [`TranscriptError::Stale`] — the CLI warns and falls back to the live
-//! semantic backend rather than replaying exchanges it cannot trust.
+//! The trust model is `clarify lint --incremental`'s cache's, shared
+//! through `clarify_obs::json`: the file carries a format tag and a
+//! checksum over everything semantic. A document that is not
+//! transcript-shaped at all is [`DocError::Corrupt`] (a usage error — exit
+//! 2 in the CLI); one that parses but has an unknown format version or a
+//! tampered checksum is [`DocError::Stale`] — the CLI warns and falls back
+//! to the live semantic backend rather than replaying exchanges it cannot
+//! trust.
 
 use clarify_netconfig::{fnv1a64, fnv1a64_combine};
-use clarify_obs::json;
+use clarify_obs::json::{self, DocError, Fields, Value};
 
 use crate::backend::{LlmRequest, TaskKind};
 use crate::envelope::IntentEnvelope;
@@ -100,31 +101,6 @@ pub struct Transcript {
     pub entries: Vec<TranscriptEntry>,
 }
 
-/// Why a transcript file could not be used.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TranscriptError {
-    /// The file is not a well-formed transcript document at all (bad
-    /// JSON, missing or mistyped fields). The CLI treats this as a usage
-    /// error (exit 2): the user pointed `--replay-transcript` at the
-    /// wrong file.
-    Corrupt(String),
-    /// The document parses but cannot be trusted: unknown format version
-    /// or checksum mismatch. The CLI warns and falls back to the live
-    /// semantic backend.
-    Stale(String),
-}
-
-impl std::fmt::Display for TranscriptError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TranscriptError::Corrupt(m) => write!(f, "corrupt transcript: {m}"),
-            TranscriptError::Stale(m) => write!(f, "stale transcript: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for TranscriptError {}
-
 impl Transcript {
     /// The checksum over everything semantic: session metadata and every
     /// exchange.
@@ -151,187 +127,102 @@ impl Transcript {
 
     /// Renders the transcript as a deterministic JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"format\": {},\n",
-            json::escape(TRANSCRIPT_FORMAT)
-        ));
-        out.push_str(&format!("  \"checksum\": \"{:016x}\",\n", self.digest()));
-        match &self.session {
-            Some(s) => {
-                out.push_str("  \"session\": {\n");
-                out.push_str(&format!("    \"command\": {},\n", json::escape(&s.command)));
-                out.push_str(&format!("    \"config\": {},\n", json::escape(&s.config)));
-                out.push_str(&format!("    \"target\": {},\n", json::escape(&s.target)));
-                out.push_str(&format!("    \"prompt\": {},\n", json::escape(&s.prompt)));
-                out.push_str("    \"answers\": [");
-                for (i, a) in s.answers.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&json::escape(a));
-                }
-                out.push_str("]\n  },\n");
-            }
-            None => out.push_str("  \"session\": null,\n"),
-        }
-        out.push_str("  \"entries\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"task\": {}, ", json::escape(e.task.keyword())));
-            out.push_str(&format!("\"user\": {}, ", json::escape(&e.user)));
-            match &e.feedback {
-                Some(f) => out.push_str(&format!("\"feedback\": {}, ", json::escape(f))),
-                None => out.push_str("\"feedback\": null, "),
-            }
-            out.push_str(&format!(
-                "\"request_digest\": \"{:016x}\", ",
-                e.request_digest
-            ));
-            out.push_str(&format!("\"envelope\": {}}}", e.envelope.to_json()));
-        }
-        out.push_str(if self.entries.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
+        let session = self.session.as_ref().map(|s| {
+            Value::object([
+                ("command", s.command.as_str().into()),
+                ("config", s.config.as_str().into()),
+                ("target", s.target.as_str().into()),
+                ("prompt", s.prompt.as_str().into()),
+                (
+                    "answers",
+                    Value::array(s.answers.iter().map(|a| a.as_str().into())),
+                ),
+            ])
         });
-        out.push_str("}\n");
-        out
+        let entry = |e: &TranscriptEntry| {
+            Value::object([
+                ("task", e.task.keyword().into()),
+                ("user", e.user.as_str().into()),
+                ("feedback", e.feedback.as_deref().into()),
+                ("request_digest", Value::hex(e.request_digest)),
+                ("envelope", e.envelope.to_value()),
+            ])
+        };
+        Value::object([
+            ("format", TRANSCRIPT_FORMAT.into()),
+            ("checksum", Value::hex(self.digest())),
+            ("session", session.into()),
+            ("entries", Value::array(self.entries.iter().map(entry))),
+        ])
+        .to_document()
     }
 
     /// Parses a transcript document and verifies its format tag and
     /// checksum.
-    pub fn from_json(text: &str) -> Result<Transcript, TranscriptError> {
+    pub fn from_json(text: &str) -> Result<Transcript, DocError> {
         let (transcript, format, stored) = Transcript::parse(text)?;
-        if format != TRANSCRIPT_FORMAT {
-            return Err(TranscriptError::Stale(format!(
-                "transcript format '{format}' is not '{TRANSCRIPT_FORMAT}'"
-            )));
-        }
-        let stored = stored.ok_or_else(|| TranscriptError::Corrupt("missing 'checksum'".into()))?;
-        let actual = transcript.digest();
-        if stored != actual {
-            return Err(TranscriptError::Stale(format!(
-                "checksum mismatch (stored {stored:016x}, computed {actual:016x})"
-            )));
-        }
+        json::check_seal(&format, TRANSCRIPT_FORMAT, stored, transcript.digest())?;
         Ok(transcript)
     }
 
     /// Parses a transcript document *without* trusting it: format and
-    /// checksum are ignored. Used after a [`TranscriptError::Stale`]
-    /// verdict to recover the session metadata (command, config, prompt)
-    /// so the CLI can fall back to a live run of the same session.
-    pub fn from_json_unchecked(text: &str) -> Result<Transcript, TranscriptError> {
-        let (transcript, _, _) = Transcript::parse(text)?;
-        Ok(transcript)
+    /// checksum are read but not checked. Used after a [`DocError::Stale`] verdict to
+    /// recover the session metadata (command, config, prompt) so the CLI
+    /// can fall back to a live run of the same session.
+    pub fn from_json_unchecked(text: &str) -> Result<Transcript, DocError> {
+        Ok(Transcript::parse(text)?.0)
     }
 
-    fn parse(text: &str) -> Result<(Transcript, String, Option<u64>), TranscriptError> {
-        let corrupt = TranscriptError::Corrupt;
-        let value = json::parse(text).map_err(corrupt)?;
-        let top = value.as_object("top level").map_err(corrupt)?;
-        let mut format = None;
-        let mut checksum = None;
-        let mut session = None;
-        let mut entries = Vec::new();
-        for (key, v) in top {
-            match key.as_str() {
-                "format" => format = Some(v.as_str(key).map_err(corrupt)?.to_string()),
-                "checksum" => {
-                    let s = v.as_str(key).map_err(corrupt)?;
-                    let n = u64::from_str_radix(s, 16)
-                        .map_err(|_| corrupt(format!("bad checksum '{s}'")))?;
-                    checksum = Some(n);
-                }
-                "session" => {
-                    if !matches!(v, json::Value::Null) {
-                        session = Some(parse_session(v)?);
-                    }
-                }
-                "entries" => {
-                    for e in v.as_array(key).map_err(corrupt)? {
-                        entries.push(parse_entry(e)?);
-                    }
-                }
-                other => {
-                    return Err(corrupt(format!("unknown top-level key '{other}'")));
-                }
-            }
-        }
-        let format = format.ok_or_else(|| corrupt("missing 'format'".into()))?;
-        Ok((Transcript { session, entries }, format, checksum))
+    /// The transcript, its format tag and its stored checksum.
+    fn parse(text: &str) -> Result<(Transcript, String, u64), String> {
+        let value = json::parse(text)?;
+        let mut top = Fields::new(&value, "top level")?;
+        let format = top.str("format")?.to_string();
+        let checksum = top.req("checksum")?.as_hex("checksum")?;
+        let transcript = Transcript {
+            session: top.opt("session").map(parse_session).transpose()?,
+            entries: top
+                .req("entries")?
+                .as_array("entries")?
+                .iter()
+                .map(parse_entry)
+                .collect::<Result<_, _>>()?,
+        };
+        top.done()?;
+        Ok((transcript, format, checksum))
     }
 }
 
-fn parse_session(v: &json::Value) -> Result<SessionMeta, TranscriptError> {
-    let corrupt = TranscriptError::Corrupt;
-    let fields = v.as_object("session").map_err(corrupt)?;
-    let mut meta = SessionMeta::default();
-    for (k, fv) in fields {
-        match k.as_str() {
-            "command" => meta.command = fv.as_str(k).map_err(corrupt)?.to_string(),
-            "config" => meta.config = fv.as_str(k).map_err(corrupt)?.to_string(),
-            "target" => meta.target = fv.as_str(k).map_err(corrupt)?.to_string(),
-            "prompt" => meta.prompt = fv.as_str(k).map_err(corrupt)?.to_string(),
-            "answers" => {
-                for a in fv.as_array(k).map_err(corrupt)? {
-                    meta.answers
-                        .push(a.as_str("answer").map_err(corrupt)?.to_string());
-                }
-            }
-            other => return Err(corrupt(format!("unknown session key '{other}'"))),
-        }
-    }
+fn parse_session(v: &Value) -> Result<SessionMeta, String> {
+    let mut f = Fields::new(v, "session")?;
+    let mut string = |key| f.str(key).map(str::to_string);
+    let meta = SessionMeta {
+        command: string("command")?,
+        config: string("config")?,
+        target: string("target")?,
+        prompt: string("prompt")?,
+        answers: f
+            .req("answers")?
+            .as_array("answers")?
+            .iter()
+            .map(|a| a.as_str("answer").map(str::to_string))
+            .collect::<Result<_, _>>()?,
+    };
+    f.done()?;
     Ok(meta)
 }
 
-fn parse_entry(v: &json::Value) -> Result<TranscriptEntry, TranscriptError> {
-    let corrupt = TranscriptError::Corrupt;
-    let fields = v.as_object("entry").map_err(corrupt)?;
-    let mut task = None;
-    let mut user = None;
-    let mut feedback = None;
-    let mut request_digest = None;
-    let mut envelope = None;
-    for (k, fv) in fields {
-        match k.as_str() {
-            "task" => {
-                let s = fv.as_str(k).map_err(corrupt)?;
-                task = Some(
-                    TaskKind::from_keyword(s)
-                        .ok_or_else(|| corrupt(format!("unknown task keyword '{s}'")))?,
-                );
-            }
-            "user" => user = Some(fv.as_str(k).map_err(corrupt)?.to_string()),
-            "feedback" => {
-                if !matches!(fv, json::Value::Null) {
-                    feedback = Some(fv.as_str(k).map_err(corrupt)?.to_string());
-                }
-            }
-            "request_digest" => {
-                let s = fv.as_str(k).map_err(corrupt)?;
-                let n = u64::from_str_radix(s, 16)
-                    .map_err(|_| corrupt(format!("bad request digest '{s}'")))?;
-                request_digest = Some(n);
-            }
-            "envelope" => {
-                envelope =
-                    Some(IntentEnvelope::from_value(fv).map_err(|e| corrupt(e.to_string()))?);
-            }
-            other => return Err(corrupt(format!("unknown entry key '{other}'"))),
-        }
-    }
-    Ok(TranscriptEntry {
-        task: task.ok_or_else(|| corrupt("entry missing 'task'".into()))?,
-        user: user.ok_or_else(|| corrupt("entry missing 'user'".into()))?,
-        feedback,
-        request_digest: request_digest
-            .ok_or_else(|| corrupt("entry missing 'request_digest'".into()))?,
-        envelope: envelope.ok_or_else(|| corrupt("entry missing 'envelope'".into()))?,
-    })
+fn parse_entry(v: &Value) -> Result<TranscriptEntry, String> {
+    let mut f = Fields::new(v, "entry")?;
+    let task = f.str("task")?;
+    let entry = TranscriptEntry {
+        task: TaskKind::from_keyword(task)
+            .ok_or_else(|| format!("unknown task keyword '{task}'"))?,
+        user: f.str("user")?.to_string(),
+        feedback: f.opt_str("feedback")?.map(str::to_string),
+        request_digest: f.req("request_digest")?.as_hex("request_digest")?,
+        envelope: IntentEnvelope::from_value(f.req("envelope")?).map_err(|e| e.to_string())?,
+    };
+    f.done()?;
+    Ok(entry)
 }

@@ -135,24 +135,6 @@ impl Network {
         self.routers.get(name)
     }
 
-    /// Every `(router, session)` pair, in router-name order then session
-    /// declaration order — the per-neighbor policy bindings the
-    /// cross-device analyses iterate over.
-    pub fn sessions(&self) -> impl Iterator<Item = (&Router, &Session)> {
-        self.routers
-            .values()
-            .flat_map(|r| r.sessions.iter().map(move |s| (r, s)))
-    }
-
-    /// Whether the adjacency between `a` and `b` is up: both ends declare
-    /// a session towards the other (one-sided declarations are ignored by
-    /// propagation and by the network linter alike).
-    pub fn adjacency_up(&self, a: &str, b: &str) -> bool {
-        let declared =
-            |x: &str, y: &str| self.routers.get(x).is_some_and(|r| r.session(y).is_some());
-        declared(a, b) && declared(b, a)
-    }
-
     /// Mutable access to a router's configuration (invalidates any prior
     /// convergence; call [`Network::converge`] again afterwards).
     pub fn router_config_mut(&mut self, name: &str) -> Option<&mut Config> {

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json;
+use crate::json::{self, Fields, Value};
 
 /// One non-empty histogram bucket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,6 +35,18 @@ impl HistogramSnapshot {
     /// Mean observed value (0 when empty).
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
+    }
+
+    fn to_value(&self) -> Value {
+        let bucket =
+            |b: &HistogramBucket| Value::object([("le", b.le.into()), ("count", b.count.into())]);
+        Value::object([
+            ("count", self.count.into()),
+            ("sum", self.sum.into()),
+            ("min", self.min.into()),
+            ("max", self.max.into()),
+            ("buckets", Value::array(self.buckets.iter().map(bucket))),
+        ])
     }
 }
 
@@ -66,120 +78,54 @@ impl Snapshot {
     }
 
     /// Renders the snapshot as a deterministic JSON document (names
-    /// sorted; hand-rolled — the workspace is dependency-free by
-    /// design).
+    /// sorted).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {v}", json::escape(k)));
-        }
-        out.push_str(if self.counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {v}", json::escape(k)));
-        }
-        out.push_str(if self.gauges.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-                json::escape(k),
-                h.count,
-                h.sum,
-                h.min,
-                h.max
-            ));
-            for (j, b) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("{{\"le\": {}, \"count\": {}}}", b.le, b.count));
-            }
-            out.push_str("]}");
-        }
-        out.push_str(if self.histograms.is_empty() {
-            "}\n"
-        } else {
-            "\n  }\n"
-        });
-        out.push_str("}\n");
-        out
+        Value::object([
+            ("counters", section(&self.counters, |&n| n.into())),
+            ("gauges", section(&self.gauges, |&n| n.into())),
+            (
+                "histograms",
+                section(&self.histograms, HistogramSnapshot::to_value),
+            ),
+        ])
+        .to_document()
     }
 
     /// Parses a document produced by [`Snapshot::to_json`] (any
-    /// whitespace; unknown keys rejected — the format is ours).
+    /// whitespace; a missing section or histogram field reads as empty;
+    /// unknown and repeated keys rejected — the format is ours).
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
         let value = json::parse(text)?;
-        let top = value.as_object("top level")?;
+        let mut top = Fields::new(&value, "top level")?;
         let mut snap = Snapshot::default();
-        for (key, v) in top {
-            match key.as_str() {
-                "counters" => {
-                    for (name, n) in v.as_object("counters")? {
-                        snap.counters.insert(name.clone(), n.as_u64(name)?);
-                    }
-                }
-                "gauges" => {
-                    for (name, n) in v.as_object("gauges")? {
-                        snap.gauges.insert(name.clone(), n.as_i64(name)?);
-                    }
-                }
-                "histograms" => {
-                    for (name, h) in v.as_object("histograms")? {
-                        let mut hs = HistogramSnapshot::default();
-                        for (field, fv) in h.as_object(name)? {
-                            match field.as_str() {
-                                "count" => hs.count = fv.as_u64(field)?,
-                                "sum" => hs.sum = fv.as_u64(field)?,
-                                "min" => hs.min = fv.as_u64(field)?,
-                                "max" => hs.max = fv.as_u64(field)?,
-                                "buckets" => {
-                                    for b in fv.as_array(field)? {
-                                        let fields = b.as_object("bucket")?;
-                                        let mut bucket = HistogramBucket { le: 0, count: 0 };
-                                        for (bk, bv) in fields {
-                                            match bk.as_str() {
-                                                "le" => bucket.le = bv.as_u64(bk)?,
-                                                "count" => bucket.count = bv.as_u64(bk)?,
-                                                other => {
-                                                    return Err(format!(
-                                                        "unknown bucket key '{other}'"
-                                                    ))
-                                                }
-                                            }
-                                        }
-                                        hs.buckets.push(bucket);
-                                    }
-                                }
-                                other => {
-                                    return Err(format!("unknown histogram key '{other}'"));
-                                }
-                            }
-                        }
-                        snap.histograms.insert(name.clone(), hs);
-                    }
-                }
-                other => return Err(format!("unknown top-level key '{other}'")),
-            }
+        for (name, n) in read_section(&mut top, "counters")? {
+            snap.counters.insert(name.clone(), n.as_u64(name)?);
         }
+        for (name, n) in read_section(&mut top, "gauges")? {
+            snap.gauges.insert(name.clone(), n.as_i64(name)?);
+        }
+        for (name, h) in read_section(&mut top, "histograms")? {
+            let mut f = Fields::new(h, "histogram")?;
+            let mut hs = HistogramSnapshot {
+                count: int(&mut f, "count")?,
+                sum: int(&mut f, "sum")?,
+                min: int(&mut f, "min")?,
+                max: int(&mut f, "max")?,
+                buckets: Vec::new(),
+            };
+            for b in f
+                .opt("buckets")
+                .map_or(Ok(&Vec::new()), |v| v.as_array("buckets"))?
+            {
+                let mut f = Fields::new(b, "bucket")?;
+                let (le, count) = (int(&mut f, "le")?, int(&mut f, "count")?);
+                hs.buckets.push(HistogramBucket { le, count });
+                f.done()?;
+            }
+            f.done()?;
+            snap.histograms.insert(name.clone(), hs);
+        }
+        top.done()?;
         Ok(snap)
     }
 
@@ -217,6 +163,25 @@ impl Snapshot {
         }
         out
     }
+}
+
+/// One name-sorted section of the JSON report.
+fn section<T>(map: &BTreeMap<String, T>, value: impl Fn(&T) -> Value) -> Value {
+    Value::object(map.iter().map(|(k, v)| (k.as_str(), value(v))))
+}
+
+/// The members of one section of a parsed report; an absent section is
+/// empty.
+fn read_section<'a>(top: &mut Fields<'a>, key: &'a str) -> Result<&'a [(String, Value)], String> {
+    match top.opt(key) {
+        Some(v) => Ok(Fields::new(v, key)?.members()),
+        None => Ok(&[]),
+    }
+}
+
+/// An integer field of a histogram or bucket; absent reads as 0.
+fn int(f: &mut Fields, key: &str) -> Result<u64, String> {
+    f.opt(key).map_or(Ok(0), |v| v.as_u64(key))
 }
 
 /// Formats a (nanosecond) value for the human summary. All histograms in

@@ -150,6 +150,8 @@ fn from_json_rejects_garbage() {
     assert!(Snapshot::from_json("{\"counters\": {\"x\": \"y\"}}").is_err());
     assert!(Snapshot::from_json("{\"unknown\": {}}").is_err());
     assert!(Snapshot::from_json("{\"counters\": {}} trailing").is_err());
+    // A repeated key is an error, not a merge of the two sections.
+    assert!(Snapshot::from_json("{\"counters\": {\"a\": 1}, \"counters\": {\"b\": 2}}").is_err());
     // Counters are u64: negatives must be rejected, not wrapped.
     assert!(Snapshot::from_json("{\"counters\": {\"x\": -1}}").is_err());
     // Gauges are i64: negatives are fine.

@@ -26,7 +26,7 @@
 //! re-synchronized).
 
 use clarify_core::{Choice, Invariant};
-use clarify_obs::json::{self, Value};
+use clarify_obs::json::{self, Fields, Value};
 
 /// One parsed client request.
 #[derive(Debug)]
@@ -106,39 +106,28 @@ impl ProtoError {
     }
 }
 
-fn get<'a>(members: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn need_str(members: &[(String, Value)], key: &str) -> Result<String, ProtoError> {
-    get(members, key)
-        .ok_or_else(|| ProtoError::bad(format!("missing field '{key}'")))?
-        .as_str(key)
-        .map(str::to_string)
-        .map_err(ProtoError::bad)
-}
-
-fn need_u64(members: &[(String, Value)], key: &str) -> Result<u64, ProtoError> {
-    get(members, key)
-        .ok_or_else(|| ProtoError::bad(format!("missing field '{key}'")))?
-        .as_u64(key)
-        .map_err(ProtoError::bad)
+/// A request whose JSON is well-formed but whose shape is wrong.
+impl From<String> for ProtoError {
+    fn from(message: String) -> ProtoError {
+        ProtoError::bad(message)
+    }
 }
 
 fn parse_invariant(v: &Value) -> Result<Invariant, ProtoError> {
-    let m = v.as_object("invariant").map_err(ProtoError::bad)?;
-    let kind = need_str(m, "kind")?;
-    let router = need_str(m, "router")?;
-    let prefix = need_str(m, "prefix")?
+    let mut f = Fields::new(v, "invariant")?;
+    let kind = f.str("kind")?;
+    let router = f.str("router")?.to_string();
+    let prefix = f
+        .str("prefix")?
         .parse()
         .map_err(|e| ProtoError::bad(format!("invariant prefix: {e}")))?;
-    match kind.as_str() {
+    match kind {
         "reachable" => Ok(Invariant::Reachable { router, prefix }),
         "unreachable" => Ok(Invariant::Unreachable { router, prefix }),
         "prefers-via" => Ok(Invariant::PrefersVia {
             router,
             prefix,
-            neighbor: need_str(m, "neighbor")?,
+            neighbor: f.str("neighbor")?.to_string(),
         }),
         "locally-originated" => Ok(Invariant::LocallyOriginated { router, prefix }),
         other => Err(ProtoError::bad(format!("unknown invariant kind '{other}'"))),
@@ -146,40 +135,37 @@ fn parse_invariant(v: &Value) -> Result<Invariant, ProtoError> {
 }
 
 /// Parses one request line. JSON syntax errors map to `bad-json`; a
-/// well-formed object with a wrong shape maps to `bad-request` /
-/// `unknown-op`.
+/// well-formed object with a wrong shape (including a repeated key) maps
+/// to `bad-request` / `unknown-op`. Keys a request does not use are
+/// ignored.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     let doc = json::parse(line).map_err(|e| ProtoError {
         code: "bad-json",
         message: e,
     })?;
-    let members = doc.as_object("request").map_err(ProtoError::bad)?;
-    let op = need_str(members, "op")?;
-    match op.as_str() {
+    let mut f = Fields::new(&doc, "request")?;
+    let session = |f: &mut Fields| f.req("session")?.as_u64("session");
+    match f.str("op")? {
         "open" => {
-            if let Some(cfg) = get(members, "config") {
-                let config = cfg.as_str("config").map_err(ProtoError::bad)?.to_string();
+            if let Some(config) = f.opt("config") {
+                let config = config.as_str("config")?.to_string();
                 return Ok(Request::OpenConfig { config });
             }
-            let topology = need_str(members, "topology")?;
-            let configs = match get(members, "configs") {
+            let topology = f.str("topology")?.to_string();
+            let configs = match f.opt("configs") {
                 None => Vec::new(),
-                Some(v) => v
-                    .as_object("configs")
-                    .map_err(ProtoError::bad)?
+                Some(v) => Fields::new(v, "configs")?
+                    .members()
                     .iter()
                     .map(|(path, text)| {
-                        text.as_str("configs value")
-                            .map(|t| (path.clone(), t.to_string()))
-                            .map_err(ProtoError::bad)
+                        Ok((path.clone(), text.as_str("configs value")?.to_string()))
                     })
-                    .collect::<Result<_, _>>()?,
+                    .collect::<Result<_, String>>()?,
             };
-            let invariants = match get(members, "invariants") {
+            let invariants = match f.opt("invariants") {
                 None => Vec::new(),
                 Some(v) => v
-                    .as_array("invariants")
-                    .map_err(ProtoError::bad)?
+                    .as_array("invariants")?
                     .iter()
                     .map(parse_invariant)
                     .collect::<Result<_, _>>()?,
@@ -191,17 +177,14 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             })
         }
         "ask" => Ok(Request::Ask {
-            session: need_u64(members, "session")?,
-            target: need_str(members, "target")?,
-            router: match get(members, "router") {
-                None => None,
-                Some(v) => Some(v.as_str("router").map_err(ProtoError::bad)?.to_string()),
-            },
-            intent: need_str(members, "intent")?,
+            session: session(&mut f)?,
+            target: f.str("target")?.to_string(),
+            router: f.opt_str("router")?.map(str::to_string),
+            intent: f.str("intent")?.to_string(),
         }),
         "answer" => Ok(Request::Answer {
-            session: need_u64(members, "session")?,
-            choice: match need_u64(members, "choice")? {
+            session: session(&mut f)?,
+            choice: match f.req("choice")?.as_u64("choice")? {
                 1 => Choice::First,
                 2 => Choice::Second,
                 other => {
@@ -212,10 +195,10 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             },
         }),
         "lint" => Ok(Request::Lint {
-            session: need_u64(members, "session")?,
+            session: session(&mut f)?,
         }),
         "close" => Ok(Request::Close {
-            session: need_u64(members, "session")?,
+            session: session(&mut f)?,
         }),
         "ping" => Ok(Request::Ping),
         "shutdown" => Ok(Request::Shutdown),

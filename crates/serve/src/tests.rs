@@ -131,6 +131,12 @@ fn parse_request_maps_failures_to_stable_codes() {
             .code,
         "bad-request"
     );
+    assert_eq!(
+        parse_request(r#"{"op":"close","session":1,"session":2}"#)
+            .unwrap_err()
+            .code,
+        "bad-request"
+    );
     // Error frames are themselves valid JSON.
     let frame = parse_request("x").unwrap_err().frame();
     clarify_obs::json::parse(&frame).expect("error frame parses");

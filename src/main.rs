@@ -41,10 +41,9 @@ use clarify::analysis::{
     RouteSpace,
 };
 use clarify::core::{Choice, ClarifySession, Disambiguator};
-use clarify::llm::{
-    BackendKind, BackendStack, PipelineOutcome, SessionMeta, Transcript, TranscriptError,
-};
+use clarify::llm::{BackendKind, BackendStack, PipelineOutcome, SessionMeta, Transcript};
 use clarify::netconfig::Config;
+use clarify::obs::json::DocError;
 use clarify::serve::session::MAX_ATTEMPTS;
 
 /// Backend selection and transcript layers, drained from the global
@@ -317,14 +316,14 @@ fn load_transcript(
             let meta = t.session.clone();
             Ok((Some(std::sync::Arc::new(t)), meta))
         }
-        Err(TranscriptError::Stale(m)) => {
+        Err(DocError::Stale(m)) => {
             eprintln!("warning: {path}: stale transcript ({m}); falling back to the live backend");
             let meta = Transcript::from_json_unchecked(&text)
                 .ok()
                 .and_then(|t| t.session);
             Ok((None, meta))
         }
-        Err(TranscriptError::Corrupt(m)) => Err(format!("{path}: corrupt transcript: {m}")),
+        Err(DocError::Corrupt(m)) => Err(format!("{path}: corrupt transcript: {m}")),
     }
 }
 

@@ -27,7 +27,9 @@ fn golden(name: &str) -> String {
 }
 
 /// Replays `transcript` at the given thread count and asserts stdout is
-/// byte-identical to the committed golden.
+/// byte-identical to the committed golden and stderr is empty: a stale
+/// transcript falls back to the live backend, which reproduces the same
+/// stdout, so only its stderr warning shows it.
 fn assert_replay_matches(transcript: &str, stdout_golden: &str, threads: &str) {
     let out = clarify(&[
         "--threads",
@@ -45,6 +47,11 @@ fn assert_replay_matches(transcript: &str, stdout_golden: &str, threads: &str) {
         got,
         golden(stdout_golden),
         "replay of {transcript} at {threads} thread(s) diverged from {stdout_golden}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "",
+        "replay of {transcript} at {threads} thread(s) wrote to stderr"
     );
 }
 
