@@ -19,16 +19,17 @@
 
 use std::collections::HashMap;
 
+use clarify_automata::Regex;
 use clarify_bdd::{Manager, Ref, Root};
-use clarify_netconfig::{fnv1a64_combine, Config, RuleId};
+use clarify_netconfig::{fnv1a64, fnv1a64_combine, Config, RuleId};
 
 use crate::error::AnalysisError;
 use crate::first_match::FirstMatchPolicy;
+use crate::route_space::atom_patterns;
 
 /// Hash of the **atom environment** a [`RouteSpace`](crate::RouteSpace)
 /// would build for the given configurations: the deduplicated community
-/// and AS-path regex pattern lists, in the exact first-seen order
-/// [`RouteSpace::new`](crate::RouteSpace::new) collects them. Two
+/// and AS-path regex patterns it builds its atoms from, in order. Two
 /// configurations with equal atom-env hashes produce route spaces with
 /// identical variable layouts and atom witnesses, so route-map findings
 /// (including decoded witnesses) carry over verbatim; when the hash
@@ -36,33 +37,13 @@ use crate::first_match::FirstMatchPolicy;
 /// and with them, rendered diagnostics — may shift even for untouched
 /// maps.
 pub fn atom_env_hash(configs: &[&Config]) -> u64 {
-    let mut comm_seen: HashMap<&str, ()> = HashMap::new();
-    let mut path_seen: HashMap<&str, ()> = HashMap::new();
-    let mut h = clarify_netconfig::fnv1a64(b"atom-env/v1");
-    for cfg in configs {
-        for cl in cfg.community_lists.values() {
-            for e in &cl.entries {
-                let pat = e.regex.pattern();
-                if let std::collections::hash_map::Entry::Vacant(v) = comm_seen.entry(pat) {
-                    v.insert(());
-                    h = fnv1a64_combine(h, clarify_netconfig::fnv1a64(pat.as_bytes()));
-                }
-            }
-        }
-    }
-    h = fnv1a64_combine(h, 0xa5a5_a5a5_a5a5_a5a5); // comm/path separator
-    for cfg in configs {
-        for al in cfg.as_path_lists.values() {
-            for e in &al.entries {
-                let pat = e.regex.pattern();
-                if let std::collections::hash_map::Entry::Vacant(v) = path_seen.entry(pat) {
-                    v.insert(());
-                    h = fnv1a64_combine(h, clarify_netconfig::fnv1a64(pat.as_bytes()));
-                }
-            }
-        }
-    }
-    h
+    let [comm, path] = atom_patterns(configs);
+    let fold = |h, pats: Vec<&Regex>| {
+        let hashes = pats.iter().map(|r| fnv1a64(r.pattern().as_bytes()));
+        hashes.fold(h, fnv1a64_combine)
+    };
+    let h = fold(fnv1a64(b"atom-env/v1"), comm);
+    fold(fnv1a64_combine(h, 0xa5a5_a5a5_a5a5_a5a5), path) // comm/path separator
 }
 
 /// First-match firing regions of one object: one set per rule, plus the

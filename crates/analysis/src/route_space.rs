@@ -1,7 +1,7 @@
 //! The symbolic route space: BDD variables for every matchable field of a
 //! BGP route, plus encode/decode between [`BgpRoute`]s and BDD sets.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use clarify_automata::{AtomSpace, Dfa, Regex};
 use clarify_bdd::{Cube, Manager, Ref};
@@ -63,6 +63,28 @@ impl Field {
     }
 }
 
+/// The regexes that define a route space's atoms: the community and the
+/// AS-path patterns of `configs`, each deduplicated in first-seen order
+/// (configurations in order, lists by name, entries in order).
+/// [`RouteSpace::new`] builds its atoms from them and
+/// [`atom_env_hash`](crate::atom_env_hash) hashes them, so the two agree
+/// on what changes a space's layout.
+pub(crate) fn atom_patterns<'a>(configs: &[&'a Config]) -> [Vec<&'a Regex>; 2] {
+    fn dedup<'a>(regexes: impl Iterator<Item = &'a Regex>) -> Vec<&'a Regex> {
+        let mut seen = HashSet::new();
+        regexes.filter(|r| seen.insert(r.pattern())).collect()
+    }
+    let comm = configs
+        .iter()
+        .flat_map(|c| c.community_lists.values())
+        .flat_map(|l| &l.entries);
+    let path = configs
+        .iter()
+        .flat_map(|c| c.as_path_lists.values())
+        .flat_map(|l| &l.entries);
+    [dedup(comm.map(|e| &e.regex)), dedup(path.map(|e| &e.regex))]
+}
+
 /// The symbolic input space of route-map analysis.
 ///
 /// Built once per analysis session from every configuration that will be
@@ -98,35 +120,14 @@ impl RouteSpace {
         clarify_obs::global()
             .counter("analysis.route_space_builds")
             .incr();
-        // Collect regex patterns in deterministic first-seen order.
-        let mut comm_patterns: Vec<Regex> = Vec::new();
-        let mut comm_pattern_idx = HashMap::new();
-        let mut path_patterns: Vec<Regex> = Vec::new();
-        let mut path_pattern_idx = HashMap::new();
-        for cfg in configs {
-            for cl in cfg.community_lists.values() {
-                for e in &cl.entries {
-                    let key = e.regex.pattern().to_string();
-                    if let std::collections::hash_map::Entry::Vacant(v) =
-                        comm_pattern_idx.entry(key)
-                    {
-                        v.insert(comm_patterns.len());
-                        comm_patterns.push(e.regex.clone());
-                    }
-                }
-            }
-            for al in cfg.as_path_lists.values() {
-                for e in &al.entries {
-                    let key = e.regex.pattern().to_string();
-                    if let std::collections::hash_map::Entry::Vacant(v) =
-                        path_pattern_idx.entry(key)
-                    {
-                        v.insert(path_patterns.len());
-                        path_patterns.push(e.regex.clone());
-                    }
-                }
-            }
-        }
+        let [comm_patterns, path_patterns]: [Vec<Regex>; 2] =
+            atom_patterns(configs).map(|pats| pats.into_iter().cloned().collect());
+        let index = |pats: &[Regex]| -> HashMap<String, usize> {
+            let keys = pats.iter().map(|r| r.pattern().to_string());
+            keys.zip(0..).collect()
+        };
+        let comm_pattern_idx = index(&comm_patterns);
+        let path_pattern_idx = index(&path_patterns);
 
         let comm_universe = Regex::parse(COMMUNITY_UNIVERSE)
             .expect("community universe regex is valid")

@@ -681,6 +681,46 @@ fn session_reports_punts() {
     assert_eq!(session.stats().stanzas_added, 0);
 }
 
+/// A snippet whose second route-map references a list it does not define
+/// verifies (only the first map is the stanza) but could never be
+/// inserted; the pipeline rejects it, so the turn punts instead of
+/// failing.
+#[test]
+fn session_punts_on_a_snippet_with_a_dangling_reference() {
+    use clarify_llm::{Backend, BackendError, EnvelopePayload, IntentEnvelope, LlmRequest};
+    struct ExtraMap;
+    impl Backend for ExtraMap {
+        fn complete(&mut self, request: &LlmRequest) -> Result<IntentEnvelope, BackendError> {
+            let mut envelope = SemanticBackend::new().complete(request)?;
+            if let EnvelopePayload::Config { text } = &mut envelope.payload {
+                text.push_str("route-map ZZZ permit 10\n match community NOPE\n");
+            }
+            Ok(envelope)
+        }
+    }
+    let mut session = ClarifySession::new(ExtraMap, 3, Disambiguator::default());
+    let base = Config::parse(ISP_OUT).unwrap();
+    let intended = intended_fig2a();
+    let mut oracle = IntentOracle::new(&intended, "ISP_OUT");
+    let out = session
+        .add_stanza(
+            &base,
+            "ISP_OUT",
+            "Write a route-map stanza that permits routes containing the prefix 100.0.0.0/16 \
+             with mask length less than or equal to 23 and tagged with the community 300:3. \
+             Their MED value should be set to 55.",
+            &mut oracle,
+        )
+        .unwrap();
+    let AddStanzaOutcome::Punted { reason, llm_calls } = out else {
+        panic!("expected a punt, got {out:?}");
+    };
+    assert!(reason.contains("'NOPE'"), "{reason}");
+    assert_eq!(llm_calls, 2 + 3);
+    assert_eq!(session.stats().punts, 1);
+    assert_eq!(session.stats().stanzas_added, 0);
+}
+
 // ---------------------------------------------------------------------
 // §4 formal model
 // ---------------------------------------------------------------------

@@ -66,18 +66,17 @@ pub struct LlmRequest {
 /// A backend answers every request with a schema-constrained
 /// [`IntentEnvelope`] or a typed [`BackendError`]; free text never crosses
 /// this boundary. The deterministic [`SemanticBackend`], the
-/// [`FaultyBackend`] wrapper, and the transcript
-/// [`ReplayBackend`](crate::ReplayBackend) all implement this
-/// one trait, as does every middleware layer in
-/// the middleware module — so a stack of layers is itself a backend, and
-/// swapping stacks never touches the pipeline, the verifier, or the
-/// disambiguators.
+/// [`FaultyBackend`] wrapper, the transcript
+/// [`ReplayBackend`](crate::ReplayBackend) and the
+/// [`Recording`](crate::Recording) layer all implement this one trait, so
+/// a recorded backend is itself a backend, and swapping stacks never
+/// touches the pipeline, the verifier, or the disambiguators.
 pub trait Backend {
     /// Completes one request.
     fn complete(&mut self, request: &LlmRequest) -> Result<IntentEnvelope, BackendError>;
 
-    /// A short name for logs and experiment output. Middleware layers
-    /// delegate to the innermost backend.
+    /// A short name for logs and experiment output. Wrapping layers
+    /// delegate to the backend they wrap.
     fn name(&self) -> &'static str {
         "backend"
     }
@@ -144,8 +143,8 @@ pub(crate) fn render_route_spec(spec: &StanzaSpec) -> String {
 }
 
 /// Ancillary object names defined by a synthesized snippet, in
-/// definition order — the free-form references the resolution layer
-/// checks against the parsed configuration.
+/// definition order — the envelope references the pipeline checks
+/// against the parsed configuration.
 fn snippet_references(cfg: &clarify_netconfig::Config) -> Vec<String> {
     let mut refs: Vec<String> = Vec::new();
     refs.extend(cfg.prefix_lists.keys().cloned());
@@ -235,8 +234,9 @@ const ALL_FAULTS: [FaultKind; 4] = [
 /// left intact (the paper's user checks the spec by hand, so the
 /// verification loop assumes it).
 ///
-/// `FaultyBackend` is itself just a [`Backend`] — the standard middleware
-/// stack wraps it like any other, which is what `--backend faulty` does.
+/// `FaultyBackend` is itself just a [`Backend`]: `--backend faulty` runs
+/// it as the base of the standard stack, where it is recorded and its
+/// replies are checked like any other backend's.
 pub struct FaultyBackend<B> {
     inner: B,
     error_rate: f64,

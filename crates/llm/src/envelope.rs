@@ -3,11 +3,10 @@
 //! Every backend — deterministic parser, fault injector, transcript
 //! replay, or a future live LLM — answers a request with an
 //! [`IntentEnvelope`]: a versioned, task-tagged document whose payload is
-//! constrained by a fixed schema. The envelope is validated *before* it
-//! reaches the pipeline ([`IntentEnvelope::validate`], enforced by the
-//! guardrail middleware and defensively re-checked in the pipeline), so
-//! out-of-schema output is rejected at the boundary instead of surfacing
-//! as a parse error three layers deeper.
+//! constrained by a fixed schema. The pipeline validates every envelope
+//! ([`IntentEnvelope::validate`]) as it crosses the backend boundary, so
+//! out-of-schema output ends in a punt there instead of surfacing as a
+//! parse error three layers deeper.
 //!
 //! The JSON form ([`IntentEnvelope::to_value`] / [`from_value`]) doubles as
 //! the transcript wire format: a recorded envelope deserializes to a
@@ -86,9 +85,9 @@ impl EnvelopePayload {
     }
 }
 
-/// One backend reply: version, task echo, payload, and the free-form
-/// object names the backend claims the payload relies on (resolved onto
-/// canonical identities by [`Resolver`](crate::Resolver) downstream).
+/// One backend reply: version, task echo, payload, and the names of the
+/// lists the backend claims the payload defines (the pipeline checks
+/// each one against the parsed snippet, exactly as spelled).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IntentEnvelope {
     /// Schema version ([`ENVELOPE_VERSION`] for documents this build

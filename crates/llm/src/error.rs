@@ -1,57 +1,25 @@
 //! LLM-pipeline errors.
 
-use crate::envelope::SchemaError;
 use crate::intent::IntentError;
 
-/// A typed error from a backend or a middleware layer.
+/// A typed error from a backend. Of this crate's backends only
+/// transcript replay can fail; a wrong or out-of-schema answer is not an
+/// error but retry feedback or a punt, decided by the pipeline.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BackendError {
-    /// A transient failure (timeout, rate limit); the retry middleware
-    /// re-issues these up to its cap.
-    Transient(String),
-    /// The guardrail middleware rejected the request or the response;
-    /// never retried — the pipeline punts.
-    Guardrail(String),
-    /// The backend produced an out-of-schema envelope.
-    Schema(SchemaError),
     /// Transcript replay could not serve the request.
     Replay(ReplayError),
-    /// A non-recoverable backend failure; never retried.
-    Fatal(String),
-}
-
-impl BackendError {
-    /// Whether the retry middleware may re-issue the request.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, BackendError::Transient(_))
-    }
 }
 
 impl std::fmt::Display for BackendError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BackendError::Transient(m) => write!(f, "transient backend failure: {m}"),
-            BackendError::Guardrail(m) => write!(f, "guardrail rejection: {m}"),
-            BackendError::Schema(e) => write!(f, "{e}"),
             BackendError::Replay(e) => write!(f, "{e}"),
-            BackendError::Fatal(m) => write!(f, "backend failure: {m}"),
         }
     }
 }
 
 impl std::error::Error for BackendError {}
-
-impl From<SchemaError> for BackendError {
-    fn from(e: SchemaError) -> Self {
-        BackendError::Schema(e)
-    }
-}
-
-impl From<ReplayError> for BackendError {
-    fn from(e: ReplayError) -> Self {
-        BackendError::Replay(e)
-    }
-}
 
 /// Why a transcript replay failed. Replay failures abort the session
 /// *before* any configuration commit — a replayed run either reproduces
@@ -113,8 +81,8 @@ pub enum LlmError {
     /// Symbolic verification failed internally (not a mismatch — a real
     /// error such as an oversized field value).
     Analysis(String),
-    /// The backend stack failed in a way the pipeline cannot absorb
-    /// (replay abort, schema violation, fatal transport error).
+    /// The backend failed in a way the pipeline cannot absorb (a replay
+    /// abort).
     Backend(BackendError),
 }
 

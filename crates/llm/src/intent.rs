@@ -39,42 +39,6 @@ impl std::fmt::Display for IntentError {
 
 impl std::error::Error for IntentError {}
 
-/// An internal inconsistency between intent *classification* and intent
-/// *construction*: the set-clause classifier recognized an attribute
-/// keyword that the builder has no constructor for.
-///
-/// This arm used to be an `unreachable!()`. It is statically dead only
-/// while the classifier's keyword list and the builder's match stay in
-/// lock-step; a corrupted classification (the fault-injection backend) or
-/// ordinary drift between the two makes it live, and a panic there takes
-/// down the whole evaluation run. As a structured error it converts into
-/// [`IntentError`], so the pipeline reports the request as
-/// unsynthesizable and moves on.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ClassifyError {
-    /// The classified attribute keyword with no constructor.
-    pub field: String,
-}
-
-impl std::fmt::Display for ClassifyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "classified set attribute '{}' has no constructor; \
-             the classification was inconsistent or corrupted",
-            self.field
-        )
-    }
-}
-
-impl std::error::Error for ClassifyError {}
-
-impl From<ClassifyError> for IntentError {
-    fn from(e: ClassifyError) -> IntentError {
-        IntentError::new(e.to_string())
-    }
-}
-
 /// How a prompt constrains the mask length of a prefix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrefixConstraint {
@@ -436,59 +400,38 @@ impl RouteMapIntent {
         if !has_set {
             return Ok(());
         }
-        // Field keyword anywhere in the sentence; value after "to".
-        let field = tokens.iter().find_map(|t| match t.as_str() {
-            "med" | "metric" => Some("metric"),
-            "local-preference" => Some("local-preference"),
-            "weight" => Some("weight"),
-            "tag" => Some("tag"),
-            "next-hop" => Some("next-hop"),
-            _ => None,
-        });
-        let Some(field) = field else {
-            return Err(IntentError::new("'set' without a recognizable attribute"));
-        };
-        if field == "next-hop" {
-            let ip = tokens
+        // The first field keyword anywhere in the sentence picks the
+        // constructor; a numeric value follows "to".
+        let value = |name: &str| {
+            let to_pos = tokens
                 .iter()
-                .filter(|t| !t.contains('/'))
-                .find_map(|t| is_ip_token(t))
-                .ok_or_else(|| IntentError::new("set next-hop without an address"))?;
-            intent.sets.push(SetIntent::NextHop(ip));
-            return Ok(());
-        }
-        let to_pos = tokens
-            .iter()
-            .position(|t| t == "to")
-            .ok_or_else(|| IntentError::new(format!("set {field} without 'to <value>'")))?;
-        let value = next_number(&tokens[to_pos + 1..])
-            .ok_or_else(|| IntentError::new(format!("set {field} without a numeric value")))?;
-        intent.sets.push(Self::build_set(field, value)?);
+                .position(|t| t == "to")
+                .ok_or_else(|| IntentError::new(format!("set {name} without 'to <value>'")))?;
+            next_number(&tokens[to_pos + 1..])
+                .ok_or_else(|| IntentError::new(format!("set {name} without a numeric value")))
+        };
+        let set = tokens.iter().find_map(|t| {
+            Some(match t.as_str() {
+                "med" | "metric" => value("metric").map(SetIntent::Metric),
+                "local-preference" => value("local-preference").map(SetIntent::LocalPref),
+                "weight" => value("weight").and_then(|v| {
+                    u16::try_from(v)
+                        .map(SetIntent::Weight)
+                        .map_err(|_| IntentError::new(format!("weight {v} exceeds 65535")))
+                }),
+                "tag" => value("tag").map(SetIntent::Tag),
+                "next-hop" => tokens
+                    .iter()
+                    .filter(|t| !t.contains('/'))
+                    .find_map(|t| is_ip_token(t))
+                    .map(SetIntent::NextHop)
+                    .ok_or_else(|| IntentError::new("set next-hop without an address")),
+                _ => return None,
+            })
+        });
+        let set = set.ok_or_else(|| IntentError::new("'set' without a recognizable attribute"))?;
+        intent.sets.push(set?);
         Ok(())
-    }
-
-    /// Builds the set clause for a classified attribute keyword.
-    ///
-    /// Total over its input: a keyword the classifier emitted but this
-    /// builder does not know is a [`ClassifyError`], not a panic — the
-    /// pipeline punts on the request instead of crashing.
-    pub(crate) fn build_set(field: &str, value: u32) -> Result<SetIntent, IntentError> {
-        Ok(match field {
-            "metric" => SetIntent::Metric(value),
-            "local-preference" => SetIntent::LocalPref(value),
-            "weight" => {
-                let w = u16::try_from(value)
-                    .map_err(|_| IntentError::new(format!("weight {value} exceeds 65535")))?;
-                SetIntent::Weight(w)
-            }
-            "tag" => SetIntent::Tag(value),
-            other => {
-                return Err(ClassifyError {
-                    field: other.to_string(),
-                }
-                .into())
-            }
-        })
     }
 
     /// Renders the canonical prompt, the inverse of [`RouteMapIntent::parse`].

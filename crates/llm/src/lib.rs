@@ -1,5 +1,5 @@
-//! The simulated LLM pipeline of Clarify's Figure 1, behind a layered
-//! backend stack.
+//! The simulated LLM pipeline of Clarify's Figure 1, behind a pluggable
+//! backend.
 //!
 //! The paper drives its prototype with GPT-4 behind three prompts: a query
 //! **classifier** (route-map vs ACL synthesis), a **synthesizer** that
@@ -11,16 +11,16 @@
 //! * **Envelope** ([`IntentEnvelope`]) — every backend reply is a
 //!   versioned, schema-validated document; free text never crosses the
 //!   backend boundary.
-//! * **Resolution** ([`Resolver`]) — free-form object names from the
-//!   envelope are mapped onto canonical configuration identities, with
-//!   typed [`ResolutionError`] punts for anything unresolvable.
-//! * **Middleware** — composable [`Retry`],
-//!   [`Guardrail`], [`Recording`], and [`ReplayBackend`] layers between
-//!   the [`Pipeline`] and any backend, instrumented with `llm.mw.*`
-//!   counters.
-//! * **Transcripts** ([`Transcript`]) — versioned, FNV-digested JSON
-//!   records of every exchange, so any session replays byte-identically
-//!   offline.
+//! * **Checked exchange** — [`Pipeline`] is the one place an exchange is
+//!   checked: the prompt guard (empty, oversized, injection-marked) runs
+//!   before the backend, the envelope's schema and task echo after it,
+//!   and a failed check ends the intent in a punt. A synthesized snippet
+//!   must define, spelled exactly, every list it matches on and every
+//!   list its envelope names, or the attempt is retried with the
+//!   dangling name as feedback.
+//! * **Transcripts** ([`Recording`], [`ReplayBackend`], [`Transcript`]) —
+//!   versioned, FNV-digested JSON records of every exchange, so any
+//!   session replays byte-identically offline.
 //!
 //! Two base backends prove the contract carries different behaviours:
 //!
@@ -33,13 +33,12 @@
 //!   verify-retry-punt cycle of Figure 1 the way a misbehaving LLM would.
 //!
 //! The [`Pipeline`] wires classification, few-shot retrieval from the
-//! [`PromptDb`], synthesis, spec extraction, reference resolution, and
+//! [`PromptDb`], synthesis, spec extraction, the reference check, and
 //! symbolic verification (via `clarify-analysis`) into the paper's loop,
 //! counting LLM calls the way the paper's Figure 4 does. Swapping
-//! backends — semantic, faulty, or transcript replay, with or without
-//! middleware — never changes the pipeline, the verifier, or the
-//! disambiguators: assemble a stack with [`BackendStack`] and hand it
-//! over.
+//! backends — semantic, faulty, or transcript replay, recorded or not —
+//! never changes the pipeline, the verifier, or the disambiguators:
+//! assemble a stack with [`BackendStack`] and hand it over.
 
 #![warn(missing_docs)]
 
@@ -47,10 +46,8 @@ mod backend;
 mod envelope;
 mod error;
 mod intent;
-mod middleware;
 mod pipeline;
 mod promptdb;
-mod resolve;
 mod stack;
 mod transcript;
 
@@ -59,15 +56,14 @@ pub use backend::{
 };
 pub use envelope::{EnvelopePayload, IntentEnvelope, SchemaError, ENVELOPE_VERSION};
 pub use error::{BackendError, LlmError, ReplayError};
-pub use intent::{
-    AclIntent, AddrIntent, ClassifyError, IntentError, PrefixConstraint, RouteMapIntent, SetIntent,
-};
-pub use middleware::{Guardrail, Recording, ReplayBackend, Retry};
+pub use intent::{AclIntent, AddrIntent, IntentError, PrefixConstraint, RouteMapIntent, SetIntent};
 pub use pipeline::{Pipeline, PipelineOutcome, QueryKind};
 pub use promptdb::{PromptDb, PromptEntry};
-pub use resolve::{Resolution, ResolutionError, Resolver};
 pub use stack::{BackendKind, BackendStack};
-pub use transcript::{request_digest, SessionMeta, Transcript, TranscriptEntry, TRANSCRIPT_FORMAT};
+pub use transcript::{
+    request_digest, Recording, ReplayBackend, SessionMeta, Transcript, TranscriptEntry,
+    TRANSCRIPT_FORMAT,
+};
 
 #[cfg(test)]
 mod tests;

@@ -2,14 +2,24 @@
 //! extract spec → verify, with retries and a punt threshold.
 
 use clarify_analysis::{verify_stanza_against_spec, PacketSpace, SpecVerdict, StanzaSpec};
-use clarify_netconfig::{AclEntry, Config, RouteMapMatch};
+use clarify_netconfig::{AclEntry, Config, ConfigError, ObjectKind, RouteMapMatch};
 use clarify_nettypes::PrefixRange;
 
 use crate::backend::{Backend, LlmRequest, TaskKind};
-use crate::envelope::{EnvelopePayload, IntentEnvelope, SchemaError};
-use crate::error::{BackendError, LlmError};
+use crate::envelope::{EnvelopePayload, IntentEnvelope};
+use crate::error::LlmError;
 use crate::promptdb::PromptDb;
-use crate::resolve::Resolver;
+
+/// Longest accepted user prompt, in bytes; anything bigger is rejected
+/// before it reaches the backend.
+const MAX_PROMPT_BYTES: usize = 1 << 16;
+
+/// Prompt substrings treated as injection attempts.
+const ABUSE_MARKERS: [&str; 3] = [
+    "ignore previous instructions",
+    "ignore all previous instructions",
+    "disregard your system prompt",
+];
 
 /// The classifier's verdict on a user query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,8 +57,8 @@ pub enum PipelineOutcome {
         /// Synthesis attempts.
         attempts: usize,
     },
-    /// The retry threshold was exhausted (or the guardrail rejected the
-    /// exchange); the user must start over (step 5 of Figure 1).
+    /// The retry threshold was exhausted (or an exchange failed its
+    /// guard); the user must start over (step 5 of Figure 1).
     Punt {
         /// Total LLM calls made before punting.
         llm_calls: usize,
@@ -73,13 +83,13 @@ impl PipelineOutcome {
     }
 }
 
-/// What one backend exchange yielded, after guardrail/error mapping.
+/// What one checked backend exchange yielded.
 enum Exchange {
-    /// A validated envelope.
+    /// A validated envelope answering the requested task.
     Envelope(IntentEnvelope),
-    /// The guardrail rejected the exchange; the pipeline punts without
-    /// invoking the verifier.
-    GuardrailPunt(String),
+    /// The prompt or the reply failed its guard; the pipeline punts with
+    /// this reason without invoking the verifier.
+    Punt(String),
 }
 
 /// The verified synthesis pipeline.
@@ -117,17 +127,20 @@ impl<B: Backend> Pipeline<B> {
         &self.backend
     }
 
-    /// One backend exchange. Guardrail rejections become punts at the
-    /// call site; every other backend error is surfaced. The envelope is
-    /// defensively re-validated here so a pipeline built on a bare
-    /// backend (tests, benches) enforces the same contract the guardrail
-    /// middleware does.
+    /// One backend exchange, and the only place one is checked: the
+    /// prompt guard runs before the backend, the envelope's schema and
+    /// task echo after it. A failed check is a punt; a backend error
+    /// (a replay abort) is surfaced.
     fn call(
         &mut self,
         task: TaskKind,
         user: &str,
         feedback: Option<&str>,
     ) -> Result<Exchange, LlmError> {
+        clarify_obs::global().counter("pipeline.llm_calls").incr();
+        if let Err(reason) = guard_prompt(user) {
+            return Ok(Exchange::Punt(format!("guardrail rejection: {reason}")));
+        }
         let entry = self.db.retrieve(task);
         let req = LlmRequest {
             task,
@@ -136,26 +149,20 @@ impl<B: Backend> Pipeline<B> {
             user: user.to_string(),
             feedback: feedback.map(str::to_string),
         };
-        clarify_obs::global().counter("pipeline.llm_calls").incr();
-        match self.backend.complete(&req) {
-            Ok(envelope) => {
-                envelope
-                    .validate()
-                    .map_err(|e| LlmError::Backend(BackendError::Schema(e)))?;
-                if envelope.task != task {
-                    return Err(LlmError::Backend(BackendError::Schema(SchemaError {
-                        message: format!(
-                            "envelope answers task '{}' but the request was '{}'",
-                            envelope.task.keyword(),
-                            task.keyword()
-                        ),
-                    })));
-                }
-                Ok(Exchange::Envelope(envelope))
-            }
-            Err(e @ BackendError::Guardrail(_)) => Ok(Exchange::GuardrailPunt(e.to_string())),
-            Err(e) => Err(LlmError::Backend(e)),
-        }
+        let envelope = {
+            let _span = clarify_obs::span!("llm_backend");
+            self.backend.complete(&req)?
+        };
+        let reason = match envelope.validate() {
+            Err(e) => e.to_string(),
+            Ok(()) if envelope.task != task => format!(
+                "envelope answers task '{}' but the request was '{}'",
+                envelope.task.keyword(),
+                task.keyword()
+            ),
+            Ok(()) => return Ok(Exchange::Envelope(envelope)),
+        };
+        Ok(Exchange::Punt(format!("guardrail rejection: {reason}")))
     }
 
     /// Runs the full pipeline on one user prompt.
@@ -173,7 +180,7 @@ impl<B: Backend> Pipeline<B> {
         llm_calls += 1;
         let envelope = match self.call(TaskKind::Classify, prompt, None)? {
             Exchange::Envelope(e) => e,
-            Exchange::GuardrailPunt(reason) => return punt(llm_calls, reason),
+            Exchange::Punt(reason) => return punt(llm_calls, reason),
         };
         let kind = match envelope.payload {
             EnvelopePayload::Classification { ref kind } => match kind.as_str() {
@@ -193,7 +200,7 @@ impl<B: Backend> Pipeline<B> {
         llm_calls += 1;
         let envelope = match self.call(TaskKind::ExtractSpec, prompt, None)? {
             Exchange::Envelope(e) => e,
-            Exchange::GuardrailPunt(reason) => return punt(llm_calls, reason),
+            Exchange::Punt(reason) => return punt(llm_calls, reason),
         };
         let spec_text = match envelope.payload {
             EnvelopePayload::Spec { text } => text,
@@ -224,7 +231,7 @@ impl<B: Backend> Pipeline<B> {
                     llm_calls += 1;
                     let envelope = match self.call(synth_task, prompt, fb)? {
                         Exchange::Envelope(e) => e,
-                        Exchange::GuardrailPunt(reason) => return punt(llm_calls, reason),
+                        Exchange::Punt(reason) => return punt(llm_calls, reason),
                     };
                     let references = envelope.references;
                     let text = match envelope.payload {
@@ -250,11 +257,9 @@ impl<B: Backend> Pipeline<B> {
                         feedback = "it contained no route-map".to_string();
                         continue;
                     };
-                    // Resolution layer: every list the stanza matches on
-                    // and every name the envelope claims must resolve to
-                    // a canonical identity within the snippet, or the
-                    // attempt is rejected before verification.
-                    if let Err(e) = check_references(&snippet, &map_name, &references) {
+                    // A dangling reference is rejected before verification,
+                    // as it would be by insertion.
+                    if let Err(e) = check_references(&snippet, &references) {
                         feedback = format!("it references an unresolvable object: {e}");
                         continue;
                     }
@@ -312,7 +317,7 @@ impl<B: Backend> Pipeline<B> {
                     llm_calls += 1;
                     let envelope = match self.call(synth_task, prompt, fb)? {
                         Exchange::Envelope(e) => e,
-                        Exchange::GuardrailPunt(reason) => return punt(llm_calls, reason),
+                        Exchange::Punt(reason) => return punt(llm_calls, reason),
                     };
                     let text = match envelope.payload {
                         EnvelopePayload::Config { text } => text,
@@ -346,23 +351,44 @@ impl<B: Backend> Pipeline<B> {
     }
 }
 
-/// Resolves the stanza's referenced lists and the envelope's free-form
-/// references against the snippet's own tables.
-fn check_references(
-    snippet: &Config,
-    map_name: &str,
-    references: &[String],
-) -> Result<(), crate::resolve::ResolutionError> {
-    let resolver = Resolver::new(snippet);
-    if let Some(map) = snippet.route_maps.get(map_name) {
-        for (kind, name) in map.stanzas.iter().flat_map(|s| s.references()) {
-            resolver.resolve(kind, name)?;
-        }
+/// The prompt guard: `Err` says why a prompt may not reach the backend
+/// (empty, oversized or carrying an injection marker).
+fn guard_prompt(user: &str) -> Result<(), String> {
+    if user.trim().is_empty() {
+        return Err("the prompt is empty".into());
     }
-    for name in references {
-        resolver.resolve_reference(name)?;
+    if user.len() > MAX_PROMPT_BYTES {
+        return Err(format!("the prompt exceeds {MAX_PROMPT_BYTES} bytes"));
     }
-    Ok(())
+    let lowered = user.to_ascii_lowercase();
+    match ABUSE_MARKERS.iter().find(|m| lowered.contains(*m)) {
+        Some(marker) => Err(format!(
+            "the prompt contains the injection marker '{marker}'"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Checks that the snippet defines every list its route-maps match on
+/// ([`Config::validate`], the check insertion applies) and every list
+/// name the envelope claims, exactly as spelled.
+fn check_references(snippet: &Config, references: &[String]) -> Result<(), ConfigError> {
+    snippet.validate()?;
+    let lists = [
+        ObjectKind::PrefixList,
+        ObjectKind::AsPathList,
+        ObjectKind::CommunityList,
+    ];
+    match references
+        .iter()
+        .find(|name| !lists.iter().any(|&kind| snippet.defines(kind, name)))
+    {
+        Some(name) => Err(ConfigError::NotFound {
+            kind: "list",
+            name: name.clone(),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Parses the line-based route-map spec exchange format.

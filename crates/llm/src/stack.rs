@@ -1,18 +1,14 @@
 //! Backend stack assembly: one [`BackendStack`] value describes which
-//! base backend to run and which transcript layers to attach, and
+//! base backend to run and which transcript layer to attach, and
 //! [`build`](BackendStack::build) produces the composed [`DynBackend`]
 //! the pipeline uses. Both CLIs (`clarify` one-shot and `clarify serve`)
 //! build their backends through this type, so daemon and one-shot
-//! sessions run the identical middleware stack.
+//! sessions run the identical stack.
 
 use std::sync::{Arc, Mutex};
 
 use crate::backend::{DynBackend, FaultyBackend, SemanticBackend};
-use crate::middleware::{Guardrail, Recording, ReplayBackend, Retry};
-use crate::transcript::Transcript;
-
-/// Total attempts the retry layer allows per request.
-const RETRY_ATTEMPTS: usize = 3;
+use crate::transcript::{Recording, ReplayBackend, Transcript};
 
 /// Which base backend a stack runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -105,9 +101,10 @@ impl BackendStack {
         self
     }
 
-    /// Builds the composed stack: `Guardrail(Retry(Recording(base)))`,
-    /// with recording innermost (see the middleware module docs) and the
-    /// replay backend, when configured, standing in for the base.
+    /// Builds the composed stack: `Recording(base)`, or `base` alone
+    /// when nothing is recorded, with the replay backend, when
+    /// configured, standing in for the base (see the transcript module
+    /// docs).
     pub fn build(&self) -> DynBackend {
         let base: DynBackend = match &self.replay {
             Some(t) => Box::new(ReplayBackend::new(t.clone())),
@@ -118,11 +115,10 @@ impl BackendStack {
                 }
             },
         };
-        let recorded: DynBackend = match &self.record {
+        match &self.record {
             Some(sink) => Box::new(Recording::new(base, sink.clone())),
             None => base,
-        };
-        Box::new(Guardrail::new(Retry::new(recorded, RETRY_ATTEMPTS)))
+        }
     }
 
     /// The stack's display name (the base backend's).

@@ -2,10 +2,17 @@
 //! cache, so a recorded session replays byte-identically offline.
 //!
 //! A transcript is an ordered list of request/envelope exchanges captured
-//! by the recording middleware, plus optional session metadata (command,
+//! by the [`Recording`] layer, plus optional session metadata (command,
 //! configuration, prompt, oracle answers) so a bare
 //! `clarify --replay-transcript FILE` can re-run the whole session with
-//! zero network and zero user input.
+//! zero network and zero user input; [`ReplayBackend`] answers requests
+//! from it in place of a base backend. The stack
+//! [`BackendStack`](crate::BackendStack) builds is the base backend
+//! wrapped only in `Recording`, or the replay backend alone. Recording
+//! wraps the base directly and the pipeline checks each exchange around
+//! the whole stack, so a transcript holds exactly what the base backend
+//! said, and a replayed run meets the same checks, live, as the recorded
+//! one did.
 //!
 //! The trust model is `clarify lint --incremental`'s cache's, shared
 //! through `clarify_obs::json`: the file carries a format tag and a
@@ -16,11 +23,14 @@
 //! to the live semantic backend rather than replaying exchanges it cannot
 //! trust.
 
+use std::sync::{Arc, Mutex};
+
 use clarify_netconfig::{fnv1a64, fnv1a64_combine};
 use clarify_obs::json::{self, DocError, Fields, Value};
 
-use crate::backend::{LlmRequest, TaskKind};
+use crate::backend::{Backend, LlmRequest, TaskKind};
 use crate::envelope::IntentEnvelope;
+use crate::error::{BackendError, ReplayError};
 
 /// The format tag written to and expected from transcript files.
 pub const TRANSCRIPT_FORMAT: &str = "clarify-llm-transcript/v1";
@@ -94,8 +104,8 @@ pub struct SessionMeta {
 /// A recorded session: optional metadata plus the exchange log.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Transcript {
-    /// Session metadata, when recorded by the CLI (middleware-level
-    /// recordings inside tests may omit it).
+    /// Session metadata, when recorded by the CLI (recordings made
+    /// inside tests may omit it).
     pub session: Option<SessionMeta>,
     /// The exchanges, in request order.
     pub entries: Vec<TranscriptEntry>,
@@ -225,4 +235,99 @@ fn parse_entry(v: &Value) -> Result<TranscriptEntry, String> {
     };
     f.done()?;
     Ok(entry)
+}
+
+/// Appends every successful exchange to a shared [`Transcript`] sink.
+/// Failed requests are not recorded: a transcript holds only what the
+/// base backend actually answered, so replaying it cannot re-introduce
+/// transport failures.
+pub struct Recording<B> {
+    inner: B,
+    sink: Arc<Mutex<Transcript>>,
+}
+
+impl<B: Backend> Recording<B> {
+    /// Wraps `inner`, appending exchanges to `sink`.
+    pub fn new(inner: B, sink: Arc<Mutex<Transcript>>) -> Recording<B> {
+        let _ = clarify_obs::global().counter("llm.mw.record.entries");
+        Recording { inner, sink }
+    }
+}
+
+impl<B: Backend> Backend for Recording<B> {
+    fn complete(&mut self, request: &LlmRequest) -> Result<IntentEnvelope, BackendError> {
+        let envelope = self.inner.complete(request)?;
+        self.sink
+            .lock()
+            .expect("transcript sink poisoned")
+            .entries
+            .push(TranscriptEntry::from_exchange(request, &envelope));
+        clarify_obs::global()
+            .counter("llm.mw.record.entries")
+            .incr();
+        Ok(envelope)
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// A terminal backend that answers requests from a recorded transcript.
+///
+/// Each request is matched against the next entry by
+/// [`request_digest`]; a digest mismatch or an exhausted transcript is a
+/// [`BackendError::Replay`], which aborts the session before any
+/// configuration commit — a replayed run either reproduces the recording
+/// exactly or stops. The transcript is shared (`Arc`) so every `clarify
+/// serve` session replays from its own cursor over one loaded file.
+pub struct ReplayBackend {
+    transcript: Arc<Transcript>,
+    cursor: usize,
+}
+
+impl ReplayBackend {
+    /// Creates a replay backend over `transcript`, starting at entry 0.
+    pub fn new(transcript: Arc<Transcript>) -> ReplayBackend {
+        let obs = clarify_obs::global();
+        let _ = obs.counter("llm.mw.replay.hits");
+        let _ = obs.counter("llm.mw.replay.misses");
+        ReplayBackend {
+            transcript,
+            cursor: 0,
+        }
+    }
+
+    /// Entries served so far.
+    pub fn position(&self) -> usize {
+        self.cursor
+    }
+}
+
+impl Backend for ReplayBackend {
+    fn complete(&mut self, request: &LlmRequest) -> Result<IntentEnvelope, BackendError> {
+        let obs = clarify_obs::global();
+        let Some(entry) = self.transcript.entries.get(self.cursor) else {
+            obs.counter("llm.mw.replay.misses").incr();
+            return Err(BackendError::Replay(ReplayError::Exhausted {
+                at: self.cursor,
+            }));
+        };
+        let live = request_digest(request.task, &request.user, request.feedback.as_deref());
+        if live != entry.request_digest {
+            obs.counter("llm.mw.replay.misses").incr();
+            return Err(BackendError::Replay(ReplayError::Mismatch {
+                at: self.cursor,
+                expected: entry.request_digest,
+                got: live,
+            }));
+        }
+        self.cursor += 1;
+        obs.counter("llm.mw.replay.hits").incr();
+        Ok(entry.envelope.clone())
+    }
+
+    fn name(&self) -> &'static str {
+        "replay"
+    }
 }

@@ -45,7 +45,7 @@ pub struct ServerConfig {
     /// The backend stack every session builds its pipeline from. Each
     /// open builds a fresh stack instance, so replay cursors and fault
     /// RNGs are per-session while daemon and one-shot CLI runs share the
-    /// identical middleware composition.
+    /// identical stack composition.
     pub backend: BackendStack,
 }
 

@@ -43,10 +43,10 @@ fn intent_error(e: impl std::fmt::Display) -> ProtoError {
     }
 }
 
-/// Maps a pipeline error onto the protocol: backend-layer failures
-/// (replay mismatch or exhaustion, retry exhaustion) get their own code
-/// so clients can tell "the transcript ran out" from "the intent was
-/// malformed". Either way the session's configuration is untouched.
+/// Maps a pipeline error onto the protocol: backend failures (replay
+/// mismatch or exhaustion) get their own code so clients can tell "the
+/// transcript ran out" from "the intent was malformed". Either way the
+/// session's configuration is untouched.
 fn pipeline_error(e: LlmError) -> ProtoError {
     match e {
         LlmError::Backend(e) => ProtoError {

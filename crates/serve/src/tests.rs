@@ -227,7 +227,7 @@ const E1_INTENT: &str = "Write a route-map stanza that permits routes containing
 100.0.0.0/16 with mask length less than or equal to 23 and tagged with the community 300:3. \
 Their MED value should be set to 55.";
 
-/// Daemon sessions route turns through the same middleware stack as the
+/// Daemon sessions route turns through the same backend stack as the
 /// one-shot CLI: a recording stack captures the exchanges, a replay stack
 /// over that transcript reproduces the turn frame byte-identically, and
 /// an exhausted transcript aborts the turn with `backend-error` before

@@ -1,5 +1,5 @@
 //! Transcript-replay CI gate (ISSUE satellite): the committed E1 and E3
-//! transcripts, replayed offline through the full middleware stack, must
+//! transcripts, replayed offline through the CLI's backend stack, must
 //! reproduce their pinned stdout byte for byte — at 1 worker thread and
 //! at 8 — and the failure modes must hold: a tampered transcript falls
 //! back to the live backend with a warning (still matching the golden,

@@ -173,7 +173,7 @@ fn daemon_and_cli_replay_identical_transcripts_at_1_and_8_threads() {
     );
 
     // Recorded-replay pass: daemon sessions route turns through the same
-    // middleware stack as the CLI, so a daemon whose stack replays the
+    // backend stack as the CLI, so a daemon whose stack replays the
     // committed E1 transcript (recorded by the one-shot CLI) walks the
     // identical question sequence with zero live backend calls.
     let transcript_text = std::fs::read_to_string(
