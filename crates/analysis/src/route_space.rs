@@ -2,6 +2,7 @@
 //! BGP route, plus encode/decode between [`BgpRoute`]s and BDD sets.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 use clarify_automata::{AtomSpace, Dfa, Regex};
 use clarify_bdd::{Cube, Manager, Ref};
@@ -28,6 +29,13 @@ const COMMUNITY_HALF: &str =
 /// space-separated AS numbers of one to five digits.
 const AS_PATH_UNIVERSE: &str =
     "^([0-9][0-9]?[0-9]?[0-9]?[0-9]?( [0-9][0-9]?[0-9]?[0-9]?[0-9]?)*)?$";
+
+/// The automaton of a constant pattern, compiled on the first call for
+/// its `cell` and shared by every later route space in the process.
+fn constant(cell: &'static OnceLock<Regex>, pattern: &str) -> &'static Dfa {
+    cell.get_or_init(|| Regex::parse(pattern).expect("constant regex is valid"))
+        .dfa()
+}
 
 /// Width of the numeric attribute fields (local-pref, metric, tag).
 const FIELD_BITS: u32 = 16;
@@ -120,38 +128,34 @@ impl RouteSpace {
         clarify_obs::global()
             .counter("analysis.route_space_builds")
             .incr();
-        let [comm_patterns, path_patterns]: [Vec<Regex>; 2] =
-            atom_patterns(configs).map(|pats| pats.into_iter().cloned().collect());
-        let index = |pats: &[Regex]| -> HashMap<String, usize> {
+        static COMM_UNIVERSE: OnceLock<Regex> = OnceLock::new();
+        static PATH_UNIVERSE: OnceLock<Regex> = OnceLock::new();
+        static COMM_VALUES: OnceLock<Regex> = OnceLock::new();
+        let [comm_patterns, path_patterns] = atom_patterns(configs);
+        let index = |pats: &[&Regex]| -> HashMap<String, usize> {
             let keys = pats.iter().map(|r| r.pattern().to_string());
             keys.zip(0..).collect()
         };
         let comm_pattern_idx = index(&comm_patterns);
         let path_pattern_idx = index(&path_patterns);
 
-        let comm_universe = Regex::parse(COMMUNITY_UNIVERSE)
-            .expect("community universe regex is valid")
-            .to_dfa();
-        let path_universe = Regex::parse(AS_PATH_UNIVERSE)
-            .expect("AS-path universe regex is valid")
-            .to_dfa();
-        let comm_atoms = AtomSpace::build(&comm_universe, &comm_patterns)
+        let comm_universe = constant(&COMM_UNIVERSE, COMMUNITY_UNIVERSE);
+        let path_universe = constant(&PATH_UNIVERSE, AS_PATH_UNIVERSE);
+        let comm_atoms = AtomSpace::build(comm_universe, &comm_patterns)
             .ok_or(AnalysisError::AtomLimitExceeded)?;
-        let path_atoms = AtomSpace::build(&path_universe, &path_patterns)
+        let path_atoms = AtomSpace::build(path_universe, &path_patterns)
             .ok_or(AnalysisError::AtomLimitExceeded)?;
         // An atom's shortest witness can have a half past 65535. Such an
         // atom takes its witness from the communities it holds instead,
         // and one that holds none is excluded from `valid` below. Atoms
         // whose witness parses need no automata work.
-        let mut communities: Option<Dfa> = None;
         let comm_witnesses: Vec<Option<Community>> = (0..comm_atoms.len())
             .map(|i| {
                 comm_atoms.witness(i).parse().ok().or_else(|| {
-                    let values = communities.get_or_insert_with(|| {
-                        Regex::parse(&format!("^{COMMUNITY_HALF}:{COMMUNITY_HALF}$"))
-                            .expect("community value regex is valid")
-                            .to_dfa()
-                    });
+                    let values = constant(
+                        &COMM_VALUES,
+                        &format!("^{COMMUNITY_HALF}:{COMMUNITY_HALF}$"),
+                    );
                     let w = comm_atoms.atom(i).intersect(values).witness()?;
                     Some(w.parse().expect("the community values parse"))
                 })

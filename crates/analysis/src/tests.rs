@@ -54,6 +54,21 @@ fn route_space_builds_for_paper_configs() {
     assert_eq!(space.num_path_atoms(), 2);
 }
 
+/// Thirteen independent transit patterns (`_100_` … `_112_`) split the
+/// AS-path universe into 8192 atoms, past `ATOM_LIMIT`: the build stops
+/// with a typed error, without building the space.
+#[test]
+fn route_space_refuses_more_atoms_than_the_limit() {
+    let lists: String = (100..113)
+        .map(|asn| format!("ip as-path access-list T{asn} permit _{asn}_\n"))
+        .collect();
+    let cfg = Config::parse(&lists).unwrap();
+    assert!(matches!(
+        RouteSpace::new(&[&cfg]),
+        Err(AnalysisError::AtomLimitExceeded)
+    ));
+}
+
 #[test]
 fn permit_set_agrees_with_concrete_eval_on_probes() {
     let base = Config::parse(ISP_OUT).unwrap();

@@ -1,6 +1,8 @@
 //! Regex abstract syntax and the hand-written recursive-descent parser.
 
-use crate::{ETX, STX};
+use std::sync::{Arc, OnceLock};
+
+use crate::{Dfa, ETX, STX};
 
 /// A set of ASCII bytes (0..128), stored as a 128-bit bitmap.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -138,23 +140,14 @@ impl std::error::Error for RegexError {}
 /// A parsed Cisco-style regular expression.
 ///
 /// The original pattern text is retained for display and round-tripping;
-/// the compiled DFA is cached on first use ([`Regex::dfa`]).
-#[derive(Debug)]
+/// the compiled DFA is cached on first use ([`Regex::dfa`]) and shared by
+/// every clone, so a pattern is compiled once however often the
+/// configuration holding it is copied.
+#[derive(Clone, Debug)]
 pub struct Regex {
     pub(crate) ast: Ast,
     pattern: String,
-    compiled: std::sync::OnceLock<crate::Dfa>,
-}
-
-impl Clone for Regex {
-    fn clone(&self) -> Self {
-        Regex {
-            ast: self.ast.clone(),
-            pattern: self.pattern.clone(),
-            // Share nothing; the clone recompiles lazily if needed.
-            compiled: std::sync::OnceLock::new(),
-        }
-    }
+    compiled: Arc<OnceLock<Dfa>>,
 }
 
 impl PartialEq for Regex {
@@ -187,7 +180,7 @@ impl Regex {
         Ok(Regex {
             ast,
             pattern: pattern.to_string(),
-            compiled: std::sync::OnceLock::new(),
+            compiled: Arc::default(),
         })
     }
 
@@ -204,21 +197,25 @@ impl Regex {
     /// `STX · printable* · ETX`, so set operations between compiled DFAs
     /// (intersection, difference, atom construction) reason about genuine
     /// subjects only — never about byte strings with stray sentinels.
-    pub fn to_dfa(&self) -> crate::Dfa {
+    pub fn to_dfa(&self) -> Dfa {
+        static WELL_FORMED: OnceLock<Dfa> = OnceLock::new();
+        let well_formed = WELL_FORMED.get_or_init(|| {
+            crate::dfa::compile(&Ast::Concat(vec![
+                Ast::Class(ByteClass::single(STX)),
+                Ast::Star(Box::new(Ast::Class(ByteClass::dot()))),
+                Ast::Class(ByteClass::single(ETX)),
+            ]))
+        });
         let pad = Ast::Star(Box::new(Ast::Class(ByteClass::any_with_sentinels())));
         let wrapped = Ast::Concat(vec![pad.clone(), self.ast.clone(), pad]);
-        let well_formed = Ast::Concat(vec![
-            Ast::Class(ByteClass::single(STX)),
-            Ast::Star(Box::new(Ast::Class(ByteClass::dot()))),
-            Ast::Class(ByteClass::single(ETX)),
-        ]);
-        crate::dfa::compile(&wrapped).intersect(&crate::dfa::compile(&well_formed))
+        crate::dfa::compile(&wrapped).intersect(well_formed)
     }
 
     /// The compiled DFA, built on first use and cached for the lifetime of
-    /// this `Regex`. Prefer this over [`Regex::to_dfa`] anywhere matching
-    /// happens repeatedly (evaluation loops, simulations).
-    pub fn dfa(&self) -> &crate::Dfa {
+    /// this `Regex` and its clones. Prefer this over [`Regex::to_dfa`]
+    /// anywhere matching happens repeatedly (evaluation loops,
+    /// simulations, atom construction).
+    pub fn dfa(&self) -> &Dfa {
         self.compiled.get_or_init(|| self.to_dfa())
     }
 

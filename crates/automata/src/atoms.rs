@@ -7,7 +7,26 @@
 //! pairwise disjoint, cover `U`, and every `Ri ∩ U` is a union of atoms —
 //! so one BDD variable per atom represents any Boolean combination of the
 //! regexes exactly. This mirrors Batfish's community/AS-path handling.
+//!
+//! The atoms are built as one *classifier*: a [`Dfa`] whose state labels
+//! name the atom of the strings ending there (`1 + a` for atom `a`, 0
+//! outside the universe). It starts as the universe's automaton, whose
+//! accepting states hold the one atom of no patterns, and each pattern
+//! refines it once. The product with the pattern's automaton labels every
+//! state with its old label and whether the pattern accepts, and Moore
+//! minimization from that label partition keeps the classifier small, so
+//! `n` patterns cost `n` products.
+//!
+//! The atoms are the labels reachable on accepting states. They are
+//! numbered by signature, compared pattern by pattern with the inside of a
+//! pattern before its outside, which is the order that splitting every atom
+//! in two per pattern leaves them in. An atom's witness is its shortest
+//! string, ties broken towards the smaller byte: one breadth-first search
+//! of the classifier finds it for every label at once. That string is a
+//! property of the atom's language alone, so any automaton for the atom
+//! gives the same one from [`Dfa::witness`].
 
+use crate::dfa::subject;
 use crate::{Dfa, Regex};
 
 /// Safety valve: refuse to build more atoms than this. With `n` regexes
@@ -18,11 +37,11 @@ pub const ATOM_LIMIT: usize = 4096;
 /// The partition of a universe language induced by a set of regexes.
 #[derive(Clone, Debug)]
 pub struct AtomSpace {
-    atoms: Vec<Dfa>,
+    /// Labels every string with `1 + ` its atom, or 0 outside the universe.
+    classifier: Dfa,
     witnesses: Vec<String>,
     /// `members[p]` lists the atom indices making up pattern `p`.
     members: Vec<Vec<usize>>,
-    patterns: Vec<Regex>,
 }
 
 impl AtomSpace {
@@ -31,70 +50,74 @@ impl AtomSpace {
     /// Returns `None` if the atom count would exceed [`ATOM_LIMIT`].
     /// An empty pattern list yields the single atom `universe` (when
     /// non-empty).
-    pub fn build(universe: &Dfa, patterns: &[Regex]) -> Option<AtomSpace> {
-        // Each block carries (dfa, bitmask of patterns it is inside).
-        let mut blocks: Vec<(Dfa, Vec<bool>)> = Vec::new();
-        if !universe.is_empty() {
-            blocks.push((universe.clone(), Vec::new()));
-        }
-        for (pi, pat) in patterns.iter().enumerate() {
-            let pdfa = pat.to_dfa();
-            let ndfa = pdfa.complement();
-            let mut next = Vec::with_capacity(blocks.len() * 2);
-            for (block, mut inside) in blocks {
-                let with = block.intersect(&pdfa);
-                let without = block.intersect(&ndfa);
-                let mut inside_with = inside.clone();
-                inside_with.push(true);
-                inside.push(false);
-                if !with.is_empty() {
-                    next.push((with, inside_with));
+    pub fn build(universe: &Dfa, patterns: &[&Regex]) -> Option<AtomSpace> {
+        let mut classifier = universe.clone();
+        // Per atom, whether each pattern so far holds it.
+        let mut inside: Vec<Vec<bool>> = if universe.is_empty() {
+            Vec::new()
+        } else {
+            vec![Vec::new()]
+        };
+        for pat in patterns {
+            // Atom label `l` splits into `2l - 1` inside the pattern and
+            // `2l` outside it, in atom order.
+            let split = classifier.product(pat.dfa(), |l, p| {
+                if l == 0 {
+                    0
+                } else {
+                    2 * l - u32::from(p != 0)
                 }
-                if !without.is_empty() {
-                    next.push((without, inside));
-                }
-                if next.len() > ATOM_LIMIT {
-                    return None;
-                }
+            });
+            // Number the halves some string reaches, in that order.
+            let mut reached = vec![false; 2 * inside.len() + 1];
+            for &l in split.labels() {
+                reached[l as usize] = true;
             }
-            blocks = next;
-            let _ = pi;
+            let mut rank = vec![0u32; reached.len()];
+            let mut next = Vec::new();
+            for half in (1..reached.len()).filter(|&h| reached[h]) {
+                let mut sig = inside[(half - 1) / 2].clone();
+                sig.push(half % 2 == 1);
+                next.push(sig);
+                rank[half] = next.len() as u32;
+            }
+            if next.len() > ATOM_LIMIT {
+                return None;
+            }
+            classifier = split.relabel(|l| rank[l as usize]);
+            inside = next;
         }
 
-        let mut atoms = Vec::with_capacity(blocks.len());
-        let mut witnesses = Vec::with_capacity(blocks.len());
-        let mut members = vec![Vec::new(); patterns.len()];
-        for (ai, (dfa, inside)) in blocks.into_iter().enumerate() {
-            let w = dfa.witness().expect("non-empty atom must have a witness");
-            for (pi, &is_in) in inside.iter().enumerate() {
-                if is_in {
-                    members[pi].push(ai);
-                }
-            }
-            atoms.push(dfa);
-            witnesses.push(w);
-        }
+        let witnesses = classifier
+            .label_witnesses(inside.len())
+            .into_iter()
+            .map(|w| subject(w.expect("every atom labels a reachable state")))
+            .collect();
+        let members = (0..patterns.len())
+            .map(|p| (0..inside.len()).filter(|&a| inside[a][p]).collect())
+            .collect();
         Some(AtomSpace {
-            atoms,
+            classifier,
             witnesses,
             members,
-            patterns: patterns.to_vec(),
         })
     }
 
     /// Number of atoms (may be zero for an empty universe).
     pub fn len(&self) -> usize {
-        self.atoms.len()
+        self.witnesses.len()
     }
 
     /// Whether the universe was empty.
     pub fn is_empty(&self) -> bool {
-        self.atoms.is_empty()
+        self.witnesses.is_empty()
     }
 
-    /// The atom automaton at `idx`.
-    pub fn atom(&self, idx: usize) -> &Dfa {
-        &self.atoms[idx]
+    /// The automaton of atom `idx`, cut from the classifier on each call.
+    pub fn atom(&self, idx: usize) -> Dfa {
+        assert!(idx < self.len(), "atom {idx} of {}", self.len());
+        let label = idx as u32 + 1;
+        self.classifier.clone().relabel(|l| u32::from(l == label))
     }
 
     /// A concrete string drawn from atom `idx` (sentinels stripped).
@@ -107,14 +130,9 @@ impl AtomSpace {
         &self.members[p]
     }
 
-    /// The patterns this space was built from.
-    pub fn patterns(&self) -> &[Regex] {
-        &self.patterns
-    }
-
     /// Maps a concrete subject string to its atom, or `None` if the string
     /// lies outside the universe.
     pub fn classify(&self, text: &str) -> Option<usize> {
-        self.atoms.iter().position(|a| a.matches(text))
+        (self.classifier.label_of(text) as usize).checked_sub(1)
     }
 }

@@ -20,7 +20,12 @@
 //! strings into disjoint equivalence classes (atoms) such that every regex is
 //! a union of atoms. The symbolic analysis layer then needs only one Boolean
 //! variable per atom — the same construction Batfish uses for route-policy
-//! reasoning.
+//! reasoning. The atoms live in one classifier automaton whose state labels
+//! name them, refined by one product and one minimization per regex
+//! ([`AtomSpace`]); the product and the minimization are the same code that
+//! intersects and minimizes plain automata, over labels instead of accept
+//! flags. A [`Regex`] compiles its automaton once, on first use, and its
+//! clones share it.
 //!
 //! ```
 //! use clarify_automata::Regex;

@@ -1,4 +1,4 @@
-use crate::{AtomSpace, Dfa, Regex};
+use crate::{AtomSpace, Dfa, Regex, ATOM_LIMIT};
 
 fn dfa(pattern: &str) -> Dfa {
     Regex::parse(pattern).expect("pattern parses").to_dfa()
@@ -202,25 +202,32 @@ fn minimization_produces_small_automata() {
 }
 
 #[test]
+fn clones_share_the_compiled_dfa() {
+    let re = Regex::parse("_32$").unwrap();
+    let early = re.clone();
+    let compiled = re.dfa();
+    assert!(std::ptr::eq(compiled, re.clone().dfa()));
+    assert!(std::ptr::eq(compiled, early.dfa()));
+}
+
+#[test]
 fn atoms_partition_universe() {
     let universe = dfa("^[0-9]+:[0-9]+$");
-    let pats = vec![
-        Regex::parse("_300:3_").unwrap(),
-        Regex::parse("^300:").unwrap(),
-    ];
-    let space = AtomSpace::build(&universe, &pats).unwrap();
+    let a = Regex::parse("_300:3_").unwrap();
+    let b = Regex::parse("^300:").unwrap();
+    let space = AtomSpace::build(&universe, &[&a, &b]).unwrap();
     // Atoms: {300:3}, {300:* minus 300:3}, {everything else} = 3.
     assert_eq!(space.len(), 3);
     // Disjointness.
     for i in 0..space.len() {
         for j in (i + 1)..space.len() {
-            assert!(space.atom(i).intersect(space.atom(j)).is_empty());
+            assert!(space.atom(i).intersect(&space.atom(j)).is_empty());
         }
     }
     // Coverage.
     let mut union = Dfa::empty();
     for i in 0..space.len() {
-        union = union.union(space.atom(i));
+        union = union.union(&space.atom(i));
     }
     assert!(union.equivalent(&universe));
     // Membership: _300:3_ is exactly one atom; ^300: covers that atom too.
@@ -244,8 +251,8 @@ fn atoms_empty_pattern_list() {
 #[test]
 fn atoms_disjoint_pattern_outside_universe() {
     let universe = dfa("^[0-9]+$");
-    let pats = vec![Regex::parse("^[a-z]+$").unwrap()];
-    let space = AtomSpace::build(&universe, &pats).unwrap();
+    let letters = Regex::parse("^[a-z]+$").unwrap();
+    let space = AtomSpace::build(&universe, &[&letters]).unwrap();
     // The pattern intersects the universe nowhere: single atom, no members.
     assert_eq!(space.len(), 1);
     assert!(space.members_of(0).is_empty());
@@ -256,6 +263,38 @@ fn classify_unmatched_string() {
     let universe = dfa("^[0-9]+$");
     let space = AtomSpace::build(&universe, &[]).unwrap();
     assert_eq!(space.classify(""), None);
+}
+
+#[test]
+fn atoms_of_an_empty_universe() {
+    let universe = dfa("^[0-9]+$").intersect(&dfa("^[a-z]+$"));
+    let digit = Regex::parse("1").unwrap();
+    let space = AtomSpace::build(&universe, &[&digit]).unwrap();
+    assert!(space.is_empty());
+    assert!(space.members_of(0).is_empty());
+    assert_eq!(space.classify("1"), None);
+}
+
+/// `n` independent patterns split the AS-path universe into `2^n` atoms:
+/// a path may hold any subset of the ASNs 100, 101, ….
+fn transit_patterns(n: usize) -> Vec<Regex> {
+    (0..n)
+        .map(|i| Regex::parse(&format!("_{}_", 100 + i)).unwrap())
+        .collect()
+}
+
+#[test]
+fn atom_limit_is_exact() {
+    let universe = dfa(AS_PATH_UNIVERSE);
+    let patterns = transit_patterns(12);
+    let refs: Vec<&Regex> = patterns.iter().collect();
+    let space = AtomSpace::build(&universe, &refs).expect("4096 atoms are allowed");
+    assert_eq!(space.len(), ATOM_LIMIT);
+    assert_eq!(
+        space.witness(0),
+        "100 101 102 103 104 105 106 107 108 109 110 111"
+    );
+    assert_eq!(space.witness(ATOM_LIMIT - 1), "");
 }
 
 #[test]
@@ -457,6 +496,149 @@ mod parser_robustness {
         fn regex_parser_never_panics(input in gens::ascii_string(40)) cases 512 {
             if let Ok(re) = Regex::parse(&input) {
                 let _ = re.to_dfa();
+            }
+        }
+    }
+}
+
+/// The route space's two universes (`clarify-analysis`): community
+/// strings `N:M` and AS paths, with one to five digits per number.
+const COMMUNITY_UNIVERSE: &str = "^[0-9][0-9]?[0-9]?[0-9]?[0-9]?:[0-9][0-9]?[0-9]?[0-9]?[0-9]?$";
+const AS_PATH_UNIVERSE: &str =
+    "^([0-9][0-9]?[0-9]?[0-9]?[0-9]?( [0-9][0-9]?[0-9]?[0-9]?[0-9]?)*)?$";
+
+/// The classifier construction against the per-block refinement it
+/// replaced, which stays here as its oracle.
+mod atom_oracle {
+    use super::*;
+    use clarify_testkit::{prop_assert, prop_assert_eq, property, Rng, Source};
+
+    /// The atoms of `patterns` over `universe` by splitting every block
+    /// into its inside and its outside, pattern by pattern: the atom
+    /// automata in order, their witnesses and each pattern's members, or
+    /// `None` past [`ATOM_LIMIT`].
+    #[allow(clippy::type_complexity)]
+    fn refine(
+        universe: &Dfa,
+        patterns: &[&Regex],
+    ) -> Option<(Vec<Dfa>, Vec<String>, Vec<Vec<usize>>)> {
+        // Each block carries (dfa, whether each pattern so far holds it).
+        let mut blocks: Vec<(Dfa, Vec<bool>)> = Vec::new();
+        if !universe.is_empty() {
+            blocks.push((universe.clone(), Vec::new()));
+        }
+        for pat in patterns {
+            let pdfa = pat.to_dfa();
+            let ndfa = pdfa.complement();
+            let mut next = Vec::with_capacity(blocks.len() * 2);
+            for (block, mut inside) in blocks {
+                let with = block.intersect(&pdfa);
+                let without = block.intersect(&ndfa);
+                let mut inside_with = inside.clone();
+                inside_with.push(true);
+                inside.push(false);
+                if !with.is_empty() {
+                    next.push((with, inside_with));
+                }
+                if !without.is_empty() {
+                    next.push((without, inside));
+                }
+                if next.len() > ATOM_LIMIT {
+                    return None;
+                }
+            }
+            blocks = next;
+        }
+        let mut members = vec![Vec::new(); patterns.len()];
+        for (ai, (_, inside)) in blocks.iter().enumerate() {
+            for (pi, &is_in) in inside.iter().enumerate() {
+                if is_in {
+                    members[pi].push(ai);
+                }
+            }
+        }
+        let witnesses = blocks
+            .iter()
+            .map(|(dfa, _)| dfa.witness().expect("non-empty atom"))
+            .collect();
+        Some((
+            blocks.into_iter().map(|b| b.0).collect(),
+            witnesses,
+            members,
+        ))
+    }
+
+    /// Random patterns over the route spaces' alphabet: one to four items
+    /// in a row, each a literal, `_`, `:`, `.`, `^`, `$`, a space or a
+    /// class, or a group under alternation or a quantifier. Choice 0 is a
+    /// leaf, so the shrink target is the literal "1".
+    fn arb_pattern(g: &mut Source) -> String {
+        fn item(g: &mut Source, depth: usize) -> String {
+            let k = if depth == 0 {
+                0
+            } else {
+                g.gen_range(0usize..10)
+            };
+            match k {
+                0..=5 => g
+                    .pick(&[
+                        "1", "0", "2", "5", "10", "65", "_", ":", ".", "^", "$", " ", "[0-9]",
+                        "[1-3]", "[^1]",
+                    ])
+                    .to_string(),
+                6 => format!("({}|{})", item(g, depth - 1), item(g, depth - 1)),
+                7 => format!("({})*", item(g, depth - 1)),
+                8 => format!("({})+", item(g, depth - 1)),
+                _ => format!("({})?", item(g, depth - 1)),
+            }
+        }
+        g.vec(1, 4, |g| item(g, 2)).concat()
+    }
+
+    /// Zero to six patterns and one of the two universes.
+    fn arb_case(g: &mut Source) -> (&'static str, Vec<String>) {
+        let universe = g.pick(&[COMMUNITY_UNIVERSE, AS_PATH_UNIVERSE]);
+        (universe, g.vec(0, 6, arb_pattern))
+    }
+
+    /// Subjects near both universes: digits, `:` and spaces.
+    fn arb_subjects(g: &mut Source) -> Vec<String> {
+        g.vec(0, 8, |g| {
+            g.vec(0, 9, |g| g.pick(&['1', '0', '2', '5', ':', ' ', 'x']))
+                .into_iter()
+                .collect()
+        })
+    }
+
+    property! {
+        /// Same atoms in the same order with the same witnesses, members,
+        /// languages and classification as the per-block refinement.
+        fn classifier_matches_per_block_refinement(
+            case in arb_case,
+            subjects in arb_subjects,
+        ) cases 64 {
+            let (universe, patterns) = case;
+            let universe = dfa(universe);
+            let regexes: Vec<Regex> = patterns
+                .iter()
+                .map(|p| Regex::parse(p).expect("generated patterns parse"))
+                .collect();
+            let refs: Vec<&Regex> = regexes.iter().collect();
+            let space = AtomSpace::build(&universe, &refs).expect("at most 64 atoms");
+            let (atoms, witnesses, members) =
+                refine(&universe, &refs).expect("at most 64 atoms");
+            prop_assert_eq!(space.len(), atoms.len());
+            for (i, atom) in atoms.iter().enumerate() {
+                prop_assert_eq!(space.witness(i), witnesses[i].as_str(), "atom {}", i);
+                prop_assert!(space.atom(i).equivalent(atom), "atom {} language", i);
+                prop_assert_eq!(space.classify(&witnesses[i]), Some(i));
+            }
+            for (p, m) in members.iter().enumerate() {
+                prop_assert_eq!(space.members_of(p), m.as_slice(), "pattern {}", p);
+            }
+            for s in &subjects {
+                let expected = atoms.iter().position(|a| a.matches(s));
+                prop_assert_eq!(space.classify(s), expected, "subject {:?}", s);
             }
         }
     }

@@ -4,7 +4,7 @@
 use clarify_testkit::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use clarify_automata::{AtomSpace, Regex};
+use clarify_automata::{AtomSpace, Dfa, Regex};
 
 fn bench_compile(c: &mut Criterion) {
     let mut g = c.benchmark_group("automata/compile");
@@ -32,17 +32,53 @@ fn bench_intersection(c: &mut Criterion) {
     });
 }
 
+/// The route space's community and AS-path universes.
+const COMMUNITY_UNIVERSE: &str = "^[0-9][0-9]?[0-9]?[0-9]?[0-9]?:[0-9][0-9]?[0-9]?[0-9]?[0-9]?$";
+const AS_PATH_UNIVERSE: &str =
+    "^([0-9][0-9]?[0-9]?[0-9]?[0-9]?( [0-9][0-9]?[0-9]?[0-9]?[0-9]?)*)?$";
+
+/// Atom construction as a fresh configuration pays it: the patterns are
+/// parsed and compiled inside the timed closure; the universe, which a
+/// route space compiles once per process, is not.
 fn bench_atom_space(c: &mut Criterion) {
-    let universe = Regex::parse("^[0-9][0-9]?[0-9]?[0-9]?[0-9]?:[0-9][0-9]?[0-9]?[0-9]?[0-9]?$")
-        .expect("valid")
-        .to_dfa();
+    let communities = Regex::parse(COMMUNITY_UNIVERSE).expect("valid").to_dfa();
+    let as_paths = Regex::parse(AS_PATH_UNIVERSE).expect("valid").to_dfa();
+    let mut cases: Vec<(String, &Dfa, Vec<String>)> = [2usize, 4, 8]
+        .into_iter()
+        .map(|n| {
+            let patterns = (0..n).map(|i| format!("_650{i:02}:[0-9]+_")).collect();
+            (n.to_string(), &communities, patterns)
+        })
+        .collect();
+    // The `wide_policy` base's shapes: one community per pattern, and
+    // one origin AS per pattern.
+    cases.push((
+        "wide_communities_32".into(),
+        &communities,
+        (1..=32).map(|m| format!("_65000:{m}_")).collect(),
+    ));
+    cases.push((
+        "wide_as_paths_20".into(),
+        &as_paths,
+        (0..20).map(|k| format!("_{}$", 64512 + 5 * k)).collect(),
+    ));
+    // Ten independent transit ASNs: 1024 atoms.
+    cases.push((
+        "transit_10".into(),
+        &as_paths,
+        (100..110).map(|asn| format!("_{asn}_")).collect(),
+    ));
     let mut g = c.benchmark_group("automata/atom_space");
-    for n in [2usize, 4, 8] {
-        let patterns: Vec<Regex> = (0..n)
-            .map(|i| Regex::parse(&format!("_650{i:02}:[0-9]+_")).expect("valid"))
-            .collect();
-        g.bench_with_input(BenchmarkId::from_parameter(n), &patterns, |b, pats| {
-            b.iter(|| black_box(AtomSpace::build(&universe, pats).expect("atoms")));
+    for (name, universe, patterns) in &cases {
+        g.bench_with_input(BenchmarkId::from_parameter(name), patterns, |b, pats| {
+            b.iter(|| {
+                let regexes: Vec<Regex> = pats
+                    .iter()
+                    .map(|p| Regex::parse(p).expect("valid"))
+                    .collect();
+                let refs: Vec<&Regex> = regexes.iter().collect();
+                black_box(AtomSpace::build(universe, &refs).expect("atoms"))
+            });
         });
     }
     g.finish();
