@@ -8,10 +8,13 @@
 //! is then written once, on top of it: match sets, fire sets and the
 //! permit set (provided methods), Batfish-style [`search`], [`witnesses`]
 //! by point exclusion, and the overlap census
-//! [`overlaps`](crate::overlaps).
+//! [`overlaps`](crate::overlaps). Fire sets are one fold over match sets
+//! the caller already holds, so every rule is encoded once per analysis;
+//! the permit set, the route space's list encoders and the network
+//! transfer read the same fold.
 
 use clarify_bdd::{Manager, Ref};
-use clarify_netconfig::{Acl, Action, Config, ObjectKind, PrefixList, RouteMap, RuleId};
+use clarify_netconfig::{Acl, Action, Config, PrefixList, RouteMap};
 use clarify_nettypes::{BgpRoute, Packet, Prefix};
 
 use crate::error::AnalysisError;
@@ -21,9 +24,8 @@ use crate::route_space::RouteSpace;
 
 /// An ordered first-match policy object — a route-map, ACL or prefix
 /// list — and the symbolic space its rules are encoded in. Code written
-/// once for every kind of policy (the analyses in this crate, the cached
-/// fire-sets, the lint pass and the disambiguation engine) is generic
-/// over this trait.
+/// once for every kind of policy (the analyses in this crate, the lint
+/// pass and the disambiguation engine) is generic over this trait.
 pub trait FirstMatchPolicy {
     /// The space the policy's rule sets live in.
     type Space;
@@ -32,8 +34,6 @@ pub trait FirstMatchPolicy {
     /// The span timing one fire-set build.
     const FIRE_SETS_SPAN: &'static str;
 
-    /// The policy's identity; with a content hash, its cache key.
-    fn object_id(&self) -> RuleId;
     /// The space's BDD manager.
     fn manager(space: &mut Self::Space) -> &mut Manager;
     /// The assignments of the space that decode to inputs.
@@ -62,68 +62,66 @@ pub trait FirstMatchPolicy {
             .collect()
     }
 
-    /// First-match firing region per rule, plus the fall-through
-    /// remainder (valid inputs no rule matches: the implicit trailing
-    /// deny).
-    fn fire_sets(
-        &self,
-        space: &mut Self::Space,
-        cfg: &Config,
-    ) -> Result<(Vec<Ref>, Ref), AnalysisError> {
+    /// First-match firing region per rule, from the rules' match sets in
+    /// order (see [`match_sets`](Self::match_sets)), plus the
+    /// fall-through remainder (valid inputs no rule matches: the implicit
+    /// trailing deny). The fold encodes nothing, so a caller that holds
+    /// the match sets encodes each rule once.
+    fn fire_sets(space: &mut Self::Space, matches: &[Ref]) -> (Vec<Ref>, Ref) {
         let _span = clarify_obs::span!(Self::FIRE_SETS_SPAN);
         clarify_obs::global()
             .counter("analysis.fire_set_builds")
             .incr();
-        let mut fires = Vec::with_capacity(self.rule_count());
-        let mut unmatched = Self::valid(space);
-        for i in 0..self.rule_count() {
-            let m = self.rule_match(space, cfg, i)?;
-            let mgr = Self::manager(space);
-            fires.push(mgr.and(unmatched, m));
-            let nm = mgr.not(m);
-            unmatched = mgr.and(unmatched, nm);
-        }
-        Ok((fires, unmatched))
+        let valid = Self::valid(space);
+        first_match(Self::manager(space), valid, matches)
     }
 
     /// The valid inputs the policy permits (first match, implicit
-    /// trailing deny).
+    /// trailing deny): the union of its permit rules' fires.
     fn permit_set(&self, space: &mut Self::Space, cfg: &Config) -> Result<Ref, AnalysisError> {
+        let matches = self.match_sets(space, cfg)?;
         let valid = Self::valid(space);
-        first_match_permits(
-            space,
-            Self::manager,
-            valid,
-            0..self.rule_count(),
-            |space, i| Ok((self.action(i), self.rule_match(space, cfg, i)?)),
-        )
+        let mgr = Self::manager(space);
+        let (fires, _) = first_match(mgr, valid, &matches);
+        let actions = (0..self.rule_count()).map(|i| self.action(i));
+        Ok(permits(mgr, actions, &fires))
     }
 }
 
-/// The first-match permit fold: rule by rule, the inputs still unmatched
-/// that a rule matches fire on it, and a permit rule adds them to the
-/// result. `unmatched` starts as the inputs under consideration; `rule`
-/// yields one rule's action and match set and runs interleaved with the
-/// fold, so every rule is encoded just before its own operations.
-pub(crate) fn first_match_permits<S, R>(
-    space: &mut S,
-    manager: fn(&mut S) -> &mut Manager,
+/// The first-match fold, the one place rules are ordered: rule by rule,
+/// the inputs of `unmatched` that no earlier rule matched and the rule's
+/// match set (in `matches`) contains fire on it. Returns each rule's fire
+/// set and the inputs left unmatched at the end.
+pub(crate) fn first_match(
+    mgr: &mut Manager,
     mut unmatched: Ref,
-    rules: impl IntoIterator<Item = R>,
-    mut rule: impl FnMut(&mut S, R) -> Result<(Action, Ref), AnalysisError>,
-) -> Result<Ref, AnalysisError> {
-    let mut permitted = Ref::FALSE;
-    for r in rules {
-        let (action, m) = rule(space, r)?;
-        let mgr = manager(space);
-        let fires = mgr.and(unmatched, m);
-        if action == Action::Permit {
-            permitted = mgr.or(permitted, fires);
-        }
-        let nm = mgr.not(m);
-        unmatched = mgr.and(unmatched, nm);
-    }
-    Ok(permitted)
+    matches: &[Ref],
+) -> (Vec<Ref>, Ref) {
+    let fires = matches
+        .iter()
+        .map(|&m| {
+            let fire = mgr.and(unmatched, m);
+            let nm = mgr.not(m);
+            unmatched = mgr.and(unmatched, nm);
+            fire
+        })
+        .collect();
+    (fires, unmatched)
+}
+
+/// The union of the fires of the rules whose action (in `actions`, in
+/// rule order) is permit: what the policy permits.
+pub(crate) fn permits(
+    mgr: &mut Manager,
+    actions: impl IntoIterator<Item = Action>,
+    fires: &[Ref],
+) -> Ref {
+    let permitted = actions.into_iter().zip(fires);
+    mgr.or_all(
+        permitted
+            .filter(|&(action, _)| action == Action::Permit)
+            .map(|(_, &fire)| fire),
+    )
 }
 
 /// "The first `p.len()` of the address variables `vars` (MSB first) hold
@@ -187,9 +185,6 @@ impl FirstMatchPolicy for RouteMap {
     type Input = BgpRoute;
     const FIRE_SETS_SPAN: &'static str = "route_fire_sets";
 
-    fn object_id(&self) -> RuleId {
-        RuleId::object(ObjectKind::RouteMap, &self.name)
-    }
     fn manager(space: &mut RouteSpace) -> &mut Manager {
         space.manager()
     }
@@ -223,9 +218,6 @@ impl FirstMatchPolicy for Acl {
     type Input = Packet;
     const FIRE_SETS_SPAN: &'static str = "acl_fire_sets";
 
-    fn object_id(&self) -> RuleId {
-        RuleId::object(ObjectKind::Acl, &self.name)
-    }
     fn manager(space: &mut PacketSpace) -> &mut Manager {
         space.manager()
     }
@@ -259,9 +251,6 @@ impl FirstMatchPolicy for PrefixList {
     type Input = Prefix;
     const FIRE_SETS_SPAN: &'static str = "prefix_fire_sets";
 
-    fn object_id(&self) -> RuleId {
-        RuleId::object(ObjectKind::PrefixList, &self.name)
-    }
     fn manager(space: &mut PrefixSpace) -> &mut Manager {
         space.manager()
     }

@@ -18,6 +18,15 @@
 //!   interval arithmetic for ACLs;
 //! * [`witnesses`] — several distinct example inputs from one region.
 //!
+//! Every one of them decides a rule on its first-match firing region, and
+//! that region comes from one fold, [`FirstMatchPolicy::fire_sets`], over
+//! the match sets the caller already holds
+//! ([`FirstMatchPolicy::match_sets`]), so an analysis encodes each rule
+//! once. Nothing in this crate keeps fire sets across calls except
+//! [`NetworkSpace`], which memoises each map's for one network-lint run.
+//! [`atom_env_hash`] names the atom environment a [`RouteSpace`] is built
+//! from: a space can be reused exactly while that hash stays the same.
+//!
 //! What a route-map stanza's `set` clauses do to a route is folded once,
 //! into a net per-field effect (the last write wins on each field,
 //! community adds accumulate and a replace resets them). Comparing
@@ -40,7 +49,6 @@ mod effect;
 mod error;
 mod filter_compare;
 mod first_match;
-mod incr;
 mod network_space;
 mod overlap;
 mod packet_space;
@@ -54,14 +62,13 @@ pub use filter_compare::{
     PrefixListDiff, PrefixSpace,
 };
 pub use first_match::{search, witnesses, FirstMatchPolicy};
-pub use incr::{atom_env_hash, fire_sets_cached, FireSetCache, FireSets};
 pub use network_space::NetworkSpace;
 pub use overlap::{
     acl_overlaps, overlaps, route_map_chain_overlaps, ChainOverlapPair, OverlapPair, OverlapReport,
 };
 pub use packet_space::PacketSpace;
 pub use route_compare::{compare_route_policies, policies_equivalent, stanza_pair_diff, RouteDiff};
-pub use route_space::{OutputConstraints, RouteSpace};
+pub use route_space::{atom_env_hash, OutputConstraints, RouteSpace};
 pub use spec::{verify_stanza_against_spec, SpecVerdict, StanzaSpec};
 
 #[cfg(test)]

@@ -21,27 +21,26 @@
 
 use std::collections::HashMap;
 
-use clarify_bdd::Ref;
+use clarify_bdd::{Ref, Root};
 use clarify_netconfig::{Action, Config, RouteMap, RouteMapSet};
 use clarify_nettypes::{BgpRoute, Prefix};
 
 use crate::effect::{CommunityEffect, SetEffect};
 use crate::error::AnalysisError;
-use crate::incr::FireSetCache;
+use crate::first_match::{permits, FirstMatchPolicy};
 use crate::route_space::{Field, RouteSpace};
 
-/// A [`RouteSpace`] plus private [`FireSetCache`]s, extended with policy
-/// transfer functions. One instance serves a whole topology; build it from
-/// **every** config in the network so all policies share one atom
-/// environment.
+/// A [`RouteSpace`] plus a memo of each map's fire sets, extended with
+/// policy transfer functions. One instance serves a whole topology for one
+/// run; build it from **every** config in the network so all policies
+/// share one atom environment.
 pub struct NetworkSpace {
     space: RouteSpace,
-    /// One cache per key, the key identifying the config a map belongs
-    /// to. Same-named maps in different configs share a
-    /// [`RuleId`](clarify_netconfig::RuleId) but are different objects; a
-    /// cache each keeps the per-object generation bound from evicting one
-    /// config's map for another's.
-    caches: HashMap<u64, FireSetCache>,
+    /// Per map, keyed by a hash identifying its config and its name, its
+    /// fire sets, rooted so they survive the manager's collections.
+    /// Same-named maps in different configs share a name but are different
+    /// objects, so the name alone would not do.
+    fires: HashMap<(u64, String), Vec<Root>>,
 }
 
 impl NetworkSpace {
@@ -52,7 +51,7 @@ impl NetworkSpace {
             .incr();
         Ok(NetworkSpace {
             space: RouteSpace::new(configs)?,
-            caches: HashMap::new(),
+            fires: HashMap::new(),
         })
     }
 
@@ -66,12 +65,13 @@ impl NetworkSpace {
         self.space.valid()
     }
 
-    /// First-match firing regions of `map`, through the internal cache.
+    /// First-match firing regions of `map`'s stanzas, built on the map's
+    /// first use in the run and read from the memo after that.
     ///
-    /// `hash` keys the cache together with the map's name, and must
-    /// identify the config `map` belongs to (e.g. a hash of the whole
-    /// config source). One space serves **many configs**, so same-named
-    /// maps in different configs collide on name, and an object hash from
+    /// `hash` must identify the config `map` belongs to (e.g. a hash of
+    /// the whole config source). One space serves **many configs**, so
+    /// same-named maps in different configs collide on name, and an
+    /// object hash from
     /// [`Config::object_hashes`](clarify_netconfig::Config::object_hashes)
     /// alone would not do: it covers only the map's own text, not the
     /// lists it references.
@@ -80,28 +80,29 @@ impl NetworkSpace {
         cfg: &Config,
         map: &RouteMap,
         hash: u64,
-    ) -> Result<crate::incr::FireSets, AnalysisError> {
-        let cache = self.caches.entry(hash).or_default();
-        crate::incr::fire_sets_cached(&mut self.space, cache, cfg, map, hash)
+    ) -> Result<Vec<Ref>, AnalysisError> {
+        let key = (hash, map.name.clone());
+        if let Some(roots) = self.fires.get(&key) {
+            return Ok(roots.iter().map(Root::as_ref).collect());
+        }
+        let matches = map.match_sets(&mut self.space, cfg)?;
+        let (fires, _) = RouteMap::fire_sets(&mut self.space, &matches);
+        let roots = fires.iter().map(|&f| self.space.mgr.protect(f)).collect();
+        self.fires.insert(key, roots);
+        Ok(fires)
     }
 
     /// The region a route-map permits (union of permit firing regions),
-    /// using the internal cache.
+    /// from the memo.
     pub fn permit_region(
         &mut self,
         cfg: &Config,
         map: &RouteMap,
         hash: u64,
     ) -> Result<Ref, AnalysisError> {
-        let sets = self.fire_sets(cfg, map, hash)?;
-        let permits: Vec<Ref> = map
-            .stanzas
-            .iter()
-            .zip(&sets.fires)
-            .filter(|(s, _)| s.action == Action::Permit)
-            .map(|(_, &f)| f)
-            .collect();
-        Ok(self.space.mgr.or_all(permits))
+        let fires = self.fire_sets(cfg, map, hash)?;
+        let actions = map.stanzas.iter().map(|s| s.action);
+        Ok(permits(&mut self.space.mgr, actions, &fires))
     }
 
     /// The image of `input` under the route-map: the set of routes that
@@ -116,9 +117,9 @@ impl NetworkSpace {
     ) -> Result<Ref, AnalysisError> {
         let _span = clarify_obs::span!("network_transfer");
         clarify_obs::global().counter("analysis.transfers").incr();
-        let sets = self.fire_sets(cfg, map, hash)?;
+        let fires = self.fire_sets(cfg, map, hash)?;
         let mut out = Ref::FALSE;
-        for (stanza, &fire) in map.stanzas.iter().zip(&sets.fires) {
+        for (stanza, &fire) in map.stanzas.iter().zip(&fires) {
             if stanza.action != Action::Permit {
                 continue;
             }
@@ -225,9 +226,9 @@ impl NetworkSpace {
 
     /// Drops the manager's memoization tables between work items — and,
     /// since the route space arms auto-GC, lets the kernel collect
-    /// unrooted nodes (or re-sift a degraded order) here. Cached fire-set
-    /// `Ref`s stay valid because the internal [`FireSetCache`]s root every
-    /// entry; any other ref held across this call does not survive.
+    /// unrooted nodes (or re-sift a degraded order) here. Memoised
+    /// fire-set `Ref`s stay valid because the memo roots every one; any
+    /// other ref held across this call does not survive.
     pub fn clear_op_caches(&mut self) {
         self.space.manager().clear_op_caches();
     }

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use clarify_bdd::Ref;
-use clarify_netconfig::{Action, Config, RouteMapStanza, RouteMapVerdict};
+use clarify_netconfig::{Action, Config, RouteMap, RouteMapStanza, RouteMapVerdict};
 use clarify_nettypes::{BgpRoute, Community};
 
 use crate::effect::{CommunityEffect, SetEffect};
@@ -153,7 +153,8 @@ fn regions<'c>(
             name: name.to_string(),
         })
     })?;
-    let (fires, implicit) = map.fire_sets(space, cfg)?;
+    let matches = map.match_sets(space, cfg)?;
+    let (fires, implicit) = RouteMap::fire_sets(space, &matches);
     Ok(fires
         .into_iter()
         .zip(map.stanzas.iter().map(Some))

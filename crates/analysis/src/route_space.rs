@@ -7,13 +7,14 @@ use std::sync::OnceLock;
 use clarify_automata::{AtomSpace, Dfa, Regex};
 use clarify_bdd::{Cube, Manager, Ref};
 use clarify_netconfig::{
-    Action, AsPathList, CommunityList, Config, PrefixList, RouteMapMatch, RouteMapStanza,
+    fnv1a64, fnv1a64_combine, Action, AsPathList, CommunityList, Config, PrefixList, RouteMap,
+    RouteMapMatch, RouteMapStanza,
 };
 use clarify_nettypes::{AsPath, BgpRoute, Community, Prefix, PrefixRange};
 
 use crate::effect::SetEffect;
 use crate::error::AnalysisError;
-use crate::first_match::{encode_network, first_match_permits, FirstMatchPolicy};
+use crate::first_match::{encode_network, first_match, permits, FirstMatchPolicy};
 
 /// All syntactically valid community subject strings: `N:M` with one to
 /// five digits per half. It admits halves past 65535, which no community
@@ -74,9 +75,8 @@ impl Field {
 /// The regexes that define a route space's atoms: the community and the
 /// AS-path patterns of `configs`, each deduplicated in first-seen order
 /// (configurations in order, lists by name, entries in order).
-/// [`RouteSpace::new`] builds its atoms from them and
-/// [`atom_env_hash`](crate::atom_env_hash) hashes them, so the two agree
-/// on what changes a space's layout.
+/// [`RouteSpace::new`] builds its atoms from them and [`atom_env_hash`]
+/// hashes them, so the two agree on what changes a space's layout.
 pub(crate) fn atom_patterns<'a>(configs: &[&'a Config]) -> [Vec<&'a Regex>; 2] {
     fn dedup<'a>(regexes: impl Iterator<Item = &'a Regex>) -> Vec<&'a Regex> {
         let mut seen = HashSet::new();
@@ -91,6 +91,24 @@ pub(crate) fn atom_patterns<'a>(configs: &[&'a Config]) -> [Vec<&'a Regex>; 2] {
         .flat_map(|c| c.as_path_lists.values())
         .flat_map(|l| &l.entries);
     [dedup(comm.map(|e| &e.regex)), dedup(path.map(|e| &e.regex))]
+}
+
+/// Hash of the **atom environment** a [`RouteSpace`] would build for the
+/// given configurations: the deduplicated community and AS-path regex
+/// patterns it builds its atoms from, in order. Two configurations with
+/// equal atom-env hashes produce route spaces with identical variable
+/// layouts and atom witnesses, so route-map findings (including decoded
+/// witnesses) carry over verbatim; when the hash changes, every route-map
+/// analysis is dirty, because atom witnesses — and with them, rendered
+/// diagnostics — may shift even for untouched maps.
+pub fn atom_env_hash(configs: &[&Config]) -> u64 {
+    let [comm, path] = atom_patterns(configs);
+    let fold = |h, pats: Vec<&Regex>| {
+        let hashes = pats.iter().map(|r| fnv1a64(r.pattern().as_bytes()));
+        hashes.fold(h, fnv1a64_combine)
+    };
+    let h = fold(fnv1a64(b"atom-env/v1"), comm);
+    fold(fnv1a64_combine(h, 0xa5a5_a5a5_a5a5_a5a5), path) // comm/path separator
 }
 
 /// The symbolic input space of route-map analysis.
@@ -275,13 +293,19 @@ impl RouteSpace {
 
     /// Encodes a prefix list's *permit* set (first match wins, default deny).
     pub fn encode_prefix_list(&mut self, list: &PrefixList) -> Result<Ref, AnalysisError> {
-        first_match_permits(
-            self,
-            RouteSpace::manager,
-            Ref::TRUE,
-            &list.entries,
-            |s, e| Ok((e.action, s.encode_prefix_range(&e.range))),
-        )
+        let entries = list.entries.iter();
+        let matches: Vec<Ref> = entries
+            .clone()
+            .map(|e| self.encode_prefix_range(&e.range))
+            .collect();
+        Ok(self.list_permits(entries.map(|e| e.action), &matches))
+    }
+
+    /// What a list whose entries have `actions` and `matches` permits of
+    /// every route: first match wins, default deny.
+    fn list_permits(&mut self, actions: impl Iterator<Item = Action>, matches: &[Ref]) -> Ref {
+        let (fires, _) = first_match(&mut self.mgr, Ref::TRUE, matches);
+        permits(&mut self.mgr, actions, &fires)
     }
 
     fn pattern_set(&mut self, kind: &'static str, pattern: &str) -> Result<Ref, AnalysisError> {
@@ -317,24 +341,22 @@ impl RouteSpace {
 
     /// Encodes a community list's permit set.
     pub fn encode_community_list(&mut self, list: &CommunityList) -> Result<Ref, AnalysisError> {
-        first_match_permits(
-            self,
-            RouteSpace::manager,
-            Ref::TRUE,
-            &list.entries,
-            |s, e| Ok((e.action, s.pattern_set("community", e.regex.pattern())?)),
-        )
+        let entries = list.entries.iter();
+        let matches = entries
+            .clone()
+            .map(|e| self.pattern_set("community", e.regex.pattern()))
+            .collect::<Result<Vec<Ref>, _>>()?;
+        Ok(self.list_permits(entries.map(|e| e.action), &matches))
     }
 
     /// Encodes an AS-path list's permit set.
     pub fn encode_as_path_list(&mut self, list: &AsPathList) -> Result<Ref, AnalysisError> {
-        first_match_permits(
-            self,
-            RouteSpace::manager,
-            Ref::TRUE,
-            &list.entries,
-            |s, e| Ok((e.action, s.pattern_set("as-path", e.regex.pattern())?)),
-        )
+        let entries = list.entries.iter();
+        let matches = entries
+            .clone()
+            .map(|e| self.pattern_set("as-path", e.regex.pattern()))
+            .collect::<Result<Vec<Ref>, _>>()?;
+        Ok(self.list_permits(entries.map(|e| e.action), &matches))
     }
 
     /// Encodes one match clause.
@@ -343,8 +365,7 @@ impl RouteSpace {
             RouteMapMatch::PrefixList(names) => {
                 let mut acc = Ref::FALSE;
                 for n in names {
-                    let pl = cfg.prefix_list(n)?.clone();
-                    let enc = self.encode_prefix_list(&pl)?;
+                    let enc = self.encode_prefix_list(cfg.prefix_list(n)?)?;
                     acc = self.mgr.or(acc, enc);
                 }
                 acc
@@ -352,8 +373,7 @@ impl RouteSpace {
             RouteMapMatch::Community(names) => {
                 let mut acc = Ref::FALSE;
                 for n in names {
-                    let cl = cfg.community_list(n)?.clone();
-                    let enc = self.encode_community_list(&cl)?;
+                    let enc = self.encode_community_list(cfg.community_list(n)?)?;
                     acc = self.mgr.or(acc, enc);
                 }
                 acc
@@ -361,8 +381,7 @@ impl RouteSpace {
             RouteMapMatch::AsPath(names) => {
                 let mut acc = Ref::FALSE;
                 for n in names {
-                    let al = cfg.as_path_list(n)?.clone();
-                    let enc = self.encode_as_path_list(&al)?;
+                    let enc = self.encode_as_path_list(cfg.as_path_list(n)?)?;
                     acc = self.mgr.or(acc, enc);
                 }
                 acc
@@ -550,7 +569,8 @@ impl RouteSpace {
                 })
             })?
             .clone();
-        let (fires, _) = map.fire_sets(self, cfg)?;
+        let matches = map.match_sets(self, cfg)?;
+        let (fires, _) = RouteMap::fire_sets(self, &matches);
         let mut region = Ref::FALSE;
         for (stanza, &fire) in map.stanzas.iter().zip(&fires) {
             if stanza.action != Action::Permit {

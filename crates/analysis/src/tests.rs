@@ -1143,41 +1143,6 @@ fn origination_region_is_exact_points() {
     }
 }
 
-/// A long edit session pins a bounded number of fire-set generations:
-/// distinct edits to one object leave only its two most recently used
-/// generations cached, and every evicted generation's roots are released.
-#[test]
-fn fire_set_cache_keeps_two_generations_per_object() {
-    use crate::{fire_sets_cached, FireSetCache, FirstMatchPolicy};
-
-    let edit = |port: u64| {
-        Config::parse(&format!(
-            "ip access-list extended A\n permit tcp any any eq {port}\n deny ip any any\n"
-        ))
-        .unwrap()
-    };
-    let mut space = PacketSpace::new();
-    let roots_before = space.manager().root_count();
-    let mut cache = FireSetCache::new();
-    for port in 0..12 {
-        let cfg = edit(port);
-        fire_sets_cached(&mut space, &mut cache, &cfg, cfg.acl("A").unwrap(), port).unwrap();
-    }
-    assert_eq!(cache.len(), 2);
-    // Two rules plus the remainder: three roots per generation.
-    assert_eq!(space.manager().root_count() - roots_before, 2 * 3);
-
-    // A hit makes its generation the most recent, so the next edit evicts
-    // the other one: reverting to either of the last two still hits.
-    let id = edit(0).acl("A").unwrap().object_id();
-    assert!(cache.get(&id, 10).is_some());
-    let cfg = edit(12);
-    fire_sets_cached(&mut space, &mut cache, &cfg, cfg.acl("A").unwrap(), 12).unwrap();
-    assert!(cache.get(&id, 10).is_some());
-    assert!(cache.get(&id, 11).is_none());
-    assert_eq!(cache.len(), 2);
-}
-
 mod set_effect_tests {
     use super::*;
     use crate::effect::SetEffect;
@@ -1363,6 +1328,100 @@ mod set_effect_tests {
                 ns.space_mut().manager().implies_true(point, image),
                 "sets {:?} route {:?} output {:?}", sets, r, out
             );
+        }
+    }
+}
+
+/// The one first-match fold against its definition, on random route-maps,
+/// ACLs and prefix lists: the fires and the remainder partition `valid`,
+/// the concrete evaluator decides a witness of each fire by its rule and a
+/// witness of the remainder by the implicit deny, and the permit set is
+/// the union of the permit rules' fires.
+mod first_match_fold {
+    use clarify_bdd::Ref;
+    use clarify_netconfig::{Action, Config};
+    use clarify_testkit::{policies, property, Source};
+
+    use crate::{FirstMatchPolicy, PacketSpace, PrefixSpace, RouteSpace};
+
+    /// Checks the fold over `policy`'s match sets in `space`. `decide` is
+    /// the concrete evaluator: the index of the rule that decides an
+    /// input, `None` for the implicit deny.
+    fn check<P: FirstMatchPolicy>(
+        space: &mut P::Space,
+        cfg: &Config,
+        policy: &P,
+        decide: impl Fn(&P::Input) -> Option<usize>,
+    ) {
+        let matches = policy.match_sets(space, cfg).unwrap();
+        let (fires, remainder) = P::fire_sets(space, &matches);
+        assert_eq!(fires.len(), policy.rule_count());
+        let valid = P::valid(space);
+        let regions: Vec<(Option<usize>, Ref)> = (0..fires.len())
+            .map(Some)
+            .zip(fires.iter().copied())
+            .chain([(None, remainder)])
+            .collect();
+        let mgr = P::manager(space);
+        let mut union = Ref::FALSE;
+        for (n, &(rule, region)) in regions.iter().enumerate() {
+            for &(later, other) in &regions[n + 1..] {
+                let joint = mgr.and(region, other);
+                assert_eq!(joint, Ref::FALSE, "{rule:?} and {later:?} overlap");
+            }
+            union = mgr.or(union, region);
+        }
+        assert_eq!(union, valid, "the fires and the remainder cover valid");
+        for &(rule, region) in &regions {
+            if let Some(input) = P::witness(space, region).unwrap() {
+                assert_eq!(decide(&input), rule, "witness {input}");
+            }
+        }
+        let permitted = fires
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| policy.action(i) == Action::Permit);
+        let mgr = P::manager(space);
+        let union = mgr.or_all(permitted.map(|(_, &fire)| fire));
+        assert_eq!(policy.permit_set(space, cfg).unwrap(), union);
+    }
+
+    /// A route-map `RM` with the lists it may reference.
+    fn route_map_case(g: &mut Source) -> String {
+        policies::LISTS.to_string() + &policies::route_map(g, "RM", 5)
+    }
+
+    fn acl_case(g: &mut Source) -> String {
+        policies::acl(g, "A", 6)
+    }
+
+    fn prefix_case(g: &mut Source) -> String {
+        policies::prefix_list(g, "PL", 5)
+    }
+
+    property! {
+        fn route_map_fold_matches_concrete_evaluation(text in route_map_case) cases 64 {
+            let cfg = Config::parse(&text).unwrap();
+            let map = &cfg.route_maps["RM"];
+            let mut space = RouteSpace::new(&[&cfg]).unwrap();
+            check(&mut space, &cfg, map, |route| {
+                let seq = cfg.eval_route_map("RM", route).unwrap().seq()?;
+                map.stanzas.iter().position(|s| s.seq == seq)
+            });
+        }
+
+        fn acl_fold_matches_concrete_evaluation(text in acl_case) cases 128 {
+            let cfg = Config::parse(&text).unwrap();
+            let acl = &cfg.acls["A"];
+            check(&mut PacketSpace::new(), &cfg, acl, |packet| acl.eval(packet).index);
+        }
+
+        fn prefix_list_fold_matches_concrete_evaluation(text in prefix_case) cases 128 {
+            let cfg = Config::parse(&text).unwrap();
+            let list = &cfg.prefix_lists["PL"];
+            check(&mut PrefixSpace::new(), &cfg, list, |prefix| {
+                list.entries.iter().position(|e| e.range.matches(prefix))
+            });
         }
     }
 }

@@ -73,8 +73,8 @@ impl Manager {
     }
 
     /// Re-points an existing root at a new function, keeping its slot.
-    /// Equivalent to unprotect + protect but without slab churn — the
-    /// fire-set caches use this when a cached entry is refreshed.
+    /// Equivalent to unprotect + protect but without slab churn, for a
+    /// long-lived entry whose function is refreshed in place.
     pub fn reprotect(&mut self, root: &mut Root, r: Ref) {
         self.roots[root.slot as usize] = Some(r);
         root.r = r;

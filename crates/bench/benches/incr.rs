@@ -1,6 +1,6 @@
-//! Incremental vs full re-lint after a one-stanza edit (ISSUE satellite
-//! d): the whole point of the diff-driven engine is that the cost of a
-//! re-lint tracks the size of the *edit*, not the size of the config.
+//! Incremental vs full re-lint after a one-stanza edit: the whole point
+//! of the diff-driven engine is that the cost of a re-lint tracks the
+//! size of the *edit*, not the size of the config.
 //!
 //! Three paths per population:
 //!
@@ -10,9 +10,9 @@
 //!   previous run's cache (what `lint --incremental` does: pays one route
 //!   space build for the dirty map, splices the rest);
 //! - `session`     — `IncrementalLinter::relint` alternating the edit and
-//!   its revert, steady state (retained spaces; both versions' fire-sets
-//!   are cached after the first lap, so this is the interactive-loop
-//!   price).
+//!   its revert, steady state (retained spaces: every re-lint recomputes
+//!   the one dirty map on a space that is already built, so this is the
+//!   interactive-loop price).
 
 use clarify_rng::StdRng;
 use clarify_testkit::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -82,7 +82,7 @@ fn bench_population(c: &mut Criterion, label: &str, base: Config) {
     });
     g.bench_with_input(BenchmarkId::from_parameter("session"), &(), |b, ()| {
         let (mut session, _) = IncrementalLinter::new(base.clone(), None).expect("open session");
-        // Warm both versions' fire-sets so iterations measure the steady
+        // Build the retained spaces first so iterations measure the steady
         // state of an edit/revert loop, not first-touch builds.
         session.relint(next.clone(), None).expect("warm edit");
         session.relint(base.clone(), None).expect("warm revert");

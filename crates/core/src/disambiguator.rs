@@ -169,7 +169,7 @@ impl Disambiguator {
         // the pivot rule's firing region (`s* ∧ fire_i = ⊥`) cannot be
         // decisive — above/below placements there are provably equivalent
         // — so its placement comparison is skipped outright.
-        let (fires, _) = kind.target().fire_sets(space, kind.base())?;
+        let (fires, _) = K::Policy::fire_sets(space, &match_sets);
         let candidates =
             prune_candidates(K::Policy::manager(space), &fires, s_star, &overlaps).kept;
         let pruned_candidates = n - candidates.len();

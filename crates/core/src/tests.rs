@@ -497,7 +497,8 @@ mod pivot_question_oracle {
         let mut space = kind.new_space().unwrap();
         let mut oracle_space = kind.new_space().unwrap();
         let s_star = kind.new_match(&mut space).unwrap();
-        let (fires, _) = kind.target().fire_sets(&mut space, kind.base()).unwrap();
+        let matches = kind.target().match_sets(&mut space, kind.base()).unwrap();
+        let (fires, _) = K::Policy::fire_sets(&mut space, &matches);
         for (pivot, &fire) in fires.iter().enumerate() {
             let region = K::Policy::manager(&mut space).and(s_star, fire);
             if region == Ref::FALSE {

@@ -24,14 +24,15 @@
 //! object is dirty), the one-shot [`lint_config_incremental`] and the
 //! session's [`IncrementalLinter::relint`]. They differ only in how dirty
 //! objects are recomputed: the first two use the cold parallel fan-out,
-//! the session its retained spaces and keyed fire-set caches.
+//! the session its retained spaces. Nothing finer than a whole object's
+//! diagnostics is kept across runs: a dirty object's fire sets are one
+//! fold over the match sets its lint encodes anyway, so there is no
+//! second encoding left for a fire-set cache to save.
 //!
 //! [`lint_config`]: crate::lint_config
 
-use clarify_analysis::{atom_env_hash, AnalysisError, FireSetCache, FirstMatchPolicy};
-use clarify_netconfig::{
-    fnv1a64_combine, Acl, Config, ObjectHashes, PrefixList, RouteMap, SourceMap,
-};
+use clarify_analysis::{atom_env_hash, AnalysisError, PacketSpace, PrefixSpace, RouteSpace};
+use clarify_netconfig::{Acl, Config, ObjectHashes, PrefixList, RouteMap, SourceMap};
 
 use crate::cache::LintCache;
 use crate::diagnostic::{Diagnostic, LintReport};
@@ -50,58 +51,33 @@ pub struct IncrStats {
     pub reused_objects: usize,
 }
 
-/// One kind's retained session state: its space, built on first use, and
-/// the fire-sets cached in that space.
-pub(crate) struct KindState<K: FirstMatchPolicy> {
-    space: Option<K::Space>,
-    fires: FireSetCache,
-}
-
-impl<K: FirstMatchPolicy> Default for KindState<K> {
-    fn default() -> Self {
-        KindState {
-            space: None,
-            fires: FireSetCache::new(),
-        }
-    }
-}
-
-/// A session's retained state, one [`KindState`] per kind.
+/// A session's retained spaces, one per kind, each built on first use.
+/// They hold nothing but their `valid` roots between re-lints: a dirty
+/// object's fire sets are one fold over match sets its lint builds anyway.
 #[derive(Default)]
 pub(crate) struct SessionState {
-    pub(crate) route_maps: KindState<RouteMap>,
-    pub(crate) acls: KindState<Acl>,
-    pub(crate) prefix_lists: KindState<PrefixList>,
+    pub(crate) route_maps: Option<RouteSpace>,
+    pub(crate) acls: Option<PacketSpace>,
+    pub(crate) prefix_lists: Option<PrefixSpace>,
 }
 
 impl SessionState {
     /// The diagnostics of each of `objects` (dirty, encodable, in name
-    /// order), computed serially on the kind's retained space, through its
-    /// keyed fire-set cache.
+    /// order), computed serially on the kind's retained space.
     fn recompute<K: LintKind>(
         &mut self,
         cfg: &Config,
-        hashes: &ObjectHashes,
         objects: &[(&String, &K)],
     ) -> Result<Vec<Vec<Diagnostic>>, AnalysisError> {
-        let state = K::state(self);
+        let retained = K::space(self);
         objects
             .iter()
             .map(|&(name, obj)| {
-                let space = match &mut state.space {
+                let space = match retained {
                     Some(s) => s,
-                    None => state.space.insert(K::new_space(cfg)?),
+                    None => retained.insert(K::new_space(cfg)?),
                 };
-                // Fold in the hash of every list the object references: a
-                // route-map dirtied by an edit to one keeps its own hash,
-                // and would otherwise hit fire-sets built against the old
-                // list.
-                let own = hashes.get(K::KIND, name).expect("object is in cfg");
-                let key = obj
-                    .references()
-                    .filter_map(|(kind, list)| hashes.get(kind, list))
-                    .fold(own, fnv1a64_combine);
-                let diags = lint_object(space, cfg, name, obj, Some((&mut state.fires, key)))?;
+                let diags = lint_object(space, cfg, name, obj)?;
                 K::manager(space).clear_op_caches();
                 Ok(diags)
             })
@@ -208,7 +184,7 @@ fn drive_kind<K: LintKind>(
         .filter(|(_, obj)| obj.references().all(|(kind, list)| cfg.defines(kind, list)))
         .collect();
     let blocks = match session {
-        Some(session) => session.recompute(cfg, hashes, &fresh)?,
+        Some(session) => session.recompute(cfg, &fresh)?,
         None => lint_objects(cfg, &fresh)?,
     };
     let mut blocks = fresh.iter().map(|&(name, _)| name).zip(blocks).peekable();
@@ -240,22 +216,20 @@ pub fn lint_config_incremental(
     drive(cfg, spans, Some(prev), None)
 }
 
-/// A stateful re-lint session: retains the BDD spaces and keyed fire-set
-/// caches across edits, so interactive loops pay neither the space
-/// rebuild nor (on reverted edits) the fire-set build.
+/// A stateful re-lint session: retains one BDD space per kind across
+/// edits, so interactive loops do not pay the space rebuild, and the
+/// previous run's diagnostics, which clean objects splice.
 ///
 /// The route space survives as long as the atom environment does — its
 /// variable layout is a function of the config's regex pattern set — and
 /// the packet/prefix spaces are config-independent and survive forever.
 /// Between re-lints the spaces' managers drop their operation caches and
 /// may garbage-collect (the
-/// [`clear_op_caches`](clarify_bdd::Manager::clear_op_caches) seam);
-/// cached fire-set `Ref`s survive because the [`FireSetCache`] roots
-/// them. Each object keeps its current and previous fire-set
-/// generations — enough for an edit and its revert to hit — so the nodes
-/// a session pins stay bounded however many edits it sees.
+/// [`clear_op_caches`](clarify_bdd::Manager::clear_op_caches) seam); a
+/// space pins only its own `valid` predicate, so a long session holds no
+/// more nodes than a fresh space plus whatever the collector has not yet
+/// reclaimed.
 pub struct IncrementalLinter {
-    cfg: Config,
     cache: LintCache,
     state: SessionState,
 }
@@ -269,31 +243,19 @@ impl IncrementalLinter {
         let report = crate::linter::lint_config(&cfg, spans)?;
         let cache = LintCache::from_report(&cfg, &report);
         let state = SessionState::default();
-        Ok((IncrementalLinter { cfg, cache, state }, report))
+        Ok((IncrementalLinter { cache, state }, report))
     }
 
-    /// The cache describing the session's current configuration (what
-    /// `--save-cache` writes).
-    pub fn cache(&self) -> &LintCache {
-        &self.cache
-    }
-
-    /// The session's current configuration.
-    pub fn config(&self) -> &Config {
-        &self.cfg
-    }
-
-    /// Fire-set generations cached across every kind.
+    /// The retained packet space, once an ACL has been re-linted.
     #[cfg(test)]
-    pub(crate) fn cached_generations(&self) -> usize {
-        let s = &self.state;
-        s.route_maps.fires.len() + s.acls.fires.len() + s.prefix_lists.fires.len()
+    pub(crate) fn packet_space(&mut self) -> Option<&mut PacketSpace> {
+        self.state.acls.as_mut()
     }
 
     /// Re-lints after an edit: `cfg` replaces the session configuration,
-    /// dirty objects are recomputed serially on the retained spaces
-    /// (through the keyed fire-set caches), and clean objects splice
-    /// their cached diagnostics. Byte-identical to a cold full lint.
+    /// dirty objects are recomputed serially on the retained spaces, and
+    /// clean objects splice their cached diagnostics. Byte-identical to a
+    /// cold full lint.
     pub fn relint(
         &mut self,
         cfg: Config,
@@ -301,13 +263,12 @@ impl IncrementalLinter {
     ) -> Result<(LintReport, IncrStats), AnalysisError> {
         let _span = clarify_obs::span!("lint_incremental");
         if atom_env_hash(&[&cfg]) != self.cache.atom_env {
-            // New pattern set → new variable layout: cached route Refs
-            // would point into the wrong manager.
-            self.state.route_maps = KindState::default();
+            // New pattern set → new variable layout: the retained route
+            // space no longer encodes this configuration's lists.
+            self.state.route_maps = None;
         }
         let (report, stats) = drive(&cfg, spans, Some(&self.cache), Some(&mut self.state))?;
         self.cache = LintCache::from_report(&cfg, &report);
-        self.cfg = cfg;
         Ok((report, stats))
     }
 }

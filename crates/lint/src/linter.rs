@@ -4,15 +4,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use clarify_analysis::{
-    acl_overlaps, fire_sets_cached, stanza_pair_diff, AnalysisError, FireSetCache,
-    FirstMatchPolicy, PacketSpace, PrefixSpace, RouteSpace,
+    acl_overlaps, stanza_pair_diff, AnalysisError, FirstMatchPolicy, PacketSpace, PrefixSpace,
+    RouteSpace,
 };
 use clarify_bdd::Ref;
 use clarify_netconfig::{Acl, Action, Config, ObjectKind, PrefixList, RouteMap, RuleId, SourceMap};
 use clarify_nettypes::{BgpRoute, Packet, Prefix};
 
 use crate::diagnostic::{Diagnostic, LintCode, LintReport};
-use crate::incremental::{drive, KindState, SessionState};
+use crate::incremental::{drive, SessionState};
 
 /// `permit`/`deny` as a present-tense verb for diagnostic messages.
 fn verb(a: Action) -> &'static str {
@@ -54,8 +54,8 @@ pub(crate) trait LintKind: FirstMatchPolicy + Sync + Sized {
     fn objects(cfg: &Config) -> &BTreeMap<String, Self>;
     /// A fresh space that encodes every object of `cfg`.
     fn new_space(cfg: &Config) -> Result<Self::Space, AnalysisError>;
-    /// This kind's state in an incremental session.
-    fn state(session: &mut SessionState) -> &mut KindState<Self>;
+    /// This kind's retained space in an incremental session.
+    fn space(session: &mut SessionState) -> &mut Option<Self::Space>;
     /// The identity of rule `i` of the object named `name`.
     fn rule_id(&self, name: &str, i: usize) -> RuleId;
     /// The index of the rule that decides `input`, if any.
@@ -128,7 +128,7 @@ impl LintKind for RouteMap {
     fn new_space(cfg: &Config) -> Result<RouteSpace, AnalysisError> {
         RouteSpace::new(&[cfg])
     }
-    fn state(session: &mut SessionState) -> &mut KindState<RouteMap> {
+    fn space(session: &mut SessionState) -> &mut Option<RouteSpace> {
         &mut session.route_maps
     }
     fn rule_id(&self, name: &str, i: usize) -> RuleId {
@@ -185,7 +185,7 @@ impl LintKind for Acl {
     fn new_space(_: &Config) -> Result<PacketSpace, AnalysisError> {
         Ok(PacketSpace::new())
     }
-    fn state(session: &mut SessionState) -> &mut KindState<Acl> {
+    fn space(session: &mut SessionState) -> &mut Option<PacketSpace> {
         &mut session.acls
     }
     fn rule_id(&self, name: &str, i: usize) -> RuleId {
@@ -228,7 +228,7 @@ impl LintKind for PrefixList {
     fn new_space(_: &Config) -> Result<PrefixSpace, AnalysisError> {
         Ok(PrefixSpace::new())
     }
-    fn state(session: &mut SessionState) -> &mut KindState<PrefixList> {
+    fn space(session: &mut SessionState) -> &mut Option<PrefixSpace> {
         &mut session.prefix_lists
     }
     fn rule_id(&self, name: &str, i: usize) -> RuleId {
@@ -314,26 +314,19 @@ pub(crate) fn lint_references(cfg: &Config, out: &mut Vec<Diagnostic>) -> BTreeS
 
 /// The symbolic checks on one object, in the order they are reported: L004
 /// empty match and L001 shadowed rule in rule order, then L002 redundant
-/// rule, then L003 conflicting overlap in `(i, j)` order.
-///
-/// `fire_cache` routes the fire-set build through a keyed
-/// [`FireSetCache`] (the `(RuleId, content-hash)` key makes reverted
-/// edits hit the previous generation); `None` computes them directly, as
-/// the cold fan-out does with its worker-local spaces.
+/// rule, then L003 conflicting overlap in `(i, j)` order. Each rule is
+/// encoded once: the fire sets are the first-match fold over the match
+/// sets.
 pub(crate) fn lint_object<K: LintKind>(
     space: &mut K::Space,
     cfg: &Config,
     name: &str,
     obj: &K,
-    fire_cache: Option<(&mut FireSetCache, u64)>,
 ) -> Result<Vec<Diagnostic>, AnalysisError> {
     let nouns = &K::NOUNS;
     let valid = K::valid(space);
     let match_sets = obj.match_sets(space, cfg)?;
-    let fires = match fire_cache {
-        Some((cache, key)) => fire_sets_cached(space, cache, cfg, obj, key)?.fires,
-        None => obj.fire_sets(space, cfg)?.0,
-    };
+    let (fires, _) = K::fire_sets(space, &match_sets);
     let mut out = Vec::new();
     // Empty and shadowed rules. A rule with an empty match also has an
     // empty firing region; report it once, as empty.
@@ -458,7 +451,7 @@ pub(crate) fn lint_objects<K: LintKind>(
                 Some(s) => s,
                 None => worker_space.insert(K::new_space(cfg)?),
             };
-            let diags = lint_object(space, cfg, name, obj, None)?;
+            let diags = lint_object(space, cfg, name, obj)?;
             // Bound cache growth across a long object list: the memo
             // entries for this object's queries are dead weight for the next.
             K::manager(space).clear_op_caches();

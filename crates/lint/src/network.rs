@@ -263,7 +263,7 @@ impl<'a> NetworkLinter<'a> {
 /// Immutable per-topology context shared by the network checks.
 struct TopoCtx<'a> {
     loaded: &'a LoadedTopology,
-    /// Per-router fire-set cache key: a hash of the router's config
+    /// Per-router fire-set memo key: a hash of the router's config
     /// source. Routers sharing one config file share fire-sets, and
     /// same-named maps in different configs never collide in the space.
     keys: BTreeMap<&'a str, u64>,
@@ -310,7 +310,7 @@ impl<'a> TopoCtx<'a> {
         })
     }
 
-    /// `router`'s route-map `name` with its fire-set cache key; `None`
+    /// `router`'s route-map `name` with its fire-set memo key; `None`
     /// when the map is undefined or has dangling references (already an
     /// L005 error locally), so it cannot be encoded.
     fn policy(&self, router: &'a Router, name: &str) -> Option<(&'a RouteMap, u64)> {
@@ -489,8 +489,8 @@ impl<'a> TopoCtx<'a> {
             let Some((map, key)) = self.policy(r, name) else {
                 continue;
             };
-            let sets = ns.fire_sets(&r.config, map, key)?;
-            for (stanza, &fire) in map.stanzas.iter().zip(&sets.fires) {
+            let fires = ns.fire_sets(&r.config, map, key)?;
+            for (stanza, &fire) in map.stanzas.iter().zip(&fires) {
                 // A locally dead rule is L001/L004 territory.
                 if fire == Ref::FALSE || ns.space_mut().manager().and(fire, context) != Ref::FALSE {
                     continue;

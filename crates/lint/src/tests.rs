@@ -235,7 +235,8 @@ mod prune {
     };
     use clarify_bdd::Ref;
     use clarify_netconfig::{
-        insert_acl_entry, insert_prefix_list_entry, insert_route_map_stanza, Config,
+        insert_acl_entry, insert_prefix_list_entry, insert_route_map_stanza, Acl, Config,
+        PrefixList, RouteMap,
     };
 
     use crate::prune_candidates;
@@ -294,7 +295,7 @@ ip prefix-list PL seq 15 permit 0.0.0.0/0 le 32
         let candidates: Vec<usize> = (0..match_sets.len())
             .filter(|&i| space.manager().and(match_sets[i], s_star) != Ref::FALSE)
             .collect();
-        let (fires, _) = map.fire_sets(&mut space, base).unwrap();
+        let (fires, _) = RouteMap::fire_sets(&mut space, &match_sets);
         let outcome = prune_candidates(space.manager(), &fires, s_star, &candidates);
         (space, candidates, outcome.pruned)
     }
@@ -338,7 +339,8 @@ ip prefix-list PL seq 15 permit 0.0.0.0/0 le 32
         let raw = space.encode_entry(&entry);
         let valid = space.valid();
         let s_star = space.manager().and(raw, valid);
-        let (fires, _) = acl.fire_sets(&mut space, &base).unwrap();
+        let matches = acl.match_sets(&mut space, &base).unwrap();
+        let (fires, _) = Acl::fire_sets(&mut space, &matches);
         let candidates: Vec<usize> = (0..acl.entries.len()).collect();
         let pruned = prune_candidates(space.manager(), &fires, s_star, &candidates).pruned;
         assert_eq!(pruned, vec![1, 2, 3]);
@@ -363,7 +365,8 @@ ip prefix-list PL seq 15 permit 0.0.0.0/0 le 32
         let raw = space.encode_range(&entry.range);
         let valid = space.valid();
         let s_star = space.manager().and(raw, valid);
-        let (fires, _) = list.fire_sets(&mut space, &base).unwrap();
+        let matches = list.match_sets(&mut space, &base).unwrap();
+        let (fires, _) = PrefixList::fire_sets(&mut space, &matches);
         let candidates: Vec<usize> = (0..list.entries.len()).collect();
         let pruned = prune_candidates(space.manager(), &fires, s_star, &candidates).pruned;
         assert_eq!(pruned, vec![1, 2]);
@@ -692,16 +695,18 @@ ip access-list extended FW
         assert_eq!(incr.render_json("x"), full.render_json("x"));
         assert_eq!(stats.dirty_objects, 1);
 
-        // Revert the edit: dirty again (hash changed back), and the keyed
-        // fire-set cache serves the original generation.
+        // Revert the edit: dirty again (hash changed back), recomputed on
+        // the retained space.
         let (reverted, reverted_spans) = Config::parse_with_spans(BASE).unwrap();
         let full = lint_config(&reverted, Some(&reverted_spans)).unwrap();
         let (incr, _) = session.relint(reverted, Some(&reverted_spans)).unwrap();
         assert_eq!(incr.render_json("x"), full.render_json("x"));
     }
 
+    /// A session retains its spaces and nothing in them: after every edit
+    /// the packet space pins only its own `valid`.
     #[test]
-    fn session_keeps_two_fire_set_generations_per_object() {
+    fn session_retains_only_its_spaces() {
         let acl = |port: u32| {
             Config::parse(&format!(
                 "ip access-list extended FW\n permit tcp any any eq {port}\n deny ip any any\n"
@@ -715,11 +720,8 @@ ip access-list extended FW
             let (incr, stats) = session.relint(cfg, None).unwrap();
             assert_eq!(incr.render_json("x"), full.render_json("x"));
             assert_eq!(stats.dirty_objects, 1);
-            assert!(
-                session.cached_generations() <= 2,
-                "{} generations cached after {port} edits",
-                session.cached_generations()
-            );
+            let space = session.packet_space().expect("an ACL was re-linted");
+            assert_eq!(space.manager().root_count(), 1, "after {port} edits");
         }
     }
 
@@ -982,7 +984,7 @@ route-map RM permit 30
         let map = cfg.route_map("RM").unwrap().clone();
         let mut space = RouteSpace::new(&[&cfg]).unwrap();
 
-        let before = crate::linter::lint_object(&mut space, &cfg, "RM", &map, None).unwrap();
+        let before = crate::linter::lint_object(&mut space, &cfg, "RM", &map).unwrap();
         assert!(
             before.iter().any(|d| d.witness.is_some()),
             "expected witness-bearing diagnostics, got {before:?}"
@@ -994,7 +996,7 @@ route-map RM permit 30
         space.manager().reorder();
         assert!(space.manager().stats().reorder_runs >= 1);
 
-        let after = crate::linter::lint_object(&mut space, &cfg, "RM", &map, None).unwrap();
+        let after = crate::linter::lint_object(&mut space, &cfg, "RM", &map).unwrap();
         assert_eq!(before, after, "diagnostics changed across reorder");
     }
 }

@@ -81,7 +81,9 @@ fn every_network_code_matches_the_pinned_golden_at_1_and_8_threads() {
 
 /// The edge checks and the leak fixed point share one `NetworkSpace` per
 /// run at any worker count, and compose the same edges: 9 receiver edges
-/// and 33 policy transfers on E1.
+/// and 33 policy transfers on E1. The network pass builds each bound
+/// map's fire sets once per run (14 of the 49 fire-set builds; the local
+/// lint builds the rest) and reads its 42 other lookups from the memo.
 #[test]
 fn e1_topology_lint_builds_one_space_at_1_and_8_threads() {
     for threads in ["1", "8"] {
@@ -103,6 +105,7 @@ fn e1_topology_lint_builds_one_space_at_1_and_8_threads() {
         let snap = Snapshot::from_json(&json).expect("valid JSON");
         for (counter, want) in [
             ("analysis.network_space_builds", 1),
+            ("analysis.fire_set_builds", 49),
             ("analysis.transfers", 33),
             ("lint.net.edges", 9),
         ] {

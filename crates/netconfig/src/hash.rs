@@ -1,12 +1,11 @@
-//! Content hashing and structural diffing of configurations.
+//! Content hashing of configurations.
 //!
 //! These are the invalidation keys of the incremental re-lint layer: every
 //! named object gets a stable 64-bit content hash over its canonical
 //! printed form (which round-trips through the parser, so two objects that
 //! print identically are semantically interchangeable to every analysis),
-//! and two configurations can be diffed into added / removed / changed
-//! object sets keyed by [`RuleId`]. Hashes deliberately ignore source
-//! lines: moving an object within a file must not dirty it, exactly as
+//! keyed by its [`RuleId`]. Hashes deliberately ignore source lines:
+//! moving an object within a file must not dirty it, exactly as
 //! [`SourceMap`](crate::SourceMap) keeps spans out of structural equality.
 
 use std::collections::BTreeMap;
@@ -68,57 +67,6 @@ impl ObjectHashes {
     pub fn is_empty(&self) -> bool {
         self.hashes.is_empty()
     }
-
-    /// The structural diff from `self` (the old configuration) to `new`:
-    /// which objects appeared, disappeared, or changed content.
-    pub fn diff(&self, new: &ObjectHashes) -> ConfigDiff {
-        let mut diff = ConfigDiff::default();
-        for (id, &h) in &new.hashes {
-            match self.hashes.get(id) {
-                None => diff.added.push(id.clone()),
-                Some(&old) if old != h => diff.changed.push(id.clone()),
-                Some(_) => {}
-            }
-        }
-        for id in self.hashes.keys() {
-            if !new.hashes.contains_key(id) {
-                diff.removed.push(id.clone());
-            }
-        }
-        diff
-    }
-}
-
-/// The object-level structural diff between two configurations. Each list
-/// holds object identities (`RuleKey::Object`), sorted.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ConfigDiff {
-    /// Objects present only in the new configuration.
-    pub added: Vec<RuleId>,
-    /// Objects present only in the old configuration.
-    pub removed: Vec<RuleId>,
-    /// Objects present in both whose content hashes differ.
-    pub changed: Vec<RuleId>,
-}
-
-impl ConfigDiff {
-    /// Whether the two configurations have identical objects.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty() && self.changed.is_empty()
-    }
-
-    /// All touched identities (added ∪ removed ∪ changed), sorted.
-    pub fn touched(&self) -> Vec<RuleId> {
-        let mut all: Vec<RuleId> = self
-            .added
-            .iter()
-            .chain(&self.removed)
-            .chain(&self.changed)
-            .cloned()
-            .collect();
-        all.sort();
-        all
-    }
 }
 
 impl Config {
@@ -154,10 +102,5 @@ impl Config {
     /// Hash of the whole canonical rendering (the printed config).
     pub fn content_hash(&self) -> u64 {
         fnv1a64(self.to_string().as_bytes())
-    }
-
-    /// The structural diff from `self` to `new`.
-    pub fn diff_objects(&self, new: &Config) -> ConfigDiff {
-        self.object_hashes().diff(&new.object_hashes())
     }
 }

@@ -44,7 +44,7 @@ pub use ast::{
 };
 pub use error::ConfigError;
 pub use eval::{AclVerdict, RouteMapVerdict};
-pub use hash::{fnv1a64, fnv1a64_combine, ConfigDiff, ObjectHashes};
+pub use hash::{fnv1a64, fnv1a64_combine, ObjectHashes};
 pub use insert::{
     insert_acl_entry, insert_prefix_list_entry, insert_route_map_stanza, InsertReport,
 };

@@ -80,7 +80,7 @@ pub struct Session {
 
 enum SessionKind {
     /// A single configuration, with its warm lint state (spaces and
-    /// fire-set caches retained across turns).
+    /// the previous run's diagnostics, retained across turns).
     Config {
         config: Config,
         clarify: ClarifySession<DynBackend>,
