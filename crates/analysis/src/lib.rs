@@ -26,6 +26,10 @@
 //! [`NetworkSpace`], which memoises each map's for one network-lint run.
 //! [`atom_env_hash`] names the atom environment a [`RouteSpace`] is built
 //! from: a space can be reused exactly while that hash stays the same.
+//! Past that, a space hands its atoms to the next one
+//! ([`RouteSpace::into_atoms`], [`RouteSpace::with_atoms`]), which
+//! classifies only the patterns they lack, as long as no pattern was
+//! dropped.
 //!
 //! What a route-map stanza's `set` clauses do to a route is folded once,
 //! into a net per-field effect (the last write wins on each field,
@@ -68,7 +72,7 @@ pub use overlap::{
 };
 pub use packet_space::PacketSpace;
 pub use route_compare::{compare_route_policies, policies_equivalent, stanza_pair_diff, RouteDiff};
-pub use route_space::{atom_env_hash, OutputConstraints, RouteSpace};
+pub use route_space::{atom_env_hash, OutputConstraints, RouteAtoms, RouteSpace};
 pub use spec::{verify_stanza_against_spec, SpecVerdict, StanzaSpec};
 
 #[cfg(test)]

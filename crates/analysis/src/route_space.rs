@@ -1,7 +1,7 @@
 //! The symbolic route space: BDD variables for every matchable field of a
 //! BGP route, plus encode/decode between [`BgpRoute`]s and BDD sets.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use clarify_automata::{AtomSpace, Dfa, Regex};
@@ -121,8 +121,6 @@ pub struct RouteSpace {
     pub(crate) mgr: Manager,
     pub(crate) comm_atoms: AtomSpace,
     pub(crate) path_atoms: AtomSpace,
-    comm_pattern_idx: HashMap<String, usize>,
-    path_pattern_idx: HashMap<String, usize>,
     prefix_vars: Vec<u32>,
     plen_vars: Vec<u32>,
     lp_vars: Vec<u32>,
@@ -139,9 +137,48 @@ pub struct RouteSpace {
     _valid_root: clarify_bdd::Root,
 }
 
+/// A route space's community and AS-path atoms, handed over by
+/// [`RouteSpace::into_atoms`] so that the next space is built from them
+/// ([`RouteSpace::with_atoms`]) while the manager goes.
+#[derive(Debug)]
+pub struct RouteAtoms {
+    comm: AtomSpace,
+    path: AtomSpace,
+}
+
+/// The atoms of `patterns`: `prev` [extended](AtomSpace::extend) by them
+/// when they hold all of its patterns, else built from `universe`.
+fn atoms(
+    prev: Option<AtomSpace>,
+    universe: &Dfa,
+    patterns: &[&Regex],
+) -> Result<AtomSpace, AnalysisError> {
+    let atoms = match prev.filter(|atoms| atoms.extends_to(patterns)) {
+        Some(prev) => prev.extend(patterns),
+        None => {
+            clarify_obs::global()
+                .counter("analysis.atom_space_builds")
+                .incr();
+            AtomSpace::build(universe, patterns)
+        }
+    };
+    atoms.ok_or(AnalysisError::AtomLimitExceeded)
+}
+
 impl RouteSpace {
     /// Builds the space for analyses over the given configurations.
     pub fn new(configs: &[&Config]) -> Result<RouteSpace, AnalysisError> {
+        RouteSpace::with_atoms(configs, None)
+    }
+
+    /// [`new`](RouteSpace::new), with each kind of atoms (community,
+    /// AS-path) extended from `prev`'s when the configurations still hold
+    /// all of its patterns, in any order: the space is the one `new`
+    /// builds, and only the patterns `prev` lacks are classified.
+    pub fn with_atoms(
+        configs: &[&Config],
+        prev: Option<RouteAtoms>,
+    ) -> Result<RouteSpace, AnalysisError> {
         let _span = clarify_obs::span!("route_space_build");
         clarify_obs::global()
             .counter("analysis.route_space_builds")
@@ -150,19 +187,11 @@ impl RouteSpace {
         static PATH_UNIVERSE: OnceLock<Regex> = OnceLock::new();
         static COMM_VALUES: OnceLock<Regex> = OnceLock::new();
         let [comm_patterns, path_patterns] = atom_patterns(configs);
-        let index = |pats: &[&Regex]| -> HashMap<String, usize> {
-            let keys = pats.iter().map(|r| r.pattern().to_string());
-            keys.zip(0..).collect()
-        };
-        let comm_pattern_idx = index(&comm_patterns);
-        let path_pattern_idx = index(&path_patterns);
-
+        let (prev_comm, prev_path) = prev.map(|p| (p.comm, p.path)).unzip();
         let comm_universe = constant(&COMM_UNIVERSE, COMMUNITY_UNIVERSE);
         let path_universe = constant(&PATH_UNIVERSE, AS_PATH_UNIVERSE);
-        let comm_atoms = AtomSpace::build(comm_universe, &comm_patterns)
-            .ok_or(AnalysisError::AtomLimitExceeded)?;
-        let path_atoms = AtomSpace::build(path_universe, &path_patterns)
-            .ok_or(AnalysisError::AtomLimitExceeded)?;
+        let comm_atoms = atoms(prev_comm, comm_universe, &comm_patterns)?;
+        let path_atoms = atoms(prev_path, path_universe, &path_patterns)?;
         // An atom's shortest witness can have a half past 65535. Such an
         // atom takes its witness from the communities it holds instead,
         // and one that holds none is excluded from `valid` below. Atoms
@@ -229,8 +258,6 @@ impl RouteSpace {
             mgr,
             comm_atoms,
             path_atoms,
-            comm_pattern_idx,
-            path_pattern_idx,
             prefix_vars,
             plen_vars,
             lp_vars,
@@ -242,6 +269,15 @@ impl RouteSpace {
             valid,
             _valid_root: valid_root,
         })
+    }
+
+    /// Hands over the space's atoms for the next space to be built from;
+    /// the manager and everything encoded in it are dropped.
+    pub fn into_atoms(self) -> RouteAtoms {
+        RouteAtoms {
+            comm: self.comm_atoms,
+            path: self.path_atoms,
+        }
     }
 
     /// The BDD manager (exposed for composing custom constraints).
@@ -309,12 +345,10 @@ impl RouteSpace {
     }
 
     fn pattern_set(&mut self, kind: &'static str, pattern: &str) -> Result<Ref, AnalysisError> {
+        let unknown = || AnalysisError::UnknownPattern(pattern.to_string());
         match kind {
             "community" => {
-                let &idx = self
-                    .comm_pattern_idx
-                    .get(pattern)
-                    .ok_or_else(|| AnalysisError::UnknownPattern(pattern.to_string()))?;
+                let idx = self.comm_atoms.position(pattern).ok_or_else(unknown)?;
                 let members: Vec<usize> = self.comm_atoms.members_of(idx).to_vec();
                 let lits: Vec<Ref> = members
                     .iter()
@@ -323,10 +357,7 @@ impl RouteSpace {
                 Ok(self.mgr.or_all(lits))
             }
             "as-path" => {
-                let &idx = self
-                    .path_pattern_idx
-                    .get(pattern)
-                    .ok_or_else(|| AnalysisError::UnknownPattern(pattern.to_string()))?;
+                let idx = self.path_atoms.position(pattern).ok_or_else(unknown)?;
                 let members: Vec<usize> = self.path_atoms.members_of(idx).to_vec();
                 let path_vars = self.path_vars.clone();
                 let terms: Vec<Ref> = members

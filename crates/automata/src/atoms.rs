@@ -25,6 +25,17 @@
 //! of the classifier finds it for every label at once. That string is a
 //! property of the atom's language alone, so any automaton for the atom
 //! gives the same one from [`Dfa::witness`].
+//!
+//! Building is one operation, [`AtomSpace::extend`], started from the
+//! universe's one atom: a space extends to any list that holds all of its
+//! patterns, in any order and possibly with more. Only the patterns it
+//! lacks refine the classifier; then the atoms are renumbered by their
+//! signatures over the new list, which renames labels one to one. So an
+//! extended space is the space built from the new list, and a session
+//! whose pattern list only grows or is reordered classifies each pattern
+//! once.
+
+use std::collections::{HashMap, HashSet};
 
 use crate::dfa::subject;
 use crate::{Dfa, Regex};
@@ -42,23 +53,67 @@ pub struct AtomSpace {
     witnesses: Vec<String>,
     /// `members[p]` lists the atom indices making up pattern `p`.
     members: Vec<Vec<usize>>,
+    /// Each pattern's text, mapped to its first index.
+    index: HashMap<String, usize>,
 }
 
 impl AtomSpace {
-    /// Partitions `universe` by the given patterns.
+    /// Partitions `universe` by the given patterns: the universe's one
+    /// atom, [extended](AtomSpace::extend) by them.
     ///
     /// Returns `None` if the atom count would exceed [`ATOM_LIMIT`].
     /// An empty pattern list yields the single atom `universe` (when
     /// non-empty).
     pub fn build(universe: &Dfa, patterns: &[&Regex]) -> Option<AtomSpace> {
-        let mut classifier = universe.clone();
-        // Per atom, whether each pattern so far holds it.
-        let mut inside: Vec<Vec<bool>> = if universe.is_empty() {
-            Vec::new()
-        } else {
-            vec![Vec::new()]
+        let whole = AtomSpace {
+            classifier: universe.clone(),
+            witnesses: universe.witness().into_iter().collect(),
+            members: Vec::new(),
+            index: HashMap::new(),
         };
+        whole.extend(patterns)
+    }
+
+    /// Whether `patterns` hold every pattern of this space, so that it
+    /// can be [extended](AtomSpace::extend) by them.
+    pub fn extends_to(&self, patterns: &[&Regex]) -> bool {
+        let texts: HashSet<&str> = patterns.iter().map(|r| r.pattern()).collect();
+        self.index.keys().all(|p| texts.contains(p.as_str()))
+    }
+
+    /// The space of `patterns`, which hold every pattern of this one, in
+    /// any order and possibly with more. The classifier is refined once
+    /// per pattern it lacks, and the atoms are numbered by their
+    /// signatures over `patterns`, so the result equals
+    /// [`build`](AtomSpace::build) of `patterns` over the same universe:
+    /// the same atoms in the same order, with the same witnesses and
+    /// members.
+    ///
+    /// Returns `None` if the atom count would exceed [`ATOM_LIMIT`].
+    ///
+    /// # Panics
+    ///
+    /// If `patterns` lack a pattern of this space.
+    pub fn extend(self, patterns: &[&Regex]) -> Option<AtomSpace> {
+        assert!(self.extends_to(patterns), "extension drops a pattern");
+        let AtomSpace {
+            mut classifier,
+            witnesses,
+            members,
+            index: mut column,
+        } = self;
+        // Per atom, whether each pattern so far (a column) holds it.
+        let mut inside = vec![vec![false; members.len()]; witnesses.len()];
+        for (p, atoms) in members.iter().enumerate() {
+            for &a in atoms {
+                inside[a][p] = true;
+            }
+        }
+        let mut width = members.len();
         for pat in patterns {
+            if column.contains_key(pat.pattern()) {
+                continue;
+            }
             // Atom label `l` splits into `2l - 1` inside the pattern and
             // `2l` outside it, in atom order.
             let split = classifier.product(pat.dfa(), |l, p| {
@@ -86,20 +141,46 @@ impl AtomSpace {
             }
             classifier = split.relabel(|l| rank[l as usize]);
             inside = next;
+            column.insert(pat.pattern().to_string(), width);
+            width += 1;
         }
 
+        // Number the atoms by signature over `patterns`, the inside of a
+        // pattern before its outside: the order that refining the universe
+        // by `patterns` in turn leaves them in. Renaming labels one to one
+        // keeps the classifier minimal.
+        let cols: Vec<usize> = patterns.iter().map(|r| column[r.pattern()]).collect();
+        let inside = &inside;
+        let key = |a: usize| cols.iter().map(move |&c| !inside[a][c]);
+        let mut order: Vec<usize> = (0..inside.len()).collect();
+        order.sort_by(|&a, &b| key(a).cmp(key(b)));
+        let mut rank = vec![0u32; order.len() + 1];
+        for (new, &old) in order.iter().enumerate() {
+            rank[old + 1] = new as u32 + 1;
+        }
+        let classifier = classifier.map_labels(|l| rank[l as usize]);
+
         let witnesses = classifier
-            .label_witnesses(inside.len())
+            .label_witnesses(order.len())
             .into_iter()
             .map(|w| subject(w.expect("every atom labels a reachable state")))
             .collect();
-        let members = (0..patterns.len())
-            .map(|p| (0..inside.len()).filter(|&a| inside[a][p]).collect())
+        let members = cols
+            .iter()
+            .map(|&c| (0..order.len()).filter(|&a| inside[order[a]][c]).collect())
             .collect();
+        // The columns' texts are exactly those of `patterns`; each now
+        // indexes its first place there.
+        for (p, pat) in patterns.iter().enumerate().rev() {
+            *column
+                .get_mut(pat.pattern())
+                .expect("every pattern has a column") = p;
+        }
         Some(AtomSpace {
             classifier,
             witnesses,
             members,
+            index: column,
         })
     }
 
@@ -128,6 +209,13 @@ impl AtomSpace {
     /// The atoms whose union is pattern `p` (intersected with the universe).
     pub fn members_of(&self, p: usize) -> &[usize] {
         &self.members[p]
+    }
+
+    /// The index of the pattern with text `pattern`, for
+    /// [`members_of`](AtomSpace::members_of): its first place in the list
+    /// the space was built from, or `None` if it is not there.
+    pub fn position(&self, pattern: &str) -> Option<usize> {
+        self.index.get(pattern).copied()
     }
 
     /// Maps a concrete subject string to its atom, or `None` if the string

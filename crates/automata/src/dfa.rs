@@ -360,11 +360,17 @@ impl Dfa {
     }
 
     /// Maps every state's label through `f`, then minimizes.
-    pub(crate) fn relabel(mut self, f: impl Fn(u32) -> u32) -> Dfa {
+    pub(crate) fn relabel(self, f: impl Fn(u32) -> u32) -> Dfa {
+        self.map_labels(f).minimize()
+    }
+
+    /// Maps every state's label through `f`, without minimizing: a
+    /// one-to-one `f` keeps a minimal automaton minimal.
+    pub(crate) fn map_labels(mut self, f: impl Fn(u32) -> u32) -> Dfa {
         for l in &mut self.label {
             *l = f(*l);
         }
-        self.minimize()
+        self
     }
 
     /// Moore partition-refinement minimization from the label partition:

@@ -24,7 +24,9 @@
 //! name them, refined by one product and one minimization per regex
 //! ([`AtomSpace`]); the product and the minimization are the same code that
 //! intersects and minimizes plain automata, over labels instead of accept
-//! flags. A [`Regex`] compiles its automaton once, on first use, and its
+//! flags. A space extends to a reordered or longer pattern list
+//! ([`AtomSpace::extend`]), refining only by the patterns it lacks, and a
+//! fresh build is that extension from the universe's one atom. A [`Regex`] compiles its automaton once, on first use, and its
 //! clones share it.
 //!
 //! ```

@@ -642,4 +642,108 @@ mod atom_oracle {
             }
         }
     }
+
+    /// A pattern list, and a shuffle of it with zero to two more patterns.
+    fn arb_extension(g: &mut Source) -> (&'static str, Vec<String>, Vec<String>) {
+        let (universe, patterns) = arb_case(g);
+        let mut longer = patterns.clone();
+        longer.extend(g.vec(0, 2, arb_pattern));
+        for i in (1..longer.len()).rev() {
+            longer.swap(i, g.gen_range(0..=i));
+        }
+        (universe, patterns, longer)
+    }
+
+    fn parse_all(patterns: &[String]) -> Vec<Regex> {
+        patterns
+            .iter()
+            .map(|p| Regex::parse(p).expect("generated patterns parse"))
+            .collect()
+    }
+
+    property! {
+        /// Extending the space of a pattern list by a shuffle of it with
+        /// more patterns gives the space built from the longer list: the
+        /// same atoms in the same order, with the same witnesses, members,
+        /// languages and classification, which are the per-block
+        /// refinement's.
+        fn extension_matches_a_cold_build(
+            case in arb_extension,
+            subjects in arb_subjects,
+        ) cases 64 {
+            let (universe, short, long) = case;
+            let universe = dfa(universe);
+            let (short, long) = (parse_all(&short), parse_all(&long));
+            let short: Vec<&Regex> = short.iter().collect();
+            let long: Vec<&Regex> = long.iter().collect();
+            let from = AtomSpace::build(&universe, &short).expect("at most 64 atoms");
+            prop_assert!(from.extends_to(&long));
+            let extended = from.extend(&long).expect("at most 256 atoms");
+            let cold = AtomSpace::build(&universe, &long).expect("at most 256 atoms");
+            let (atoms, witnesses, members) =
+                refine(&universe, &long).expect("at most 256 atoms");
+            prop_assert_eq!(extended.len(), cold.len());
+            prop_assert_eq!(extended.len(), atoms.len());
+            for (i, atom) in atoms.iter().enumerate() {
+                prop_assert_eq!(extended.witness(i), cold.witness(i), "atom {}", i);
+                prop_assert_eq!(extended.witness(i), witnesses[i].as_str(), "atom {}", i);
+                prop_assert!(extended.atom(i).equivalent(&cold.atom(i)), "atom {} language", i);
+                prop_assert!(extended.atom(i).equivalent(atom), "atom {} language", i);
+            }
+            for (p, m) in members.iter().enumerate() {
+                prop_assert_eq!(extended.members_of(p), cold.members_of(p), "pattern {}", p);
+                prop_assert_eq!(extended.members_of(p), m.as_slice(), "pattern {}", p);
+            }
+            for pat in &long {
+                let text = pat.pattern();
+                prop_assert_eq!(extended.position(text), cold.position(text), "{:?}", text);
+            }
+            for s in subjects.iter().chain(&witnesses) {
+                let expected = atoms.iter().position(|a| a.matches(s));
+                prop_assert_eq!(extended.classify(s), expected, "subject {:?}", s);
+                prop_assert_eq!(cold.classify(s), expected, "subject {:?}", s);
+            }
+        }
+    }
+
+    /// At the limit, a reordering still extends (to the space built from
+    /// the reordered list) and one more pattern is refused, exactly as a
+    /// build of the longer list is.
+    #[test]
+    fn extension_past_the_limit_is_refused() {
+        let universe = dfa(AS_PATH_UNIVERSE);
+        let patterns = transit_patterns(13);
+        let twelve: Vec<&Regex> = patterns[..12].iter().collect();
+        let reversed: Vec<&Regex> = twelve.iter().rev().copied().collect();
+        let thirteen: Vec<&Regex> = patterns.iter().collect();
+        let space = AtomSpace::build(&universe, &twelve).expect("4096 atoms are allowed");
+
+        let reordered = space.clone().extend(&reversed).expect("no new atom");
+        let cold = AtomSpace::build(&universe, &reversed).expect("4096 atoms are allowed");
+        assert_eq!(reordered.len(), ATOM_LIMIT);
+        for i in 0..ATOM_LIMIT {
+            assert_eq!(reordered.witness(i), cold.witness(i), "atom {i}");
+        }
+        for p in 0..12 {
+            assert_eq!(reordered.members_of(p), cold.members_of(p), "pattern {p}");
+        }
+
+        assert!(space.extends_to(&thirteen));
+        assert!(space.extend(&thirteen).is_none());
+        assert!(AtomSpace::build(&universe, &thirteen).is_none());
+    }
+
+    /// A space does not extend to a list that drops one of its patterns.
+    #[test]
+    #[should_panic(expected = "extension drops a pattern")]
+    fn extension_keeps_every_pattern() {
+        let universe = dfa(COMMUNITY_UNIVERSE);
+        let patterns = [
+            Regex::parse("_1:1_").unwrap(),
+            Regex::parse("_1:2_").unwrap(),
+        ];
+        let space = AtomSpace::build(&universe, &[&patterns[0], &patterns[1]]).unwrap();
+        assert!(!space.extends_to(&[&patterns[1]]));
+        space.extend(&[&patterns[1]]);
+    }
 }

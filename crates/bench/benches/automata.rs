@@ -81,6 +81,30 @@ fn bench_atom_space(c: &mut Criterion) {
             });
         });
     }
+    // A session's next space over the `wide_policy` base's 32 community
+    // patterns, from the space built for them: the same patterns rotated,
+    // as an inserted `D*` list brings one to the front, and one more
+    // pattern. The patterns are compiled outside the timed loop, as a
+    // session's are, whose configurations share each compiled automaton.
+    let wide: Vec<Regex> = (1..=33)
+        .map(|m| Regex::parse(&format!("_65000:{m}_")).expect("valid"))
+        .collect();
+    for r in &wide {
+        r.dfa();
+    }
+    let base: Vec<&Regex> = wide[..32].iter().collect();
+    let built = AtomSpace::build(&communities, &base).expect("atoms");
+    let mut rotated = base.clone();
+    rotated.rotate_right(1);
+    let plus_one: Vec<&Regex> = wide.iter().collect();
+    for (name, patterns) in [
+        ("wide_communities_32_reordered", &rotated),
+        ("wide_communities_32_plus_1", &plus_one),
+    ] {
+        g.bench_with_input(BenchmarkId::from_parameter(name), patterns, |b, pats| {
+            b.iter(|| black_box(built.clone().extend(pats).expect("atoms")));
+        });
+    }
     g.finish();
 }
 

@@ -10,7 +10,7 @@
 //! [`finish`](ClarifySession::finish) (or [`drive`](ClarifySession::drive),
 //! the synchronous loop) materialises the insertion.
 
-use clarify_analysis::{PacketSpace, RouteSpace};
+use clarify_analysis::{PacketSpace, RouteAtoms, RouteSpace};
 use clarify_llm::{Backend, LlmError, Pipeline, PipelineOutcome};
 use clarify_netconfig::{Acl, Config, RouteMap};
 
@@ -113,13 +113,18 @@ impl<K: RuleKind> From<DisambiguationResult<K>> for Placement {
 }
 
 /// A long-lived interactive session: one pipeline, one disambiguator, a
-/// warm packet space for ACL turns, and running statistics.
+/// warm packet space for ACL turns, the atoms of its last route-map turn,
+/// and running statistics.
 pub struct ClarifySession<B> {
     pipeline: Pipeline<B>,
     disambiguator: Disambiguator,
     /// The packet space's layout is config-independent, so one space
     /// serves every ACL turn of the session.
     packet_space: PacketSpace,
+    /// The atoms of the last route-map turn's space, which the next turn's
+    /// space is built from. Only the atoms are kept: a turn's manager goes
+    /// with its turn.
+    route_atoms: Option<RouteAtoms>,
     stats: SessionStats,
 }
 
@@ -150,6 +155,7 @@ impl<B: Backend> ClarifySession<B> {
             pipeline: Pipeline::new(backend, max_attempts),
             disambiguator,
             packet_space: PacketSpace::new(),
+            route_atoms: None,
             stats: SessionStats::default(),
         }
     }
@@ -224,7 +230,9 @@ impl<B: Backend> ClarifySession<B> {
     /// [`plan`](Self::plan) for front ends that place route-map stanzas
     /// only: any other outcome is an error. Each route-map turn builds its
     /// own space over `base` and the snippet, since the atom environment
-    /// follows the configuration.
+    /// follows the configuration, but builds it from the previous turn's
+    /// atoms: patterns the session has classified before are not
+    /// classified again, unless the configuration dropped one of them.
     pub fn plan_stanza(
         &mut self,
         base: &Config,
@@ -249,13 +257,15 @@ impl<B: Backend> ClarifySession<B> {
             .route_maps
             .entry(map.to_string())
             .or_insert_with(|| RouteMap::empty(map));
-        let mut space = RouteSpace::new(&[&working, snippet])?;
+        let mut space = RouteSpace::with_atoms(&[&working, snippet], self.route_atoms.take())?;
         let plan = self
             .disambiguator
-            .plan_in_space(&mut space, &working, map, snippet, map_name)?;
-        // The same turn-boundary collection as an ACL turn's.
+            .plan_in_space(&mut space, &working, map, snippet, map_name);
+        // The same turn-boundary collection as an ACL turn's; then the
+        // manager goes and the atoms stay.
         space.manager().clear_op_caches();
-        Ok(plan)
+        self.route_atoms = Some(space.into_atoms());
+        plan
     }
 
     /// The last step of a turn answered one request at a time: the

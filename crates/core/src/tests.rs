@@ -722,6 +722,127 @@ fn session_punts_on_a_snippet_with_a_dangling_reference() {
     assert_eq!(session.stats().stanzas_added, 0);
 }
 
+/// A session's route-map turns build their spaces from the previous
+/// turn's atoms: every plan equals a fresh session's, and only a turn
+/// whose configuration dropped a pattern classifies from the universe.
+mod atom_reuse {
+    use std::sync::Arc;
+
+    use clarify_obs::{scoped, Registry};
+
+    use super::*;
+    use crate::{InsertionPlan, Turn};
+
+    /// Community lists named `WC*`, which every inserted `D*` list sorts
+    /// before, and one AS-path list.
+    const BASE: &str = "\
+ip prefix-list WP0 seq 5 permit 10.0.0.0/16 le 32
+ip prefix-list WP1 seq 5 permit 10.16.0.0/16 le 32
+ip prefix-list WP2 seq 5 permit 10.32.0.0/12 le 32
+ip prefix-list WP3 seq 5 permit 10.0.0.0/12 le 32
+ip community-list expanded WC1 permit _65000:1_
+ip community-list expanded WC2 permit _65000:2_
+ip community-list expanded WC3 permit _65000:3_
+ip community-list expanded WC4 permit _65000:4_
+ip as-path access-list WA0 permit _64512$
+route-map WIDE permit 10
+ match ip address prefix-list WP0
+ match community WC1
+route-map WIDE deny 20
+ match ip address prefix-list WP1
+ match as-path WA0
+route-map WIDE permit 30
+ match ip address prefix-list WP2
+ match community WC2
+route-map WIDE deny 40
+ match ip address prefix-list WP3
+ match community WC3
+route-map WIDE permit 50
+ match community WC4
+";
+
+    /// Route-map intents over 10/9 whose communities are the base's.
+    fn prompt(permit: bool, community: u32) -> String {
+        let action = if permit { "permits" } else { "denies" };
+        format!(
+            "Write a route-map stanza that {action} routes containing the prefix \
+             10.0.0.0/9 with mask length less than or equal to 32 and tagged with \
+             the community 65000:{community}."
+        )
+    }
+
+    /// Every precomputed question of `plan`, with its pivot.
+    fn questions(plan: &InsertionPlan) -> Vec<(usize, String)> {
+        let pivots = plan.pivots.iter();
+        pivots.map(|(i, q)| (*i, q.to_string())).collect()
+    }
+
+    /// Plans `prompt` in `config` on `session`, counting the atom spaces
+    /// the plan built from a universe, and checks its questions against a
+    /// fresh session's.
+    fn plan_counted(
+        session: &mut ClarifySession<SemanticBackend>,
+        config: &Config,
+        prompt: &str,
+    ) -> (InsertionPlan, u64) {
+        let outcome = session.synthesize(prompt).unwrap();
+        let registry = Arc::new(Registry::new());
+        let plan = scoped(registry.clone(), || {
+            session.plan_stanza(config, "WIDE", &outcome).unwrap()
+        });
+        let cold = registry.snapshot().counter("analysis.atom_space_builds");
+        let mut fresh = ClarifySession::new(SemanticBackend::new(), 3, Disambiguator::default());
+        let outcome = fresh.synthesize(prompt).unwrap();
+        let expected = fresh.plan_stanza(config, "WIDE", &outcome).unwrap();
+        assert_eq!(questions(&plan), questions(&expected), "{prompt}");
+        assert_eq!(plan.base_len, expected.base_len);
+        (plan, cold)
+    }
+
+    #[test]
+    fn turns_reuse_atoms_and_plan_like_a_fresh_session() {
+        let mut session = ClarifySession::new(SemanticBackend::new(), 3, Disambiguator::default());
+        let mut config = Config::parse(BASE).unwrap();
+        let mut asked = 0;
+        for (turn, (permit, community)) in
+            [(true, 2), (false, 3), (true, 1)].into_iter().enumerate()
+        {
+            let (plan, cold) = plan_counted(&mut session, &config, &prompt(permit, community));
+            // The first turn builds both kinds of atoms; the later ones
+            // only reorder the patterns, as each insertion's `D*` list
+            // brings a base pattern to the front.
+            assert_eq!(cold, if turn == 0 { 2 } else { 0 }, "turn {turn}");
+            asked += plan.pivots.len();
+            let placed = session
+                .drive(Turn::RouteMap(Box::new(plan)), &mut |_, _| Choice::First)
+                .unwrap();
+            config = placed.config;
+            let copied = format!("permit _65000:{community}_");
+            let lists = config.community_lists.iter();
+            assert!(
+                lists
+                    .filter(|(name, _)| name.starts_with('D'))
+                    .any(|(_, list)| list.to_string().contains(&copied)),
+                "turn {turn} copies a base pattern under a D* name"
+            );
+        }
+        assert!(asked > 0, "the intents overlap the base");
+
+        // Dropping WC4 and its match clause drops a community pattern no
+        // turn copied: that kind is built from its universe again, the
+        // AS-path kind is not.
+        let text = config.to_string();
+        let kept: Vec<&str> = text.lines().filter(|l| !l.contains("WC4")).collect();
+        let edited = Config::parse(&(kept.join("\n") + "\n")).unwrap();
+        assert_eq!(
+            edited.community_lists.len() + 1,
+            config.community_lists.len()
+        );
+        let (_, cold) = plan_counted(&mut session, &edited, &prompt(true, 1));
+        assert_eq!(cold, 1);
+    }
+}
+
 // ---------------------------------------------------------------------
 // §4 formal model
 // ---------------------------------------------------------------------

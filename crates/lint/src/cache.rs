@@ -41,7 +41,9 @@ pub struct CachedObject {
 /// A previous lint run, keyed for incremental splicing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LintCache {
-    /// Content hash of the configuration this cache describes.
+    /// Content hash of the configuration this cache describes, as the
+    /// persisted cache carries it; 0 in a re-lint session's cache, which
+    /// never reads it.
     pub config_hash: u64,
     /// Atom-environment hash
     /// (see [`atom_env_hash`](clarify_analysis::atom_env_hash)) at lint
@@ -56,19 +58,34 @@ impl LintCache {
     /// every object and files the symbolic diagnostics under the object
     /// their anchor rule lives in.
     pub fn from_report(cfg: &Config, report: &LintReport) -> LintCache {
-        let mut objects: BTreeMap<RuleId, CachedObject> = cfg
-            .object_hashes()
-            .iter()
-            .map(|(id, hash)| {
-                (
-                    id.clone(),
-                    CachedObject {
-                        hash,
-                        diagnostics: Vec::new(),
-                    },
-                )
-            })
-            .collect();
+        let mut cache = LintCache::keys(cfg);
+        cache.config_hash = cfg.content_hash();
+        cache.file(report);
+        cache
+    }
+
+    /// The keys an incremental run compares with the previous run's: every
+    /// object's hash, without diagnostics yet, and the atom environment.
+    /// `config_hash` stays 0: only a persisted cache carries it.
+    pub(crate) fn keys(cfg: &Config) -> LintCache {
+        let hashes = cfg.object_hashes();
+        LintCache {
+            config_hash: 0,
+            atom_env: clarify_analysis::atom_env_hash(&[cfg]),
+            objects: hashes
+                .iter()
+                .map(|(id, hash)| {
+                    let diagnostics = Vec::new();
+                    (id.clone(), CachedObject { hash, diagnostics })
+                })
+                .collect(),
+        }
+    }
+
+    /// Files the symbolic diagnostics of `report`, the lint of the
+    /// configuration these keys hash, under the object their anchor rule
+    /// lives in.
+    pub(crate) fn file(&mut self, report: &LintReport) {
         for d in &report.diagnostics {
             if !matches!(
                 d.code,
@@ -80,16 +97,11 @@ impl LintCache {
                 continue;
             }
             let owner = RuleId::object(d.rule.kind, d.rule.object.clone());
-            if let Some(entry) = objects.get_mut(&owner) {
+            if let Some(entry) = self.objects.get_mut(&owner) {
                 let mut d = d.clone();
                 d.line = None;
                 entry.diagnostics.push(d);
             }
-        }
-        LintCache {
-            config_hash: cfg.content_hash(),
-            atom_env: clarify_analysis::atom_env_hash(&[cfg]),
-            objects,
         }
     }
 

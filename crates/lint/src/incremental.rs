@@ -31,8 +31,8 @@
 //!
 //! [`lint_config`]: crate::lint_config
 
-use clarify_analysis::{atom_env_hash, AnalysisError, PacketSpace, PrefixSpace, RouteSpace};
-use clarify_netconfig::{Acl, Config, ObjectHashes, PrefixList, RouteMap, SourceMap};
+use clarify_analysis::{AnalysisError, PacketSpace, PrefixSpace, RouteAtoms, RouteSpace};
+use clarify_netconfig::{Acl, Config, PrefixList, RouteMap, SourceMap};
 
 use crate::cache::LintCache;
 use crate::diagnostic::{Diagnostic, LintReport};
@@ -57,6 +57,9 @@ pub struct IncrStats {
 #[derive(Default)]
 pub(crate) struct SessionState {
     pub(crate) route_maps: Option<RouteSpace>,
+    /// The atoms of a route space retired by an atom-environment change,
+    /// which the next one is built from.
+    pub(crate) route_atoms: Option<RouteAtoms>,
     pub(crate) acls: Option<PacketSpace>,
     pub(crate) prefix_lists: Option<PrefixSpace>,
 }
@@ -69,14 +72,10 @@ impl SessionState {
         cfg: &Config,
         objects: &[(&String, &K)],
     ) -> Result<Vec<Vec<Diagnostic>>, AnalysisError> {
-        let retained = K::space(self);
         objects
             .iter()
             .map(|&(name, obj)| {
-                let space = match retained {
-                    Some(s) => s,
-                    None => retained.insert(K::new_space(cfg)?),
-                };
+                let space = K::session_space(self, cfg)?;
                 let diags = lint_object(space, cfg, name, obj)?;
                 K::manager(space).clear_op_caches();
                 Ok(diags)
@@ -89,18 +88,17 @@ impl SessionState {
 /// its dirty objects (all of them without a `prev` run to splice from),
 /// with the clean rest spliced from `prev`; then the report tail — source
 /// lines, the canonical sort, and the `lint.*` counters (plus `incr.*`
-/// when splicing). Dirty objects are recomputed on the retained state of
-/// `session`, which always comes with a `prev`, or else by the cold
-/// parallel fan-out.
+/// when splicing). `prev` pairs the previous run with the
+/// [keys](LintCache::keys) of `cfg`; a cold lint needs no keys, since
+/// every object is dirty. Dirty objects are recomputed on the retained
+/// state of `session`, which always comes with a `prev`, or else by the
+/// cold parallel fan-out.
 pub(crate) fn drive(
     cfg: &Config,
     spans: Option<&SourceMap>,
-    prev: Option<&LintCache>,
+    prev: Option<(&LintCache, &LintCache)>,
     mut session: Option<&mut SessionState>,
 ) -> Result<(LintReport, IncrStats), AnalysisError> {
-    // A cold lint needs no hashes: every object is dirty, nothing is keyed.
-    let hashes = prev.map(|_| cfg.object_hashes()).unwrap_or_default();
-    let prev = prev.map(|p| (p, atom_env_hash(&[cfg]) != p.atom_env));
     let mut report = LintReport::default();
     {
         let _pass = clarify_obs::span!("lint_references");
@@ -108,9 +106,9 @@ pub(crate) fn drive(
     }
     let out = &mut report.diagnostics;
     let counts = [
-        drive_kind::<RouteMap>(cfg, &hashes, prev, session.as_deref_mut(), out)?,
-        drive_kind::<Acl>(cfg, &hashes, prev, session.as_deref_mut(), out)?,
-        drive_kind::<PrefixList>(cfg, &hashes, prev, session, out)?,
+        drive_kind::<RouteMap>(cfg, prev, session.as_deref_mut(), out)?,
+        drive_kind::<Acl>(cfg, prev, session.as_deref_mut(), out)?,
+        drive_kind::<PrefixList>(cfg, prev, session, out)?,
     ];
     let total_objects = counts.iter().map(|c| c.0).sum();
     let dirty_objects = counts.iter().map(|c| c.1).sum();
@@ -143,13 +141,11 @@ pub(crate) fn drive(
 
 /// One kind's step of [`drive`]: its dirty set, the recomputation, and the
 /// splice in name order — the order the cold lint emits, which the
-/// report's stable sort relies on to break ties. `prev` carries whether
-/// the atom environment changed. Returns the kind's object and dirty
-/// counts.
+/// report's stable sort relies on to break ties. Returns the kind's object
+/// and dirty counts.
 fn drive_kind<K: LintKind>(
     cfg: &Config,
-    hashes: &ObjectHashes,
-    prev: Option<(&LintCache, bool)>,
+    prev: Option<(&LintCache, &LintCache)>,
     session: Option<&mut SessionState>,
     out: &mut Vec<Diagnostic>,
 ) -> Result<(usize, usize), AnalysisError> {
@@ -158,7 +154,7 @@ fn drive_kind<K: LintKind>(
     let dirty: Vec<bool> = objects
         .iter()
         .map(|(name, obj)| {
-            let Some((cache, atoms_changed)) = prev else {
+            let Some((cache, keys)) = prev else {
                 return true;
             };
             // A referenced list that changed, appeared, or vanished changes
@@ -166,10 +162,10 @@ fn drive_kind<K: LintKind>(
             // dangling reference hashes to None on both sides and stays
             // clean — the object is skipped by the symbolic pass either
             // way.)
-            let changed = |kind, name: &str| {
-                cache.object(kind, name).map(|o| o.hash) != hashes.get(kind, name)
-            };
-            (K::USES_ATOMS && atoms_changed)
+            let hash =
+                |cache: &LintCache, kind, name: &str| cache.object(kind, name).map(|o| o.hash);
+            let changed = |kind, name: &str| hash(cache, kind, name) != hash(keys, kind, name);
+            (K::USES_ATOMS && cache.atom_env != keys.atom_env)
                 || changed(K::KIND, name)
                 || obj.references().any(|(kind, list)| changed(kind, list))
         })
@@ -213,7 +209,7 @@ pub fn lint_config_incremental(
     prev: &LintCache,
 ) -> Result<(LintReport, IncrStats), AnalysisError> {
     let _span = clarify_obs::span!("lint_incremental");
-    drive(cfg, spans, Some(prev), None)
+    drive(cfg, spans, Some((prev, &LintCache::keys(cfg))), None)
 }
 
 /// A stateful re-lint session: retains one BDD space per kind across
@@ -223,6 +219,9 @@ pub fn lint_config_incremental(
 /// The route space survives as long as the atom environment does — its
 /// variable layout is a function of the config's regex pattern set — and
 /// the packet/prefix spaces are config-independent and survive forever.
+/// When the atom environment changes, the route space's atoms outlive it:
+/// the next route space is built from them, so an edit that only reorders
+/// or adds patterns classifies just the added ones.
 /// Between re-lints the spaces' managers drop their operation caches and
 /// may garbage-collect (the
 /// [`clear_op_caches`](clarify_bdd::Manager::clear_op_caches) seam); a
@@ -241,7 +240,8 @@ impl IncrementalLinter {
         spans: Option<&SourceMap>,
     ) -> Result<(IncrementalLinter, LintReport), AnalysisError> {
         let report = crate::linter::lint_config(&cfg, spans)?;
-        let cache = LintCache::from_report(&cfg, &report);
+        let mut cache = LintCache::keys(&cfg);
+        cache.file(&report);
         let state = SessionState::default();
         Ok((IncrementalLinter { cache, state }, report))
     }
@@ -255,20 +255,27 @@ impl IncrementalLinter {
     /// Re-lints after an edit: `cfg` replaces the session configuration,
     /// dirty objects are recomputed serially on the retained spaces, and
     /// clean objects splice their cached diagnostics. Byte-identical to a
-    /// cold full lint.
+    /// cold full lint. Each object and the atom environment are hashed
+    /// once, and those keys become the next run's cache.
     pub fn relint(
         &mut self,
         cfg: Config,
         spans: Option<&SourceMap>,
     ) -> Result<(LintReport, IncrStats), AnalysisError> {
         let _span = clarify_obs::span!("lint_incremental");
-        if atom_env_hash(&[&cfg]) != self.cache.atom_env {
+        let mut keys = LintCache::keys(&cfg);
+        if keys.atom_env != self.cache.atom_env {
             // New pattern set → new variable layout: the retained route
-            // space no longer encodes this configuration's lists.
-            self.state.route_maps = None;
+            // space no longer encodes this configuration's lists, but the
+            // next one is built from its atoms.
+            if let Some(space) = self.state.route_maps.take() {
+                self.state.route_atoms = Some(space.into_atoms());
+            }
         }
-        let (report, stats) = drive(&cfg, spans, Some(&self.cache), Some(&mut self.state))?;
-        self.cache = LintCache::from_report(&cfg, &report);
+        let prev = Some((&self.cache, &keys));
+        let (report, stats) = drive(&cfg, spans, prev, Some(&mut self.state))?;
+        keys.file(&report);
+        self.cache = keys;
         Ok((report, stats))
     }
 }

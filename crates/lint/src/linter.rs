@@ -54,8 +54,12 @@ pub(crate) trait LintKind: FirstMatchPolicy + Sync + Sized {
     fn objects(cfg: &Config) -> &BTreeMap<String, Self>;
     /// A fresh space that encodes every object of `cfg`.
     fn new_space(cfg: &Config) -> Result<Self::Space, AnalysisError>;
-    /// This kind's retained space in an incremental session.
-    fn space(session: &mut SessionState) -> &mut Option<Self::Space>;
+    /// This kind's retained space in an incremental session, built on
+    /// first use to encode every object of `cfg`.
+    fn session_space<'s>(
+        session: &'s mut SessionState,
+        cfg: &Config,
+    ) -> Result<&'s mut Self::Space, AnalysisError>;
     /// The identity of rule `i` of the object named `name`.
     fn rule_id(&self, name: &str, i: usize) -> RuleId;
     /// The index of the rule that decides `input`, if any.
@@ -128,8 +132,20 @@ impl LintKind for RouteMap {
     fn new_space(cfg: &Config) -> Result<RouteSpace, AnalysisError> {
         RouteSpace::new(&[cfg])
     }
-    fn space(session: &mut SessionState) -> &mut Option<RouteSpace> {
-        &mut session.route_maps
+    /// Built from the atoms of the space an atom-environment change
+    /// retired, if there was one.
+    fn session_space<'s>(
+        session: &'s mut SessionState,
+        cfg: &Config,
+    ) -> Result<&'s mut RouteSpace, AnalysisError> {
+        let retained = &mut session.route_maps;
+        match retained {
+            Some(space) => Ok(space),
+            None => {
+                let atoms = session.route_atoms.take();
+                Ok(retained.insert(RouteSpace::with_atoms(&[cfg], atoms)?))
+            }
+        }
     }
     fn rule_id(&self, name: &str, i: usize) -> RuleId {
         RuleId::route_map_stanza(name, self.stanzas[i].seq)
@@ -185,8 +201,11 @@ impl LintKind for Acl {
     fn new_space(_: &Config) -> Result<PacketSpace, AnalysisError> {
         Ok(PacketSpace::new())
     }
-    fn space(session: &mut SessionState) -> &mut Option<PacketSpace> {
-        &mut session.acls
+    fn session_space<'s>(
+        session: &'s mut SessionState,
+        _: &Config,
+    ) -> Result<&'s mut PacketSpace, AnalysisError> {
+        Ok(session.acls.get_or_insert_with(PacketSpace::new))
     }
     fn rule_id(&self, name: &str, i: usize) -> RuleId {
         RuleId::acl_entry(name, i)
@@ -228,8 +247,11 @@ impl LintKind for PrefixList {
     fn new_space(_: &Config) -> Result<PrefixSpace, AnalysisError> {
         Ok(PrefixSpace::new())
     }
-    fn space(session: &mut SessionState) -> &mut Option<PrefixSpace> {
-        &mut session.prefix_lists
+    fn session_space<'s>(
+        session: &'s mut SessionState,
+        _: &Config,
+    ) -> Result<&'s mut PrefixSpace, AnalysisError> {
+        Ok(session.prefix_lists.get_or_insert_with(PrefixSpace::new))
     }
     fn rule_id(&self, name: &str, i: usize) -> RuleId {
         RuleId::prefix_entry(name, self.entries[i].seq)

@@ -725,6 +725,65 @@ ip access-list extended FW
         }
     }
 
+    /// A session keeps its route space's atoms across atom-environment
+    /// changes: an edit that reorders or adds patterns builds no atom space
+    /// from a universe, one that drops a pattern rebuilds that kind, and
+    /// every report is the cold lint's.
+    #[test]
+    fn session_reuses_atoms_across_atom_environment_changes() {
+        use std::sync::Arc;
+
+        use clarify_obs::{scoped, Registry};
+
+        let lists = |comm: &[(&str, u32)]| {
+            let mut text = String::from("ip as-path access-list P1 permit _100_\n");
+            let mut map = String::from("route-map RM deny 5\n match as-path P1\n");
+            for (i, (name, value)) in comm.iter().enumerate() {
+                text.push_str(&format!(
+                    "ip community-list expanded {name} permit _65000:{value}_\n"
+                ));
+                map.push_str(&format!(
+                    "route-map RM {} {}\n match community {name}\n",
+                    ["permit", "deny"][i % 2],
+                    10 * (i + 1)
+                ));
+            }
+            // A stanza every community stanza shadows part of.
+            map.push_str("route-map RM permit 90\n match community C1\n");
+            Config::parse(&(text + &map)).unwrap()
+        };
+        let (mut session, _) = IncrementalLinter::new(lists(&[("C1", 1)]), None).unwrap();
+        // (edit, atom spaces built from a universe)
+        let edits = [
+            // The cold lint's spaces do not outlive it: the first re-lint
+            // builds both kinds of atoms.
+            (lists(&[("C1", 1), ("C2", 2)]), 2),
+            // `A2` sorts before `C1`: the same patterns, reordered.
+            (lists(&[("C1", 1), ("A2", 2)]), 0),
+            // One more pattern.
+            (lists(&[("C1", 1), ("A2", 2), ("C3", 3)]), 0),
+            // Reordered and extended at once.
+            (lists(&[("C1", 1), ("B4", 4), ("A2", 2), ("C3", 3)]), 0),
+            // `_65000:2_` is dropped: the community kind starts over.
+            (lists(&[("C1", 1), ("B4", 4), ("C3", 3)]), 1),
+        ];
+        for (step, (cfg, expected)) in edits.into_iter().enumerate() {
+            let full = lint_config(&cfg, None).unwrap();
+            let registry = Arc::new(Registry::new());
+            let (incr, stats) = scoped(registry.clone(), || session.relint(cfg, None)).unwrap();
+            assert_eq!(incr.render_json("x"), full.render_json("x"), "step {step}");
+            assert_eq!(stats.dirty_objects, 1, "step {step}: RM");
+            let snap = registry.snapshot();
+            assert_eq!(
+                snap.counter("analysis.route_space_builds"),
+                1,
+                "step {step}"
+            );
+            let built = snap.counter("analysis.atom_space_builds");
+            assert_eq!(built, expected, "step {step}");
+        }
+    }
+
     #[test]
     fn tampered_cache_is_stale_not_corrupt() {
         let (cfg, spans) = Config::parse_with_spans(BASE).unwrap();

@@ -26,7 +26,9 @@
 //! hands out is a no-op (an `Option` check, no atomics touched, no
 //! `Instant::now()` calls), so uninstrumented runs pay almost nothing.
 //! The CLIs install an enabled registry when `--trace-json` or `--stats`
-//! is passed; [`install`] swaps it in process-wide.
+//! is passed; [`install`] swaps it in process-wide. A test that needs
+//! exact totals of code recording into [`global`], while other tests run
+//! on other threads, runs that code [`scoped`] to a registry of its own.
 //!
 //! # The metrics-never-affect-output invariant
 //!
@@ -54,6 +56,7 @@ mod snapshot;
 pub use registry::{Counter, Gauge, Histogram, Registry, Span, HISTOGRAM_BUCKETS};
 pub use snapshot::{HistogramBucket, HistogramSnapshot, Snapshot};
 
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// The process-wide registry cell; starts disabled.
@@ -62,12 +65,36 @@ fn global_cell() -> &'static RwLock<Arc<Registry>> {
     GLOBAL.get_or_init(|| RwLock::new(Arc::new(Registry::disabled())))
 }
 
+thread_local! {
+    /// The registry [`scoped`] to this thread, if any.
+    static SCOPED: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
+}
+
 /// The current process-wide registry (disabled until [`install`] is
-/// called). Handles are captured from whatever registry is current at
-/// capture time; instruments created before an `install` keep recording
-/// into the old (usually disabled) registry.
+/// called), or the one [`scoped`] to this thread. Handles are captured
+/// from whatever registry is current at capture time; instruments created
+/// before an `install` keep recording into the old (usually disabled)
+/// registry.
 pub fn global() -> Arc<Registry> {
+    if let Some(registry) = SCOPED.with(|s| s.borrow().clone()) {
+        return registry;
+    }
     global_cell().read().expect("obs global lock").clone()
+}
+
+/// Runs `f` with `registry` standing in for the process-wide one on this
+/// thread only, and returns what `f` returns. Threads `f` starts still
+/// record into the process-wide registry.
+pub fn scoped<T>(registry: Arc<Registry>, f: impl FnOnce() -> T) -> T {
+    /// Puts the outer scope back, even if `f` panics.
+    struct Restore(Option<Arc<Registry>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED.with(|s| *s.borrow_mut() = self.0.take());
+        }
+    }
+    let _restore = Restore(SCOPED.with(|s| s.replace(Some(registry))));
+    f()
 }
 
 /// Installs `registry` as the process-wide registry and returns a handle

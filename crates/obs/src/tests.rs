@@ -198,6 +198,25 @@ fn global_starts_disabled_and_install_swaps() {
 }
 
 #[test]
+fn scoped_registry_records_this_thread_only() {
+    let reg = Arc::new(Registry::new());
+    let probe = reg.clone();
+    scoped(reg.clone(), || {
+        global().counter("scoped.probe").incr();
+        drop(span!("scoped_probe"));
+        let elsewhere = std::thread::spawn(move || Arc::ptr_eq(&global(), &probe));
+        assert!(!elsewhere.join().unwrap(), "other threads keep the global");
+    });
+    assert!(!Arc::ptr_eq(&global(), &reg), "the scope ended");
+    let snap = reg.snapshot();
+    assert_eq!(snap.counter("scoped.probe"), 1);
+    assert_eq!(
+        snap.histogram("span.scoped_probe.ns").map(|h| h.count),
+        Some(1)
+    );
+}
+
+#[test]
 fn counter_registration_alone_appears_in_snapshot() {
     // Handing out a handle registers the name at 0, so reports always
     // contain the full counter vocabulary of the code that ran — a punt

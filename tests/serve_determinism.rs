@@ -19,6 +19,20 @@ const E1_PROMPT: &str = "Write a route-map stanza that permits routes containing
 100.0.0.0/16 with mask length less than or equal to 23 and tagged with the community 300:3. \
 Their MED value should be set to 55.";
 
+/// A second intent for the configuration E1 leaves: it overlaps the E1
+/// stanza, and its community adds a pattern to the ones E1 brought.
+const SECOND_PROMPT: &str = "Write a route-map stanza that denies routes containing the prefix \
+100.0.0.0/8 with mask length less than or equal to 24 and tagged with the community 300:4.";
+
+/// One `ask` turn as the daemon ran it.
+#[derive(Debug, PartialEq)]
+struct AskTurn {
+    questions: Vec<String>,
+    position: u64,
+    /// The configuration the turn committed.
+    config: String,
+}
+
 fn field<'a>(doc: &'a Value, key: &str) -> Option<&'a Value> {
     doc.as_object("frame")
         .ok()?
@@ -33,6 +47,13 @@ fn daemon_transcript(config_text: &str) -> (Vec<String>, u64) {
 }
 
 fn daemon_transcript_with(config_text: &str, cfg: ServerConfig) -> (Vec<String>, u64) {
+    let turn = daemon_session(config_text, cfg, &[E1_PROMPT]).remove(0);
+    (turn.questions, turn.position)
+}
+
+/// Opens one config session on a fresh daemon and asks `prompts` in turn,
+/// answering every question with OPTION 1.
+fn daemon_session(config_text: &str, cfg: ServerConfig, prompts: &[&str]) -> Vec<AskTurn> {
     let server = Server::bind(cfg).expect("bind");
     let addr = server.local_addr().expect("addr");
     let handle = std::thread::spawn(move || server.run().expect("run"));
@@ -58,54 +79,65 @@ fn daemon_transcript_with(config_text: &str, cfg: ServerConfig) -> (Vec<String>,
         .and_then(|v| v.as_u64("session").ok())
         .expect("session id");
 
-    let mut questions = Vec::new();
-    let mut doc = turn(format!(
-        "{{\"op\":\"ask\",\"session\":{session},\"target\":\"ISP_OUT\",\"intent\":{}}}",
-        json::escape(E1_PROMPT)
-    ));
-    loop {
-        if field(&doc, "done").and_then(|v| v.as_bool("done").ok()) == Some(true) {
-            break;
-        }
-        let q = field(&doc, "question").expect("question frame");
-        let text = q
-            .as_object("question")
-            .ok()
-            .and_then(|m| m.iter().find(|(k, _)| k == "text"))
-            .and_then(|(_, v)| v.as_str("text").ok())
-            .expect("question text")
-            .to_string();
-        questions.push(text);
-        assert!(questions.len() < 10, "no convergence");
-        doc = turn(format!(
-            "{{\"op\":\"answer\",\"session\":{session},\"choice\":1}}"
+    let mut turns = Vec::new();
+    for prompt in prompts {
+        let mut questions = Vec::new();
+        let mut doc = turn(format!(
+            "{{\"op\":\"ask\",\"session\":{session},\"target\":\"ISP_OUT\",\"intent\":{}}}",
+            json::escape(prompt)
         ));
+        loop {
+            if field(&doc, "done").and_then(|v| v.as_bool("done").ok()) == Some(true) {
+                break;
+            }
+            let q = field(&doc, "question").expect("question frame");
+            let text = q
+                .as_object("question")
+                .ok()
+                .and_then(|m| m.iter().find(|(k, _)| k == "text"))
+                .and_then(|(_, v)| v.as_str("text").ok())
+                .expect("question text")
+                .to_string();
+            questions.push(text);
+            assert!(questions.len() < 10, "no convergence");
+            doc = turn(format!(
+                "{{\"op\":\"answer\",\"session\":{session},\"choice\":1}}"
+            ));
+        }
+        let position = field(&doc, "position")
+            .and_then(|v| v.as_u64("position").ok())
+            .expect("position");
+        let config = field(&doc, "config")
+            .and_then(|v| v.as_str("config").ok())
+            .expect("committed configuration")
+            .to_string();
+        turns.push(AskTurn {
+            questions,
+            position,
+            config,
+        });
     }
-    let position = field(&doc, "position")
-        .and_then(|v| v.as_u64("position").ok())
-        .expect("position");
 
     turn("{\"op\":\"shutdown\"}".to_string());
     handle.join().expect("clean shutdown");
-    (questions, position)
+    turns
 }
 
 /// Drives E1 through the real CLI binary; returns (question texts,
-/// position). Questions are extracted from the interactive transcript:
-/// between "For this route:\n\n" and "\n\nyour choice [1/2]" lies exactly
-/// the question's `Display` rendering — the same string the daemon sends
-/// as the `text` field.
+/// position).
 fn cli_transcript(threads: &str) -> (Vec<String>, u64) {
+    cli_ask(threads, "testdata/isp_out.cfg", E1_PROMPT)
+}
+
+/// Asks `prompt` of the configuration at `config` through the real CLI
+/// binary; returns (question texts, position). Questions are extracted
+/// from the interactive transcript: between "For this route:\n\n" and
+/// "\n\nyour choice [1/2]" lies exactly the question's `Display`
+/// rendering — the same string the daemon sends as the `text` field.
+fn cli_ask(threads: &str, config: &str, prompt: &str) -> (Vec<String>, u64) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_clarify"))
         .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .args([
-            "--threads",
-            threads,
-            "ask",
-            "testdata/isp_out.cfg",
-            "ISP_OUT",
-            E1_PROMPT,
-        ])
+        .args(["--threads", threads, "ask", config, "ISP_OUT", prompt])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -192,4 +224,35 @@ fn daemon_and_cli_replay_identical_transcripts_at_1_and_8_threads() {
         reference, replayed,
         "daemon replaying the recorded transcript diverged from the live run"
     );
+
+    // A session that asks twice plans its second turn from the first
+    // turn's atoms; it must ask what a one-shot `clarify ask` on the
+    // configuration the first turn committed asks.
+    let intermediate = std::env::temp_dir().join(format!(
+        "clarify_serve_second_ask_{}.cfg",
+        std::process::id()
+    ));
+    for threads in [1, 8] {
+        clarify::par::set_threads(threads);
+        let turns = daemon_session(
+            &config_text,
+            ServerConfig::default(),
+            &[E1_PROMPT, SECOND_PROMPT],
+        );
+        clarify::par::set_threads(0);
+        assert_eq!(
+            (&turns[0].questions, turns[0].position),
+            (&reference.0, reference.1)
+        );
+        assert!(!turns[1].questions.is_empty(), "the second intent overlaps");
+        std::fs::write(&intermediate, &turns[0].config).expect("write the configuration");
+        let path = intermediate.to_str().expect("utf8 path");
+        let cli = cli_ask(&threads.to_string(), path, SECOND_PROMPT);
+        assert_eq!(
+            (turns[1].questions.clone(), turns[1].position),
+            cli,
+            "second ask at {threads} threads"
+        );
+    }
+    std::fs::remove_file(&intermediate).ok();
 }
