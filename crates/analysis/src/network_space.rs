@@ -226,9 +226,9 @@ impl NetworkSpace {
 
     /// Drops the manager's memoization tables between work items — and,
     /// since the route space arms auto-GC, lets the kernel collect
-    /// unrooted nodes (or re-sift a degraded order) here. Memoised
-    /// fire-set `Ref`s stay valid because the memo roots every one; any
-    /// other ref held across this call does not survive.
+    /// unrooted nodes here. Memoised fire-set `Ref`s stay valid because
+    /// the memo roots every one; any other ref held across this call does
+    /// not survive.
     pub fn clear_op_caches(&mut self) {
         self.space.manager().clear_op_caches();
     }

@@ -51,8 +51,7 @@ impl PacketSpace {
         // Protocol code 0 is the `ip` wildcard, never a concrete packet.
         let valid = mgr.ge_const(&proto_vars, 1);
         // Pin it and let the kernel collect unrooted garbage between work
-        // items. The handcrafted variable order is already interleaved, so
-        // auto-reorder stays off for packets.
+        // items.
         let valid_root = mgr.protect(valid);
         mgr.set_auto_gc(true);
         PacketSpace {

@@ -247,12 +247,9 @@ impl RouteSpace {
             }
         }
         // Pin the validity predicate and let the kernel collect everything
-        // unrooted (and re-sift a degraded order) at the clear_op_caches
-        // seams between work items. Witnesses are order-invariant, so
-        // neither touches decoded output.
+        // unrooted at the clear_op_caches seams between work items.
         let valid_root = mgr.protect(valid);
         mgr.set_auto_gc(true);
-        mgr.set_auto_reorder(true);
 
         Ok(RouteSpace {
             mgr,

@@ -3,18 +3,17 @@
 //! The arena never *moves* a live node: the sweep marks dead slots with a
 //! `var` sentinel and pushes them onto a free list for reuse by `mk`, so
 //! every [`Ref`] to a node reachable from a [`Root`] stays valid across
-//! any number of collections (and across sifting passes, which rewrite
-//! slots in place without changing the function a slot denotes). That is
-//! the whole safety argument (DESIGN.md §8): roots pin reachability,
-//! survivors keep their indices, and the unique table and computed cache
-//! — the only structures that could name dead slots — are rebuilt and
-//! reset respectively at the end of each sweep.
+//! any number of collections. That is the whole safety argument
+//! (DESIGN.md §8): roots pin reachability, survivors keep their indices,
+//! and the unique table and computed cache — the only structures that
+//! could name dead slots — are rebuilt and reset respectively at the end
+//! of each sweep.
 
-use crate::manager::{Manager, Node, DEAD_VAR, GC_FLOOR, REORDER_FLOOR};
+use crate::manager::{Manager, Node, DEAD_VAR, GC_FLOOR};
 use crate::Ref;
 
 /// A handle that pins a function (and everything reachable from it)
-/// across garbage collection and reordering.
+/// across garbage collection.
 ///
 /// Obtained from [`Manager::protect`]; released with
 /// [`Manager::unprotect`]. `Root` is deliberately not `Copy`/`Clone`:
@@ -31,7 +30,7 @@ pub struct Root {
 
 impl Root {
     /// The protected function. Valid for as long as the root is held,
-    /// across any number of [`Manager::gc`] / [`Manager::reorder`] calls.
+    /// across any number of [`Manager::gc`] calls.
     pub fn as_ref(&self) -> Ref {
         self.r
     }
@@ -48,7 +47,7 @@ pub struct GcStats {
 
 impl Manager {
     /// Pins `r` as a garbage-collection root. Everything reachable from a
-    /// root survives [`Manager::gc`] and [`Manager::reorder`].
+    /// root survives [`Manager::gc`].
     pub fn protect(&mut self, r: Ref) -> Root {
         let slot = match self.root_free.pop() {
             Some(s) => {
@@ -93,24 +92,14 @@ impl Manager {
         self.auto_gc = enabled;
     }
 
-    /// Arms or disarms automatic sifting inside
-    /// [`Manager::clear_op_caches`]. Off by default.
-    pub fn set_auto_reorder(&mut self, enabled: bool) {
-        self.auto_reorder = enabled;
-    }
-
     /// The auto-collection hook, called from `clear_op_caches` — the one
     /// moment no operation is mid-recursion, so the only refs that must
-    /// survive are the rooted ones. Triggers are high-water marks that
-    /// re-arm upward after each pass, so a session that plateaus stops
+    /// survive are the rooted ones. The trigger is a high-water mark that
+    /// re-arms upward after each pass, so a session that plateaus stops
     /// paying for collections it does not need.
     pub(crate) fn maybe_collect(&mut self) {
         if self.auto_gc && self.live_nodes >= self.gc_trigger {
             self.gc();
-        }
-        if self.auto_reorder && self.live_nodes >= self.reorder_trigger {
-            self.reorder();
-            self.reorder_trigger = (self.live_nodes * 4).max(REORDER_FLOOR);
         }
     }
 

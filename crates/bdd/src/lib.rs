@@ -1,5 +1,5 @@
 //! Reduced ordered binary decision diagrams (ROBDDs) with hash-consing,
-//! complement edges, dynamic variable reordering, and a garbage-collected
+//! complement edges, a static variable order, and a garbage-collected
 //! node arena.
 //!
 //! This crate is the symbolic-reasoning substrate for the Clarify analyses.
@@ -10,8 +10,6 @@
 //! - **Complement edges**: a [`Ref`] carries a complement bit, so negation
 //!   is O(1) and `f`/`!f` share all nodes (the then-edge of every stored
 //!   node is kept regular for canonicity).
-//! - **Sifting** ([`Manager::reorder`]): adjacent-level swaps search for a
-//!   better variable order when the caller's static order is poor.
 //! - **Mark-and-sweep GC** ([`Manager::gc`]): [`Root`] handles pin
 //!   long-lived functions; everything else is reclaimed between rounds,
 //!   so daemon sessions stop growing monotonically.
@@ -32,12 +30,13 @@
 //!
 //! # Variable order
 //!
-//! Variables are identified by `u32` indices; the *initial* variable order
-//! is the numeric order. A good initial order is still the caller's job
-//! (the analysis crate interleaves related fields), but
-//! [`Manager::reorder`] can recover from a bad one. Witnesses from
-//! [`Manager::any_sat`] are order-invariant, so reordering never changes
-//! decoded output.
+//! Variables are identified by `u32` indices, and the variable order is
+//! the numeric order for the manager's whole life: a node's level is its
+//! variable id. A good order is the caller's job (the analysis spaces
+//! lay their fields out in blocks, most significant bit first). Because
+//! the order is fixed, the witness from [`Manager::any_sat`], its free
+//! variables read as false, is the lexicographically least model,
+//! variable 0 most significant.
 
 #![warn(missing_docs)]
 
@@ -45,13 +44,11 @@ mod cache;
 mod cube;
 mod gc;
 mod manager;
-mod reorder;
 mod unique;
 
 pub use cube::Cube;
 pub use gc::{GcStats, Root};
 pub use manager::{Manager, Ref, Stats};
-pub use reorder::ReorderStats;
 
 #[cfg(test)]
 mod tests;

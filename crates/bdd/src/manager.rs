@@ -23,8 +23,8 @@ use crate::unique::UniqueTable;
 /// denote semantically equal Boolean functions (canonicity of ROBDDs with
 /// complement edges). A `Ref` must only be used with the manager that
 /// produced it, and — since the manager grew a garbage collector — a `Ref`
-/// held across [`Manager::gc`] / [`Manager::reorder`] must be protected by
-/// a [`crate::Root`] or reachable from one.
+/// held across [`Manager::gc`] must be protected by a [`crate::Root`] or
+/// reachable from one.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ref(pub(crate) u32);
 
@@ -108,9 +108,6 @@ const DEFAULT_NODE_HINT: usize = 1 << 14;
 /// Auto-GC never fires below this many live nodes.
 pub(crate) const GC_FLOOR: usize = 1 << 12;
 
-/// Auto-reorder never fires below this many live nodes.
-pub(crate) const REORDER_FLOOR: usize = 1 << 12;
-
 /// Usage counters for diagnostics and benchmarks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
@@ -143,12 +140,6 @@ pub struct Stats {
     pub gc_runs: u64,
     /// Nodes reclaimed across all collections.
     pub gc_freed_nodes: u64,
-    /// Sifting passes run (explicit or automatic).
-    pub reorder_runs: u64,
-    /// Adjacent-level swaps performed across all sifting passes.
-    pub reorder_swaps: u64,
-    /// Nanoseconds spent inside [`Manager::reorder`], cumulative.
-    pub reorder_ns: u64,
 }
 
 /// Metric handles captured once at manager construction, so the hot
@@ -169,12 +160,6 @@ pub(crate) struct ObsHandles {
     pub(crate) gc_runs: Counter,
     /// Nodes reclaimed by collections across all managers.
     pub(crate) gc_freed: Counter,
-    /// Sifting passes across all managers.
-    pub(crate) reorder_runs: Counter,
-    /// Adjacent-level swaps across all managers.
-    pub(crate) reorder_swaps: Counter,
-    /// Nanoseconds spent sifting across all managers.
-    pub(crate) reorder_ns: Counter,
     /// Live hash-consed nodes across all managers on this registry.
     pub(crate) unique_nodes: Gauge,
     /// Live computed-cache entries across all managers on this registry.
@@ -192,9 +177,6 @@ impl ObsHandles {
             computed_evictions: registry.counter("bdd.computed_evictions"),
             gc_runs: registry.counter("bdd.gc.runs"),
             gc_freed: registry.counter("bdd.gc.freed_nodes"),
-            reorder_runs: registry.counter("bdd.reorder.runs"),
-            reorder_swaps: registry.counter("bdd.reorder.swaps"),
-            reorder_ns: registry.counter("bdd.reorder.ns"),
             unique_nodes: registry.gauge("bdd.unique_nodes"),
             ite_cache_entries: registry.gauge("bdd.ite_cache_entries"),
         }
@@ -207,9 +189,9 @@ impl ObsHandles {
 /// complement-edge rewrite the manager also owns a *lifecycle*: external
 /// callers pin functions with [`Manager::protect`] root handles, a
 /// mark-and-sweep collector ([`Manager::gc`]) reclaims everything
-/// unreachable from the roots, and a sifting pass ([`Manager::reorder`])
-/// searches for a better variable order. Neither pass moves live nodes,
-/// so protected `Ref`s stay valid across both.
+/// unreachable from the roots. The collector never moves a live node, so
+/// protected `Ref`s stay valid across it. The variable order is static:
+/// a node's level is its variable id.
 ///
 /// The kernel data structures are hand-rolled for the hot path (see
 /// DESIGN.md §8): the unique table is an open-addressing hash table
@@ -222,14 +204,6 @@ pub struct Manager {
     pub(crate) unique: UniqueTable,
     pub(crate) computed: ComputedCache,
     num_vars: u32,
-    /// Variable id -> level (position in the current order; 0 is tested
-    /// first). Starts as the identity and changes only under sifting.
-    pub(crate) var2level: Vec<u32>,
-    /// Level -> variable id (inverse of `var2level`).
-    pub(crate) level2var: Vec<u32>,
-    /// Fast-path flag: true while `var2level` is the identity, letting
-    /// witness extraction keep the O(depth) walk.
-    pub(crate) order_identity: bool,
     /// Dead arena slots available for reuse (filled by the sweep).
     pub(crate) free: Vec<u32>,
     /// Live internal nodes (terminal excluded, dead slots excluded).
@@ -239,25 +213,18 @@ pub struct Manager {
     /// Vacant slots of the root slab.
     pub(crate) root_free: Vec<u32>,
     pub(crate) auto_gc: bool,
-    pub(crate) auto_reorder: bool,
     /// Auto-GC fires when `live_nodes` reaches this (doubles after each).
     pub(crate) gc_trigger: usize,
-    /// Auto-reorder fires when `live_nodes` reaches this.
-    pub(crate) reorder_trigger: usize,
     cache_hits: u64,
     cache_misses: u64,
     pub(crate) gc_runs: u64,
     pub(crate) gc_freed: u64,
-    pub(crate) reorder_runs: u64,
-    pub(crate) reorder_swaps: u64,
-    pub(crate) reorder_ns: u64,
     pub(crate) obs: ObsHandles,
 }
 
 impl Manager {
     /// Creates a manager for functions over `num_vars` Boolean variables
-    /// numbered `0..num_vars` (variable 0 is tested first until a reorder
-    /// changes the level maps).
+    /// numbered `0..num_vars` (variable 0 is tested first).
     ///
     /// Metric handles are captured from the [`clarify_obs::global`]
     /// registry *current at this call*; use [`Manager::with_registry`]
@@ -302,24 +269,16 @@ impl Manager {
             unique: UniqueTable::with_node_capacity(node_hint),
             computed: ComputedCache::with_node_capacity(node_hint),
             num_vars,
-            var2level: (0..num_vars).collect(),
-            level2var: (0..num_vars).collect(),
-            order_identity: true,
             free: Vec::new(),
             live_nodes: 0,
             roots: Vec::new(),
             root_free: Vec::new(),
             auto_gc: false,
-            auto_reorder: false,
             gc_trigger: GC_FLOOR,
-            reorder_trigger: REORDER_FLOOR,
             cache_hits: 0,
             cache_misses: 0,
             gc_runs: 0,
             gc_freed: 0,
-            reorder_runs: 0,
-            reorder_swaps: 0,
-            reorder_ns: 0,
             obs: ObsHandles::capture(registry),
         }
     }
@@ -332,11 +291,6 @@ impl Manager {
     /// Live internal nodes right now (terminal and swept slots excluded).
     pub fn live_node_count(&self) -> usize {
         self.live_nodes
-    }
-
-    /// The current level of variable `var` (0 is tested first).
-    pub fn level_of_var(&self, var: u32) -> u32 {
-        self.var2level[var as usize]
     }
 
     /// Current counters.
@@ -358,21 +312,17 @@ impl Manager {
             computed_evictions: self.computed.evictions(),
             gc_runs: self.gc_runs,
             gc_freed_nodes: self.gc_freed,
-            reorder_runs: self.reorder_runs,
-            reorder_swaps: self.reorder_swaps,
-            reorder_ns: self.reorder_ns,
         }
     }
 
     /// Empties the computed cache while preserving the unique table, so
     /// every outstanding [`Ref`] stays valid and hash-consing (and
     /// therefore canonicity) is unaffected — *unless* automatic
-    /// collection or reordering has been armed via
-    /// [`Manager::set_auto_gc`] / [`Manager::set_auto_reorder`], in which
+    /// collection has been armed via [`Manager::set_auto_gc`], in which
     /// case this call is also the trigger point: with enough live nodes a
-    /// mark-and-sweep (and possibly a sifting pass) runs here, and only
-    /// refs reachable from [`Manager::protect`] roots survive. Bare
-    /// managers (none armed) keep the historical contract exactly.
+    /// mark-and-sweep runs here, and only refs reachable from
+    /// [`Manager::protect`] roots survive. Bare managers keep the
+    /// historical contract exactly.
     ///
     /// The cache memoizes *history*: entries for intermediate functions
     /// from finished queries are rarely hit again. Long-running callers
@@ -393,12 +343,13 @@ impl Manager {
         self.nodes[r.idx()]
     }
 
-    /// The level used for ordering comparisons; terminals sort last.
+    /// The level used for ordering comparisons — a node's variable id;
+    /// terminals sort last.
     pub(crate) fn level(&self, r: Ref) -> u32 {
         if r.is_const() {
             u32::MAX
         } else {
-            self.var2level[self.node(r).var as usize]
+            self.node(r).var
         }
     }
 
@@ -412,7 +363,7 @@ impl Manager {
         }
     }
 
-    /// Cofactors of `f` with respect to the order level `level`.
+    /// Cofactors of `f` with respect to the variable at `level`.
     fn cofactors_at(&self, f: Ref, level: u32) -> (Ref, Ref) {
         if !f.is_const() && self.level(f) == level {
             self.children(f)
@@ -440,8 +391,7 @@ impl Manager {
     fn mk_raw(&mut self, var: u32, lo: Ref, hi: Ref) -> Ref {
         debug_assert!(!hi.is_complement());
         debug_assert!(
-            self.var2level[var as usize] < self.level(lo)
-                && self.var2level[var as usize] < self.level(hi),
+            var < self.level(lo) && var < self.level(hi),
             "order violation"
         );
         // Grow (if needed) before probing so the insertion slot stays valid.
@@ -594,8 +544,7 @@ impl Manager {
         let (h0, h1) = self.cofactors_at(h, top);
         let lo = self.ite_norm(f0, g0, h0);
         let hi = self.ite_norm(f1, g1, h1);
-        let var = self.level2var[top as usize];
-        let r = self.mk(var, lo, hi);
+        let r = self.mk(top, lo, hi);
         self.cache_put(f.0, g.0, h.0, r.0);
         r
     }
@@ -647,8 +596,7 @@ impl Manager {
         let (g0, g1) = self.cofactors_at(g, top);
         let lo = self.and_rec(f0, g0);
         let hi = self.and_rec(f1, g1);
-        let var = self.level2var[top as usize];
-        let r = self.mk(var, lo, hi);
+        let r = self.mk(top, lo, hi);
         self.cache_put(f.0, g.0, OP_AND, r.0);
         r
     }
@@ -703,8 +651,7 @@ impl Manager {
             let (g0, g1) = self.cofactors_at(g, top);
             let lo = self.xor_rec(f0, g0);
             let hi = self.xor_rec(f1, g1);
-            let var = self.level2var[top as usize];
-            let r = self.mk(var, lo, hi);
+            let r = self.mk(top, lo, hi);
             self.cache_put(f.0, g.0, OP_XOR, r.0);
             r
         };
@@ -771,31 +718,30 @@ impl Manager {
 
     /// Existential quantification of a set of variables (sorted or not).
     pub fn exists(&mut self, f: Ref, vars: &[u32]) -> Ref {
-        let mut levels: Vec<u32> = vars.iter().map(|&v| self.var2level[v as usize]).collect();
-        levels.sort_unstable();
-        levels.dedup();
+        let mut vars = vars.to_vec();
+        vars.sort_unstable();
+        vars.dedup();
         let mut memo = HashMap::new();
-        self.exists_rec(f, &levels, &mut memo)
+        self.exists_rec(f, &vars, &mut memo)
     }
 
-    fn exists_rec(&mut self, f: Ref, levels: &[u32], memo: &mut HashMap<Ref, Ref>) -> Ref {
-        if f.is_const() || levels.is_empty() {
+    fn exists_rec(&mut self, f: Ref, vars: &[u32], memo: &mut HashMap<Ref, Ref>) -> Ref {
+        if f.is_const() || vars.is_empty() {
             return f;
         }
-        let fl = self.level(f);
-        // Drop quantified levels that are above the node's level. `rest`
-        // is a function of `f` alone (for one fixed query), so the memo
-        // can key on the tagged ref.
-        let rest = match levels.iter().position(|&l| l >= fl) {
-            Some(i) => &levels[i..],
+        let var = self.node(f).var;
+        // Drop quantified variables that are above the node's. `rest` is
+        // a function of `f` alone (for one fixed query), so the memo can
+        // key on the tagged ref.
+        let rest = match vars.iter().position(|&v| v >= var) {
+            Some(i) => &vars[i..],
             None => return f,
         };
         if let Some(&r) = memo.get(&f) {
             return r;
         }
         let (lo, hi) = self.children(f);
-        let var = self.node(f).var;
-        let r = if rest.first() == Some(&fl) {
+        let r = if rest.first() == Some(&var) {
             let lo = self.exists_rec(lo, &rest[1..], memo);
             let hi = self.exists_rec(hi, &rest[1..], memo);
             // lo | hi via the conjunction kernel.
@@ -826,8 +772,7 @@ impl Manager {
         if f.is_const() {
             return f;
         }
-        let target = self.var2level[var as usize];
-        if self.level(f) > target {
+        if self.level(f) > var {
             return f;
         }
         if let Some(&r) = memo.get(&f) {
@@ -888,21 +833,18 @@ impl Manager {
     /// Returns one satisfying assignment as a [`Cube`], or `None` when
     /// `f` is unsatisfiable.
     ///
-    /// The witness is *order-invariant*: it is the assignment that is
-    /// lexicographically minimal in variable-id significance (variable 0
-    /// most significant, `false < true`), restricted to the variables the
-    /// successively restricted function still depends on — so reordering
-    /// the manager never changes a decoded witness. With the identity
-    /// order this is exactly the classic low-preferring path walk, which
-    /// stays the O(depth) fast path.
+    /// The walk from the root takes the else branch unless it is `FALSE`,
+    /// and the cube constrains exactly the variables on that path. Since a
+    /// node's level is its variable id, the cube with its free variables
+    /// read as false is the lexicographically least model of `f`
+    /// (variable 0 most significant, `false < true`).
     pub fn any_sat(&self, f: Ref) -> Option<Cube> {
         self.lex_sat(f, false)
     }
 
-    /// Like [`Manager::any_sat`], but prefers the **high** branch
-    /// (lexicographically maximal over the constrained variables),
-    /// yielding a different witness when one exists. Equally
-    /// order-invariant.
+    /// Like [`Manager::any_sat`], but prefers the **high** branch: with
+    /// its free variables read as true, the cube is the lexicographically
+    /// greatest model, a different witness whenever `f` has two models.
     pub fn any_sat_high(&self, f: Ref) -> Option<Cube> {
         self.lex_sat(f, true)
     }
@@ -912,122 +854,20 @@ impl Manager {
             return None;
         }
         let mut cube = Cube::unconstrained(self.num_vars);
-        if self.order_identity {
-            // Fast path: with levels == variable ids the greedy walk
-            // visits variables in id order, so "take the preferred branch
-            // unless it is FALSE" *is* the lex-extreme assignment and the
-            // visited nodes are exactly the constrained variables.
-            let mut cur = f;
-            while !cur.is_const() {
-                let n = self.node(cur);
-                let (lo, hi) = self.children(cur);
-                let pick_hi = if prefer_high {
-                    hi != Ref::FALSE
-                } else {
-                    lo == Ref::FALSE
-                };
-                cube.set(n.var, pick_hi);
-                cur = if pick_hi { hi } else { lo };
-            }
-            debug_assert_eq!(cur, Ref::TRUE);
-            return Some(cube);
+        let mut cur = f;
+        while !cur.is_const() {
+            let n = self.node(cur);
+            let (lo, hi) = self.children(cur);
+            let pick_hi = if prefer_high {
+                hi != Ref::FALSE
+            } else {
+                lo == Ref::FALSE
+            };
+            cube.set(n.var, pick_hi);
+            cur = if pick_hi { hi } else { lo };
         }
-        // General path (after a reorder): decide variables in id order by
-        // probing satisfiability under the partial assignment built so
-        // far. Each probe is one DFS over the (restricted) graph, so a
-        // witness costs O(num_vars * size) — cold-path only.
-        let mut fixed: Vec<Option<bool>> = vec![None; self.num_vars as usize];
-        for v in 0..self.num_vars {
-            if !self.dep_under(f, v, &fixed) {
-                continue;
-            }
-            fixed[v as usize] = Some(prefer_high);
-            if !self.sat_under(f, &fixed) {
-                fixed[v as usize] = Some(!prefer_high);
-            }
-            cube.set(v, fixed[v as usize].unwrap());
-        }
+        debug_assert_eq!(cur, Ref::TRUE);
         Some(cube)
-    }
-
-    /// Whether `f` restricted by `fixed` has a satisfying assignment.
-    fn sat_under(&self, f: Ref, fixed: &[Option<bool>]) -> bool {
-        let mut memo: HashMap<u32, bool> = HashMap::new();
-        self.sat_under_rec(f, fixed, &mut memo)
-    }
-
-    fn sat_under_rec(&self, f: Ref, fixed: &[Option<bool>], memo: &mut HashMap<u32, bool>) -> bool {
-        if f == Ref::TRUE {
-            return true;
-        }
-        if f == Ref::FALSE {
-            return false;
-        }
-        if let Some(&b) = memo.get(&f.0) {
-            return b;
-        }
-        let n = self.node(f);
-        let (lo, hi) = self.children(f);
-        let b = match fixed[n.var as usize] {
-            Some(true) => self.sat_under_rec(hi, fixed, memo),
-            Some(false) => self.sat_under_rec(lo, fixed, memo),
-            None => self.sat_under_rec(lo, fixed, memo) || self.sat_under_rec(hi, fixed, memo),
-        };
-        memo.insert(f.0, b);
-        b
-    }
-
-    /// Whether `f` restricted by `fixed` still *semantically* depends on
-    /// `v`: is there an assignment of the free variables (consistent with
-    /// `fixed`) under which flipping `v` flips the value?
-    ///
-    /// Mere reachability of a `v`-labelled node is not enough: once a
-    /// reorder places a fixed variable below `v`'s level, the two
-    /// cofactors of a reachable `v` node can coincide after restriction.
-    /// So this walks *pairs*: the left side carries `v -> 0`, the right
-    /// side `v -> 1`, every other variable is branched in lockstep, and
-    /// the functions differ iff some leaf pair disagrees.
-    fn dep_under(&self, f: Ref, v: u32, fixed: &[Option<bool>]) -> bool {
-        let mut memo: HashMap<(u32, u32), bool> = HashMap::new();
-        self.dep_under_rec(f, f, v, fixed, &mut memo)
-    }
-
-    fn dep_under_rec(
-        &self,
-        a: Ref,
-        b: Ref,
-        v: u32,
-        fixed: &[Option<bool>],
-        memo: &mut HashMap<(u32, u32), bool>,
-    ) -> bool {
-        if a.is_const() && b.is_const() {
-            return a != b;
-        }
-        if let Some(&d) = memo.get(&(a.0, b.0)) {
-            return d;
-        }
-        // Expand the topmost level present on either side; the other side
-        // is independent of that variable and keeps both cofactors equal.
-        let la = self.level(a);
-        let lb = self.level(b);
-        let l = la.min(lb);
-        let w = self.level2var[l as usize];
-        let (a0, a1) = if la == l { self.children(a) } else { (a, a) };
-        let (b0, b1) = if lb == l { self.children(b) } else { (b, b) };
-        let d = if w == v {
-            self.dep_under_rec(a0, b1, v, fixed, memo)
-        } else {
-            match fixed[w as usize] {
-                Some(true) => self.dep_under_rec(a1, b1, v, fixed, memo),
-                Some(false) => self.dep_under_rec(a0, b0, v, fixed, memo),
-                None => {
-                    self.dep_under_rec(a0, b0, v, fixed, memo)
-                        || self.dep_under_rec(a1, b1, v, fixed, memo)
-                }
-            }
-        };
-        memo.insert((a.0, b.0), d);
-        d
     }
 
     /// Evaluates `f` under a total assignment.
@@ -1177,8 +1017,8 @@ impl Manager {
         self.count_from(f, 0, &mut memo)
     }
 
-    /// Models of `f` assuming the order levels `level..num_vars` are
-    /// still free. Memoized per regular node; a complemented handle's
+    /// Models of `f` assuming the variables `level..num_vars` are still
+    /// free. Memoized per regular node; a complemented handle's
     /// count is the remaining assignment space minus the regular count.
     fn count_from(&self, f: Ref, level: u32, memo: &mut HashMap<u32, u128>) -> u128 {
         let total = 1u128 << (self.num_vars - level);

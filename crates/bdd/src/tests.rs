@@ -537,7 +537,11 @@ mod properties {
             prop_assert_eq!(f, nnf);
         }
 
-        /// any_sat always returns a genuine model.
+        /// any_sat returns a genuine model, and both witnesses are the
+        /// truth table's extreme models, variable 0 most significant: with
+        /// its free variables read as false, `any_sat` is the
+        /// lexicographically least model; with them read as true,
+        /// `any_sat_high` is the greatest.
         fn any_sat_is_model(e in arb_expr) {
             let mut m = Manager::new(NVARS);
             let f = build(&mut m, &e);
@@ -547,6 +551,19 @@ mod properties {
                     prop_assert!(m.eval(f, &|v| cube.value_or_false(v)));
                 }
             }
+            // An input holds variable v in bit v; its rank in the order
+            // reads variable 0 as the most significant digit.
+            let rank = |bits: u32| bits.reverse_bits() >> (32 - NVARS);
+            let models = || (0..1u32 << NVARS).filter(|&bits| eval_expr(&e, bits));
+            let bits_of = |cube: crate::Cube, free: bool| {
+                (0..NVARS).fold(0u32, |acc, v| acc | u32::from(cube.get(v).unwrap_or(free)) << v)
+            };
+            let least = models().min_by_key(|&bits| rank(bits));
+            let greatest = models().max_by_key(|&bits| rank(bits));
+            let low = m.any_sat(f).map(|c| bits_of(c, false));
+            let high = m.any_sat_high(f).map(|c| bits_of(c, true));
+            prop_assert_eq!(low, least, "lex-least model");
+            prop_assert_eq!(high, greatest, "lex-greatest model");
         }
 
         /// exists is monotone: f implies exists v. f
@@ -768,12 +785,11 @@ mod kernel_differential {
     }
 
     property! {
-        /// The kernel still agrees with the oracle after a forced sifting
-        /// pass and a collection mid-property: rooted functions keep their
-        /// semantics, witnesses stay byte-identical across the reorder
-        /// (order-invariant extraction), and rebuilding the expression
-        /// after a sweep lands on the identical canonical Ref.
-        fn kernel_matches_oracle_across_reorder_and_gc(
+        /// The kernel still agrees with the oracle after a collection
+        /// mid-property: the rooted function keeps its semantics, and
+        /// rebuilding the expression after the sweep lands on the
+        /// identical canonical Ref.
+        fn kernel_matches_oracle_across_gc(
             e in arb_expr,
             samples in |g: &mut Source| -> Vec<usize> {
                 (0..32).map(|_| g.gen_range(0usize..1 << 16)).collect()
@@ -785,27 +801,17 @@ mod kernel_differential {
             let mut m = Manager::new(NVARS);
             let f = build(&mut m, &e);
             let root = m.protect(f);
-            let lo_before = m.any_sat(f);
-            let hi_before = m.any_sat_high(f);
 
-            // Reorder invalidates every unrooted ref; the root survives.
-            m.reorder();
+            // The sweep invalidates every unrooted ref; the root survives.
+            m.gc();
             let f = root.as_ref();
-            prop_assert_eq!(m.sat_count_exact(f), models, "model count after reorder");
-            prop_assert_eq!(m.any_sat(f), lo_before, "lex-min witness after reorder");
-            prop_assert_eq!(m.any_sat_high(f), hi_before, "lex-max witness after reorder");
+            prop_assert_eq!(m.sat_count_exact(f), models, "model count after gc");
             for &i in &samples {
                 let got = m.eval(f, &|v| (i >> v) & 1 == 1);
-                prop_assert_eq!(got, table_bit(&want, i), "eval after reorder at {:016b}", i);
+                prop_assert_eq!(got, table_bit(&want, i), "eval after gc at {:016b}", i);
             }
-
-            // A sweep with the root pinned, then a rebuild: canonicity
-            // under the (possibly sifted) order means the rebuild must
-            // return the very same tagged Ref.
-            m.gc();
-            prop_assert_eq!(m.sat_count_exact(root.as_ref()), models, "model count after gc");
             let again = build(&mut m, &e);
-            prop_assert_eq!(again, root.as_ref(), "rebuild after reorder+gc");
+            prop_assert_eq!(again, f, "rebuild after gc");
             m.unprotect(root);
         }
     }
@@ -899,8 +905,8 @@ fn obs_counters_survive_clear_op_caches_but_gauge_drops() {
     assert_eq!(reg.snapshot().gauge("bdd.ite_cache_entries"), 0);
 }
 
-mod gc_and_reorder {
-    //! Complement-edge sharing, the root/collect lifecycle, and sifting.
+mod gc {
+    //! Complement-edge sharing and the root/collect lifecycle.
 
     use super::*;
 
@@ -1032,56 +1038,6 @@ mod gc_and_reorder {
         assert_eq!(m.root_count(), 0);
     }
 
-    /// The sifting target from the bench suite: `AND_i (a_i <-> b_i)` with
-    /// all the `a_i` ordered before all the `b_i` is exponential; the
-    /// interleaved order is linear. One pass must recover at least 1.5x.
-    #[test]
-    fn reorder_recovers_from_a_bad_static_order() {
-        let n = 9u32;
-        let mut m = Manager::new(2 * n);
-        let mut f = Ref::TRUE;
-        for i in 0..n {
-            let a = m.var(i);
-            let b = m.var(n + i);
-            let e = m.iff(a, b);
-            f = m.and(f, e);
-        }
-        let root = m.protect(f);
-        let lo_before = m.any_sat(f);
-        let hi_before = m.any_sat_high(f);
-
-        let stats = m.reorder();
-        assert!(stats.swaps > 0);
-        assert!(
-            stats.after_nodes * 3 <= stats.before_nodes * 2,
-            "sifting must shrink the bad order by >=1.5x, got {} -> {}",
-            stats.before_nodes,
-            stats.after_nodes
-        );
-        assert_eq!(m.live_node_count(), stats.after_nodes);
-        assert_eq!(m.stats().reorder_runs, 1);
-
-        // Semantics and witnesses are pinned across the reorder.
-        let f = root.as_ref();
-        assert_eq!(m.sat_count_exact(f), 1 << n);
-        assert_eq!(m.any_sat(f), lo_before, "lex-min witness changed");
-        assert_eq!(m.any_sat_high(f), hi_before, "lex-max witness changed");
-        m.unprotect(root);
-    }
-
-    #[test]
-    fn reorder_on_an_already_good_order_is_harmless() {
-        let mut m = Manager::new(8);
-        let vars: Vec<u32> = (0..8).collect();
-        let f = m.le_const(&vars, 100);
-        let root = m.protect(f);
-        let before = m.live_node_count();
-        let stats = m.reorder();
-        assert!(stats.after_nodes <= before);
-        assert_eq!(m.sat_count_exact(root.as_ref()), 101);
-        m.unprotect(root);
-    }
-
     /// The GC-stress soak: hundreds of build/drop rounds with automatic
     /// collection armed must hold the live-node high-water flat instead of
     /// accumulating every round's garbage (the daemon-session regression
@@ -1133,34 +1089,6 @@ mod gc_and_reorder {
             m.sat_count_exact(root.as_ref()),
             u128::from(u32::MAX / 2) + 1
         );
-        m.unprotect(root);
-    }
-
-    #[test]
-    fn auto_reorder_fires_at_the_trigger_and_shrinks() {
-        // Interleaving-hostile iff pairs, sized past the reorder floor
-        // (n = 11 keeps ~6k live nodes rooted, above the 4096 trigger).
-        let n = 11u32;
-        let mut m = Manager::new(2 * n);
-        let mut f = Ref::TRUE;
-        for i in 0..n {
-            let a = m.var(i);
-            let b = m.var(n + i);
-            let e = m.iff(a, b);
-            f = m.and(f, e);
-        }
-        let root = m.protect(f);
-        m.set_auto_gc(true);
-        m.set_auto_reorder(true);
-        let before = m.live_node_count();
-        assert!(
-            before >= 1 << 12,
-            "workload must sit above the reorder floor"
-        );
-        m.clear_op_caches();
-        assert_eq!(m.stats().reorder_runs, 1, "auto-reorder should have fired");
-        assert!(m.live_node_count() < before);
-        assert_eq!(m.sat_count_exact(root.as_ref()), 1 << n);
         m.unprotect(root);
     }
 }

@@ -7,10 +7,10 @@
 //! Capacity is a power of two (masked indexing, no division) and
 //! collisions resolve by linear probing. The table never deletes
 //! *incrementally* — between collections the set of keys is exactly the
-//! set of live internal nodes — but the garbage collector and the sifting
-//! pass retire nodes wholesale, after which [`UniqueTable::rebuild`]
-//! reconstitutes the table from the surviving arena slots (dead slots are
-//! tagged with a `var` sentinel and skipped).
+//! set of live internal nodes — but the garbage collector retires nodes
+//! wholesale, after which [`UniqueTable::rebuild`] reconstitutes the
+//! table from the surviving arena slots (dead slots are tagged with a
+//! `var` sentinel and skipped).
 
 use crate::manager::{Node, DEAD_VAR};
 
@@ -82,10 +82,10 @@ impl UniqueTable {
         }
     }
 
-    /// Rebuilds the table from the arena after a collection or a sifting
-    /// pass, sized for `live` nodes (the table may shrink back — daemon
-    /// sessions rely on that for memory flatness). Dead slots carry the
-    /// `DEAD_VAR` sentinel and are skipped.
+    /// Rebuilds the table from the arena after a collection, sized for
+    /// `live` nodes (the table may shrink back — daemon sessions rely on
+    /// that for memory flatness). Dead slots carry the `DEAD_VAR`
+    /// sentinel and are skipped.
     pub(crate) fn rebuild(&mut self, nodes: &[Node], live: usize) {
         self.rehash(nodes, Self::capacity_for(live));
     }

@@ -114,71 +114,11 @@ fn bench_negation_heavy(c: &mut Criterion) {
     });
 }
 
-/// Order-sensitivity: the textbook worst case, `AND_i (x_i <-> y_i)` with
-/// every `x` above every `y` (exponential in n), queried by repeated
-/// rounds of cofactor model counts — the `and` products memoize but every
-/// count is a fresh O(nodes) sweep, the shape of a lint pass re-asking
-/// emptiness/witness questions of one fire set. The `static` variant pays
-/// the bad order on every sweep; `sifted` calls [`Manager::reorder`]
-/// first — per iteration, so the measured win is net of the sifting pass
-/// itself.
-fn bench_reorder_sensitive(c: &mut Criterion) {
-    let n = 11u32;
-    let build = |m: &mut Manager| {
-        let mut f = clarify_bdd::Ref::TRUE;
-        for i in 0..n {
-            let a = m.var(i);
-            let b = m.var(n + i);
-            let e = m.iff(a, b);
-            f = m.and(f, e);
-        }
-        f
-    };
-    {
-        let mut m = Manager::new(2 * n);
-        let f = build(&mut m);
-        let root = m.protect(f);
-        let stats = m.reorder();
-        eprintln!(
-            "bdd_kernel/reorder_sensitive: nodes {} -> {} ({} swaps)",
-            stats.before_nodes, stats.after_nodes, stats.swaps
-        );
-        m.unprotect(root);
-    }
-    let mut g = c.benchmark_group("bdd_kernel/reorder_sensitive");
-    for sift in [false, true] {
-        let id = if sift { "sifted" } else { "static" };
-        g.bench_with_input(BenchmarkId::from_parameter(id), &sift, |b, &sift| {
-            b.iter(|| {
-                let mut m = Manager::new(2 * n);
-                let f = build(&mut m);
-                let root = m.protect(f);
-                if sift {
-                    m.reorder();
-                }
-                let f = root.as_ref();
-                let mut acc = 0u128;
-                for _round in 0..16 {
-                    for i in 0..n {
-                        let lit = m.var(i);
-                        let cof = m.and(f, lit);
-                        acc ^= m.sat_count_exact(cof);
-                    }
-                }
-                m.unprotect(root);
-                black_box(acc)
-            });
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_unique_churn,
     bench_computed_hit_rate,
     bench_e1_overlap,
-    bench_negation_heavy,
-    bench_reorder_sensitive
+    bench_negation_heavy
 );
 criterion_main!(benches);

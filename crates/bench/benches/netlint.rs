@@ -1,7 +1,7 @@
 //! Cost of the cross-device lint pass (`NetworkLinter`): the 7-node E1
-//! worked-example topology from `testdata/`, and a workload-generated
-//! ring fabric whose per-router policies come from the §3-calibrated
-//! nested-overlap family.
+//! worked-example topology and the two-router prefix-heavy topology
+//! from `testdata/`, and a workload-generated ring fabric whose
+//! per-router policies come from the §3-calibrated nested-overlap family.
 
 use std::path::Path;
 
@@ -11,9 +11,10 @@ use clarify_testkit::bench::{criterion_group, criterion_main, BenchmarkId, Crite
 use clarify_workload::nested_route_map_config;
 use std::hint::black_box;
 
-fn load_e1() -> LoadedTopology {
+/// A committed topology from `testdata/`, its configs resolved beside it.
+fn load(topology: &str) -> LoadedTopology {
     let base = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../testdata");
-    let text = std::fs::read_to_string(base.join("e1_topology.txt")).expect("topology file");
+    let text = std::fs::read_to_string(base.join(topology)).expect("topology file");
     TopologySpec::parse(&text)
         .expect("topology parses")
         .instantiate(&mut |p| std::fs::read_to_string(base.join(p)).map_err(|e| e.to_string()))
@@ -55,10 +56,23 @@ fn ring_fabric(n: usize) -> LoadedTopology {
 }
 
 fn bench_e1(c: &mut Criterion) {
-    let loaded = load_e1();
+    let loaded = load("e1_topology.txt");
     c.bench_function("netlint/e1_topology/7routers", |b| {
         b.iter(|| black_box(NetworkLinter::new(&loaded).lint().expect("lint")));
     });
+}
+
+/// Two peered routers whose maps match four 50-entry prefix lists each:
+/// the network pass roots more than 4,096 fire-set nodes.
+fn bench_prefix_heavy(c: &mut Criterion) {
+    let loaded = load("netlint_prefix_heavy.txt");
+    let mut g = c.benchmark_group("netlint");
+    g.sample_size(10);
+    let id = BenchmarkId::from_parameter("prefix_heavy");
+    g.bench_with_input(id, &loaded, |b, loaded| {
+        b.iter(|| black_box(NetworkLinter::new(loaded).lint().expect("lint")));
+    });
+    g.finish();
 }
 
 fn bench_ring(c: &mut Criterion) {
@@ -73,5 +87,5 @@ fn bench_ring(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_e1, bench_ring);
+criterion_group!(benches, bench_e1, bench_prefix_heavy, bench_ring);
 criterion_main!(benches);

@@ -1013,49 +1013,3 @@ route-map RM permit 30
         assert!(rules.as_array("rules").unwrap().is_empty());
     }
 }
-
-/// The witness-stability promise behind arming auto-reorder on route
-/// spaces: every decoded lint witness must be byte-identical before and
-/// after a dynamic variable reorder, because witness extraction is
-/// order-invariant (lexicographically extreme in *variable* numbering,
-/// not level order).
-mod reorder_invariance {
-    use clarify_analysis::RouteSpace;
-    use clarify_netconfig::Config;
-
-    #[test]
-    fn lint_witnesses_survive_a_forced_reorder_byte_identical() {
-        // One map with a shadowed stanza (decoded route witness) and a
-        // conflicting overlap (another decoded witness): both
-        // witness-producing route-map checks in a single pass.
-        let cfg = Config::parse(
-            "ip prefix-list COVER seq 10 permit 10.0.0.0/8 le 32
-ip prefix-list NARROW seq 10 permit 10.1.0.0/16 le 32
-route-map RM deny 10
- match ip address prefix-list COVER
-route-map RM deny 20
- match ip address prefix-list NARROW
-route-map RM permit 30
- match local-preference 200
-",
-        )
-        .unwrap();
-        let map = cfg.route_map("RM").unwrap().clone();
-        let mut space = RouteSpace::new(&[&cfg]).unwrap();
-
-        let before = crate::linter::lint_object(&mut space, &cfg, "RM", &map).unwrap();
-        assert!(
-            before.iter().any(|d| d.witness.is_some()),
-            "expected witness-bearing diagnostics, got {before:?}"
-        );
-
-        // Force a reorder between the passes. Only the space's rooted
-        // `valid` has to survive it; the second pass recomputes every
-        // fire set under the new level order.
-        space.manager().reorder();
-        assert!(space.manager().stats().reorder_runs >= 1);
-
-        let after = crate::linter::lint_object(&mut space, &cfg, "RM", &map).unwrap();
-        assert_eq!(before, after, "diagnostics changed across reorder");
-    }
-}

@@ -53,29 +53,39 @@ fn e1_topology_matches_the_pinned_golden_report() {
 /// Every cross-device code (L007–L011) plus the local L002 and L005 on one
 /// small topology: configless routers, cross-AS and same-AS sessions, a
 /// session bound to a map with a dangling reference, and two routers
-/// sharing one config. Warnings and errors, so the exit status is 1.
+/// sharing one config. Then two peered routers whose maps match four
+/// 50-entry prefix lists each, the largest rooted fire-set memo among the
+/// committed inputs. Both report warnings, so the exit status is 1.
 #[test]
 fn every_network_code_matches_the_pinned_golden_at_1_and_8_threads() {
-    let golden = std::fs::read_to_string(repo_root().join("testdata/netlint_codes_report.txt"))
-        .expect("pinned golden exists");
-    for threads in ["1", "8"] {
-        let out = lint(&[
-            "--threads",
-            threads,
-            "--topology",
-            "testdata/netlint_codes.txt",
-        ]);
-        assert_eq!(
-            out.status.code(),
-            Some(1),
-            "--threads {threads}; stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            golden,
-            "--threads {threads}: report drifted from testdata/netlint_codes_report.txt"
-        );
+    for (topology, report) in [
+        ("netlint_codes.txt", "netlint_codes_report.txt"),
+        (
+            "netlint_prefix_heavy.txt",
+            "netlint_prefix_heavy_report.txt",
+        ),
+    ] {
+        let golden = std::fs::read_to_string(repo_root().join("testdata").join(report))
+            .expect("pinned golden exists");
+        for threads in ["1", "8"] {
+            let out = lint(&[
+                "--threads",
+                threads,
+                "--topology",
+                &format!("testdata/{topology}"),
+            ]);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{topology} --threads {threads}; stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                golden,
+                "{topology} --threads {threads}: report drifted from testdata/{report}"
+            );
+        }
     }
 }
 
