@@ -160,6 +160,7 @@ fn main() {
 
     emit_record(
         "serve/e1_storm/turn_p50",
+        "ns",
         pct(0.50),
         min,
         max,
@@ -168,6 +169,7 @@ fn main() {
     );
     emit_record(
         "serve/e1_storm/turn_p99",
+        "ns",
         pct(0.99),
         min,
         max,
@@ -176,6 +178,7 @@ fn main() {
     );
     emit_record(
         "serve/e1_storm/session",
+        "ns",
         session_ns,
         session_ns,
         session_ns,
@@ -193,6 +196,7 @@ fn main() {
     let live_nodes = snap.gauge("bdd.unique_nodes") as f64;
     emit_record(
         "serve/e1_storm/bdd_gc_runs",
+        "count",
         gc_runs,
         gc_runs,
         gc_runs,
@@ -201,6 +205,7 @@ fn main() {
     );
     emit_record(
         "serve/e1_storm/bdd_gc_freed_nodes",
+        "nodes",
         gc_freed,
         gc_freed,
         gc_freed,
@@ -209,6 +214,7 @@ fn main() {
     );
     emit_record(
         "serve/e1_storm/bdd_live_nodes",
+        "nodes",
         live_nodes,
         live_nodes,
         live_nodes,

@@ -9,17 +9,23 @@
 //! name prefix derived from its top-level `"bench"` field, and a summary
 //! table follows the per-record lines.
 //!
-//! Both inputs are scanned for `"name"` / `"median_ns"` pairs with a
-//! tolerant hand-rolled tokenizer, so the pretty-printed trajectory file
-//! and the one-record-per-line bench output parse identically (keeping
-//! the workspace dependency-free). When a name repeats — a trajectory
-//! holds one record set per point — the *last* occurrence wins, i.e. the
-//! newest committed medians. Regressions beyond the threshold print
-//! GitHub `::warning::` annotations; by default the exit status is always
-//! 0, because shared CI runners make medians too noisy to gate merges on.
+//! Each input is read with `clarify_obs::json`: as one document (a
+//! trajectory file), or else one record per line (the bench output, an
+//! unreadable line skipped with a warning). A record is any object
+//! holding a string `"name"` and a number `"median_ns"`. When a name
+//! repeats — a trajectory holds one record set per point — the *last*
+//! occurrence wins, i.e. the newest committed medians.
+//!
+//! A record's `"unit"` comes from the baseline record, else from the
+//! fresh one, else it is `ns`. Time records (`ns`) compare by ratio, and
+//! regressions beyond the threshold print GitHub `::warning::`
+//! annotations. Records in any other unit are exact counts: an equal
+//! value is `ok`, and any difference is `changed`, with a `::warning::`.
+//! By default the exit status is always 0, because shared CI runners
+//! make medians too noisy to gate merges on.
 //!
 //! `--fail-over <pct>` arms a *hard* gate on top of the warnings: any
-//! record whose fresh median exceeds baseline by more than `<pct>` percent
+//! time record whose fresh median exceeds baseline by more than `<pct>` percent
 //! prints a `::error::` annotation and the process exits 1. The gate is
 //! meant for catastrophic structural regressions (a lost fast path shows
 //! up as 3-10x, runner noise as 1.2-1.5x), so CI arms it with a generous
@@ -28,94 +34,62 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use clarify_obs::json::{self, Value};
+
 /// Fresh-vs-baseline median ratio above which a warning is emitted.
 const WARN_RATIO: f64 = 1.5;
 
-/// Extracts `(name, median_ns)` pairs: every `"median_ns"` value is
-/// attributed to the nearest preceding `"name"` value, which matches both
-/// the trajectory layout and the JSON-lines bench records.
-fn scan_records(text: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    let mut current_name: Option<String> = None;
-    while i < bytes.len() {
-        if bytes[i] != b'"' {
-            i += 1;
-            continue;
-        }
-        let (key, after_key) = match read_string(bytes, i) {
-            Some(x) => x,
-            None => break,
-        };
-        i = after_key;
-        match key.as_str() {
-            "name" => {
-                if let Some((value, next)) = read_string_value(bytes, i) {
-                    current_name = Some(value);
-                    i = next;
-                }
-            }
-            "median_ns" => {
-                if let (Some(name), Some((value, next))) =
-                    (current_name.take(), read_number_value(bytes, i))
-                {
-                    out.insert(name, value);
-                    i = next;
-                }
-            }
-            _ => {}
-        }
+/// One record: its headline value and, if it names one, its unit.
+struct Record {
+    median: f64,
+    unit: Option<String>,
+}
+
+/// Records by name, the last occurrence of a name winning.
+type Records = BTreeMap<String, Record>;
+
+/// The documents in `text`: the whole text as one, or else one per
+/// non-empty line, skipping (with a warning) a line that does not parse.
+fn documents(text: &str, path: &str) -> Vec<Value> {
+    if let Ok(doc) = json::parse(text) {
+        return vec![doc];
     }
+    text.lines()
+        .filter(|line| !line.trim().is_empty())
+        .filter_map(|line| match json::parse(line) {
+            Ok(doc) => Some(doc),
+            Err(e) => {
+                println!("::warning::bench_diff: {path}: skipping a line that is not JSON ({e})");
+                None
+            }
+        })
+        .collect()
+}
+
+/// Adds every record in `v` to `out`, in document order.
+fn collect(v: &Value, out: &mut Records) {
+    match v {
+        Value::Object(members) => {
+            let get = |key: &str| members.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            let name = get("name").and_then(|v| v.as_str("name").ok());
+            let median = get("median_ns").and_then(|v| v.as_f64("median_ns").ok());
+            if let (Some(name), Some(median)) = (name, median) {
+                let unit = get("unit").and_then(|v| v.as_str("unit").ok());
+                let unit = unit.map(str::to_string);
+                out.insert(name.to_string(), Record { median, unit });
+            }
+            members.iter().for_each(|(_, v)| collect(v, out));
+        }
+        Value::Array(items) => items.iter().for_each(|v| collect(v, out)),
+        _ => {}
+    }
+}
+
+/// The records in `docs`.
+fn records(docs: &[Value]) -> Records {
+    let mut out = Records::new();
+    docs.iter().for_each(|doc| collect(doc, &mut out));
     out
-}
-
-/// Reads the quoted string starting at `start` (which must index a `"`).
-fn read_string(bytes: &[u8], start: usize) -> Option<(String, usize)> {
-    let mut j = start + 1;
-    let begin = j;
-    while j < bytes.len() && bytes[j] != b'"' {
-        // Bench names and keys never contain escapes; bail if one shows up.
-        if bytes[j] == b'\\' {
-            return None;
-        }
-        j += 1;
-    }
-    if j >= bytes.len() {
-        return None;
-    }
-    Some((
-        String::from_utf8_lossy(&bytes[begin..j]).into_owned(),
-        j + 1,
-    ))
-}
-
-/// After a key, skips `: \t\n` and reads a quoted string value.
-fn read_string_value(bytes: &[u8], mut i: usize) -> Option<(String, usize)> {
-    while i < bytes.len() && ((bytes[i] as char).is_whitespace() || bytes[i] == b':') {
-        i += 1;
-    }
-    if i < bytes.len() && bytes[i] == b'"' {
-        read_string(bytes, i)
-    } else {
-        None
-    }
-}
-
-/// After a key, skips `: \t\n` and reads a float literal.
-fn read_number_value(bytes: &[u8], mut i: usize) -> Option<(f64, usize)> {
-    while i < bytes.len() && ((bytes[i] as char).is_whitespace() || bytes[i] == b':') {
-        i += 1;
-    }
-    let begin = i;
-    while i < bytes.len() && matches!(bytes[i], b'0'..=b'9' | b'.' | b'-' | b'+' | b'e' | b'E') {
-        i += 1;
-    }
-    std::str::from_utf8(&bytes[begin..i])
-        .ok()?
-        .parse()
-        .ok()
-        .map(|v| (v, i))
 }
 
 fn human(ns: f64) -> String {
@@ -128,16 +102,10 @@ fn human(ns: f64) -> String {
     }
 }
 
-/// Extracts a baseline's top-level `"bench"` field, which names the
-/// bench target whose records it holds (record names start `<bench>/`).
-fn bench_field(text: &str) -> Option<String> {
-    let idx = text.find("\"bench\"")?;
-    read_string_value(text.as_bytes(), idx + "\"bench\"".len()).map(|(v, _)| v)
-}
-
-fn read(path: &str) -> Option<String> {
+/// The documents in the file at `path`.
+fn read(path: &str) -> Option<Vec<Value>> {
     match std::fs::read_to_string(path) {
-        Ok(s) => Some(s),
+        Ok(s) => Some(documents(&s, path)),
         Err(e) => {
             println!("bench_diff: cannot read {path}: {e} (skipping, warn-only)");
             None
@@ -152,6 +120,8 @@ struct Tally {
     ok: usize,
     improved: usize,
     regressed: usize,
+    /// Count records whose value differs.
+    changed: usize,
     missing: usize,
     /// Records past the `--fail-over` gate (0 when the gate is unarmed).
     failed: usize,
@@ -159,24 +129,44 @@ struct Tally {
 
 /// Compares every `prefix`-named baseline record against `fresh`,
 /// printing one line per record and a `::warning::` annotation per
-/// regression (a `::error::` when the `fail_over` ratio gate trips).
-/// Returns the tallies.
+/// regression or changed count (a `::error::` when the `fail_over` ratio
+/// gate trips). Returns the tallies.
 fn compare(
-    baseline: &BTreeMap<String, f64>,
+    baseline: &Records,
     baseline_path: &str,
-    fresh: &BTreeMap<String, f64>,
+    fresh: &Records,
     fresh_path: &str,
     prefix: &str,
     fail_over: Option<f64>,
 ) -> Tally {
     let mut tally = Tally::default();
-    for (name, &base_ns) in baseline.iter().filter(|(n, _)| n.starts_with(prefix)) {
-        let Some(&fresh_ns) = fresh.get(name) else {
+    for (name, base) in baseline.iter().filter(|(n, _)| n.starts_with(prefix)) {
+        let Some(rec) = fresh.get(name) else {
             println!("::warning::bench_diff: {name} present in {baseline_path} but missing from {fresh_path}");
             tally.missing += 1;
             continue;
         };
         tally.compared += 1;
+        let (base_ns, fresh_ns) = (base.median, rec.median);
+        let unit = base.unit.as_ref().or(rec.unit.as_ref());
+        if let Some(unit) = unit.filter(|u| *u != "ns") {
+            let (was, now) = (format!("{base_ns} {unit}"), format!("{fresh_ns} {unit}"));
+            let verdict = if base_ns == fresh_ns {
+                tally.ok += 1;
+                "ok"
+            } else {
+                tally.changed += 1;
+                "changed"
+            };
+            println!("bench_diff: {name:45} baseline {was:>10}  fresh {now:>10}  {verdict}");
+            if verdict == "changed" {
+                println!(
+                    "::warning::bench_diff: {name} is {now}, committed {was} — \
+                     an exact count moved; say why, or re-record the baseline"
+                );
+            }
+            continue;
+        }
         let ratio = fresh_ns / base_ns;
         let over_gate = fail_over.is_some_and(|g| ratio > g);
         let verdict = if over_gate {
@@ -224,20 +214,29 @@ fn compare(
 /// with a summary table. Exit status stays 0 unless the `fail_over` gate
 /// is armed and a record trips it.
 fn run_all(fresh_path: &str, baseline_paths: &[String], fail_over: Option<f64>) -> ExitCode {
-    let Some(fresh_text) = read(fresh_path) else {
+    let Some(fresh) = read(fresh_path) else {
         return ExitCode::SUCCESS;
     };
-    let fresh = scan_records(&fresh_text);
+    let fresh = records(&fresh);
     let mut rows = Vec::new();
     for path in baseline_paths {
-        let Some(text) = read(path) else {
+        let Some(docs) = read(path) else {
             continue;
         };
-        let Some(bench) = bench_field(&text) else {
+        // The top-level `"bench"` field names the bench target whose
+        // records the baseline holds (record names start `<bench>/`).
+        let bench = match docs.as_slice() {
+            [Value::Object(members)] => members
+                .iter()
+                .find(|(k, _)| k == "bench")
+                .and_then(|(_, v)| v.as_str("bench").ok()),
+            _ => None,
+        };
+        let Some(bench) = bench else {
             println!("::warning::bench_diff: {path} has no top-level \"bench\" field; skipping");
             continue;
         };
-        let baseline = scan_records(&text);
+        let baseline = records(&docs);
         let prefix = format!("{bench}/");
         let tally = compare(&baseline, path, &fresh, fresh_path, &prefix, fail_over);
         rows.push((path.clone(), tally));
@@ -247,13 +246,13 @@ fn run_all(fresh_path: &str, baseline_paths: &[String], fail_over: Option<f64>) 
         rows.len()
     );
     println!(
-        "{:<22} {:>8} {:>6} {:>9} {:>10} {:>8} {:>7}",
-        "baseline", "records", "ok", "improved", "regressed", "missing", "failed"
+        "{:<22} {:>8} {:>6} {:>9} {:>10} {:>8} {:>8} {:>7}",
+        "baseline", "records", "ok", "improved", "regressed", "changed", "missing", "failed"
     );
     for (path, t) in &rows {
         println!(
-            "{:<22} {:>8} {:>6} {:>9} {:>10} {:>8} {:>7}",
-            path, t.compared, t.ok, t.improved, t.regressed, t.missing, t.failed
+            "{:<22} {:>8} {:>6} {:>9} {:>10} {:>8} {:>8} {:>7}",
+            path, t.compared, t.ok, t.improved, t.regressed, t.changed, t.missing, t.failed
         );
     }
     if rows.iter().any(|(_, t)| t.failed > 0) {
@@ -311,11 +310,10 @@ fn main() -> ExitCode {
         }
     };
     let prefix = args.get(2).cloned().unwrap_or_else(|| "bdd_kernel/".into());
-    let (Some(baseline_text), Some(fresh_text)) = (read(&baseline_path), read(&fresh_path)) else {
+    let (Some(baseline), Some(fresh)) = (read(&baseline_path), read(&fresh_path)) else {
         return ExitCode::SUCCESS;
     };
-    let baseline = scan_records(&baseline_text);
-    let fresh = scan_records(&fresh_text);
+    let (baseline, fresh) = (records(&baseline), records(&fresh));
     let tally = compare(
         &baseline,
         &baseline_path,
@@ -330,3 +328,7 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     }
 }
+
+#[cfg(test)]
+#[path = "bench_diff/tests.rs"]
+mod tests;

@@ -14,8 +14,8 @@ use clarify_netsim::TopologySpec;
 use clarify_obs::json::DocError;
 
 use crate::{
-    apply_suppressions, lint_config, lint_config_incremental, render_sarif, render_sarif_network,
-    LintCache, NetworkLinter,
+    apply_suppressions, lint_config, lint_config_incremental, render_sarif, LintCache, LintReport,
+    NetworkLinter,
 };
 
 /// The front end's usage text.
@@ -203,7 +203,7 @@ fn run_topology(topo: &str, opts: &Options) -> Result<bool, String> {
     match opts.format {
         Format::Human => print!("{}", report.render_human()),
         Format::Json => print!("{}", report.render_json()),
-        Format::Sarif => print!("{}", render_sarif_network(&report)),
+        Format::Sarif => print!("{}", render_sarif(report.diagnostics())),
     }
     Ok(if opts.strict {
         report
@@ -215,14 +215,16 @@ fn run_topology(topo: &str, opts: &Options) -> Result<bool, String> {
     })
 }
 
-/// Lints every config file, printing each report as it completes.
-/// Returns whether every file is clean.
+/// Lints every config file, printing each report as it completes (SARIF:
+/// one log for the whole run, once every file is linted). Returns whether
+/// every file is clean.
 fn run_files(opts: &Options) -> Result<bool, String> {
     let prev = match &opts.incremental {
         Some(path) => load_cache(path)?,
         None => None,
     };
     let mut clean = true;
+    let mut sarif: Vec<(&str, LintReport)> = Vec::new();
     for path in &opts.paths {
         let text = read(path)?;
         let (cfg, spans) = Config::parse_with_spans(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -244,16 +246,22 @@ fn run_files(opts: &Options) -> Result<bool, String> {
         } else {
             apply_suppressions(report, &text)
         };
-        match opts.format {
-            Format::Human => print!("{}", report.render_human(path)),
-            Format::Json => print!("{}", report.render_json(path)),
-            Format::Sarif => print!("{}", render_sarif(&report, path)),
-        }
         clean &= if opts.strict {
             report.diagnostics.is_empty()
         } else {
             report.is_clean()
         };
+        match opts.format {
+            Format::Human => print!("{}", report.render_human(path)),
+            Format::Json => print!("{}", report.render_json(path)),
+            Format::Sarif => sarif.push((path, report)),
+        }
+    }
+    if opts.format == Format::Sarif {
+        let diags = sarif
+            .iter()
+            .flat_map(|(path, report)| report.diagnostics.iter().map(|d| (*path, d)));
+        print!("{}", render_sarif(diags));
     }
     Ok(clean)
 }

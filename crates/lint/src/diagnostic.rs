@@ -298,6 +298,12 @@ impl LintReport {
 
     /// Renders the report as a JSON document.
     pub fn render_json(&self, origin: &str) -> String {
+        self.to_value(origin).to_document()
+    }
+
+    /// The report as a JSON value: the config's `origin`, whether it is
+    /// clean, the suppressed count and the diagnostics.
+    pub fn to_value(&self, origin: &str) -> Value {
         let diagnostic = |d: &Diagnostic| {
             Value::object([
                 ("code", d.code.code().into()),
@@ -320,6 +326,5 @@ impl LintReport {
                 Value::array(self.diagnostics.iter().map(diagnostic)),
             ),
         ])
-        .to_document()
     }
 }

@@ -24,7 +24,8 @@
 //! object is dirty), the one-shot [`lint_config_incremental`] and the
 //! session's [`IncrementalLinter::relint`]. They differ only in how dirty
 //! objects are recomputed: the first two use the cold parallel fan-out,
-//! the session its retained spaces. Nothing finer than a whole object's
+//! whose workers each hold a [`SessionState`] of their own, the session
+//! its retained one. A session's first lint is a re-lint from nothing. Nothing finer than a whole object's
 //! diagnostics is kept across runs: a dirty object's fire sets are one
 //! fold over the match sets its lint encodes anyway, so there is no
 //! second encoding left for a fire-set cache to save.
@@ -51,9 +52,10 @@ pub struct IncrStats {
     pub reused_objects: usize,
 }
 
-/// A session's retained spaces, one per kind, each built on first use.
-/// They hold nothing but their `valid` roots between re-lints: a dirty
-/// object's fire sets are one fold over match sets its lint builds anyway.
+/// A session's retained spaces, one per kind, each built on first use
+/// (also a fan-out worker's spaces, for the one lint it runs). They hold
+/// nothing but their `valid` roots between re-lints: a dirty object's
+/// fire sets are one fold over match sets its lint builds anyway.
 #[derive(Default)]
 pub(crate) struct SessionState {
     pub(crate) route_maps: Option<RouteSpace>,
@@ -65,22 +67,19 @@ pub(crate) struct SessionState {
 }
 
 impl SessionState {
-    /// The diagnostics of each of `objects` (dirty, encodable, in name
-    /// order), computed serially on the kind's retained space.
-    fn recompute<K: LintKind>(
+    /// The diagnostics of one object, computed on the kind's space.
+    pub(crate) fn lint<K: LintKind>(
         &mut self,
         cfg: &Config,
-        objects: &[(&String, &K)],
-    ) -> Result<Vec<Vec<Diagnostic>>, AnalysisError> {
-        objects
-            .iter()
-            .map(|&(name, obj)| {
-                let space = K::session_space(self, cfg)?;
-                let diags = lint_object(space, cfg, name, obj)?;
-                K::manager(space).clear_op_caches();
-                Ok(diags)
-            })
-            .collect()
+        name: &str,
+        obj: &K,
+    ) -> Result<Vec<Diagnostic>, AnalysisError> {
+        let space = K::session_space(self, cfg)?;
+        let diags = lint_object(space, cfg, name, obj)?;
+        // Bound cache growth across a long object list: the memo entries
+        // for this object's queries are dead weight for the next.
+        K::manager(space).clear_op_caches();
+        Ok(diags)
     }
 }
 
@@ -180,7 +179,10 @@ fn drive_kind<K: LintKind>(
         .filter(|(_, obj)| obj.references().all(|(kind, list)| cfg.defines(kind, list)))
         .collect();
     let blocks = match session {
-        Some(session) => session.recompute(cfg, &fresh)?,
+        Some(session) => fresh
+            .iter()
+            .map(|&(name, obj)| session.lint(cfg, name, obj))
+            .collect::<Result<_, _>>()?,
         None => lint_objects(cfg, &fresh)?,
     };
     let mut blocks = fresh.iter().map(|&(name, _)| name).zip(blocks).peekable();
@@ -234,16 +236,19 @@ pub struct IncrementalLinter {
 }
 
 impl IncrementalLinter {
-    /// Lints `cfg` in full and opens the session.
+    /// Lints `cfg` in full and opens the session: a re-lint against an
+    /// empty previous run, so every object is dirty and the session keeps
+    /// the spaces the lint built. Serial, like every re-lint.
     pub fn new(
         cfg: Config,
         spans: Option<&SourceMap>,
     ) -> Result<(IncrementalLinter, LintReport), AnalysisError> {
-        let report = crate::linter::lint_config(&cfg, spans)?;
-        let mut cache = LintCache::keys(&cfg);
-        cache.file(&report);
-        let state = SessionState::default();
-        Ok((IncrementalLinter { cache, state }, report))
+        let mut linter = IncrementalLinter {
+            cache: LintCache::default(),
+            state: SessionState::default(),
+        };
+        let (report, _) = linter.relint(cfg, spans)?;
+        Ok((linter, report))
     }
 
     /// The retained packet space, once an ACL has been re-linted.

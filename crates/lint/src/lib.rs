@@ -75,7 +75,7 @@ pub use incremental::{lint_config_incremental, IncrStats, IncrementalLinter};
 pub use linter::lint_config;
 pub use network::{NetworkLintReport, NetworkLinter, RouterLint};
 pub use prune::{prune_candidates, PruneOutcome};
-pub use sarif::{render_sarif, render_sarif_network};
+pub use sarif::render_sarif;
 pub use suppress::{apply_suppressions, suppression_targets};
 
 #[cfg(test)]

@@ -52,10 +52,8 @@ pub(crate) trait LintKind: FirstMatchPolicy + Sync + Sized {
 
     /// The kind's objects in `cfg`, by name.
     fn objects(cfg: &Config) -> &BTreeMap<String, Self>;
-    /// A fresh space that encodes every object of `cfg`.
-    fn new_space(cfg: &Config) -> Result<Self::Space, AnalysisError>;
-    /// This kind's retained space in an incremental session, built on
-    /// first use to encode every object of `cfg`.
+    /// This kind's space in `session`, built on first use to encode every
+    /// object of `cfg`: the one way a lint gets a space.
     fn session_space<'s>(
         session: &'s mut SessionState,
         cfg: &Config,
@@ -129,9 +127,6 @@ impl LintKind for RouteMap {
     fn objects(cfg: &Config) -> &BTreeMap<String, RouteMap> {
         &cfg.route_maps
     }
-    fn new_space(cfg: &Config) -> Result<RouteSpace, AnalysisError> {
-        RouteSpace::new(&[cfg])
-    }
     /// Built from the atoms of the space an atom-environment change
     /// retired, if there was one.
     fn session_space<'s>(
@@ -198,9 +193,6 @@ impl LintKind for Acl {
     fn objects(cfg: &Config) -> &BTreeMap<String, Acl> {
         &cfg.acls
     }
-    fn new_space(_: &Config) -> Result<PacketSpace, AnalysisError> {
-        Ok(PacketSpace::new())
-    }
     fn session_space<'s>(
         session: &'s mut SessionState,
         _: &Config,
@@ -243,9 +235,6 @@ impl LintKind for PrefixList {
 
     fn objects(cfg: &Config) -> &BTreeMap<String, PrefixList> {
         &cfg.prefix_lists
-    }
-    fn new_space(_: &Config) -> Result<PrefixSpace, AnalysisError> {
-        Ok(PrefixSpace::new())
     }
     fn session_space<'s>(
         session: &'s mut SessionState,
@@ -453,10 +442,10 @@ fn redundant<K: LintKind>(
 }
 
 /// The symbolic checks on `objects` (some of one kind's objects, in name
-/// order), fanned out over `clarify-par` with one worker-local space per
-/// worker, built on its first object. Diagnostics come back in input
-/// order, and canonicity makes the worker-local spaces answer identically
-/// to one shared space.
+/// order), fanned out over `clarify-par` with one worker-local
+/// [`SessionState`] per worker, whose space is built on its first object.
+/// Diagnostics come back in input order, and canonicity makes the
+/// worker-local spaces answer identically to one shared space.
 pub(crate) fn lint_objects<K: LintKind>(
     cfg: &Config,
     objects: &[(&String, &K)],
@@ -465,20 +454,9 @@ pub(crate) fn lint_objects<K: LintKind>(
     if objects.is_empty() {
         return Ok(Vec::new());
     }
-    let per_object = clarify_par::par_map_init(
-        objects,
-        || None,
-        |worker_space, _, &(name, obj)| {
-            let space = match worker_space {
-                Some(s) => s,
-                None => worker_space.insert(K::new_space(cfg)?),
-            };
-            let diags = lint_object(space, cfg, name, obj)?;
-            // Bound cache growth across a long object list: the memo
-            // entries for this object's queries are dead weight for the next.
-            K::manager(space).clear_op_caches();
-            Ok(diags)
-        },
-    );
+    let per_object =
+        clarify_par::par_map_init(objects, SessionState::default, |state, _, &(name, obj)| {
+            state.lint::<K>(cfg, name, obj)
+        });
     per_object.into_iter().collect()
 }

@@ -28,6 +28,7 @@ use clarify_netconfig::{
     fnv1a64, Config, ObjectKind, RouteMap, RouteMapMatch, RouteMapSet, RuleId,
 };
 use clarify_netsim::{LoadedTopology, Network, Router, Session, SessionRole};
+use clarify_obs::json::Value;
 
 use crate::diagnostic::{Diagnostic, LintCode, LintReport};
 use crate::linter::{lint_config, lint_references};
@@ -101,31 +102,16 @@ impl NetworkLintReport {
         out
     }
 
-    /// Renders the whole result as one JSON object with a per-router
-    /// report array (each element is a [`LintReport`] JSON object).
+    /// Renders the whole result as one JSON document with a per-router
+    /// report array (each element is a [`LintReport::to_value`] object).
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
-        out.push_str(&format!("  \"suppressed\": {},\n", self.suppressed()));
-        out.push_str("  \"routers\": [");
-        for (i, r) in self.routers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            for line in r.report.render_json(&r.origin).trim_end().lines() {
-                out.push_str("    ");
-                out.push_str(line);
-                out.push('\n');
-            }
-            out.pop();
-        }
-        if !self.routers.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        let routers = self.routers.iter().map(|r| r.report.to_value(&r.origin));
+        Value::object([
+            ("clean", self.is_clean().into()),
+            ("suppressed", self.suppressed().into()),
+            ("routers", Value::array(routers)),
+        ])
+        .to_document()
     }
 }
 

@@ -1,15 +1,14 @@
 //! SARIF 2.1.0 output (`--format sarif`).
 //!
 //! Emits the minimal static-analysis interchange shape CI systems ingest:
-//! one run, one driver (`clarify-lint`), a rule table built from the
-//! [`LintCode`]s that actually fired, and one result per diagnostic with
-//! a physical location. Hand-rolled over [`clarify_obs::json::escape`] —
-//! the workspace is dependency-free by design.
+//! one log per run with one run, one driver (`clarify-lint`), a rule table
+//! built from the [`LintCode`]s that actually fired, and one result per
+//! diagnostic with a physical location. The log is one
+//! [`clarify_obs::json::Value`] in the document layout.
 
-use clarify_obs::json::escape;
+use clarify_obs::json::Value;
 
-use crate::diagnostic::{Diagnostic, LintCode, LintReport, Severity};
-use crate::network::NetworkLintReport;
+use crate::diagnostic::{Diagnostic, LintCode, Severity};
 
 /// SARIF severity levels for our three.
 fn level(s: Severity) -> &'static str {
@@ -20,94 +19,59 @@ fn level(s: Severity) -> &'static str {
     }
 }
 
-fn result_json(origin: &str, d: &Diagnostic, out: &mut String) {
-    out.push_str("        {\n");
-    out.push_str(&format!(
-        "          \"ruleId\": {},\n",
-        escape(d.code.code())
-    ));
-    out.push_str(&format!(
-        "          \"level\": {},\n",
-        escape(level(d.severity))
-    ));
+fn result(origin: &str, d: &Diagnostic) -> Value {
     let mut text = format!("{}: {}", d.rule, d.message);
     if let Some(w) = &d.witness {
         text.push_str(&format!(" [witness: {}]", w.replace('\n', "; ")));
     }
-    out.push_str(&format!(
-        "          \"message\": {{\"text\": {}}},\n",
-        escape(&text)
-    ));
-    out.push_str("          \"locations\": [{\"physicalLocation\": {\n");
-    out.push_str(&format!(
-        "            \"artifactLocation\": {{\"uri\": {}}}",
-        escape(origin)
-    ));
+    let mut location = vec![("artifactLocation", Value::object([("uri", origin.into())]))];
     if let Some(line) = d.line {
-        out.push_str(&format!(
-            ",\n            \"region\": {{\"startLine\": {line}}}\n"
-        ));
-    } else {
-        out.push('\n');
+        location.push(("region", Value::object([("startLine", line.into())])));
     }
-    out.push_str("          }}]\n");
-    out.push_str("        }");
+    Value::object([
+        ("ruleId", d.code.code().into()),
+        ("level", level(d.severity).into()),
+        ("message", Value::object([("text", text.into())])),
+        (
+            "locations",
+            Value::array([Value::object([(
+                "physicalLocation",
+                Value::object(location),
+            )])]),
+        ),
+    ])
 }
 
-fn render(diags: &[(&str, &Diagnostic)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    out.push_str("  \"runs\": [{\n");
-    out.push_str("    \"tool\": {\"driver\": {\n");
-    out.push_str("      \"name\": \"clarify-lint\",\n");
-    out.push_str("      \"rules\": [");
+/// Renders one SARIF 2.1.0 log for a whole run: one result per
+/// `(origin, diagnostic)` pair, in the given order, whose artifact URI is
+/// its origin (a config path).
+pub fn render_sarif<'a>(diags: impl IntoIterator<Item = (&'a str, &'a Diagnostic)>) -> String {
+    let diags: Vec<(&str, &Diagnostic)> = diags.into_iter().collect();
     // One rule entry per distinct code, in code order.
     let mut codes: Vec<LintCode> = diags.iter().map(|(_, d)| d.code).collect();
     codes.sort();
     codes.dedup();
-    for (i, c) in codes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n        {{\"id\": {}, \"name\": {}}}",
-            escape(c.code()),
-            escape(c.name())
-        ));
-    }
-    if !codes.is_empty() {
-        out.push_str("\n      ");
-    }
-    out.push_str("]\n");
-    out.push_str("    }},\n");
-    out.push_str("    \"results\": [");
-    for (i, (origin, d)) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        result_json(origin, d, &mut out);
-    }
-    if !diags.is_empty() {
-        out.push_str("\n    ");
-    }
-    out.push_str("]\n");
-    out.push_str("  }]\n");
-    out.push_str("}\n");
-    out
-}
-
-/// Renders one config's report as a SARIF 2.1.0 log.
-pub fn render_sarif(report: &LintReport, origin: &str) -> String {
-    let diags: Vec<(&str, &Diagnostic)> = report.diagnostics.iter().map(|d| (origin, d)).collect();
-    render(&diags)
-}
-
-/// Renders a topology report as a SARIF 2.1.0 log; each result's
-/// artifact URI is the owning router's config path.
-pub fn render_sarif_network(report: &NetworkLintReport) -> String {
-    let diags: Vec<(&str, &Diagnostic)> = report.diagnostics().collect();
-    render(&diags)
+    let rules = codes
+        .iter()
+        .map(|c| Value::object([("id", c.code().into()), ("name", c.name().into())]));
+    let driver = Value::object([
+        ("name", "clarify-lint".into()),
+        ("rules", Value::array(rules)),
+    ]);
+    let run = Value::object([
+        ("tool", Value::object([("driver", driver)])),
+        (
+            "results",
+            Value::array(diags.iter().map(|&(origin, d)| result(origin, d))),
+        ),
+    ]);
+    Value::object([
+        ("version", "2.1.0".into()),
+        (
+            "$schema",
+            "https://json.schemastore.org/sarif-2.1.0.json".into(),
+        ),
+        ("runs", Value::array([run])),
+    ])
+    .to_document()
 }

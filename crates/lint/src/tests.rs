@@ -755,9 +755,9 @@ ip access-list extended FW
         let (mut session, _) = IncrementalLinter::new(lists(&[("C1", 1)]), None).unwrap();
         // (edit, atom spaces built from a universe)
         let edits = [
-            // The cold lint's spaces do not outlive it: the first re-lint
-            // builds both kinds of atoms.
-            (lists(&[("C1", 1), ("C2", 2)]), 2),
+            // The session keeps the cold lint's route space: one more
+            // pattern extends its atoms.
+            (lists(&[("C1", 1), ("C2", 2)]), 0),
             // `A2` sorts before `C1`: the same patterns, reordered.
             (lists(&[("C1", 1), ("A2", 2)]), 0),
             // One more pattern.
@@ -782,6 +782,36 @@ ip access-list extended FW
             let built = snap.counter("analysis.atom_space_builds");
             assert_eq!(built, expected, "step {step}");
         }
+    }
+
+    /// The session's first lint is a re-lint from nothing, so the session
+    /// keeps the spaces it built: an edit that only renames a community
+    /// list builds no atom space from a universe.
+    #[test]
+    fn session_keeps_the_cold_lints_spaces() {
+        use std::sync::Arc;
+
+        use clarify_obs::{scoped, Registry};
+
+        let cfg = |name: &str| {
+            Config::parse(&format!(
+                "ip community-list expanded {name} permit _65000:1_\n\
+                 ip as-path access-list P1 permit _100_\n\
+                 route-map RM deny 10\n match community {name}\n\
+                 route-map RM permit 20\n match as-path P1\n"
+            ))
+            .unwrap()
+        };
+        let (mut session, first) = IncrementalLinter::new(cfg("OLD"), None).unwrap();
+        let full = lint_config(&cfg("OLD"), None).unwrap();
+        assert_eq!(first.render_json("x"), full.render_json("x"));
+        let registry = Arc::new(Registry::new());
+        let (incr, stats) = scoped(registry.clone(), || session.relint(cfg("NEW"), None)).unwrap();
+        let full = lint_config(&cfg("NEW"), None).unwrap();
+        assert_eq!(incr.render_json("x"), full.render_json("x"));
+        assert_eq!(stats.dirty_objects, 1, "RM, which names the list");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("analysis.atom_space_builds"), 0);
     }
 
     #[test]
@@ -960,7 +990,8 @@ route-map RM deny 20
 route-map RM permit 30
 ",
         );
-        let log = parse(&render_sarif(&report, "rm.cfg")).expect("valid JSON");
+        let diags = report.diagnostics.iter().map(|d| ("rm.cfg", d));
+        let log = parse(&render_sarif(diags)).expect("valid JSON");
         assert_eq!(field(&log, "version").as_str("version").unwrap(), "2.1.0");
         let runs = field(&log, "runs").as_array("runs").unwrap();
         assert_eq!(runs.len(), 1);
@@ -1003,7 +1034,8 @@ route-map RM permit 30
             diagnostics: report.diagnostics.into_iter().filter(|_| false).collect(),
             suppressed: 0,
         };
-        let log = parse(&render_sarif(&clean, "ok.cfg")).expect("valid JSON");
+        let diags = clean.diagnostics.iter().map(|d| ("ok.cfg", d));
+        let log = parse(&render_sarif(diags)).expect("valid JSON");
         let runs = field(&log, "runs").as_array("runs").unwrap();
         assert!(field(&runs[0], "results")
             .as_array("results")

@@ -5,16 +5,19 @@
 //!
 //! - **Writing.** Build a [`Value`] with [`Value::object`],
 //!   [`Value::array`], [`Value::hex`] and the `From` impls, then render it
-//!   in one of two layouts: `Display` writes one line
+//!   in one of three layouts: [`Value::to_compact`] writes one line with
+//!   no spaces (`{"a":1,"b":[2,3]}`, the daemon's wire frames); `Display`
+//!   writes one line with a space after each `,` and `:`
 //!   (`{"a": 1, "b": [2, 3]}`); [`Value::to_document`] puts each member of
 //!   a non-empty container at depth 0 or 1 on its own line, indented two
 //!   spaces per level, keeps deeper and empty containers inline, and ends
-//!   with a newline.
+//!   with a newline. Nothing outside this module writes JSON syntax.
 //! - **Reading.** [`parse`] is a recursive-descent reader for objects,
-//!   arrays, strings, integers, booleans and null. No floats: every
-//!   numeric field we persist is an integer. [`Fields`] reads one object
-//!   strictly: no repeated key, a typed error naming a missing key, and
-//!   (through [`Fields::done`]) one naming an unknown key.
+//!   arrays, strings, numbers, booleans and null. A number with a
+//!   fraction or an exponent reads as a [`Value::Float`] (bench records
+//!   hold them), any other as a [`Value::Int`]. [`Fields`] reads one
+//!   object strictly: no repeated key, a typed error naming a missing
+//!   key, and (through [`Fields::done`]) one naming an unknown key.
 //! - **Trusting.** A sealed document carries a format tag and a checksum
 //!   over its content. [`check_seal`] compares both and [`DocError`]
 //!   separates a *corrupt* document (not one of ours at all) from a
@@ -33,6 +36,10 @@ pub enum Value {
     Str(String),
     /// An integer (`i128` covers every `u64` and `i64` we persist).
     Int(i128),
+    /// A number written with a fraction or an exponent. It is written in
+    /// Rust's shortest round-trip form, which always has one of them, so
+    /// it reads back as a `Float`; a non-finite one is written `null`.
+    Float(f64),
     /// `true` / `false`.
     Bool(bool),
     /// `null`.
@@ -104,10 +111,27 @@ impl Value {
         }
     }
 
+    /// A number: a float, or an integer converted to one.
+    pub fn as_f64(&self, what: &str) -> Result<f64, String> {
+        match self {
+            Value::Float(x) => Ok(*x),
+            Value::Int(n) => Ok(*n as f64),
+            _ => Err(format!("{what}: expected a number")),
+        }
+    }
+
     /// A hex string written by [`Value::hex`].
     pub fn as_hex(&self, what: &str) -> Result<u64, String> {
         let s = self.as_str(what)?;
         u64::from_str_radix(s, 16).map_err(|_| format!("{what}: bad hex value '{s}'"))
+    }
+
+    /// Renders the compact layout, one line with no spaces:
+    /// `{"a":1,"b":[2,3]}`.
+    pub fn to_compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0, Layout::Compact);
+        out
     }
 
     /// Renders the document layout: each member of a non-empty object or
@@ -116,23 +140,24 @@ impl Value {
     /// them. Ends with a newline.
     pub fn to_document(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0, 2);
+        self.write(&mut out, 0, Layout::Document);
         out.push('\n');
         out
     }
 
-    /// The one writer behind both layouts: a non-empty container nested
-    /// less than `breaks` deep puts each member on its own line.
-    fn write(&self, out: &mut String, depth: usize, breaks: usize) {
+    /// The one writer behind the three layouts.
+    fn write(&self, out: &mut String, depth: usize, layout: Layout) {
         let (open, close, members): (char, char, Vec<(Option<&String>, &Value)>) = match self {
             Value::Object(m) => ('{', '}', m.iter().map(|(k, v)| (Some(k), v)).collect()),
             Value::Array(a) => ('[', ']', a.iter().map(|v| (None, v)).collect()),
             Value::Str(s) => return out.push_str(&escape(s)),
             Value::Int(n) => return out.push_str(&n.to_string()),
+            Value::Float(x) if x.is_finite() => return out.push_str(&format!("{x:?}")),
+            Value::Float(_) | Value::Null => return out.push_str("null"),
             Value::Bool(b) => return out.push_str(&b.to_string()),
-            Value::Null => return out.push_str("null"),
         };
-        let broken = depth < breaks && !members.is_empty();
+        let broken = layout == Layout::Document && depth < 2 && !members.is_empty();
+        let spaced = layout != Layout::Compact;
         out.push(open);
         for (i, (key, v)) in members.into_iter().enumerate() {
             if i > 0 {
@@ -141,14 +166,14 @@ impl Value {
             if broken {
                 out.push('\n');
                 out.push_str(&"  ".repeat(depth + 1));
-            } else if i > 0 {
+            } else if i > 0 && spaced {
                 out.push(' ');
             }
             if let Some(key) = key {
                 out.push_str(&escape(key));
-                out.push_str(": ");
+                out.push_str(if spaced { ": " } else { ":" });
             }
-            v.write(out, depth + 1, breaks);
+            v.write(out, depth + 1, layout);
         }
         if broken {
             out.push('\n');
@@ -158,11 +183,22 @@ impl Value {
     }
 }
 
+/// How [`Value::write`] lays a value out.
+#[derive(Clone, Copy, PartialEq)]
+enum Layout {
+    /// [`Value::to_compact`].
+    Compact,
+    /// `Display`.
+    Line,
+    /// [`Value::to_document`].
+    Document,
+}
+
 /// The one-line layout: `{"a": 1, "b": [2, 3]}`.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.write(&mut out, 0, 0);
+        self.write(&mut out, 0, Layout::Line);
         f.write_str(&out)
     }
 }
@@ -196,6 +232,12 @@ macro_rules! from_int {
 }
 
 from_int!(u16, u32, u64, i64, usize);
+
+impl From<f64> for Value {
+    fn from(x: f64) -> Value {
+        Value::Float(x)
+    }
+}
 
 /// `None` becomes `null`.
 impl<T: Into<Value>> From<Option<T>> for Value {
@@ -489,16 +531,23 @@ fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
+/// A number: the longest run of number characters, a float when it has a
+/// fraction or an exponent.
 fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
+    while b
+        .get(*pos)
+        .is_some_and(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
+    {
         *pos += 1;
     }
-    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
+    let text = std::str::from_utf8(&b[start..*pos]).expect("number bytes are ascii");
+    let bad = || format!("bad number '{text}'");
+    if !text.contains(['.', 'e', 'E']) {
+        return text.parse::<i128>().map(Value::Int).map_err(|_| bad());
     }
-    let text = std::str::from_utf8(&b[start..*pos]).expect("digits are utf-8");
-    text.parse::<i128>()
-        .map(Value::Int)
-        .map_err(|_| format!("bad number '{text}'"))
+    match text.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(Value::Float(x)),
+        _ => Err(bad()),
+    }
 }

@@ -39,6 +39,14 @@
 //! interleavings), but engine output cannot. `tests/par_determinism.rs`
 //! pins this with a live registry installed.
 //!
+//! # The JSON layer
+//!
+//! The [`json`] module is the workspace's one JSON writer and reader: the
+//! `--trace-json` snapshot, lint reports and caches, SARIF, LLM envelopes
+//! and transcripts, the daemon's requests and response frames, and the
+//! bench records all go through its [`json::Value`] and [`json::parse`].
+//! No other crate writes JSON syntax by hand.
+//!
 //! # Thread safety
 //!
 //! All instruments are relaxed atomics behind `Arc`s, so handles can be

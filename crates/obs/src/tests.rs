@@ -144,6 +144,47 @@ fn snapshot_json_layout_is_pinned() {
 }
 
 #[test]
+fn one_value_renders_in_three_layouts() {
+    use crate::json::Value;
+    let v = Value::object([
+        ("ok", true.into()),
+        ("n", Value::array([1u64.into(), 2.5.into(), Value::Null])),
+        ("s", "a\"b".into()),
+    ]);
+    assert_eq!(v.to_compact(), r#"{"ok":true,"n":[1,2.5,null],"s":"a\"b"}"#);
+    assert_eq!(
+        v.to_string(),
+        r#"{"ok": true, "n": [1, 2.5, null], "s": "a\"b"}"#
+    );
+    assert_eq!(
+        v.to_document(),
+        "{\n  \"ok\": true,\n  \"n\": [\n    1,\n    2.5,\n    null\n  ],\n  \"s\": \"a\\\"b\"\n}\n"
+    );
+}
+
+#[test]
+fn floats_read_and_write_back() {
+    use crate::json::{parse, Value};
+    for text in ["57669.0", "-0.5", "1e21", "2.5e-7", "1E3", "0.1"] {
+        let v = parse(text).expect(text);
+        assert!(matches!(v, Value::Float(_)), "{text} reads as a float");
+        let x = v.as_f64(text).expect("a number");
+        assert_eq!(x, text.parse::<f64>().unwrap());
+        // The written form reads back as the same float.
+        let back = parse(&v.to_compact()).expect("written float parses");
+        assert_eq!(back.as_f64("back").unwrap().to_bits(), x.to_bits());
+        assert!(v.as_u64(text).is_err() && v.as_i64(text).is_err());
+    }
+    assert_eq!(Value::Float(100.0).to_compact(), "100.0");
+    assert_eq!(Value::Float(f64::NAN).to_compact(), "null");
+    assert_eq!(parse("7").unwrap().as_f64("int").unwrap(), 7.0);
+    assert!(parse("\"7\"").unwrap().as_f64("str").is_err());
+    for bad in [".5", "1e", "1e+", "-", "1-2", "1e999", "01.5.2"] {
+        assert!(parse(bad).is_err(), "{bad} is not a number");
+    }
+}
+
+#[test]
 fn from_json_rejects_garbage() {
     assert!(Snapshot::from_json("").is_err());
     assert!(Snapshot::from_json("{").is_err());

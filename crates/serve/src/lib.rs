@@ -28,7 +28,7 @@ pub mod session;
 mod wheel;
 
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use proto::{parse_request, Frame, ProtoError, Request};
+pub use proto::{parse_request, ProtoError, Request};
 pub use server::{Server, ServerConfig, Shared};
 pub use session::Session;
 pub use wheel::DeadlineWheel;

@@ -88,22 +88,29 @@ pub struct ProtoError {
 }
 
 impl ProtoError {
-    /// A `bad-request` error.
-    pub fn bad(message: impl Into<String>) -> ProtoError {
-        ProtoError {
-            code: "bad-request",
-            message: message.into(),
-        }
+    /// An error with one of the documented codes.
+    pub fn new(code: &'static str, message: impl Into<String>) -> ProtoError {
+        let message = message.into();
+        ProtoError { code, message }
     }
 
-    /// Renders the `{"ok":false,...}` frame (no trailing newline).
-    pub fn frame(&self) -> String {
-        format!(
-            "{{\"ok\":false,\"error\":{{\"code\":{},\"message\":{}}}}}",
-            json::escape(self.code),
-            json::escape(&self.message)
-        )
+    /// A `bad-request` error.
+    pub fn bad(message: impl Into<String>) -> ProtoError {
+        ProtoError::new("bad-request", message)
     }
+}
+
+/// The error's response frame: `{"ok":false,"error":{"code":…,"message":…}}`.
+impl From<ProtoError> for Value {
+    fn from(e: ProtoError) -> Value {
+        let error = Value::object([("code", e.code.into()), ("message", e.message.into())]);
+        Value::object([("ok", false.into()), ("error", error)])
+    }
+}
+
+/// A success frame: `"ok":true`, then `members`.
+pub(crate) fn ok<'a>(members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::object([("ok", true.into())].into_iter().chain(members))
 }
 
 /// A request whose JSON is well-formed but whose shape is wrong.
@@ -139,10 +146,7 @@ fn parse_invariant(v: &Value) -> Result<Invariant, ProtoError> {
 /// to `bad-request` / `unknown-op`. Keys a request does not use are
 /// ignored.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
-    let doc = json::parse(line).map_err(|e| ProtoError {
-        code: "bad-json",
-        message: e,
-    })?;
+    let doc = json::parse(line).map_err(|e| ProtoError::new("bad-json", e))?;
     let mut f = Fields::new(&doc, "request")?;
     let session = |f: &mut Fields| f.req("session")?.as_u64("session");
     match f.str("op")? {
@@ -202,89 +206,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         }),
         "ping" => Ok(Request::Ping),
         "shutdown" => Ok(Request::Shutdown),
-        other => Err(ProtoError {
-            code: "unknown-op",
-            message: format!("unknown op '{other}'"),
-        }),
+        other => Err(ProtoError::new(
+            "unknown-op",
+            format!("unknown op '{other}'"),
+        )),
     }
-}
-
-/// Incremental JSON object writer for response frames and the objects
-/// nested in them. Purely syntactic — callers pass pre-escaped raw
-/// fragments only via [`Frame::raw`].
-pub struct Frame {
-    out: String,
-    /// No field written yet: the next one takes no separating comma.
-    first: bool,
-}
-
-impl Frame {
-    /// Starts an empty object.
-    pub fn object() -> Frame {
-        Frame {
-            out: String::from("{"),
-            first: true,
-        }
-    }
-
-    /// Starts a response frame: an object with `"ok"` set.
-    pub fn ok(ok: bool) -> Frame {
-        Frame::object().bool("ok", ok)
-    }
-
-    fn key(&mut self, k: &str) {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        self.out.push_str(&json::escape(k));
-        self.out.push(':');
-    }
-
-    /// Adds a string field (escaped).
-    pub fn str(mut self, k: &str, v: &str) -> Frame {
-        self.key(k);
-        self.out.push_str(&json::escape(v));
-        self
-    }
-
-    /// Adds an unsigned integer field.
-    pub fn u64(mut self, k: &str, v: u64) -> Frame {
-        self.key(k);
-        self.out.push_str(&v.to_string());
-        self
-    }
-
-    /// Adds a boolean field.
-    pub fn bool(mut self, k: &str, v: bool) -> Frame {
-        self.key(k);
-        self.out.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    /// Adds a raw, already-serialized JSON fragment.
-    pub fn raw(mut self, k: &str, v: &str) -> Frame {
-        self.key(k);
-        self.out.push_str(v);
-        self
-    }
-
-    /// Closes the object.
-    pub fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
-    }
-}
-
-/// Renders a JSON array of strings.
-pub fn string_array(items: &[String]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json::escape(s));
-    }
-    out.push(']');
-    out
 }

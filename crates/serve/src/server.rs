@@ -24,9 +24,10 @@ use std::time::Duration;
 use clarify_llm::BackendStack;
 use clarify_netconfig::Config;
 use clarify_netsim::TopologySpec;
+use clarify_obs::json::Value;
 
 use crate::clock::{Clock, SystemClock};
-use crate::proto::{parse_request, Frame, ProtoError, Request};
+use crate::proto::{ok, parse_request, ProtoError, Request};
 use crate::session::Session;
 use crate::wheel::DeadlineWheel;
 
@@ -60,6 +61,11 @@ impl Default for ServerConfig {
             backend: BackendStack::semantic(),
         }
     }
+}
+
+fn unknown_session(id: u64) -> ProtoError {
+    let message = format!("no session {id} (closed, evicted, or never opened)");
+    ProtoError::new("unknown-session", message)
 }
 
 /// One table slot. `last_activity` lives outside the session mutex so
@@ -157,13 +163,13 @@ impl Shared {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let mut sessions = self.sessions.lock().unwrap();
         if sessions.len() >= self.cfg.max_sessions {
-            return Err(ProtoError {
-                code: "busy",
-                message: format!(
+            return Err(ProtoError::new(
+                "busy",
+                format!(
                     "session table is full ({} live); retry later or raise --max-sessions",
                     sessions.len()
                 ),
-            });
+            ));
         }
         sessions.insert(
             id,
@@ -190,10 +196,10 @@ impl Shared {
     ) -> Result<R, ProtoError> {
         let entry = {
             let sessions = self.sessions.lock().unwrap();
-            sessions.get(&id).cloned().ok_or(ProtoError {
-                code: "unknown-session",
-                message: format!("no session {id} (closed, evicted, or never opened)"),
-            })?
+            sessions
+                .get(&id)
+                .cloned()
+                .ok_or_else(|| unknown_session(id))?
         };
         let now = self.clock.now_ms();
         entry.last_activity.store(now, Ordering::SeqCst);
@@ -207,11 +213,11 @@ impl Shared {
         f(&mut session)
     }
 
-    fn open_config(&self, text: &str) -> Result<String, ProtoError> {
+    fn open_config(&self, text: &str) -> Result<Value, ProtoError> {
         let config = Config::parse(text)
             .map_err(|e| ProtoError::bad(format!("config did not parse: {e}")))?;
         let id = self.insert(Session::new_config(config, &self.cfg.backend))?;
-        Ok(Frame::ok(true).u64("session", id).finish())
+        Ok(ok([("session", id.into())]))
     }
 
     fn open_network(
@@ -219,7 +225,7 @@ impl Shared {
         topology: &str,
         configs: &[(String, String)],
         invariants: Vec<clarify_core::Invariant>,
-    ) -> Result<String, ProtoError> {
+    ) -> Result<Value, ProtoError> {
         let spec = TopologySpec::parse(topology)
             .map_err(|e| ProtoError::bad(format!("topology did not parse: {e}")))?;
         let loaded = spec
@@ -234,35 +240,30 @@ impl Shared {
         let session = Session::new_network(loaded.network, invariants, &self.cfg.backend)
             .map_err(|e| ProtoError::bad(format!("network session rejected: {e}")))?;
         let id = self.insert(session)?;
-        Ok(Frame::ok(true).u64("session", id).finish())
+        Ok(ok([("session", id.into())]))
     }
 
-    fn close(&self, id: u64) -> Result<String, ProtoError> {
+    fn close(&self, id: u64) -> Result<Value, ProtoError> {
         let mut sessions = self.sessions.lock().unwrap();
         match sessions.remove(&id) {
             Some(_) => {
                 self.set_live_gauge(sessions.len());
-                Ok(Frame::ok(true).u64("closed", id).finish())
+                Ok(ok([("closed", id.into())]))
             }
-            None => Err(ProtoError {
-                code: "unknown-session",
-                message: format!("no session {id} (closed, evicted, or never opened)"),
-            }),
+            None => Err(unknown_session(id)),
         }
     }
 
     /// Handles one request line. Returns the response frame (without
     /// newline) and whether the connection should close afterwards.
     pub fn handle_line(&self, line: &str) -> (String, bool) {
-        let request = match parse_request(line) {
-            Ok(r) => r,
-            Err(e) => return (e.frame(), false),
-        };
-        let result = match request {
-            Request::Ping => Ok(Frame::ok(true).bool("pong", true).finish()),
+        let mut close = false;
+        let result = parse_request(line).and_then(|request| match request {
+            Request::Ping => Ok(ok([("pong", true.into())])),
             Request::Shutdown => {
                 self.request_shutdown();
-                return (Frame::ok(true).bool("shutting-down", true).finish(), true);
+                close = true;
+                Ok(ok([("shutting-down", true.into())]))
             }
             Request::OpenConfig { config } => self.open_config(&config),
             Request::OpenNetwork {
@@ -283,11 +284,8 @@ impl Shared {
             }
             Request::Lint { session } => self.with_session(session, |s| s.lint(session)),
             Request::Close { session } => self.close(session),
-        };
-        match result {
-            Ok(frame) => (frame, false),
-            Err(e) => (e.frame(), false),
-        }
+        });
+        (result.unwrap_or_else(Value::from).to_compact(), close)
     }
 }
 
@@ -427,14 +425,14 @@ fn poll_conn(shared: &Shared, conn: &mut Conn) -> Poll {
                 if conn.buf.len() > shared.cfg.max_frame_bytes {
                     // The line cannot be re-synchronized; report and close
                     // this connection only.
-                    let err = ProtoError {
-                        code: "oversized-frame",
-                        message: format!(
+                    let err = ProtoError::new(
+                        "oversized-frame",
+                        format!(
                             "request line exceeds {} bytes; closing connection",
                             shared.cfg.max_frame_bytes
                         ),
-                    };
-                    let _ = write_frame(&mut conn.stream, &err.frame());
+                    );
+                    let _ = write_frame(&mut conn.stream, &Value::from(err).to_compact());
                     return Poll::Close;
                 }
             }

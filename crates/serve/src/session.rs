@@ -20,27 +20,22 @@ use clarify_lint::IncrementalLinter;
 use clarify_llm::{BackendStack, DynBackend, LlmError, PipelineOutcome};
 use clarify_netconfig::Config;
 use clarify_netsim::Network;
+use clarify_obs::json::Value;
 
-use crate::proto::{string_array, Frame, ProtoError};
+use crate::proto::{ok, ProtoError};
 
 /// Retry threshold for the synthesis loop, shared with the one-shot CLI.
 pub const MAX_ATTEMPTS: usize = 3;
 
-/// What a turn produced: a complete response frame (without newline).
-pub type TurnResult = Result<String, ProtoError>;
+/// What a turn produced: a complete response frame.
+pub type TurnResult = Result<Value, ProtoError>;
 
 fn internal(e: impl std::fmt::Display) -> ProtoError {
-    ProtoError {
-        code: "internal",
-        message: e.to_string(),
-    }
+    ProtoError::new("internal", e.to_string())
 }
 
 fn intent_error(e: impl std::fmt::Display) -> ProtoError {
-    ProtoError {
-        code: "intent-error",
-        message: e.to_string(),
-    }
+    ProtoError::new("intent-error", e.to_string())
 }
 
 /// Maps a pipeline error onto the protocol: backend failures (replay
@@ -49,27 +44,31 @@ fn intent_error(e: impl std::fmt::Display) -> ProtoError {
 /// session's configuration is untouched.
 fn pipeline_error(e: LlmError) -> ProtoError {
     match e {
-        LlmError::Backend(e) => ProtoError {
-            code: "backend-error",
-            message: e.to_string(),
-        },
+        LlmError::Backend(e) => ProtoError::new("backend-error", e.to_string()),
         other => intent_error(other),
     }
 }
 
-/// Starts the frame that closes a turn.
-fn done(session: u64, result: &str) -> Frame {
-    Frame::ok(true)
-        .bool("done", true)
-        .u64("session", session)
-        .str("result", result)
+/// The frame that closes a turn: its `result`, then `members`.
+fn done<'a>(
+    session: u64,
+    result: &str,
+    members: impl IntoIterator<Item = (&'a str, Value)>,
+) -> Value {
+    let head = [
+        ("done", true.into()),
+        ("session", session.into()),
+        ("result", result.into()),
+    ];
+    ok(head.into_iter().chain(members))
 }
 
-fn punted(session: u64, reason: &str, llm_calls: usize) -> String {
-    done(session, "punted")
-        .str("reason", reason)
-        .u64("llm_calls", llm_calls as u64)
-        .finish()
+fn punted(session: u64, reason: &str, llm_calls: usize) -> Value {
+    done(
+        session,
+        "punted",
+        [("reason", reason.into()), ("llm_calls", llm_calls.into())],
+    )
 }
 
 /// One live session: what it is open over, and its turn in flight.
@@ -155,10 +154,10 @@ impl Session {
             }));
         }
         if self.pending.is_some() {
-            return Err(ProtoError {
-                code: "turn-in-flight",
-                message: "a question is pending; send 'answer' (or 'close') first".to_string(),
-            });
+            return Err(ProtoError::new(
+                "turn-in-flight",
+                "a question is pending; send 'answer' (or 'close') first",
+            ));
         }
         let (clarify, base) = match &mut self.kind {
             SessionKind::Config {
@@ -201,10 +200,10 @@ impl Session {
     /// turn on.
     pub fn answer(&mut self, session: u64, choice: Choice) -> TurnResult {
         match &mut self.pending {
-            None => Err(ProtoError {
-                code: "no-turn",
-                message: "no question is pending on this session".to_string(),
-            }),
+            None => Err(ProtoError::new(
+                "no-turn",
+                "no question is pending on this session",
+            )),
             Some(pending) => {
                 pending.answers.push(choice);
                 self.progress(session)
@@ -221,16 +220,16 @@ impl Session {
             .expect("progress requires a pending turn");
         if let Some((number, pivot, text)) = pending.turn.question(&pending.answers) {
             self.pending = Some(pending);
-            let question = Frame::object()
-                .u64("number", number as u64)
-                .u64("pivot", pivot)
-                .str("text", &text)
-                .finish();
-            return Ok(Frame::ok(true)
-                .bool("done", false)
-                .u64("session", session)
-                .raw("question", &question)
-                .finish());
+            let question = Value::object([
+                ("number", number.into()),
+                ("pivot", pivot.into()),
+                ("text", text.into()),
+            ]);
+            return Ok(ok([
+                ("done", false.into()),
+                ("session", session.into()),
+                ("question", question),
+            ]));
         }
         match &mut self.kind {
             SessionKind::Config {
@@ -239,12 +238,16 @@ impl Session {
                 let placed = clarify
                     .finish(&pending.turn, &pending.answers)
                     .map_err(internal)?;
-                let frame = done(session, "inserted")
-                    .u64("position", placed.position as u64)
-                    .u64("questions", placed.questions as u64)
-                    .u64("llm_calls", pending.llm_calls as u64)
-                    .str("config", &placed.config.to_string())
-                    .finish();
+                let frame = done(
+                    session,
+                    "inserted",
+                    [
+                        ("position", placed.position.into()),
+                        ("questions", placed.questions.into()),
+                        ("llm_calls", pending.llm_calls.into()),
+                        ("config", placed.config.to_string().into()),
+                    ],
+                );
                 *config = placed.config;
                 Ok(frame)
             }
@@ -263,21 +266,32 @@ impl Session {
                         llm_calls,
                     } => {
                         let config = net.network().router(router).map(|r| r.config.to_string());
-                        done(session, "committed")
-                            .u64("questions", questions as u64)
-                            .u64("llm_calls", llm_calls as u64)
-                            .str("config", &config.unwrap_or_default())
-                            .finish()
+                        done(
+                            session,
+                            "committed",
+                            [
+                                ("questions", questions.into()),
+                                ("llm_calls", llm_calls.into()),
+                                ("config", config.unwrap_or_default().into()),
+                            ],
+                        )
                     }
                     NetworkUpdateOutcome::RolledBack {
                         violated,
                         questions,
                         llm_calls,
-                    } => done(session, "rolled-back")
-                        .raw("violated", &string_array(&violated))
-                        .u64("questions", questions as u64)
-                        .u64("llm_calls", llm_calls as u64)
-                        .finish(),
+                    } => done(
+                        session,
+                        "rolled-back",
+                        [
+                            (
+                                "violated",
+                                Value::array(violated.into_iter().map(Value::from)),
+                            ),
+                            ("questions", questions.into()),
+                            ("llm_calls", llm_calls.into()),
+                        ],
+                    ),
                     NetworkUpdateOutcome::Punted { reason, llm_calls } => {
                         punted(session, &reason, llm_calls)
                     }
@@ -307,12 +321,12 @@ impl Session {
                 (report, stats.dirty_objects, stats.reused_objects)
             }
         };
-        Ok(Frame::ok(true)
-            .u64("session", session)
-            .u64("findings", report.findings().count() as u64)
-            .u64("diagnostics", report.diagnostics.len() as u64)
-            .u64("dirty", dirty as u64)
-            .u64("reused", reused as u64)
-            .finish())
+        Ok(ok([
+            ("session", session.into()),
+            ("findings", report.findings().count().into()),
+            ("diagnostics", report.diagnostics.len().into()),
+            ("dirty", dirty.into()),
+            ("reused", reused.into()),
+        ]))
     }
 }

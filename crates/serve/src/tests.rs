@@ -80,7 +80,7 @@ fn parse_request_covers_every_op() {
             assert_eq!(configs.len(), 1);
             assert_eq!(invariants.len(), 1);
         }
-        other => panic!("unexpected: {:?}", other.err().map(|e| e.frame())),
+        other => panic!("unexpected: {:?}", other.err().map(|e| e.message)),
     }
     assert!(matches!(
         parse_request(r#"{"op":"ask","session":3,"target":"M","intent":"set metric"}"#),
@@ -138,7 +138,7 @@ fn parse_request_maps_failures_to_stable_codes() {
         "bad-request"
     );
     // Error frames are themselves valid JSON.
-    let frame = parse_request("x").unwrap_err().frame();
+    let frame = clarify_obs::json::Value::from(parse_request("x").unwrap_err()).to_compact();
     clarify_obs::json::parse(&frame).expect("error frame parses");
 }
 

@@ -227,6 +227,8 @@ fn malformed_input_gets_error_frames_not_a_dead_daemon() {
             "{\"op\":\"open\",\"config\":\"route-map BROKEN\"}",
             "bad-request",
         ),
+        // Valid JSON, but a session id is an integer.
+        ("{\"op\":\"close\",\"session\":1.0}", "bad-request"),
     ] {
         let frame = c.roundtrip(line);
         assert!(frame.contains("\"ok\":false"), "{line} -> {frame}");

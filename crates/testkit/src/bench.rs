@@ -12,9 +12,12 @@
 //! confidence intervals were never load-bearing in this repo.
 //!
 //! Set `CLARIFY_BENCH_JSON=<path>` to additionally append one JSON record
-//! per benchmark (name, median/min/max ns per iteration, sample and
-//! iteration counts) to that file — the format the repo's `BENCH_*.json`
-//! trajectory files are built from.
+//! per benchmark to that file, one compact line each — the format the
+//! repo's `BENCH_*.json` trajectory files are built from:
+//! `{"name":…,"unit":"ns","median_ns":…,"min_ns":…,"max_ns":…,"samples":…,"iters":…}`.
+//! The `*_ns` members hold the statistic in `unit`: nanoseconds per
+//! iteration for the sampling runner, a count or a node total for some
+//! [`emit_record`] callers.
 //!
 //! Set `CLARIFY_BENCH_QUICK=1` for a fast smoke pass (CI's bench job):
 //! the per-sample target drops to 500µs and every benchmark takes at most
@@ -23,6 +26,8 @@
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
+
+use clarify_obs::json::Value;
 
 /// Target wall-clock time for one sample batch.
 const SAMPLE_TARGET: Duration = Duration::from_millis(4);
@@ -167,19 +172,7 @@ fn run_bench<F: FnMut(&mut Bencher)>(name: &str, samples: usize, mut f: F) {
     let median = per_iter[per_iter.len() / 2];
     let min = per_iter[0];
     let max = per_iter[per_iter.len() - 1];
-    println!(
-        "bench {name:<48} {:>12}/iter  (min {}, max {}, {} samples x {} iters)",
-        fmt_ns(median),
-        fmt_ns(min),
-        fmt_ns(max),
-        per_iter.len(),
-        iters,
-    );
-    if let Ok(path) = std::env::var("CLARIFY_BENCH_JSON") {
-        if !path.is_empty() {
-            append_json(&path, name, median, min, max, per_iter.len(), iters);
-        }
-    }
+    emit_record(name, "ns", median, min, max, per_iter.len(), iters);
 }
 
 /// Emits one benchmark record outside the calibrate-then-sample loop —
@@ -189,62 +182,59 @@ fn run_bench<F: FnMut(&mut Bencher)>(name: &str, samples: usize, mut f: F) {
 /// record in the exact shape the sampling runner's records use, so the
 /// `BENCH_*.json` trajectory tooling ingests both alike.
 ///
-/// `median_ns` is whatever statistic the harness chose to headline (a
-/// percentile, a mean); `min_ns`/`max_ns` bound the observed
-/// distribution; `samples` is the number of observations behind it and
-/// `iters` how many operations each observation covered.
+/// `unit` names what the statistics count: `ns` for a time, or e.g.
+/// `count` or `nodes`, which `bench_diff` compares exactly. `median` is
+/// whatever statistic the harness chose to headline (a percentile, a
+/// mean); `min`/`max` bound the observed distribution; `samples` is the
+/// number of observations behind it and `iters` how many operations each
+/// observation covered.
 pub fn emit_record(
     name: &str,
-    median_ns: f64,
-    min_ns: f64,
-    max_ns: f64,
-    samples: usize,
-    iters: u64,
-) {
-    println!(
-        "bench {name:<48} {:>12}/iter  (min {}, max {}, {} samples x {} iters)",
-        fmt_ns(median_ns),
-        fmt_ns(min_ns),
-        fmt_ns(max_ns),
-        samples,
-        iters,
-    );
-    if let Ok(path) = std::env::var("CLARIFY_BENCH_JSON") {
-        if !path.is_empty() {
-            append_json(&path, name, median_ns, min_ns, max_ns, samples, iters);
-        }
-    }
-}
-
-/// Appends one JSON object (own line) describing a finished benchmark to
-/// `path`. Failures are reported but never fail the bench run.
-fn append_json(
-    path: &str,
-    name: &str,
+    unit: &str,
     median: f64,
     min: f64,
     max: f64,
     samples: usize,
     iters: u64,
 ) {
-    use std::io::Write as _;
-    let name: String = name
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if c.is_control() => vec![' '],
-            c => vec![c],
-        })
-        .collect();
-    let record = format!(
-        "{{\"name\":\"{name}\",\"median_ns\":{median:.1},\"min_ns\":{min:.1},\
-         \"max_ns\":{max:.1},\"samples\":{samples},\"iters\":{iters}}}\n"
+    let show = |v: f64| match unit {
+        "ns" => fmt_ns(v),
+        _ => format!("{v} {unit}"),
+    };
+    let per = if unit == "ns" { "/iter" } else { "" };
+    println!(
+        "bench {name:<48} {:>12}{per}  (min {}, max {}, {samples} samples x {iters} iters)",
+        show(median),
+        show(min),
+        show(max),
     );
+    if let Ok(path) = std::env::var("CLARIFY_BENCH_JSON") {
+        if !path.is_empty() {
+            // A tenth of a unit is finer than any record needs.
+            let tenth = |v: f64| Value::from((v * 10.0).round() / 10.0);
+            let record = Value::object([
+                ("name", name.into()),
+                ("unit", unit.into()),
+                ("median_ns", tenth(median)),
+                ("min_ns", tenth(min)),
+                ("max_ns", tenth(max)),
+                ("samples", samples.into()),
+                ("iters", iters.into()),
+            ]);
+            append_line(&path, &record.to_compact());
+        }
+    }
+}
+
+/// Appends `line` and a newline to the file at `path`. Failures are
+/// reported but never fail the bench run.
+fn append_line(path: &str, line: &str) {
+    use std::io::Write as _;
     let written = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
-        .and_then(|mut f| f.write_all(record.as_bytes()));
+        .and_then(|mut f| writeln!(f, "{line}"));
     if let Err(e) = written {
         eprintln!("CLARIFY_BENCH_JSON: cannot append to {path}: {e}");
     }

@@ -82,3 +82,49 @@ fn clarify_lint_and_lint_agree_on_stdout_and_exit_status() {
         assert!(!lint.stdout.is_empty(), "{args:?} printed a report");
     }
 }
+
+/// `--format sarif` over several files prints one SARIF log for the whole
+/// run, from either front end: its results follow file order, and each
+/// names its file as the artifact URI.
+#[test]
+fn sarif_over_two_files_is_one_log() {
+    use clarify::obs::json::{self, Value};
+
+    fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
+        let members = v.as_object(key).expect("an object");
+        &members.iter().find(|(k, _)| k == key).expect(key).1
+    }
+    let files = ["testdata/lint_kinds.cfg", "testdata/lint_redundant.cfg"];
+    let args = ["--format", "sarif", files[0], files[1]];
+    for (program, prefix) in [
+        (Path::new(env!("CARGO_BIN_EXE_clarify")), &["lint"][..]),
+        (lint_bin(), &[]),
+    ] {
+        let out = run(program, prefix, &args);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{program:?}: both files have findings"
+        );
+        let log = json::parse(&String::from_utf8_lossy(&out.stdout))
+            .unwrap_or_else(|e| panic!("{program:?}: stdout is not one JSON document: {e}"));
+        let runs = field(&log, "runs").as_array("runs").expect("runs");
+        assert_eq!(runs.len(), 1);
+        let uris: Vec<&str> = field(&runs[0], "results")
+            .as_array("results")
+            .expect("results")
+            .iter()
+            .map(|r| {
+                let location = &field(r, "locations").as_array("locations").unwrap()[0];
+                let artifact = field(field(location, "physicalLocation"), "artifactLocation");
+                field(artifact, "uri").as_str("uri").unwrap()
+            })
+            .collect();
+        let first = uris.iter().take_while(|u| **u == files[0]).count();
+        assert!(first > 0, "{program:?}: results of {}: {uris:?}", files[0]);
+        assert!(
+            first < uris.len() && uris[first..].iter().all(|u| *u == files[1]),
+            "{program:?}: results in file order: {uris:?}"
+        );
+    }
+}
