@@ -21,9 +21,8 @@ const VACANT_KEY: u32 = u32::MAX;
 const MIN_ENTRIES: usize = 1 << 8;
 const MAX_ENTRIES: usize = 1 << 20;
 
-/// One cached `(f, g, h) -> r` result. Binary operations with dedicated
-/// kernels (xor/xnor/diff) store an operation tag in `h` instead of a
-/// node index.
+/// One cached `(f, g, h) -> r` result: `f` and `g` are the operands and
+/// `h` always holds the operation tag (conjunction or exclusive-or).
 #[derive(Clone, Copy)]
 struct Entry {
     f: u32,

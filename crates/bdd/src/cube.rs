@@ -34,11 +34,6 @@ impl Cube {
         self.bits[var as usize].unwrap_or(false)
     }
 
-    /// Number of variables the cube ranges over.
-    pub fn num_vars(&self) -> u32 {
-        self.bits.len() as u32
-    }
-
     /// Decodes consecutive variables `vars` (MSB first) as an unsigned
     /// integer, defaulting unconstrained bits to zero.
     pub fn decode(&self, vars: &[u32]) -> u64 {
@@ -47,10 +42,5 @@ impl Cube {
             v = (v << 1) | u64::from(self.value_or_false(var));
         }
         v
-    }
-
-    /// Number of constrained variables.
-    pub fn fixed_count(&self) -> usize {
-        self.bits.iter().filter(|b| b.is_some()).count()
     }
 }

@@ -71,14 +71,6 @@ impl Manager {
         self.root_free.push(root.slot);
     }
 
-    /// Re-points an existing root at a new function, keeping its slot.
-    /// Equivalent to unprotect + protect but without slab churn, for a
-    /// long-lived entry whose function is refreshed in place.
-    pub fn reprotect(&mut self, root: &mut Root, r: Ref) {
-        self.roots[root.slot as usize] = Some(r);
-        root.r = r;
-    }
-
     /// Number of live root slots (diagnostics).
     pub fn root_count(&self) -> usize {
         self.roots.iter().filter(|r| r.is_some()).count()

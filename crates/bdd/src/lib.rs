@@ -4,9 +4,12 @@
 //!
 //! This crate is the symbolic-reasoning substrate for the Clarify analyses.
 //! Nodes live in a flat arena, every node is unique (hash-consed), and the
-//! operation kernel is the classic Brace–Rudell–Bryant construction with
-//! the CUDD refinements layered on (DESIGN.md §8):
+//! kernel follows the CUDD tradition (DESIGN.md §8):
 //!
+//! - **Two recursive kernels**, conjunction and exclusive-or, share one
+//!   lossy computed cache. Every other connective is a complement-edge
+//!   rewrite of them; quantification, witnesses and an exact model count
+//!   complete the kernel.
 //! - **Complement edges**: a [`Ref`] carries a complement bit, so negation
 //!   is O(1) and `f`/`!f` share all nodes (the then-edge of every stored
 //!   node is kept regular for canonicity).
@@ -25,7 +28,7 @@
 //! let f = m.and(a, b);
 //! let g = m.or(a, b);
 //! assert!(m.implies_true(f, g));
-//! assert_eq!(m.sat_count(f), 4.0); // a & b over 4 variables: 2^2 models
+//! assert_eq!(m.sat_count_exact(f), 4); // a & b over 4 variables: 2^2 models
 //! ```
 //!
 //! # Variable order

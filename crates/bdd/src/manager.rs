@@ -9,7 +9,7 @@
 //! One terminal node (arena index 0) represents `TRUE`; `FALSE` is its
 //! complement.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use clarify_obs::{Counter, Gauge, Registry};
 
@@ -89,17 +89,17 @@ pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 /// unique-table rebuild and every arena scan skip slots at or above this.
 pub(crate) const DEAD_VAR: u32 = u32::MAX - 1;
 
-/// Operation tags for the binary kernels (conjunction and exclusive-or —
+/// Operation tags for the two kernels (conjunction and exclusive-or —
 /// every other connective is a complement-edge rewrite of those two).
-/// Tags live in the cache key's third slot, above every legal tagged
-/// `Ref`, so `(f, g, OP_AND)` can never collide with a genuine `ite`
-/// triple.
+/// A tag fills the cache key's third slot, so one computed cache serves
+/// both kernels.
 const OP_AND: u32 = u32::MAX - 1;
 const OP_XOR: u32 = u32::MAX - 2;
 
 /// Hard ceiling on arena indices: a tagged `Ref` is `index << 1 | c`, and
-/// everything above the ceiling is reserved for the operation tags and
-/// the tables' vacancy sentinels.
+/// everything above the ceiling is reserved for the tables' vacancy
+/// sentinels (the computed cache's `VACANT_KEY`, the unique table's
+/// `EMPTY_SLOT`), so no index or `Ref` can read as one.
 const MAX_INDEX: u32 = (u32::MAX - 16) >> 1;
 
 /// Default capacity hint (in nodes) for managers built without one.
@@ -126,8 +126,8 @@ pub struct Stats {
     /// Misses in the computed cache since creation.
     pub cache_misses: u64,
     /// Currently occupied slots of the bounded computed cache (drops to
-    /// zero after [`Manager::clear_op_caches`]; `exists`/`restrict` memos
-    /// are per-call and never persist, so they are not counted here).
+    /// zero after [`Manager::clear_op_caches`]; the `exists` and count
+    /// memos are per-call and never persist, so they are not counted here).
     pub ite_cache_entries: usize,
     /// Cumulative unique-table slot inspections. A value close to the
     /// node count means the hash is spreading keys well.
@@ -283,11 +283,6 @@ impl Manager {
         }
     }
 
-    /// Number of variables this manager was created with.
-    pub fn num_vars(&self) -> u32 {
-        self.num_vars
-    }
-
     /// Live internal nodes right now (terminal and swept slots excluded).
     pub fn live_node_count(&self) -> usize {
         self.live_nodes
@@ -435,118 +430,14 @@ impl Manager {
         self.mk(var, Ref::FALSE, Ref::TRUE)
     }
 
-    /// The function that is true iff variable `var` is false.
-    pub fn nvar(&mut self, var: u32) -> Ref {
-        assert!(var < self.num_vars, "variable {var} out of range");
-        self.mk(var, Ref::TRUE, Ref::FALSE)
-    }
-
     /// A literal: the variable if `positive`, its negation otherwise.
     pub fn literal(&mut self, var: u32, positive: bool) -> Ref {
+        let v = self.var(var);
         if positive {
-            self.var(var)
+            v
         } else {
-            self.nvar(var)
+            v.complement()
         }
-    }
-
-    /// If-then-else: the function `(f & g) | (!f & h)`.
-    pub fn ite(&mut self, f: Ref, g: Ref, h: Ref) -> Ref {
-        self.obs.ite_calls.incr();
-        self.ite_norm(f, g, h)
-    }
-
-    /// Standard-triple normalization (Brace–Rudell–Bryant, adapted for
-    /// complement edges), then the cached apply. Internal recursion
-    /// re-enters here, so the rewrites fire at every level.
-    ///
-    /// Every two-operand shape is delegated to the [`Manager::and_rec`] /
-    /// [`Manager::xor_rec`] kernels — with O(1) negation, conjunction and
-    /// exclusive-or are a complete basis, and funneling `f|h`, `!f&h`,
-    /// `f->g`, and `f<->g` through two cache namespaces maximizes sharing.
-    /// The residual three-operand triples are canonicalized by the two
-    /// complement rules: `ite(!f,g,h) = ite(f,h,g)` makes the first
-    /// argument regular, and `ite(f,!g,h) = !ite(f,g,!h)` makes the
-    /// then-argument regular (the complement moves to the result).
-    fn ite_norm(&mut self, mut f: Ref, mut g: Ref, mut h: Ref) -> Ref {
-        if f == Ref::TRUE {
-            return g;
-        }
-        if f == Ref::FALSE {
-            return h;
-        }
-        // f is non-constant from here on.
-        if g == f {
-            g = Ref::TRUE;
-        } else if g == f.complement() {
-            g = Ref::FALSE;
-        }
-        if h == f {
-            h = Ref::FALSE;
-        } else if h == f.complement() {
-            h = Ref::TRUE;
-        }
-        if g == h {
-            return g;
-        }
-        if g == Ref::TRUE && h == Ref::FALSE {
-            return f;
-        }
-        if g == Ref::FALSE && h == Ref::TRUE {
-            return f.complement();
-        }
-        if g == Ref::TRUE {
-            // f | h = !(!f & !h)
-            let r = self.and_rec(f.complement(), h.complement());
-            return r.complement();
-        }
-        if g == Ref::FALSE {
-            return self.and_rec(f.complement(), h);
-        }
-        if h == Ref::FALSE {
-            return self.and_rec(f, g);
-        }
-        if h == Ref::TRUE {
-            // f -> g = !(f & !g)
-            let r = self.and_rec(f, g.complement());
-            return r.complement();
-        }
-        if h == g.complement() {
-            // ite(f, g, !g) = f <-> g = f ^ !g
-            return self.xor_rec(f, g.complement());
-        }
-        if f.is_complement() {
-            f = f.regular();
-            std::mem::swap(&mut g, &mut h);
-        }
-        if g.is_complement() {
-            let r = self.ite_apply(f, g.complement(), h.complement());
-            return r.complement();
-        }
-        self.ite_apply(f, g, h)
-    }
-
-    /// The cached Shannon expansion for an already-normalized triple
-    /// (`f` and `g` regular and non-constant, `h` non-constant).
-    fn ite_apply(&mut self, f: Ref, g: Ref, h: Ref) -> Ref {
-        debug_assert!(!f.is_complement() && !g.is_complement());
-        if let Some(r) = self.computed.get(f.0, g.0, h.0) {
-            self.cache_hits += 1;
-            self.obs.cache_hits.incr();
-            return Ref(r);
-        }
-        self.cache_misses += 1;
-        self.obs.cache_misses.incr();
-
-        let top = self.level(f).min(self.level(g)).min(self.level(h));
-        let (f0, f1) = self.cofactors_at(f, top);
-        let (g0, g1) = self.cofactors_at(g, top);
-        let (h0, h1) = self.cofactors_at(h, top);
-        let lo = self.ite_norm(f0, g0, h0);
-        let hi = self.ite_norm(f1, g1, h1);
-        let r = self.mk(top, lo, hi);
-        self.cache_put(f.0, g.0, h.0, r.0);
-        r
     }
 
     /// Records an operation result, keeping the occupancy gauge and the
@@ -662,13 +553,6 @@ impl Manager {
         }
     }
 
-    /// Material implication `f -> g = !(f & !g)`.
-    pub fn implies(&mut self, f: Ref, g: Ref) -> Ref {
-        self.obs.ite_calls.incr();
-        let r = self.and_rec(f, g.complement());
-        r.complement()
-    }
-
     /// Biconditional `f <-> g = !(f ^ g)`.
     pub fn iff(&mut self, f: Ref, g: Ref) -> Ref {
         self.obs.ite_calls.incr();
@@ -706,14 +590,10 @@ impl Manager {
         acc
     }
 
-    /// Whether `f -> g` is a tautology, i.e. every model of `f` models `g`.
+    /// Whether `f -> g` is a tautology, i.e. every model of `f` models `g`:
+    /// whether `f & !g` is empty.
     pub fn implies_true(&mut self, f: Ref, g: Ref) -> bool {
-        self.implies(f, g) == Ref::TRUE
-    }
-
-    /// Whether `f` and `g` share at least one model.
-    pub fn intersects(&mut self, f: Ref, g: Ref) -> bool {
-        self.and(f, g) != Ref::FALSE
+        self.diff(f, g) == Ref::FALSE
     }
 
     /// Existential quantification of a set of variables (sorted or not).
@@ -756,77 +636,47 @@ impl Manager {
         r
     }
 
-    /// Universal quantification of a set of variables.
-    pub fn forall(&mut self, f: Ref, vars: &[u32]) -> Ref {
-        let e = self.exists(f.complement(), vars);
-        e.complement()
+    /// Number of satisfying assignments over all the manager's variables,
+    /// exactly, as a `u128`. Panics if the manager has more than 127
+    /// variables; all Clarify spaces stay below that bound.
+    pub fn sat_count_exact(&self, f: Ref) -> u128 {
+        assert!(
+            self.num_vars <= 127,
+            "sat_count_exact supports at most 127 variables"
+        );
+        let mut memo: HashMap<u32, u128> = HashMap::new();
+        self.count_from(f, 0, &mut memo)
     }
 
-    /// Restricts `f` by fixing `var` to `value`.
-    pub fn restrict(&mut self, f: Ref, var: u32, value: bool) -> Ref {
-        let mut memo = HashMap::new();
-        self.restrict_rec(f, var, value, &mut memo)
-    }
-
-    fn restrict_rec(&mut self, f: Ref, var: u32, value: bool, memo: &mut HashMap<Ref, Ref>) -> Ref {
-        if f.is_const() {
-            return f;
-        }
-        if self.level(f) > var {
-            return f;
-        }
-        if let Some(&r) = memo.get(&f) {
-            return r;
-        }
-        let n = self.node(f);
-        let (lo, hi) = self.children(f);
-        let r = if n.var == var {
-            if value {
-                hi
-            } else {
-                lo
-            }
-        } else {
-            let lo = self.restrict_rec(lo, var, value, memo);
-            let hi = self.restrict_rec(hi, var, value, memo);
-            self.mk(n.var, lo, hi)
-        };
-        memo.insert(f, r);
-        r
-    }
-
-    /// Number of satisfying assignments over all `num_vars` variables,
-    /// as an `f64` (exact for counts below 2^53; analyses here stay far
-    /// below that threshold per field).
-    pub fn sat_count(&self, f: Ref) -> f64 {
-        let mut memo: HashMap<u32, f64> = HashMap::new();
-        let frac = self.sat_fraction(f, &mut memo);
-        frac * 2f64.powi(self.num_vars as i32)
-    }
-
-    /// Fraction of the full assignment space that satisfies `f` (in
-    /// `[0,1]`). Memoized on the regular ref; a complemented handle is
-    /// `1 - fraction(regular)`.
-    fn sat_fraction(&self, f: Ref, memo: &mut HashMap<u32, f64>) -> f64 {
+    /// Models of `f` assuming the variables `level..num_vars` are still
+    /// free. Memoized per regular node; a complemented handle's
+    /// count is the remaining assignment space minus the regular count.
+    fn count_from(&self, f: Ref, level: u32, memo: &mut HashMap<u32, u128>) -> u128 {
+        let total = 1u128 << (self.num_vars - level);
         if f == Ref::TRUE {
-            return 1.0;
+            return total;
         }
         if f == Ref::FALSE {
-            return 0.0;
+            return 0;
         }
         let reg = f.regular();
-        let x = if let Some(&x) = memo.get(&reg.0) {
-            x
+        let node_level = self.level(reg);
+        let at_node = if let Some(&c) = memo.get(&reg.0) {
+            c
         } else {
             let n = self.node(reg);
-            let x = 0.5 * self.sat_fraction(n.lo, memo) + 0.5 * self.sat_fraction(n.hi, memo);
-            memo.insert(reg.0, x);
-            x
+            let lo = self.count_from(n.lo, node_level + 1, memo);
+            let hi = self.count_from(n.hi, node_level + 1, memo);
+            let c = lo + hi;
+            memo.insert(reg.0, c);
+            c
         };
+        // Scale by the levels skipped between `level` and the node's.
+        let scaled = at_node << (node_level - level);
         if f.is_complement() {
-            1.0 - x
+            total - scaled
         } else {
-            x
+            scaled
         }
     }
 
@@ -879,41 +729,6 @@ impl Manager {
             cur = if assignment(n.var) { hi } else { lo };
         }
         cur == Ref::TRUE
-    }
-
-    /// The set of variables `f` actually depends on, ascending by id.
-    pub fn support(&self, f: Ref) -> Vec<u32> {
-        let mut seen = HashSet::new();
-        let mut vars = std::collections::BTreeSet::new();
-        let mut stack = vec![f.regular()];
-        while let Some(r) = stack.pop() {
-            if r.is_const() || !seen.insert(r.index()) {
-                continue;
-            }
-            let n = self.node(r);
-            vars.insert(n.var);
-            stack.push(n.lo.regular());
-            stack.push(n.hi.regular());
-        }
-        vars.into_iter().collect()
-    }
-
-    /// Number of internal nodes reachable from `f` (a size measure;
-    /// `f` and `!f` share all of them).
-    pub fn size(&self, f: Ref) -> usize {
-        let mut seen = HashSet::new();
-        let mut stack = vec![f.regular()];
-        let mut count = 0;
-        while let Some(r) = stack.pop() {
-            if r.is_const() || !seen.insert(r.index()) {
-                continue;
-            }
-            count += 1;
-            let n = self.node(r);
-            stack.push(n.lo.regular());
-            stack.push(n.hi.regular());
-        }
-        count
     }
 
     /// Builds the function "the variables `vars` (MSB first) encode exactly
@@ -1001,51 +816,5 @@ impl std::fmt::Debug for Manager {
             .field("live_nodes", &self.live_nodes)
             .field("capacity_nodes", &(self.nodes.len() - 1))
             .finish()
-    }
-}
-
-impl Manager {
-    /// Exact number of satisfying assignments as a `u128`. Panics if the
-    /// manager has more than 127 variables (use [`Manager::sat_count`]
-    /// there); all Clarify spaces stay below that bound.
-    pub fn sat_count_exact(&self, f: Ref) -> u128 {
-        assert!(
-            self.num_vars <= 127,
-            "sat_count_exact supports at most 127 variables"
-        );
-        let mut memo: HashMap<u32, u128> = HashMap::new();
-        self.count_from(f, 0, &mut memo)
-    }
-
-    /// Models of `f` assuming the variables `level..num_vars` are still
-    /// free. Memoized per regular node; a complemented handle's
-    /// count is the remaining assignment space minus the regular count.
-    fn count_from(&self, f: Ref, level: u32, memo: &mut HashMap<u32, u128>) -> u128 {
-        let total = 1u128 << (self.num_vars - level);
-        if f == Ref::TRUE {
-            return total;
-        }
-        if f == Ref::FALSE {
-            return 0;
-        }
-        let reg = f.regular();
-        let node_level = self.level(reg);
-        let at_node = if let Some(&c) = memo.get(&reg.0) {
-            c
-        } else {
-            let n = self.node(reg);
-            let lo = self.count_from(n.lo, node_level + 1, memo);
-            let hi = self.count_from(n.hi, node_level + 1, memo);
-            let c = lo + hi;
-            memo.insert(reg.0, c);
-            c
-        };
-        // Scale by the levels skipped between `level` and the node's.
-        let scaled = at_node << (node_level - level);
-        if f.is_complement() {
-            total - scaled
-        } else {
-            scaled
-        }
     }
 }

@@ -114,33 +114,22 @@ fn diff_removes_models() {
     let (mut m, a, b, _) = three();
     let d = m.diff(a, b);
     // d = a & !b: one assignment of (a,b) out of four, times 2 for c.
-    assert_eq!(m.sat_count(d), 2.0);
-    assert!(!m.intersects(d, b));
-}
-
-#[test]
-fn ite_agrees_with_definition() {
-    let (mut m, a, b, c) = three();
-    let lhs = m.ite(a, b, c);
-    let ab = m.and(a, b);
-    let na = m.not(a);
-    let nac = m.and(na, c);
-    let rhs = m.or(ab, nac);
-    assert_eq!(lhs, rhs);
+    assert_eq!(m.sat_count_exact(d), 2);
+    assert_eq!(m.and(d, b), Ref::FALSE);
 }
 
 #[test]
 fn sat_count_small_functions() {
     let (mut m, a, b, c) = three();
-    assert_eq!(m.sat_count(Ref::TRUE), 8.0);
-    assert_eq!(m.sat_count(Ref::FALSE), 0.0);
-    assert_eq!(m.sat_count(a), 4.0);
+    assert_eq!(m.sat_count_exact(Ref::TRUE), 8);
+    assert_eq!(m.sat_count_exact(Ref::FALSE), 0);
+    assert_eq!(m.sat_count_exact(a), 4);
     let ab = m.and(a, b);
-    assert_eq!(m.sat_count(ab), 2.0);
+    assert_eq!(m.sat_count_exact(ab), 2);
     let abc = m.and(ab, c);
-    assert_eq!(m.sat_count(abc), 1.0);
+    assert_eq!(m.sat_count_exact(abc), 1);
     let aob = m.or(a, b);
-    assert_eq!(m.sat_count(aob), 6.0);
+    assert_eq!(m.sat_count_exact(aob), 6);
 }
 
 #[test]
@@ -181,23 +170,9 @@ fn exists_removes_variable_from_support() {
     let ab = m.and(a, b);
     let f = m.or(ab, c);
     let e = m.exists(f, &[1]);
-    assert_eq!(m.support(e), vec![0, 2]);
     // exists b. (a&b | c) == a | c
     let aoc = m.or(a, c);
     assert_eq!(e, aoc);
-}
-
-#[test]
-fn forall_dual_of_exists() {
-    let (mut m, a, b, _) = three();
-    let f = m.or(a, b);
-    // forall b. (a|b) == a
-    let g = m.forall(f, &[1]);
-    assert_eq!(g, a);
-    // exists b. (a&b) == a
-    let h0 = m.and(a, b);
-    let h = m.exists(h0, &[1]);
-    assert_eq!(h, a);
 }
 
 #[test]
@@ -212,29 +187,11 @@ fn exists_multiple_vars() {
 }
 
 #[test]
-fn restrict_fixes_variable() {
-    let (mut m, a, b, _) = three();
-    let f = m.xor(a, b);
-    let nb = m.not(b);
-    assert_eq!(m.restrict(f, 0, true), nb);
-    assert_eq!(m.restrict(f, 0, false), b);
-}
-
-#[test]
-fn support_and_size() {
-    let (mut m, a, _, c) = three();
-    let f = m.and(a, c);
-    assert_eq!(m.support(f), vec![0, 2]);
-    assert_eq!(m.size(f), 2);
-    assert_eq!(m.size(Ref::TRUE), 0);
-}
-
-#[test]
 fn eq_const_encodes_exact_value() {
     let mut m = Manager::new(4);
     let vars = [0, 1, 2, 3];
     let f = m.eq_const(&vars, 0b1010);
-    assert_eq!(m.sat_count(f), 1.0);
+    assert_eq!(m.sat_count_exact(f), 1);
     let cube = m.any_sat(f).unwrap();
     assert_eq!(cube.decode(&vars), 0b1010);
 }
@@ -245,7 +202,7 @@ fn le_const_counts() {
     let vars = [0, 1, 2, 3];
     for bound in 0..16u64 {
         let f = m.le_const(&vars, bound);
-        assert_eq!(m.sat_count(f), (bound + 1) as f64, "<= {bound}");
+        assert_eq!(m.sat_count_exact(f), u128::from(bound + 1), "<= {bound}");
     }
 }
 
@@ -255,7 +212,7 @@ fn ge_const_counts() {
     let vars = [0, 1, 2, 3];
     for bound in 0..16u64 {
         let f = m.ge_const(&vars, bound);
-        assert_eq!(m.sat_count(f), (16 - bound) as f64, ">= {bound}");
+        assert_eq!(m.sat_count_exact(f), u128::from(16 - bound), ">= {bound}");
     }
 }
 
@@ -264,7 +221,7 @@ fn range_const_counts_and_empty() {
     let mut m = Manager::new(4);
     let vars = [0, 1, 2, 3];
     let f = m.range_const(&vars, 3, 9);
-    assert_eq!(m.sat_count(f), 7.0);
+    assert_eq!(m.sat_count_exact(f), 7);
     assert_eq!(m.range_const(&vars, 9, 3), Ref::FALSE);
     let one = m.range_const(&vars, 5, 5);
     let five = m.eq_const(&vars, 5);
@@ -294,39 +251,20 @@ fn stats_track_nodes() {
 }
 
 #[test]
-fn ite_normalization_shares_cache_across_argument_orders() {
-    let mut m = Manager::new(8);
-    let a = m.var(0);
-    let b = m.var(1);
-    // Disjunction form: ite(f, 1, h) == ite(h, 1, f). The second call
-    // must land on the first call's computed-cache entry.
-    let f1 = m.ite(a, Ref::TRUE, b);
+fn commuted_and_or_calls_share_one_cache_entry() {
+    let (mut m, a, b, c) = three();
+    // or(f, h) is !and(!f, !h): the commuted call must land on the first
+    // call's conjunction entry.
+    let f1 = m.or(a, b);
     let hits = m.stats().cache_hits;
-    let f2 = m.ite(b, Ref::TRUE, a);
+    let f2 = m.or(b, a);
     assert_eq!(f1, f2);
     assert!(m.stats().cache_hits > hits, "commuted or shares the entry");
-    // Conjunction form: ite(f, g, 0) == ite(g, f, 0).
-    let c = m.var(2);
-    let d = m.var(3);
-    let g1 = m.ite(c, d, Ref::FALSE);
+    let g1 = m.and(b, c);
     let hits = m.stats().cache_hits;
-    let g2 = m.ite(d, c, Ref::FALSE);
+    let g2 = m.and(c, b);
     assert_eq!(g1, g2);
     assert!(m.stats().cache_hits > hits, "commuted and shares the entry");
-    // Standard-triple terminal rewrites collapse to the plain operations.
-    let or_ab = m.or(a, b);
-    let and_ab = m.and(a, b);
-    assert_eq!(m.ite(a, a, b), or_ab, "ite(f, f, h) == f | h");
-    assert_eq!(m.ite(a, b, a), and_ab, "ite(f, g, f) == f & g");
-    // The dedicated entry points agree with the generic kernel.
-    let n_b = m.ite(b, Ref::FALSE, Ref::TRUE);
-    assert_eq!(m.not(b), n_b);
-    let x = m.ite(a, n_b, b);
-    assert_eq!(m.xor(a, b), x);
-    let nx = m.not(x);
-    assert_eq!(m.iff(a, b), nx);
-    let d_ab = m.ite(a, n_b, Ref::FALSE);
-    assert_eq!(m.diff(a, b), d_ab);
 }
 
 #[test]
@@ -425,9 +363,9 @@ fn and_all_or_all() {
     let mut m = Manager::new(4);
     let lits: Vec<_> = (0..4).map(|v| m.var(v)).collect();
     let all = m.and_all(lits.iter().copied());
-    assert_eq!(m.sat_count(all), 1.0);
+    assert_eq!(m.sat_count_exact(all), 1);
     let any = m.or_all(lits.iter().copied());
-    assert_eq!(m.sat_count(any), 15.0);
+    assert_eq!(m.sat_count_exact(any), 15);
     assert_eq!(m.and_all(std::iter::empty()), Ref::TRUE);
     assert_eq!(m.or_all(std::iter::empty()), Ref::FALSE);
 }
@@ -519,12 +457,12 @@ mod properties {
             }
         }
 
-        /// sat_count equals the brute-force model count.
+        /// sat_count_exact equals the brute-force model count.
         fn sat_count_matches_brute_force(e in arb_expr) {
             let mut m = Manager::new(NVARS);
             let f = build(&mut m, &e);
             let brute = (0..(1u32 << NVARS)).filter(|&bits| eval_expr(&e, bits)).count();
-            prop_assert_eq!(m.sat_count(f), brute as f64);
+            prop_assert_eq!(m.sat_count_exact(f), brute as u128);
         }
 
         /// Canonicity: two syntactically different but equivalent builds
@@ -572,18 +510,28 @@ mod properties {
             let f = build(&mut m, &e);
             let ex = m.exists(f, &[v]);
             prop_assert!(m.implies_true(f, ex));
-            // and the quantified variable leaves the support
-            prop_assert!(!m.support(ex).contains(&v));
+            // and it is the truth table's quantification: true on an input
+            // iff f holds with v cleared or set, so v leaves the support
+            for bits in 0..(1u32 << NVARS) {
+                let want = eval_expr(&e, bits & !(1 << v)) || eval_expr(&e, bits | (1 << v));
+                let got = m.eval(ex, &|u| (bits >> u) & 1 == 1);
+                prop_assert_eq!(got, want, "input {:06b}", bits);
+            }
         }
 
-        /// Shannon expansion: f == ite(v, f|v=1, f|v=0).
+        /// Shannon expansion: f == (v & f|v=1) | (!v & f|v=0), with the
+        /// cofactor f|v=b taken as exists v. (f & (v == b)).
         fn shannon_expansion(e in arb_expr, v in |g: &mut Source| g.gen_range(0..NVARS)) {
             let mut m = Manager::new(NVARS);
             let f = build(&mut m, &e);
-            let hi = m.restrict(f, v, true);
-            let lo = m.restrict(f, v, false);
             let vv = m.var(v);
-            let rebuilt = m.ite(vv, hi, lo);
+            let on = m.and(f, vv);
+            let hi = m.exists(on, &[v]);
+            let off = m.diff(f, vv);
+            let lo = m.exists(off, &[v]);
+            let then = m.and(vv, hi);
+            let other = m.diff(lo, vv);
+            let rebuilt = m.or(then, other);
             prop_assert_eq!(f, rebuilt);
         }
     }
@@ -603,9 +551,9 @@ mod kernel_differential {
     /// 2^16 inputs packed 64 per word.
     const BLOCKS: usize = 1 << (NVARS - 6);
 
-    /// Expression language covering every public kernel operation,
-    /// including the ops with dedicated apply entries (xor/iff/diff) and
-    /// the ternary `ite` the normalization rules rewrite.
+    /// Expression language covering every public connective, plus the
+    /// if-then-else and implication shapes, which `build` writes out
+    /// through the conjunction and exclusive-or kernels.
     #[derive(Clone, Debug)]
     enum Expr {
         Var(u32),
@@ -675,11 +623,14 @@ mod kernel_differential {
             }
             Expr::Implies(a, b) => {
                 let (a, b) = (build(m, a), build(m, b));
-                m.implies(a, b)
+                let d = m.diff(a, b);
+                m.not(d)
             }
-            Expr::Ite(f, g, h) => {
-                let (f, g, h) = (build(m, f), build(m, g), build(m, h));
-                m.ite(f, g, h)
+            Expr::Ite(c, t, e) => {
+                let (c, t, e) = (build(m, c), build(m, t), build(m, e));
+                let then = m.and(c, t);
+                let other = m.diff(e, c);
+                m.or(then, other)
             }
         }
     }
@@ -818,19 +769,6 @@ mod kernel_differential {
 }
 
 #[test]
-fn exact_sat_count_matches_float() {
-    let mut m = Manager::new(20);
-    let vars: Vec<u32> = (0..20).collect();
-    for (lo, hi) in [(0u64, 100), (12345, 678910), (0, (1 << 20) - 1)] {
-        let f = m.range_const(&vars, lo, hi);
-        assert_eq!(m.sat_count_exact(f) as f64, m.sat_count(f), "[{lo},{hi}]");
-        assert_eq!(m.sat_count_exact(f), u128::from(hi - lo + 1));
-    }
-    assert_eq!(m.sat_count_exact(Ref::TRUE), 1 << 20);
-    assert_eq!(m.sat_count_exact(Ref::FALSE), 0);
-}
-
-#[test]
 fn exact_sat_count_with_gaps_in_support() {
     let mut m = Manager::new(8);
     // Depends only on variables 2 and 5: each model leaves 6 vars free.
@@ -923,8 +861,17 @@ mod gc {
             "complement negation must not touch the arena"
         );
         assert_eq!(nf.index(), f.index(), "f and !f share their top node");
-        assert_eq!(m.size(f), m.size(nf), "f and !f share the whole diagram");
         assert_ne!(f, nf);
+        // Rebuilding !f from scratch finds every node already interned.
+        let (na, nb, nc) = (m.not(a), m.not(b), m.not(c));
+        let nab = m.or(na, nb);
+        let rebuilt = m.and(nab, nc);
+        assert_eq!(rebuilt, nf);
+        assert_eq!(
+            m.live_node_count(),
+            nodes_before,
+            "f and !f share the whole diagram"
+        );
     }
 
     #[test]
@@ -1018,24 +965,6 @@ mod gc {
         assert_eq!(after.gc_runs, 1);
         assert!(after.gc_freed_nodes > 0);
         m.unprotect(root);
-    }
-
-    #[test]
-    fn reprotect_repoints_a_root_in_place() {
-        let mut m = Manager::new(8);
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.and(a, b);
-        let mut root = m.protect(f);
-        let g = m.or(a, b);
-        m.reprotect(&mut root, g);
-        assert_eq!(root.as_ref(), g);
-        assert_eq!(m.root_count(), 1, "reprotect must not grow the slab");
-        m.gc();
-        // f was abandoned by the reprotect; g survives.
-        assert_eq!(m.sat_count_exact(root.as_ref()), 3 << 6);
-        m.unprotect(root);
-        assert_eq!(m.root_count(), 0);
     }
 
     /// The GC-stress soak: hundreds of build/drop rounds with automatic

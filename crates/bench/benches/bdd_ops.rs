@@ -52,7 +52,7 @@ fn bench_sat_count(c: &mut Criterion) {
         let mut m = Manager::new(32);
         let vars: Vec<u32> = (0..32).collect();
         let f = m.range_const(&vars, 1000, 3_000_000_000);
-        b.iter(|| black_box(m.sat_count(f)));
+        b.iter(|| black_box(m.sat_count_exact(f)));
     });
 }
 

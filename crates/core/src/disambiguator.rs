@@ -6,12 +6,11 @@
 //! module implements it once. A [`RuleKind`] — route-map stanzas, ACL
 //! entries, prefix-list entries — supplies only what differs: the
 //! symbolic space, the new rule's match set, the differential question
-//! and the insertion itself. The overlap scan, the lint prune, the pivot
-//! scan, the plan replay and the insertion metrics exist once, here.
+//! and the insertion itself. The overlap scan, the prune, the pivot scan,
+//! the plan replay and the insertion metrics exist once, here.
 
 use clarify_analysis::FirstMatchPolicy;
 use clarify_bdd::Ref;
-use clarify_lint::prune_candidates;
 use clarify_netconfig::Config;
 
 use crate::error::ClarifyError;
@@ -72,7 +71,7 @@ pub trait RuleKind: Clone + std::fmt::Debug {
     /// immediately above and immediately below rule `pivot`, decided on
     /// `region` = `s* ∧ fire_pivot`. The two placements decide every other
     /// input alike: only there does the new rule (above) meet rule `pivot`
-    /// (below). `region` is non-empty, since the lint prune kept the pivot.
+    /// (below). `region` is non-empty, since the prune kept the pivot.
     fn pivot_question(
         &self,
         space: &mut Self::Space,
@@ -100,8 +99,8 @@ pub struct DisambiguationResult<K: RuleKind = RouteMapInsertion> {
     pub questions: usize,
     /// Number of existing rules whose match set overlaps the new rule's.
     pub overlap_candidates: usize,
-    /// Overlap candidates discarded by the lint prune (the new rule is
-    /// shadowed at those boundaries, so they are provably non-decisive).
+    /// Overlap candidates discarded by the prune (the new rule is shadowed
+    /// at those boundaries, so they are provably non-decisive).
     pub pruned_candidates: usize,
     /// Number of above/below placement comparisons performed: one per
     /// pivot that survived the prune, each decided on that pivot's region
@@ -136,7 +135,7 @@ impl Disambiguator {
     }
 
     /// Builds an [`InsertionPlan`] in a caller-owned space: the symbolic
-    /// work (overlap set, lint prune, per-pivot placement comparisons)
+    /// work (overlap set, prune, per-pivot placement comparisons)
     /// runs here, once; the returned plan answers every
     /// subsequent [`InsertionPlan::step`] with pure in-memory replay.
     /// ROBDD canonicity makes the space's history invisible: a warm space
@@ -165,14 +164,21 @@ impl Disambiguator {
             .collect();
         let n = overlaps.len();
 
-        // Lint-based pre-filter: a pivot where the new rule never reaches
-        // the pivot rule's firing region (`s* ∧ fire_i = ⊥`) cannot be
-        // decisive — above/below placements there are provably equivalent
-        // — so its placement comparison is skipped outright.
+        // The prune: inserting the new rule immediately above rule i
+        // differs from inserting it immediately below only on inputs that
+        // reach rule i and match both it and the new rule, the region
+        // `s* ∧ fire_i` (`fire_i` is rule i's first-match firing region,
+        // as in the shadowed-rule lint). Where that region is ⊥ the new
+        // rule is shadowed at the boundary, the two placements are
+        // provably equivalent, and the pivot's comparison is skipped.
         let (fires, _) = K::Policy::fire_sets(space, &match_sets);
-        let candidates =
-            prune_candidates(K::Policy::manager(space), &fires, s_star, &overlaps).kept;
-        let pruned_candidates = n - candidates.len();
+        let mgr = K::Policy::manager(space);
+        let regions: Vec<(usize, Ref)> = overlaps
+            .iter()
+            .map(|&i| (i, mgr.and(s_star, fires[i])))
+            .filter(|&(_, region)| region != Ref::FALSE)
+            .collect();
+        let pruned_candidates = n - regions.len();
 
         // Keep only *decisive* pivots: candidates where inserting the new
         // rule immediately above vs immediately below actually changes
@@ -180,24 +186,22 @@ impl Disambiguator {
         // a deny rule) means that boundary vanishes — the two adjacent
         // slots merge — and treating it as an answer would discard half
         // the search space that may hold the intent. Each decisive pivot
-        // carries its precomputed differential question, decided on the
-        // region the prune just tested, `s* ∧ fire_i`: the only inputs the
-        // two placements decide differently.
+        // carries its precomputed differential question, decided on its
+        // region: the only inputs the two placements decide differently.
         let mut pivots: Vec<(usize, K::Question)> = Vec::new();
         {
             let _scan_span = clarify_obs::span!("pivot_scan");
-            for &pivot in &candidates {
-                let region = K::Policy::manager(space).and(s_star, fires[pivot]);
+            for &(pivot, region) in &regions {
                 if let Some(q) = kind.pivot_question(space, region, pivot)? {
                     pivots.push((pivot, q));
                 }
             }
         }
         // The overlap, prune and pivot rounds are done with the shared
-        // space's ite cache; drop it (unique table preserved) so long
+        // space's operation cache; drop it (unique table preserved) so long
         // sessions don't accrete dead cache entries.
         K::Policy::manager(space).clear_op_caches();
-        let mut comparisons = candidates.len();
+        let mut comparisons = regions.len();
 
         // TopBottomOnly's single question is the differential between the
         // two extreme placements; precompute it here so the plan's replay

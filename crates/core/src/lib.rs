@@ -31,9 +31,9 @@
 //! a [`RuleKind`] — [`RouteMapInsertion`], [`AclInsertion`] or
 //! [`PrefixListInsertion`] — supplies the symbolic space, the new rule's
 //! match set, the differential question and the insertion, and the engine
-//! does the rest (overlap scan, lint prune, pivot scan, plan replay via
-//! [`InsertionPlan`], metrics). Answers come from any [`UserOracle`] over
-//! the kind's question type.
+//! does the rest (overlap scan, the prune of candidates where the new rule
+//! is shadowed, pivot scan, plan replay via [`InsertionPlan`], metrics).
+//! Answers come from any [`UserOracle`] over the kind's question type.
 
 #![warn(missing_docs)]
 

@@ -154,7 +154,7 @@ fn empty_route_map_insertion() {
     assert_eq!(result.config.route_map("RM").unwrap().stanzas.len(), 1);
 }
 
-/// Base for the lint-prune regression: stanza 10 swallows all of 10/8, so
+/// Base for the prune regression: stanza 10 swallows all of 10/8, so
 /// the lp-matching stanzas below overlap a 10/8 snippet's match set but
 /// can never fire on it — they are shadowed insertion boundaries.
 const PRUNE_BASE: &str = "\
@@ -178,7 +178,7 @@ route-map NEW permit 10
 ";
 
 #[test]
-fn lint_prune_skips_shadowed_candidates_without_changing_result() {
+fn prune_skips_shadowed_candidates_without_changing_result() {
     let base = Config::parse(PRUNE_BASE).unwrap();
     let snip = Config::parse(PRUNE_SNIPPET).unwrap();
     let intended = clarify_netconfig::insert_route_map_stanza(&base, "RM", &snip, "NEW", 0)
@@ -219,6 +219,67 @@ fn lint_prune_skips_shadowed_candidates_without_changing_result() {
     assert!(pruned.questions < pruned.overlap_candidates);
 }
 
+/// One base per rule kind whose first rule covers the new rule's whole
+/// match set, so the new rule is shadowed at every later boundary.
+const SHADOWING_ROUTE_MAP: &str = "\
+ip prefix-list ALL10 seq 10 permit 10.0.0.0/8 le 32
+ip prefix-list HALF seq 10 permit 10.0.0.0/9 le 32
+ip prefix-list QUAD seq 10 permit 10.4.0.0/14 le 32
+route-map RM deny 10
+ match ip address prefix-list ALL10
+route-map RM permit 20
+ match ip address prefix-list HALF
+route-map RM deny 30
+ match ip address prefix-list QUAD
+route-map RM permit 40
+ match local-preference 300
+";
+
+const SHADOWED_SNIPPET: &str = "\
+ip prefix-list NEW seq 10 permit 10.5.0.0/16 le 24
+route-map SNIP permit 10
+ match ip address prefix-list NEW
+ set metric 77
+";
+
+const SHADOWING_ACL: &str = "\
+ip access-list extended A
+ deny tcp 10.0.0.0/8 any
+ permit tcp 10.0.0.0/9 any eq 80
+ deny tcp any any eq 443
+ permit ip any any
+ip access-list extended X
+ permit tcp 10.5.0.0/16 any
+";
+
+const SHADOWING_PREFIX_LIST: &str = "\
+ip prefix-list PL seq 5 deny 10.0.0.0/8 le 32
+ip prefix-list PL seq 10 permit 10.1.0.0/16 le 24
+ip prefix-list PL seq 15 permit 0.0.0.0/0 le 32
+ip prefix-list X seq 5 permit 10.1.128.0/17 le 24
+";
+
+/// Every candidate below the shadowing first rule is pruned, for each
+/// kind; the slot check holds each plan to exhaustive insertion, which a
+/// decisive pruned pivot would fail.
+#[test]
+fn prune_drops_every_shadowed_boundary_of_each_kind() {
+    let base = Config::parse(SHADOWING_ROUTE_MAP).unwrap();
+    let snippet = Config::parse(SHADOWED_SNIPPET).unwrap();
+    let kind = RouteMapInsertion::new(&base, "RM", &snippet, "SNIP").unwrap();
+    assert_eq!(check_every_slot(kind), (4, 3, 1));
+
+    let cfg = Config::parse(SHADOWING_ACL).unwrap();
+    let entry = &cfg.acls["X"].entries[0];
+    let kind = crate::AclInsertion::new(&cfg, "A", entry).unwrap();
+    assert_eq!(check_every_slot(kind), (4, 3, 1));
+
+    let cfg = Config::parse(SHADOWING_PREFIX_LIST).unwrap();
+    let entry = &cfg.prefix_lists["X"].entries[0];
+    let kind = crate::PrefixListInsertion::new(&cfg, "PL", entry).unwrap();
+    assert_eq!(check_every_slot(kind), (3, 2, 1));
+}
+
 #[test]
 fn scripted_oracle_exhaustion_is_an_error() {
     let base = Config::parse(ISP_OUT).unwrap();
@@ -255,7 +316,7 @@ fn binary_search_is_logarithmic_and_correct_for_every_slot() {
     let n = 8;
     let (base, snip) = tagged_family(n);
     let kind = RouteMapInsertion::new(&base, "RM", &snip, "NEW").unwrap();
-    let (overlaps, questions) = check_every_slot(kind);
+    let (overlaps, _, questions) = check_every_slot(kind);
     assert_eq!(overlaps, n);
     // ceil(log2(n+1)) for n=8 slots+1 = 9 -> 4 questions max.
     assert!(questions <= 4, "{questions} questions");
@@ -321,8 +382,9 @@ impl SlotCheck for crate::PrefixListInsertion {
 /// equivalent to the intended insertion, after at most ⌈log2(m+1)⌉
 /// questions, where m — the number of decisive pivots — is counted by
 /// comparing the insertions at every pair of adjacent slots. Returns the
-/// overlap count and the most questions any slot took.
-fn check_every_slot<K: SlotCheck>(kind: K) -> (usize, usize) {
+/// overlap and pruned candidate counts, and the most questions any slot
+/// took.
+fn check_every_slot<K: SlotCheck>(kind: K) -> (usize, usize, usize) {
     let mut space = kind.new_space().unwrap();
     let plan = Disambiguator::default()
         .plan(&mut space, kind.clone())
@@ -340,7 +402,7 @@ fn check_every_slot<K: SlotCheck>(kind: K) -> (usize, usize) {
         "decisive pivots vs exhaustive insertion"
     );
     let bound = (usize::BITS - m.leading_zeros()) as usize; // ⌈log2(m+1)⌉
-    let (mut overlaps, mut most) = (0, 0);
+    let (mut overlaps, mut pruned, mut most) = (0, 0, 0);
     for (slot, intended) in slots.iter().enumerate() {
         let result = plan
             .clone()
@@ -353,9 +415,10 @@ fn check_every_slot<K: SlotCheck>(kind: K) -> (usize, usize) {
             result.questions
         );
         overlaps = result.overlap_candidates;
+        pruned = result.pruned_candidates;
         most = most.max(result.questions);
     }
-    (overlaps, most)
+    (overlaps, pruned, most)
 }
 
 /// [`check_every_slot`] over random small bases of each kind.
@@ -988,7 +1051,7 @@ ip access-list extended EDGE
     fn acl_binary_search_hits_every_slot() {
         let base = Config::parse(EDGE).unwrap();
         let kind = crate::AclInsertion::new(&base, "EDGE", &new_entry()).unwrap();
-        let (overlaps, questions) = super::check_every_slot(kind);
+        let (overlaps, _, questions) = super::check_every_slot(kind);
         // Entry 2 (udp) does not overlap a tcp entry.
         assert_eq!(overlaps, 3);
         assert!(questions <= 2, "{questions} questions");
@@ -1114,7 +1177,7 @@ ip prefix-list PL seq 15 deny 192.168.0.0/16 le 32
         // The new entry overlaps the 10.1/16 deny and the 10/8 permit but
         // not the 192.168 deny; every slot's final list is behaviourally
         // equal to the intended one on all prefixes.
-        let (overlaps, _) = super::check_every_slot(kind);
+        let (overlaps, _, _) = super::check_every_slot(kind);
         assert_eq!(overlaps, 2);
     }
 

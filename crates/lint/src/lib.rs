@@ -35,12 +35,9 @@
 //! prefix) where one exists, so a diagnostic is never just "the BDDs say
 //! so" — it names an input you can replay through the reference evaluator.
 //!
-//! The same firing-region analysis behind L001 powers
-//! [`prune_candidates`]: the disambiguator in `clarify-core` uses it to
-//! discard insertion positions where the new rule would be shadowed,
-//! which provably cannot change the chosen configuration but cuts the
-//! number of expensive placement comparisons (and thus keeps the question
-//! count minimal).
+//! The firing regions behind L001 also drive the disambiguator in
+//! `clarify-core`: it skips an insertion position where the new rule would
+//! be shadowed.
 //!
 //! ```
 //! use clarify_lint::{lint_config, LintCode};
@@ -65,7 +62,6 @@ mod diagnostic;
 mod incremental;
 mod linter;
 mod network;
-mod prune;
 mod sarif;
 mod suppress;
 
@@ -74,7 +70,6 @@ pub use diagnostic::{Diagnostic, LintCode, LintReport, Severity};
 pub use incremental::{lint_config_incremental, IncrStats, IncrementalLinter};
 pub use linter::lint_config;
 pub use network::{NetworkLintReport, NetworkLinter, RouterLint};
-pub use prune::{prune_candidates, PruneOutcome};
 pub use sarif::render_sarif;
 pub use suppress::{apply_suppressions, suppression_targets};
 

@@ -228,164 +228,6 @@ route-map USE permit 10
     assert!(report.diagnostics.iter().all(|d| d.line.is_none()));
 }
 
-mod prune {
-    use clarify_analysis::{
-        filters_equivalent, policies_equivalent, prefix_lists_equivalent, FirstMatchPolicy,
-        PacketSpace, PrefixSpace, RouteSpace,
-    };
-    use clarify_bdd::Ref;
-    use clarify_netconfig::{
-        insert_acl_entry, insert_prefix_list_entry, insert_route_map_stanza, Acl, Config,
-        PrefixList, RouteMap,
-    };
-
-    use crate::prune_candidates;
-
-    /// Base map from the disambiguation regression design: stanza 10
-    /// covers the snippet entirely, so every later candidate is pruned.
-    const BASE: &str = "\
-ip prefix-list ALL10 seq 10 permit 10.0.0.0/8 le 32
-ip prefix-list HALF seq 10 permit 10.0.0.0/9 le 32
-ip prefix-list QUAD seq 10 permit 10.4.0.0/14 le 32
-route-map RM deny 10
- match ip address prefix-list ALL10
-route-map RM permit 20
- match ip address prefix-list HALF
-route-map RM deny 30
- match ip address prefix-list QUAD
-route-map RM permit 40
- match local-preference 300
-";
-
-    const SNIPPET: &str = "\
-ip prefix-list NEW seq 10 permit 10.5.0.0/16 le 24
-route-map SNIP permit 10
- match ip address prefix-list NEW
- set metric 77
-";
-
-    /// The same shape for ACLs: entry 0 covers the new entry's packets.
-    const ACL_BASE: &str = "\
-ip access-list extended A
- deny tcp 10.0.0.0/8 any
- permit tcp 10.0.0.0/9 any eq 80
- deny tcp any any eq 443
- permit ip any any
-";
-
-    /// And for prefix lists: seq 5 covers the new entry's prefixes.
-    const PREFIX_BASE: &str = "\
-ip prefix-list PL seq 5 deny 10.0.0.0/8 le 32
-ip prefix-list PL seq 10 permit 10.1.0.0/16 le 24
-ip prefix-list PL seq 15 permit 0.0.0.0/0 le 32
-";
-
-    /// The snippet's valid match set and the prune over every stanza.
-    fn route_map_prune(base: &Config, snippet: &Config) -> (RouteSpace, Vec<usize>, Vec<usize>) {
-        let map = base.route_map("RM").unwrap().clone();
-        let snip_map = snippet.route_map("SNIP").unwrap().clone();
-        let mut space = RouteSpace::new(&[base, snippet]).unwrap();
-        let valid = space.valid();
-        let raw = space
-            .encode_stanza_match(snippet, &snip_map.stanzas[0])
-            .unwrap();
-        let s_star = space.manager().and(raw, valid);
-        // All four stanzas' match sets intersect the snippet's.
-        let match_sets = map.match_sets(&mut space, base).unwrap();
-        let candidates: Vec<usize> = (0..match_sets.len())
-            .filter(|&i| space.manager().and(match_sets[i], s_star) != Ref::FALSE)
-            .collect();
-        let (fires, _) = RouteMap::fire_sets(&mut space, &match_sets);
-        let outcome = prune_candidates(space.manager(), &fires, s_star, &candidates);
-        (space, candidates, outcome.pruned)
-    }
-
-    #[test]
-    fn prune_keeps_only_candidates_where_snippet_can_fire() {
-        let base = Config::parse(BASE).unwrap();
-        let snippet = Config::parse(SNIPPET).unwrap();
-        let (_, candidates, pruned) = route_map_prune(&base, &snippet);
-        assert_eq!(candidates, vec![0, 1, 2, 3]);
-        // Stanza 10 (deny 10/8) captures the snippet's whole match space,
-        // so at stanzas 20/30/40 the snippet could never fire: pruned.
-        assert_eq!(pruned, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn pruned_candidates_are_provably_non_decisive() {
-        // Route-maps.
-        let base = Config::parse(BASE).unwrap();
-        let snippet = Config::parse(SNIPPET).unwrap();
-        let (mut space, _, pruned) = route_map_prune(&base, &snippet);
-        assert!(!pruned.is_empty());
-        for &i in &pruned {
-            let (above, _) = insert_route_map_stanza(&base, "RM", &snippet, "SNIP", i).unwrap();
-            let (below, _) = insert_route_map_stanza(&base, "RM", &snippet, "SNIP", i + 1).unwrap();
-            assert!(
-                policies_equivalent(&mut space, &above, "RM", &below, "RM").unwrap(),
-                "pruned stanza {i} was decisive"
-            );
-        }
-
-        // ACLs.
-        let base = Config::parse(ACL_BASE).unwrap();
-        let acl = base.acl("A").unwrap();
-        let entry = Config::parse("ip access-list extended X\n permit tcp 10.5.0.0/16 any\n")
-            .unwrap()
-            .acls["X"]
-            .entries[0]
-            .clone();
-        let mut space = PacketSpace::new();
-        let raw = space.encode_entry(&entry);
-        let valid = space.valid();
-        let s_star = space.manager().and(raw, valid);
-        let matches = acl.match_sets(&mut space, &base).unwrap();
-        let (fires, _) = Acl::fire_sets(&mut space, &matches);
-        let candidates: Vec<usize> = (0..acl.entries.len()).collect();
-        let pruned = prune_candidates(space.manager(), &fires, s_star, &candidates).pruned;
-        assert_eq!(pruned, vec![1, 2, 3]);
-        for &i in &pruned {
-            let above = insert_acl_entry(&base, "A", entry.clone(), i).unwrap();
-            let below = insert_acl_entry(&base, "A", entry.clone(), i + 1).unwrap();
-            assert!(
-                filters_equivalent(&mut space, above.acl("A").unwrap(), below.acl("A").unwrap()),
-                "pruned ACL entry {i} was decisive"
-            );
-        }
-
-        // Prefix lists.
-        let base = Config::parse(PREFIX_BASE).unwrap();
-        let list = &base.prefix_lists["PL"];
-        let entry = clarify_netconfig::PrefixListEntry {
-            seq: 0,
-            action: clarify_netconfig::Action::Permit,
-            range: "10.1.128.0/17 le 24".parse().unwrap(),
-        };
-        let mut space = PrefixSpace::new();
-        let raw = space.encode_range(&entry.range);
-        let valid = space.valid();
-        let s_star = space.manager().and(raw, valid);
-        let matches = list.match_sets(&mut space, &base).unwrap();
-        let (fires, _) = PrefixList::fire_sets(&mut space, &matches);
-        let candidates: Vec<usize> = (0..list.entries.len()).collect();
-        let pruned = prune_candidates(space.manager(), &fires, s_star, &candidates).pruned;
-        assert_eq!(pruned, vec![1, 2]);
-        for &i in &pruned {
-            let above = insert_prefix_list_entry(&base, "PL", entry.clone(), i).unwrap();
-            let below = insert_prefix_list_entry(&base, "PL", entry.clone(), i + 1).unwrap();
-            assert!(
-                prefix_lists_equivalent(
-                    &mut space,
-                    &above.prefix_lists["PL"],
-                    &below.prefix_lists["PL"],
-                )
-                .unwrap(),
-                "pruned prefix-list entry {i} was decisive"
-            );
-        }
-    }
-}
-
 mod properties {
     use clarify_netconfig::{Action, Config, PrefixList, PrefixListEntry, RuleKey};
     use clarify_nettypes::{BgpRoute, Prefix, PrefixRange};

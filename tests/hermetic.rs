@@ -105,3 +105,58 @@ fn banned_external_crates_never_reappear() {
         }
     }
 }
+
+/// The Rust files under `dir` (recursively), except unit-test modules
+/// named `tests.rs`.
+fn non_test_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("readable dir entry").path();
+        if path.is_dir() {
+            non_test_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs")
+            && path.file_name().is_some_and(|n| n != "tests.rs")
+        {
+            out.push(path);
+        }
+    }
+}
+
+/// Whether `text` holds `ident` as a whole identifier.
+fn names(text: &str, ident: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(ident).any(|(at, _)| {
+        !text[..at].ends_with(is_ident) && !text[at + ident.len()..].starts_with(is_ident)
+    })
+}
+
+#[test]
+fn every_clarify_dependency_is_named_by_its_crate() {
+    // A manifest edge the code never names still orders builds and widens
+    // what a change rebuilds; the crate graph should be what the code uses.
+    for manifest in workspace_manifests() {
+        let dir = manifest.parent().expect("manifest has a directory");
+        let mut files = Vec::new();
+        non_test_sources(&dir.join("src"), &mut files);
+        non_test_sources(&dir.join("benches"), &mut files);
+        let code: String = files
+            .iter()
+            .map(|f| fs::read_to_string(f).expect("source reads"))
+            .collect();
+        let text = fs::read_to_string(&manifest).expect("manifest reads");
+        for (section, line) in dependency_lines(&text) {
+            let name = line.split(['.', '=', ' ']).next().unwrap_or("");
+            if section != "dependencies" || !name.starts_with("clarify-") {
+                continue;
+            }
+            assert!(
+                names(&code, &name.replace('-', "_")),
+                "{}: [dependencies] names `{name}`, but no file under src/ or \
+                 benches/ outside tests.rs uses it",
+                manifest.display(),
+            );
+        }
+    }
+}
